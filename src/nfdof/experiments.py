@@ -25,7 +25,7 @@ from . import __version__
 from .channel import frobenius_normalized, los_nusw_channel, los_usw_channel
 from .errors import ConfigError
 from .geometry import CarrierConfig, build_ula, continuous_aperture, rayleigh_distance
-from .kernel import cap_edof1, cap_edof2, converge_spectrum
+from .kernel import GaussLegendreRules, cap_edof1, cap_edof2, converge_spectrum
 from .linksim import TransmissionConfig, run_link, save_link_report
 from .metrics import (dof, edof1, edof1_limit_linear, edof2, edof3_auto,
                       metrics_report, waterfill)
@@ -407,7 +407,7 @@ def _run_spectrum(cfg, carrier, prov, threads):
     def one(case):
         n, a, d = case
         h = _spd_channel(model, n, a, d, axis, carrier)
-        s = decompose(h).singular_values
+        s = decompose(h, vectors=False).values
         rows = [[i + 1, float(v), float(v / s[0])] for i, v in enumerate(s)]
         return ResultTable(name=f"spectrum_n{n}_d{_slug(d)}",
                            columns=["mode_index", "sigma", "sigma_over_sigma1"],
@@ -429,7 +429,7 @@ def _run_edof_vs_n(cfg, carrier, prov, threads):
     def one(d):
         rows = []
         for n, a in sizes:
-            s = decompose(_spd_channel(model, n, a, d, axis, carrier)).spectrum
+            s = decompose(_spd_channel(model, n, a, d, axis, carrier), vectors=False)
             rows.append([n, a, dof(s, rank_tol=rank_tol), edof1(s, dominance=dominance),
                          edof1_limit_linear(a, a, carrier.wavelength, d), edof2(s)])
         return ResultTable(name=f"edof_vs_n_d{_slug(d)}",
@@ -448,6 +448,7 @@ def _run_edof2_vs_n(cfg, carrier, prov, threads):
     sizes = _ula_sizes(geo, "geometry")
     distances = _number_list(geo, "distances_m", "geometry", positive=True)
     cap_cache = {}
+    rules = GaussLegendreRules()
 
     def cap_ref(aperture, d):
         key = (aperture, d)
@@ -455,14 +456,14 @@ def _run_edof2_vs_n(cfg, carrier, prov, threads):
             tx, rx = _segment_pair(aperture, d)
             spec = converge_spectrum(tx, rx, carrier, tol=ker["tol"],
                                      start_nodes=ker["start_nodes"],
-                                     max_nodes=ker["max_nodes"])
+                                     max_nodes=ker["max_nodes"], rules=rules)
             cap_cache[key] = cap_edof2(spec)
         return cap_cache[key]
 
     def one(d):
         rows = []
         for n, a in sizes:
-            s = decompose(_spd_channel(model, n, a, d, axis, carrier)).spectrum
+            s = decompose(_spd_channel(model, n, a, d, axis, carrier), vectors=False)
             rows.append([n, a, edof2(s), cap_ref(a, d)])
         return ResultTable(name=f"edof2_vs_n_d{_slug(d)}",
                            columns=["n_elements", "aperture_m", "edof2_spd", "edof2_cap"],
@@ -487,20 +488,19 @@ def _run_edof3_vs_snr(cfg, carrier, prov, threads):
     n = _number(geo, "n_elements", "geometry", integer=True)
     a = _number(geo, "aperture_m", "geometry", positive=True)
     distances = _number_list(geo, "distances_m", "geometry", positive=True)
+    snrs = [10.0 ** (db / 10.0) for db in snr_db]
 
     def one(d):
         h = _spd_channel(model, n, a, d, axis, carrier)
         if normalize:
             h = frobenius_normalized(h)
-        s = decompose(h).spectrum
-        rows = []
-        for db in snr_db:
-            snr = 10.0 ** (db / 10.0)
-            rows.append([db, snr, edof3_auto(s, snr, delta_step=delta)])
+        s = decompose(h, vectors=False)
         echo = {"distance_m": d, "n_elements": n, "aperture_m": a,
                 "normalize": normalize, "config_hash": prov["config_hash"]}
-        report = metrics_report(s, [10.0 ** (db / 10.0) for db in snr_db],
-                                config_echo=echo, dominance=dominance)
+        values = [edof3_auto(s, snr, delta_step=delta) for snr in snrs]
+        rows = [[db, snr, value] for db, snr, value in zip(snr_db, snrs, values)]
+        report = metrics_report(s, snrs, config_echo=echo, dominance=dominance,
+                                edof3_values=values)
         return (ResultTable(name=f"edof3_vs_snr_d{_slug(d)}",
                             columns=["snr_db", "snr", "edof3"],
                             rows=rows, provenance=prov), d, report)
@@ -518,6 +518,7 @@ def _run_cap_edof_vs_distance(cfg, carrier, prov, threads):
     dominance = met.get("dominance", 0.01)
     apertures = _number_list(geo, "apertures_m", "geometry", positive=True)
     distances = _parse_grid(geo, "distances_m", "geometry")
+    rules = GaussLegendreRules()
 
     def one(aperture):
         rd = rayleigh_distance(aperture, carrier.wavelength)
@@ -526,7 +527,7 @@ def _run_cap_edof_vs_distance(cfg, carrier, prov, threads):
             tx, rx = _segment_pair(aperture, d)
             spec = converge_spectrum(tx, rx, carrier, tol=ker["tol"],
                                      start_nodes=ker["start_nodes"],
-                                     max_nodes=ker["max_nodes"])
+                                     max_nodes=ker["max_nodes"], rules=rules)
             rows.append([d, cap_edof1(spec, dominance=dominance), cap_edof2(spec), rd])
         return ResultTable(name=f"cap_edof_vs_distance_a{_slug(aperture)}",
                            columns=["distance_m", "cap_edof1", "cap_edof2",
@@ -551,7 +552,7 @@ def _run_link_sim(cfg, carrier, prov, seed, out_dir, threads):
     h = los_nusw_channel(*_ula_pair(n, a, d, axis), carrier)
     if normalize:
         h = frobenius_normalized(h)
-    s = decompose(h).singular_values
+    s = decompose(h, vectors=False).values
     if k > s.size:
         raise ConfigError(f"link.active_modes={k} exceeds the {s.size} channel modes")
     alloc = waterfill(s[:k], budget=snr, noise=1.0)

@@ -17,10 +17,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError, EigenSolverError, SingularGeometryError
 from .geometry import ArrayGeometry, CarrierConfig
@@ -40,14 +42,39 @@ def greens_scalar(field_point, source_point, wavelength: float) -> complex:
     return complex(np.exp(-2j * np.pi * d / wavelength) / (4.0 * np.pi * d))
 
 
-def gauss_legendre_segment(start, end, m: int):
+class GaussLegendreRules:
+    """Gauss-Legendre rules on [-1, 1], each node count computed once.
+
+    One table serves every kernel ladder of a run, so ``leggauss`` runs once
+    per distinct node count.  The returned arrays are read-only; lookups are
+    safe from several threads.
+    """
+
+    def __init__(self):
+        self._rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._lock = threading.Lock()
+
+    def rule(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the ``m``-point rule on [-1, 1]."""
+        if m < 1:
+            raise ValueError(f"need at least one node, got {m}")
+        with self._lock:
+            if m not in self._rules:
+                x, w = leggauss(m)
+                x.setflags(write=False)
+                w.setflags(write=False)
+                self._rules[m] = (x, w)
+            return self._rules[m]
+
+
+def gauss_legendre_segment(start, end, m: int,
+                           rules: GaussLegendreRules | None = None):
     """Gauss-Legendre nodes (m, 3) and weights (m,) on a 3D segment; the
-    weights carry the physical length measure in meters."""
-    if m < 1:
-        raise ValueError(f"need at least one node, got {m}")
+    weights carry the physical length measure in meters.  The [-1, 1] rule
+    comes from ``rules`` (a fresh table when None)."""
+    x, w = (rules or GaussLegendreRules()).rule(m)
     p0 = np.asarray(start, dtype=float)
     p1 = np.asarray(end, dtype=float)
-    x, w = np.polynomial.legendre.leggauss(m)
     mid = 0.5 * (p0 + p1)
     half = 0.5 * (p1 - p0)
     nodes = mid[None, :] + x[:, None] * half[None, :]
@@ -127,13 +154,15 @@ def _require_continuous(arr: ArrayGeometry, name: str) -> np.ndarray:
 
 
 def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
-                 m_nodes: int) -> KernelDiscretization:
+                 m_nodes: int, rules: GaussLegendreRules | None = None
+                 ) -> KernelDiscretization:
     """Assemble K(s_i, s_j) = sum_q w_q conj(g(r_q, s_i)) g(r_q, s_j) with
     Gauss-Legendre rules of ``m_nodes`` points on both segments.
 
     The receive-side sum approximates the integral over the receive segment;
     the transmit nodes are where the kernel is sampled.  The assembled matrix
-    is explicitly symmetrized, so Hermiticity is exact.
+    is explicitly symmetrized, so Hermiticity is exact.  Both segments map
+    the same [-1, 1] rule, taken from ``rules`` (a fresh table when None).
     """
     if m_nodes < 8:
         raise ValueError(f"m_nodes must be >= 8, got {m_nodes}")
@@ -141,8 +170,9 @@ def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
     rx_seg = _require_continuous(rx, "rx")
     if _segment_min_distance(tx_seg[0], tx_seg[1], rx_seg[0], rx_seg[1]) == 0.0:
         raise SingularGeometryError("transmit and receive segments overlap")
-    s_nodes, s_weights = gauss_legendre_segment(tx_seg[0], tx_seg[1], m_nodes)
-    r_nodes, r_weights = gauss_legendre_segment(rx_seg[0], rx_seg[1], m_nodes)
+    rules = rules or GaussLegendreRules()
+    s_nodes, s_weights = gauss_legendre_segment(tx_seg[0], tx_seg[1], m_nodes, rules)
+    r_nodes, r_weights = gauss_legendre_segment(rx_seg[0], rx_seg[1], m_nodes, rules)
     diff = r_nodes[:, None, :] - s_nodes[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
     lam = carrier.wavelength
@@ -191,23 +221,27 @@ def cap_edof2(spectrum: EigenSpectrum) -> float:
 
 def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
                       tol: float = 1e-6, start_nodes: int = 64,
-                      max_nodes: int = 4096, n_track: int = 20) -> EigenSpectrum:
+                      max_nodes: int = 4096, n_track: int = 20,
+                      rules: GaussLegendreRules | None = None) -> EigenSpectrum:
     """Double the quadrature node count until the top ``n_track`` eigenvalues
     are stable to ``tol`` relative to lambda_1.
 
     ``tol=inf`` returns the first iterate.  Non-convergence by ``max_nodes``
     raises :class:`ConvergenceError` with the last observed change attached.
+    Every rung takes its quadrature rule from ``rules``; pass one table to
+    share the rules between ladders (a fresh table per ladder when None).
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    rules = rules or GaussLegendreRules()
     m = start_nodes
-    spec = cap_spectrum(build_kernel(tx, rx, carrier, m))
+    spec = cap_spectrum(build_kernel(tx, rx, carrier, m, rules))
     if math.isinf(tol):
         return spec
     last_change = np.inf
     while m < max_nodes:
         m *= 2
-        nxt = cap_spectrum(build_kernel(tx, rx, carrier, m))
+        nxt = cap_spectrum(build_kernel(tx, rx, carrier, m, rules))
         k = min(n_track, len(spec.eigenvalues), len(nxt.eigenvalues))
         last_change = float(np.max(np.abs(nxt.eigenvalues[:k] - spec.eigenvalues[:k]))
                             / nxt.eigenvalues[0])

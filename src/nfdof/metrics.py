@@ -68,7 +68,9 @@ def edof1(spectrum, dominance: float = 0.01) -> int:
 def edof1_knee(spectrum) -> int:
     """Knee estimate from the maximum discrete curvature of log sigma_n.
 
-    Diagnostic only; the thresholded :func:`edof1` is the operative count.
+    Diagnostic only; the thresholded :func:`edof1` is the operative count,
+    and its half-power form ``edof1(..., dominance=0.5)`` is the one that
+    :func:`edof1_limit_linear` approximates.
     Returns the 1-based index where the log-spectrum bends hardest downward.
     """
     v = _positive_leading(spectrum)
@@ -86,6 +88,11 @@ def edof1_limit_linear(l_t: float, l_r: float, wavelength: float,
     lengths ``l_t`` and ``l_r`` facing each other at ``distance``:
 
         l_t * l_r / (wavelength * distance)
+
+    This is the Shannon number of the prolate-spheroidal spectrum, where
+    sigma_n**2 / sigma_1**2 falls through 1/2.  It approximates the
+    half-power count ``edof1(..., dominance=0.5)``, not the default 20 dB
+    count, which also takes in the plunge region and sits a few modes above.
 
     Valid in the paraxial regime distance >> apertures (documented, not
     enforced).
@@ -127,7 +134,8 @@ def waterfill(spectrum, budget: float, noise: float) -> PowerAllocation:
     Finds the largest active-mode count k whose water level
     mu = (budget + sum_{j<=k} 1/g_j) / k exceeds 1/g_k, then assigns
     powers_j = mu - 1/g_j to active modes and zero elsewhere.  Modes with
-    zero gain are never active.
+    zero gain are never active.  A budget too small to raise the level above
+    1/g_1 in floating point goes entirely to the strongest mode.
     """
     if budget <= 0:
         raise ValueError(f"power budget must be positive, got {budget}")
@@ -138,17 +146,20 @@ def waterfill(spectrum, budget: float, noise: float) -> PowerAllocation:
     # near-zero gains overflow to inf, which correctly keeps those modes dry
     with np.errstate(divide="ignore", over="ignore"):
         inv = np.where(gains > 0, 1.0 / gains, np.inf)
-    csum = np.cumsum(inv)
-    k_active = 0
-    mu = 0.0
-    for k in range(1, v.size + 1):
-        if not np.isfinite(inv[k - 1]):
-            break
-        candidate = (budget + csum[k - 1]) / k
-        if candidate > inv[k - 1]:
-            k_active, mu = k, candidate
+    dry = np.flatnonzero(~np.isfinite(inv))
+    n_finite = int(dry[0]) if dry.size else v.size
+    candidates = (budget + np.cumsum(inv[:n_finite])) / np.arange(1, n_finite + 1)
+    fits = np.flatnonzero(candidates > inv[:n_finite])
     powers = np.zeros_like(v)
-    powers[:k_active] = mu - inv[:k_active]
+    if fits.size:
+        k_active = int(fits[-1]) + 1
+        mu = candidates[k_active - 1]
+        powers[:k_active] = mu - inv[:k_active]
+    elif n_finite:
+        mu = inv[0] + budget
+        powers[0] = budget
+    else:
+        mu = 0.0
     return PowerAllocation(powers=powers, water_level=mu, budget=float(budget))
 
 
@@ -303,19 +314,26 @@ def ebno_analysis(spectrum, snr_grid) -> EbnoAnalysis:
 
 
 def metrics_report(spectrum, snr_grid, config_echo: dict | None = None,
-                   dominance: float = 0.01, rank_tol: float | None = None) -> dict:
+                   dominance: float = 0.01, rank_tol: float | None = None,
+                   edof3_values=None) -> dict:
     """JSON-ready metric report:
 
     {dof, edof1, edof2, edof3_by_snr: [[snr, value]...], capacity_by_snr,
      config_echo}
+
+    ``edof3_values`` are the edof3 values already computed on ``snr_grid``
+    (for example with a non-default step); when None they come from
+    :func:`edof3_auto` with its default step.
     """
     grid = np.asarray(snr_grid, dtype=float)
     v = _positive_leading(spectrum)
+    if edof3_values is None:
+        edof3_values = [edof3_auto(v, float(s)) for s in grid]
     return {
         "dof": dof(spectrum, rank_tol=rank_tol),
         "edof1": edof1(spectrum, dominance=dominance),
         "edof2": edof2(spectrum),
-        "edof3_by_snr": [[float(s), edof3_auto(v, float(s))] for s in grid],
+        "edof3_by_snr": [[float(s), float(e)] for s, e in zip(grid, edof3_values)],
         "capacity_by_snr": [[float(s), capacity(v, float(s))] for s in grid],
         "config_echo": config_echo if config_echo is not None else {},
     }

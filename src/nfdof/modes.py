@@ -62,9 +62,13 @@ def _as_matrix(h) -> np.ndarray:
     return np.asarray(entries, dtype=complex)
 
 
-def decompose(h) -> ModeDecomposition:
-    """Full SVD of a channel matrix (or raw complex matrix), truncated to
-    min(N_r, N_t) modes."""
+def decompose(h, vectors: bool = True) -> ModeDecomposition | SingularSpectrum:
+    """SVD of a channel matrix (or raw complex matrix), truncated to
+    min(N_r, N_t) modes.
+
+    With ``vectors=False`` only the singular values are computed, returned
+    as a :class:`SingularSpectrum` that keeps the matrix shape (N_r, N_t).
+    """
     m = _as_matrix(h)
     if m.ndim != 2:
         raise ValueError(f"expected a 2D matrix, got shape {m.shape}")
@@ -72,6 +76,8 @@ def decompose(h) -> ModeDecomposition:
         raise ValueError("channel matrix must be finite")
     if not np.any(m):
         raise ValueError("cannot decompose an all-zero channel matrix")
+    if not vectors:
+        return SingularSpectrum(values=np.linalg.svd(m, compute_uv=False), shape=m.shape)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     return ModeDecomposition(left_vectors=u, right_vectors=vh.conj().T,
                              singular_values=s)

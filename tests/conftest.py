@@ -84,3 +84,26 @@ def waterfill_bruteforce(values, budget, noise):
 def random_spectrum(rng, max_modes=8, lo=0.05, hi=3.0):
     k = int(rng.integers(1, max_modes + 1))
     return np.sort(rng.uniform(lo, hi, size=k))[::-1]
+
+
+def waterfill_loop(values, budget, noise):
+    """Reference water-filling as a per-mode loop over the candidate levels
+    mu_k = (budget + sum_{j<=k} 1/g_j) / k, keeping the largest k with
+    mu_k > 1/g_k.  Returns (powers, water_level); activates nothing when
+    the budget is lost to rounding against 1/g_1."""
+    v = np.asarray(values, dtype=float)
+    gains = v * v / noise
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = np.where(gains > 0, 1.0 / gains, np.inf)
+    csum = np.cumsum(inv)
+    k_active = 0
+    mu = 0.0
+    for k in range(1, v.size + 1):
+        if not np.isfinite(inv[k - 1]):
+            break
+        candidate = (budget + csum[k - 1]) / k
+        if candidate > inv[k - 1]:
+            k_active, mu = k, candidate
+    powers = np.zeros_like(v)
+    powers[:k_active] = mu - inv[:k_active]
+    return powers, mu

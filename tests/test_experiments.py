@@ -155,8 +155,44 @@ class TestEdof3Experiment:
                                "capacity_by_snr", "config_echo"}
         assert report["config_echo"]["config_hash"] == config_hash(cfg)
 
+    def test_summary_edof3_matches_csv_with_coarse_step(self, tmp_path):
+        cfg = {
+            "experiment": "edof3-vs-snr",
+            "carrier": {"wavelength_m": 0.01},
+            "geometry": {"aperture_m": 1.37, "n_elements": 64, "distances_m": [15.0]},
+            "metrics": {"snr_db": {"start": -10.0, "stop": 40.0, "count": 11,
+                                   "spacing": "linear"},
+                        "delta_step": 0.05},
+        }
+        (table,) = run_experiment(cfg, out_dir=tmp_path)
+        csv_rows = parse_result_csv(tmp_path / f"{table.name}.csv").rows
+        summary = json.loads((tmp_path / "edof3_vs_snr_summary.json").read_text())
+        report = summary["metric_reports"]["d15"]["edof3_by_snr"]
+        assert [[r[1], r[2]] for r in csv_rows] == report
+
+
+def assert_finite_json(path):
+    def reject(token):
+        raise AssertionError(f"{path.name} holds {token}")
+    json.loads(path.read_text(), parse_constant=reject)
+
 
 class TestLinkSimExperiment:
+    def test_vanishing_snr_runs_one_mode(self, tmp_path):
+        cfg = {
+            "experiment": "link-sim",
+            "carrier": {"wavelength_m": 0.01},
+            "geometry": {"aperture_m": 1.37, "n_elements": 16, "distance_m": 15.0},
+            "link": {"active_modes": 3, "snr_db": -300.0, "n_symbols": 2000},
+            "seed": 7,
+        }
+        (table,) = run_experiment(cfg, out_dir=tmp_path)
+        rows = parse_result_csv(tmp_path / f"{table.name}.csv").rows
+        assert len(rows) == 1 and rows[0][1] == pytest.approx(1e-30, rel=1e-12)
+        assert np.all(np.isfinite(rows))
+        for name in ("link_report.json", "link_sim_summary.json"):
+            assert_finite_json(tmp_path / name)
+
     def test_report_and_determinism(self, tmp_path):
         cfg = {
             "experiment": "link-sim",

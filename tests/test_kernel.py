@@ -1,13 +1,35 @@
+import sys
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import nfdof.kernel
 from conftest import CARRIER, WAVELENGTH, cap_converged, segment_pair
 from nfdof.channel import los_nusw_channel
 from nfdof.errors import ConvergenceError, SingularGeometryError
+from nfdof.experiments import run_experiment
 from nfdof.geometry import build_ula, continuous_aperture, rayleigh_distance
-from nfdof.kernel import (build_kernel, cap_edof1, cap_edof2, cap_spectrum,
-                          converge_spectrum, greens_scalar, load_eigenspectrum,
-                          save_eigenspectrum)
+from nfdof.kernel import (GaussLegendreRules, build_kernel, cap_edof1, cap_edof2,
+                          cap_spectrum, converge_spectrum, greens_scalar,
+                          load_eigenspectrum, save_eigenspectrum)
+
+
+@pytest.fixture
+def leggauss_calls(monkeypatch):
+    """Counts the node counts passed to ``leggauss`` by the kernel module."""
+    calls = Counter()
+    lock = threading.Lock()
+    original = nfdof.kernel.leggauss
+
+    def counting(m):
+        with lock:
+            calls[m] += 1
+        return original(m)
+
+    monkeypatch.setattr(nfdof.kernel, "leggauss", counting)
+    return calls
 
 
 class TestGreensScalar:
@@ -143,6 +165,71 @@ class TestConvergeSpectrum:
             converge_spectrum(tx, rx, CARRIER, tol=1e-18, start_nodes=8, max_nodes=16)
         assert err.value.nodes == 16
         assert err.value.last_change > 1e-18
+
+
+class TestGaussLegendreRules:
+    def test_rule_is_read_only_and_shared(self):
+        rules = GaussLegendreRules()
+        x, w = rules.rule(16)
+        assert rules.rule(16)[0] is x
+        ref_x, ref_w = np.polynomial.legendre.leggauss(16)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_bad_node_count_rejected(self):
+        with pytest.raises(ValueError, match="at least one node"):
+            GaussLegendreRules().rule(0)
+
+    def test_one_rule_per_kernel(self, leggauss_calls):
+        tx, rx = segment_pair(25.0)
+        build_kernel(tx, rx, CARRIER, 32)
+        assert leggauss_calls == {32: 1}
+
+    def test_shared_table_gives_identical_spectra(self, leggauss_calls):
+        tx, rx = segment_pair(50.0)
+        fresh = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
+        rules = GaussLegendreRules()
+        for _ in range(2):
+            shared = converge_spectrum(tx, rx, CARRIER, tol=1e-6, rules=rules)
+            assert np.array_equal(shared.eigenvalues, fresh.eigenvalues)
+            assert shared.node_count == fresh.node_count
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_one_leggauss_call_per_node_count_in_a_run(self, tmp_path, threads,
+                                                       leggauss_calls):
+        cfg = {
+            "experiment": "cap-edof-vs-distance",
+            "carrier": {"wavelength_m": 0.01},
+            "geometry": {"apertures_m": [0.5, 1.0], "distances_m": [15.0, 40.0, 100.0]},
+        }
+        run_experiment(cfg, out_dir=tmp_path, threads=threads)
+        assert set(leggauss_calls) >= {64, 128}
+        assert set(leggauss_calls.values()) == {1}
+
+    def test_concurrent_lookups_compute_each_rule_once(self, leggauss_calls):
+        rules = GaussLegendreRules()
+        sizes = (8, 16, 32, 64)
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def worker():
+                for _ in range(5):
+                    seen.extend(rules.rule(m)[0] for m in sizes)
+
+            workers = [threading.Thread(target=worker) for _ in range(16)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert leggauss_calls == {m: 1 for m in sizes}
+        assert len(seen) == 16 * 5 * len(sizes)
+        assert len({id(x) for x in seen}) == len(sizes)
 
 
 class TestSerialization:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (cap_converged, nusw_spectrum, random_spectrum, ula_pair,
-                      waterfill_bruteforce, CARRIER)
+                      waterfill_bruteforce, waterfill_loop, CARRIER)
 from nfdof.channel import (farfield_planar_channel, frobenius_normalized,
                            iid_rayleigh_channel, los_nusw_channel)
 from nfdof.errors import ActiveSetChangeError
@@ -154,6 +155,34 @@ class TestWaterfill:
         alloc = waterfill(np.array([1.0, 0.0, 0.0]), budget=2.0, noise=1.0)
         assert np.allclose(alloc.powers, [2.0, 0.0, 0.0])
         assert alloc.n_active == 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=st.lists(st.one_of(st.just(0.0), st.just(1.0), st.just(0.5),
+                                     st.floats(1e-8, 1e3)),
+                           min_size=1, max_size=64),
+           budget=st.floats(1e-20, 1e6), noise=st.floats(1e-3, 1e3))
+    def test_bit_identical_to_loop_reference(self, values, budget, noise):
+        s = np.sort(np.array(values))[::-1]
+        if s[0] == 0.0:
+            s[0] = 1.0
+        ref_powers, ref_mu = waterfill_loop(s, budget, noise)
+        alloc = waterfill(s, budget, noise)
+        if np.any(ref_powers > 0):
+            assert alloc.powers.tobytes() == ref_powers.tobytes()
+            assert alloc.water_level == ref_mu
+        else:
+            # the budget rounds away against 1/g_1: it all goes to mode 1
+            assert alloc.powers[0] == budget
+            assert not np.any(alloc.powers[1:])
+        assert alloc.n_active >= 1
+
+    def test_tiny_budget_goes_to_strongest_mode(self):
+        alloc = waterfill(np.array([1.0]), budget=1e-17, noise=1.0)
+        assert alloc.powers.tolist() == [1e-17]
+        assert alloc.n_active == 1
+        alloc = waterfill(np.array([2.0, 1.0, 0.0]), budget=1e-20, noise=1.0)
+        assert alloc.powers.tolist() == [1e-20, 0.0, 0.0]
+        assert 0.0 < capacity(np.array([1.0]), 1e-17) < 1e-16
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):

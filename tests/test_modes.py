@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import CARRIER, WAVELENGTH, nusw_spectrum, ula_pair
+from conftest import CARRIER, WAVELENGTH, nusw_channel, nusw_spectrum, ula_pair
 from nfdof.channel import farfield_planar_channel
+from nfdof.metrics import dof
 from nfdof.modes import ModeDecomposition, SingularSpectrum, decompose
 
 
@@ -44,6 +45,22 @@ class TestDecompose:
         assert md.n_modes == 3
         assert md.spectrum.shape == (3, 7)
 
+    @pytest.mark.parametrize("shape", [(6, 9), (9, 6), (256, 256)])
+    def test_values_only_matches_full_svd(self, shape):
+        if shape == (256, 256):
+            h = nusw_channel(256, 15.0)
+        else:
+            rng = np.random.default_rng(3)
+            h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        full = decompose(h)
+        values = decompose(h, vectors=False)
+        assert isinstance(values, SingularSpectrum)
+        assert values.shape == full.spectrum.shape == shape
+        assert values.values.shape == full.singular_values.shape
+        assert np.max(np.abs(values.values - full.singular_values)) \
+            <= 1e-13 * full.singular_values[0]
+        assert dof(values) == dof(full.spectrum)
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="all-zero"):
             decompose(np.zeros((4, 4), dtype=complex))
@@ -53,6 +70,8 @@ class TestDecompose:
         h[0, 0] = np.nan
         with pytest.raises(ValueError):
             decompose(h)
+        with pytest.raises(ValueError):
+            decompose(h, vectors=False)
 
 
 class TestSingularSpectrum:
