@@ -35,7 +35,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -68,8 +68,8 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         if args.command == "validate":
-            validate_config(cfg)
-            print(f"{args.config}: valid {cfg['experiment']} experiment")
+            spec = validate_config(cfg)
+            print(f"{args.config}: valid {spec.experiment} experiment")
             return EXIT_OK
         tables = run_experiment(cfg, out_dir=args.out, seed=args.seed,
                                 threads=args.threads)

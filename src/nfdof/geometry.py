@@ -17,7 +17,8 @@ SPEED_OF_LIGHT = 299_792_458.0
 NEAR_FIELD = "near_field"
 FAR_FIELD = "far_field"
 
-_UNIT_TOL = 1e-12
+UNIT_TOL = 1e-12
+"Largest accepted deviation of an array axis from unit norm."
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,8 @@ def build_ula(n_elements: int, aperture: float, center=(0.0, 0.0, 0.0),
     center = np.asarray(center, dtype=float)
     if axis.shape != (3,) or center.shape != (3,):
         raise ValueError("center and axis must be 3-vectors")
-    if abs(np.linalg.norm(axis) - 1.0) > _UNIT_TOL:
-        raise ValueError(f"axis must have unit norm within {_UNIT_TOL}, got |axis| = "
+    if abs(np.linalg.norm(axis) - 1.0) > UNIT_TOL:
+        raise ValueError(f"axis must have unit norm within {UNIT_TOL}, got |axis| = "
                          f"{np.linalg.norm(axis)}")
     if n_elements == 1:
         if aperture > 0:

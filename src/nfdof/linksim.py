@@ -173,9 +173,10 @@ def run_link(h, config: TransmissionConfig, dump_path=None) -> LinkReport:
             if dump is not None:
                 for j in range(n):
                     for m in range(k):
-                        writer.writerow([done + j + 1, m + 1,
-                                         repr(s[m, j].real), repr(s[m, j].imag),
-                                         repr(s_hat[m, j].real), repr(s_hat[m, j].imag)])
+                        # Python scalars: numpy >= 2 reprs its own as np.float64(...)
+                        tx, est = complex(s[m, j]), complex(s_hat[m, j])
+                        writer.writerow([done + j + 1, m + 1, repr(tx.real), repr(tx.imag),
+                                         repr(est.real), repr(est.imag)])
             done += n
     finally:
         if dump is not None:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nfdof.experiments import validate_config
+from nfdof.experiments import EXPERIMENTS, validate_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -19,5 +19,4 @@ def test_shipped_config_is_valid(path):
 def test_all_experiment_kinds_covered():
     kinds = {json.loads(p.read_text())["experiment"]
              for p in CONFIG_DIR.glob("*.json")}
-    assert kinds == {"spectrum", "edof-vs-n", "edof2-vs-n", "edof3-vs-snr",
-                     "cap-edof-vs-distance", "link-sim"}
+    assert kinds == EXPERIMENTS.keys()

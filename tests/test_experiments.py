@@ -23,6 +23,15 @@ class TestValidation:
     def test_valid_config_passes(self):
         validate_config(spectrum_config())
 
+    def test_spec_holds_defaults_and_seed_override(self):
+        spec = validate_config(spectrum_config(), seed=5)
+        assert (spec.experiment, spec.seed, spec.model) == ("spectrum", 5, "nusw")
+        assert spec.axis == (0.0, 0.0, 1.0) and spec.carrier.wavelength == 0.01
+        assert spec.sizes == ((32, 1.37),) and spec.distances == (15.0,)
+        assert spec.names == ("spectrum_n32_d15",)
+        assert (spec.dominance, spec.delta_step, spec.rank_tol) == (0.01, 0.01, None)
+        assert (spec.tol, spec.start_nodes, spec.max_nodes) == (1e-6, 64, 4096)
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             validate_config(spectrum_config(extra_knob=3))
@@ -236,24 +245,17 @@ class TestEmit:
         table = ResultTable(name="empty", columns=["x"], rows=[],
                             provenance={"config_hash": "abc"})
         with pytest.raises(ValueError, match="no rows"):
-            emit_plot_data(table, "csv", tmp_path / "sub")
+            emit_plot_data(table, tmp_path / "sub")
         assert not (tmp_path / "sub").exists()
 
     def test_csv_round_trip_byte_identical(self, tmp_path):
-        path = emit_plot_data(self.table(), "csv", tmp_path)
+        path = emit_plot_data(self.table(), tmp_path)
         parsed = parse_result_csv(path)
-        path2 = emit_plot_data(parsed, "csv", tmp_path / "again")
+        path2 = emit_plot_data(parsed, tmp_path / "again")
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_json_mirrors_columns(self, tmp_path):
-        path = emit_plot_data(self.table(), "json", tmp_path)
-        payload = json.loads(path.read_text())
-        assert payload["columns"] == ["x", "y"]
-        assert payload["rows"] == [[1.0, 2.5], [2.0, 0.125]]
-        assert payload["provenance"]["config_hash"] == "abc"
-
     def test_csv_formatting(self, tmp_path):
-        path = emit_plot_data(self.table(), "csv", tmp_path)
+        path = emit_plot_data(self.table(), tmp_path)
         text = path.read_text()
         assert "\r" not in text
         assert "x,y\n1,2.5\n2,0.125\n" in text
@@ -262,10 +264,6 @@ class TestEmit:
         with pytest.raises(ValueError, match="ragged"):
             ResultTable(name="bad", columns=["x", "y"], rows=[[1.0]],
                         provenance={"k": "v"})
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_plot_data(self.table(), "parquet", tmp_path)
 
 
 class TestOutputDirPrecedence:

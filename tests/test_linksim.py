@@ -187,6 +187,8 @@ class TestRunLink:
         lines = dump.read_text().splitlines()
         assert lines[0] == "symbol,mode,tx_re,tx_im,est_re,est_im"
         assert len(lines) == 1 + 50 * 2
+        values = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert np.allclose(np.abs(values[:, 2:4]), np.sqrt(0.5), rtol=1e-15)  # unit-power QPSK
 
 
 class TestConfigValidation:
