@@ -277,7 +277,7 @@ def _parse_edof_vs_n(cfg: dict, geo: dict) -> dict:
 
 
 def _parse_edof2_vs_n(cfg: dict, geo: dict) -> dict:
-    out = _ula_sweep(cfg, geo, {"metrics", "kernel"})
+    out = _ula_sweep(cfg, geo, {"kernel"})
     return {**out, "names": tuple(f"edof2_vs_n_d{_slug(d)}" for d in out["distances"])}
 
 

@@ -119,10 +119,10 @@ def build_ula(n_elements: int, aperture: float, center=(0.0, 0.0, 0.0),
               axis=(0.0, 0.0, 1.0)) -> ArrayGeometry:
     """Uniform linear array of ``n_elements`` spanning ``aperture`` meters.
 
-    Elements sit at ``center + (k/(n-1) - 1/2) * aperture * axis`` for
-    k = 0..n-1, so the array is symmetric about its center with spacing
-    ``aperture / (n - 1)``.  A single-element array degenerates to ``center``
-    and requires ``aperture == 0``.
+    Elements sit at ``center + (k - (n-1)/2) * (aperture/(n-1)) * axis`` for
+    k = 0..n-1, so elements k and n-1-k are exact mirror images about the
+    center and the spacing is ``aperture / (n - 1)``.  A single-element
+    array degenerates to ``center`` and requires ``aperture == 0``.
 
     Parameters
     ----------
@@ -150,8 +150,18 @@ def build_ula(n_elements: int, aperture: float, center=(0.0, 0.0, 0.0),
         if aperture > 0:
             raise ValueError("a single-element array cannot have a positive aperture")
         return discrete_array(center[None, :])
-    offsets = (np.arange(n_elements) / (n_elements - 1) - 0.5) * aperture
-    return discrete_array(center[None, :] + offsets[:, None] * axis[None, :])
+    offsets = (np.arange(n_elements) - 0.5 * (n_elements - 1)) * (aperture / (n_elements - 1))
+    pts = center[None, :] + offsets[:, None] * axis[None, :]
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("element coordinates must be finite")
+    # Rounding is monotone along the axis, so elements that collapse onto one
+    # point are neighbours, and the end pair spans the array.
+    steps = pts[1:] - pts[:-1]
+    if np.any(np.sqrt(np.sum(steps * steps, axis=-1)) == 0.0):
+        raise ValueError("discrete array elements must be pairwise distinct")
+    end = pts[-1] - pts[0]
+    return ArrayGeometry(kind="discrete", aperture=float(np.sqrt(np.sum(end * end))),
+                         elements=_readonly(pts))
 
 
 def rayleigh_distance(aperture: float, wavelength: float) -> float:

@@ -22,13 +22,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError, EigenSolverError, SingularGeometryError
 from .geometry import ArrayGeometry, CarrierConfig
+from .modes import parity_blocks, parity_join, split_values
 
 ZERO_CLIP = 1e-14
 "Eigenvalues below ZERO_CLIP * lambda_1 are clipped to zero (roundoff noise)."
+
+_NEWTON_STEPS = 20
+"Cap on the Newton steps for the Gauss-Legendre roots; 3-4 suffice up to m = 4096."
 
 
 def greens_scalar(field_point, source_point, wavelength: float) -> complex:
@@ -42,12 +45,48 @@ def greens_scalar(field_point, source_point, wavelength: float) -> complex:
     return complex(np.exp(-2j * np.pi * d / wavelength) / (4.0 * np.pi * d))
 
 
+def _legendre(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """P_m(x) and P_m'(x) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(1, m):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p1, m * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+
+def gauss_legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the ``m``-point Gauss-Legendre rule
+    on [-1, 1], in O(m**2) operations.
+
+    The non-negative roots of P_m are found by Newton's method from the
+    asymptotic estimates cos(pi (4k - 1) / (4m + 2)), with weights
+    2 / ((1 - x**2) P_m'(x)**2); the negative half is their mirror image, so
+    the nodes are exactly antisymmetric and the weights exactly symmetric.
+    """
+    if m < 1:
+        raise ValueError(f"need at least one node, got {m}")
+    k = np.arange(1, (m + 1) // 2 + 1)
+    x = (1.0 - 1.0 / (8.0 * m * m) + 1.0 / (8.0 * m ** 3)) \
+        * np.cos(np.pi * (4 * k - 1) / (4 * m + 2))
+    if m % 2:
+        x[-1] = 0.0
+    for _ in range(_NEWTON_STEPS):
+        p, dp = _legendre(x, m)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    _, dp = _legendre(x, m)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    h = m // 2
+    return np.concatenate([-x[:h], x[::-1]]), np.concatenate([w[:h], w[::-1]])
+
+
 class GaussLegendreRules:
     """Gauss-Legendre rules on [-1, 1], each node count computed once.
 
-    One table serves every kernel ladder of a run, so ``leggauss`` runs once
-    per distinct node count.  The returned arrays are read-only; lookups are
-    safe from several threads.
+    One table serves every kernel ladder of a run, so
+    :func:`gauss_legendre_rule` runs once per distinct node count.  The
+    returned arrays are read-only; lookups are safe from several threads.
     """
 
     def __init__(self):
@@ -56,11 +95,9 @@ class GaussLegendreRules:
 
     def rule(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights of the ``m``-point rule on [-1, 1]."""
-        if m < 1:
-            raise ValueError(f"need at least one node, got {m}")
         with self._lock:
             if m not in self._rules:
-                x, w = leggauss(m)
+                x, w = gauss_legendre_rule(m)
                 x.setflags(write=False)
                 w.setflags(write=False)
                 self._rules[m] = (x, w)
@@ -163,6 +200,10 @@ def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
     the transmit nodes are where the kernel is sampled.  The assembled matrix
     is explicitly symmetrized, so Hermiticity is exact.  Both segments map
     the same [-1, 1] rule, taken from ``rules`` (a fresh table when None).
+
+    When the weighted response W^(1/2) G is exactly centrosymmetric (two
+    mirror-placed segments facing each other), K is assembled from the two
+    half-size Grams of its parity blocks and is exactly centrosymmetric too.
     """
     if m_nodes < 8:
         raise ValueError(f"m_nodes must be >= 8, got {m_nodes}")
@@ -177,22 +218,27 @@ def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
     lam = carrier.wavelength
     g = np.exp(-2j * np.pi * dist / lam) / (4.0 * np.pi * dist)
-    k = g.conj().T @ (r_weights[:, None] * g)
-    k = 0.5 * (k + k.conj().T)
+    halves = parity_blocks(np.sqrt(r_weights)[:, None] * g)
+    if halves is None:
+        k = g.conj().T @ (r_weights[:, None] * g)
+        k = 0.5 * (k + k.conj().T)
+    else:
+        grams = [f.conj().T @ f for f in halves]
+        k = parity_join(*(0.5 * (q + q.conj().T) for q in grams))
     return KernelDiscretization(tx_nodes=s_nodes, tx_weights=s_weights, kernel=k)
 
 
 def cap_spectrum(disc: KernelDiscretization) -> EigenSpectrum:
     """Eigenvalues of the symmetrized weighted operator W^(1/2) K W^(1/2),
-    sorted descending and clipped at numerical zero."""
+    sorted descending and clipped at numerical zero; a centrosymmetric
+    operator is solved as its two parity blocks."""
     sqrt_w = np.sqrt(disc.tx_weights)
     sym = sqrt_w[:, None] * disc.kernel * sqrt_w[None, :]
     try:
-        eig = np.linalg.eigvalsh(sym)
+        eig = split_values(sym, np.linalg.eigvalsh)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(
             f"eigensolver failed on a {disc.node_count}-node kernel: {exc}") from exc
-    eig = eig[::-1].copy()
     top = eig[0]
     if top <= 0:
         raise EigenSolverError("kernel has no positive eigenvalue")

@@ -1,10 +1,20 @@
-"""SVD decomposition of a channel into orthogonal communication modes."""
+"""SVD decomposition of a channel into orthogonal communication modes.
+
+A square matrix M is centrosymmetric when J M J = M, J being the exchange
+matrix that reverses the index order.  The channel and the kernel of two
+mirror-placed apertures facing each other are centrosymmetric, and then the
+orthogonal change of basis to even and odd vectors splits M into two
+half-size blocks (Cantoni & Butler, Linear Algebra Appl. 13, 1976) whose
+spectra together are the spectrum of M.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -57,9 +67,72 @@ class ModeDecomposition:
         return self.singular_values.size
 
 
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(m, compute_uv=False)
+
+
 def _as_matrix(h) -> np.ndarray:
     entries = getattr(h, "entries", h)
     return np.asarray(entries, dtype=complex)
+
+
+def parity_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The even and odd blocks of a square matrix with J m J == m exactly,
+    or None when ``m`` is not square of size >= 2 or not exactly
+    centrosymmetric.
+
+    With p = n // 2, A = m[:p, :p] and B = m[:p, n-p:], the blocks are
+    A + BJ (even) and A - BJ (odd).  For odd n the middle row and column
+    join the even block, scaled by sqrt(2), with the middle entry unscaled.
+    """
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2 \
+            or not np.array_equal(m, m[::-1, ::-1]):
+        return None
+    n = m.shape[0]
+    p = n // 2
+    a = m[:p, :p]
+    bj = m[:p, ::-1][:, :p]
+    if n % 2 == 0:
+        return a + bj, a - bj
+    even = np.empty((p + 1, p + 1), dtype=m.dtype)
+    even[:p, :p] = a + bj
+    even[:p, p] = _SQRT2 * m[:p, p]
+    even[p, :p] = _SQRT2 * m[p, :p]
+    even[p, p] = m[p, p]
+    return even, a - bj
+
+
+def parity_join(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The exactly centrosymmetric matrix whose :func:`parity_blocks` are
+    ``even`` and ``odd`` (inverse of the split, up to rounding)."""
+    p = odd.shape[0]
+    n = even.shape[0] + p
+    s = 0.5 * (even[:p, :p] + odd)
+    d = 0.5 * (even[:p, :p] - odd)
+    m = np.empty((n, n), dtype=np.result_type(even, odd))
+    m[:p, :p] = s
+    m[:p, n - p:] = d[:, ::-1]
+    m[n - p:, :p] = d[::-1, :]
+    m[n - p:, n - p:] = s[::-1, ::-1]
+    if n % 2:
+        col = even[:p, p] / _SQRT2
+        row = even[p, :p] / _SQRT2
+        m[:p, p], m[n - p:, p] = col, col[::-1]
+        m[p, :p], m[p, n - p:] = row, row[::-1]
+        m[p, p] = even[p, p]
+    return m
+
+
+def split_values(m: np.ndarray, solve) -> np.ndarray:
+    """``solve`` (a values-only SVD or Hermitian eigensolver) applied to
+    both parity blocks of ``m`` when it is exactly centrosymmetric, else to
+    ``m`` itself; the values are returned in descending order."""
+    blocks = parity_blocks(m)
+    if blocks is None:
+        values = solve(m)
+    else:
+        values = np.concatenate([solve(b) for b in blocks])
+    return np.sort(values)[::-1]
 
 
 def decompose(h, vectors: bool = True) -> ModeDecomposition | SingularSpectrum:
@@ -67,7 +140,8 @@ def decompose(h, vectors: bool = True) -> ModeDecomposition | SingularSpectrum:
     min(N_r, N_t) modes.
 
     With ``vectors=False`` only the singular values are computed, returned
-    as a :class:`SingularSpectrum` that keeps the matrix shape (N_r, N_t).
+    as a :class:`SingularSpectrum` that keeps the matrix shape (N_r, N_t);
+    a centrosymmetric matrix is then solved as its two parity blocks.
     """
     m = _as_matrix(h)
     if m.ndim != 2:
@@ -77,7 +151,7 @@ def decompose(h, vectors: bool = True) -> ModeDecomposition | SingularSpectrum:
     if not np.any(m):
         raise ValueError("cannot decompose an all-zero channel matrix")
     if not vectors:
-        return SingularSpectrum(values=np.linalg.svd(m, compute_uv=False), shape=m.shape)
+        return SingularSpectrum(values=split_values(m, _singular_values), shape=m.shape)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     return ModeDecomposition(left_vectors=u, right_vectors=vh.conj().T,
                              singular_values=s)

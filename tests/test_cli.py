@@ -147,7 +147,6 @@ SMALL_CONFIGS = {
         "experiment": "edof2-vs-n", "carrier": {"wavelength_m": 0.01},
         "geometry": {"aperture_m": 0.2, "n_elements": [4], "distances_m": [15.0, 50.0]},
         "kernel": {"tol": 1e-3, "start_nodes": 8, "max_nodes": 64},
-        "metrics": {"dominance": 0.01},
     },
     "edof3-vs-snr": {
         "experiment": "edof3-vs-snr", "carrier": {"wavelength_m": 0.01},
@@ -239,6 +238,7 @@ BAD_CONFIGS = {
                                              ("kernel", "start_nodes"), 128),
     "active_modes above n_elements": with_leaf(small_config("link-sim"),
                                                ("link", "active_modes"), 5),
+    "metrics in edof2-vs-n": small_config("edof2-vs-n", metrics={"dominance": 0.5}),
 }
 
 

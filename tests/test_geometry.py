@@ -49,6 +49,25 @@ class TestBuildUla:
         residual = np.linalg.norm(np.sum(ula.elements - center, axis=0))
         assert residual < 1e-12 * ula.aperture
 
+    @pytest.mark.parametrize("n", [2, 3, 16, 275, 1024])
+    def test_same_array_as_the_pairwise_check(self, n):
+        axis = np.array([1.0, -2.0, 2.0]) / 3.0
+        for ula in (build_ula(n, 1.37, center=(0.0, 15.0, 0.0)),
+                    build_ula(n, 2.5, center=(1.0, -2.0, 3.0), axis=axis)):
+            ref = discrete_array(ula.elements)
+            assert np.array_equal(ula.elements, ref.elements)
+            assert ula.aperture == ref.aperture
+        mirrored = build_ula(n, 2.5, axis=axis).elements
+        assert np.array_equal(mirrored, -mirrored[::-1])
+
+    def test_collapsed_elements_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            build_ula(3, 1.0, center=(0.0, 0.0, 1e16))
+
+    def test_non_finite_elements_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            build_ula(3, 1.0, center=(0.0, float("inf"), 0.0))
+
     def test_non_unit_axis_rejected(self):
         with pytest.raises(ValueError, match="unit norm"):
             build_ula(4, 1.0, axis=(0, 0, 2))

@@ -12,24 +12,37 @@ from nfdof.errors import ConvergenceError, SingularGeometryError
 from nfdof.experiments import run_experiment
 from nfdof.geometry import build_ula, continuous_aperture, rayleigh_distance
 from nfdof.kernel import (GaussLegendreRules, build_kernel, cap_edof1, cap_edof2,
-                          cap_spectrum, converge_spectrum, greens_scalar,
-                          load_eigenspectrum, save_eigenspectrum)
+                          cap_spectrum, converge_spectrum, gauss_legendre_rule,
+                          gauss_legendre_segment, greens_scalar, load_eigenspectrum,
+                          save_eigenspectrum)
 
 
 @pytest.fixture
-def leggauss_calls(monkeypatch):
-    """Counts the node counts passed to ``leggauss`` by the kernel module."""
+def rule_calls(monkeypatch):
+    """Counts the node counts passed to ``gauss_legendre_rule`` by the
+    kernel module."""
     calls = Counter()
     lock = threading.Lock()
-    original = nfdof.kernel.leggauss
+    original = nfdof.kernel.gauss_legendre_rule
 
     def counting(m):
         with lock:
             calls[m] += 1
         return original(m)
 
-    monkeypatch.setattr(nfdof.kernel, "leggauss", counting)
+    monkeypatch.setattr(nfdof.kernel, "gauss_legendre_rule", counting)
     return calls
+
+
+def direct_kernel(tx, rx, m):
+    """K = G^H W G, symmetrized, from the quadrature formula as written."""
+    s_nodes, _ = gauss_legendre_segment(tx.segment[0], tx.segment[1], m)
+    r_nodes, r_weights = gauss_legendre_segment(rx.segment[0], rx.segment[1], m)
+    diff = r_nodes[:, None, :] - s_nodes[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    g = np.exp(-2j * np.pi * dist / WAVELENGTH) / (4.0 * np.pi * dist)
+    k = g.conj().T @ (r_weights[:, None] * g)
+    return 0.5 * (k + k.conj().T)
 
 
 class TestGreensScalar:
@@ -81,6 +94,22 @@ class TestBuildKernel:
         eig = np.linalg.eigvalsh(w[:, None] * disc.kernel * w[None, :])
         assert eig.min() > -1e-10 * eig.max()
 
+    @pytest.mark.parametrize("m", [33, 64])
+    def test_mirror_segments_give_centrosymmetric_kernel(self, m):
+        tx, rx = segment_pair(25.0)
+        k = build_kernel(tx, rx, CARRIER, m).kernel
+        assert np.array_equal(k, k[::-1, ::-1])
+        assert np.array_equal(k, k.conj().T)
+        ref = direct_kernel(tx, rx, m)
+        assert np.max(np.abs(k - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_offset_segments_take_the_full_assembly(self):
+        tx, _ = segment_pair(25.0)
+        rx = continuous_aperture((0.0, 25.0, -0.5), (0.0, 25.0, 1.0))
+        k = build_kernel(tx, rx, CARRIER, 32).kernel
+        assert not np.array_equal(k, k[::-1, ::-1])
+        assert np.array_equal(k, direct_kernel(tx, rx, 32))
+
     def test_too_few_nodes_rejected(self):
         tx, rx = segment_pair(25.0)
         with pytest.raises(ValueError):
@@ -104,6 +133,15 @@ class TestCapSpectrum:
     def test_canonical_dominant_count(self):
         assert cap_edof1(cap_converged(15.0)) == 15
         assert cap_edof1(cap_converged(50.0)) == 6
+
+    def test_odd_node_count_matches_the_full_eigensolve(self):
+        tx, rx = segment_pair(15.0)
+        disc = build_kernel(tx, rx, CARRIER, 33)
+        lam = cap_spectrum(disc).eigenvalues
+        w = np.sqrt(disc.tx_weights)
+        full = np.linalg.eigvalsh(w[:, None] * disc.kernel * w[None, :])[::-1]
+        assert lam.size == full.size == 33
+        assert np.max(np.abs(lam - full)) <= 1e-13 * full[0]
 
     def test_all_nonnegative(self):
         tx, rx = segment_pair(15.0)
@@ -172,22 +210,36 @@ class TestGaussLegendreRules:
         rules = GaussLegendreRules()
         x, w = rules.rule(16)
         assert rules.rule(16)[0] is x
-        ref_x, ref_w = np.polynomial.legendre.leggauss(16)
+        ref_x, ref_w = gauss_legendre_rule(16)
         assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
         for arr in (x, w):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
+    @pytest.mark.parametrize("m", [8, 9, 64, 65, 512, 1024])
+    def test_rule_matches_leggauss_and_is_mirror_exact(self, m):
+        x, w = gauss_legendre_rule(m)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(m)
+        assert np.max(np.abs(x - ref_x)) <= 1e-14
+        # leggauss's own endpoint weights are off by 1.5e-14 at m = 1024
+        assert np.max(np.abs(w - ref_w)) <= 2e-14
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0)
+        # exact for x**(2k), k < m (leggauss misses this by up to 1.2e-11)
+        k = np.arange(m)
+        moments = np.sum(w[None, :] * x[None, :] ** (2 * k[:, None]), axis=1)
+        assert np.max(np.abs(moments * (2 * k + 1) / 2 - 1)) <= 1e-13
+
     def test_bad_node_count_rejected(self):
         with pytest.raises(ValueError, match="at least one node"):
             GaussLegendreRules().rule(0)
 
-    def test_one_rule_per_kernel(self, leggauss_calls):
+    def test_one_rule_per_kernel(self, rule_calls):
         tx, rx = segment_pair(25.0)
         build_kernel(tx, rx, CARRIER, 32)
-        assert leggauss_calls == {32: 1}
+        assert rule_calls == {32: 1}
 
-    def test_shared_table_gives_identical_spectra(self, leggauss_calls):
+    def test_shared_table_gives_identical_spectra(self):
         tx, rx = segment_pair(50.0)
         fresh = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
         rules = GaussLegendreRules()
@@ -197,18 +249,18 @@ class TestGaussLegendreRules:
             assert shared.node_count == fresh.node_count
 
     @pytest.mark.parametrize("threads", [1, 4])
-    def test_one_leggauss_call_per_node_count_in_a_run(self, tmp_path, threads,
-                                                       leggauss_calls):
+    def test_one_rule_computation_per_node_count_in_a_run(self, tmp_path, threads,
+                                                          rule_calls):
         cfg = {
             "experiment": "cap-edof-vs-distance",
             "carrier": {"wavelength_m": 0.01},
             "geometry": {"apertures_m": [0.5, 1.0], "distances_m": [15.0, 40.0, 100.0]},
         }
         run_experiment(cfg, out_dir=tmp_path, threads=threads)
-        assert set(leggauss_calls) >= {64, 128}
-        assert set(leggauss_calls.values()) == {1}
+        assert set(rule_calls) >= {64, 128}
+        assert set(rule_calls.values()) == {1}
 
-    def test_concurrent_lookups_compute_each_rule_once(self, leggauss_calls):
+    def test_concurrent_lookups_compute_each_rule_once(self, rule_calls):
         rules = GaussLegendreRules()
         sizes = (8, 16, 32, 64)
         seen = []
@@ -227,7 +279,7 @@ class TestGaussLegendreRules:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in workers)
-        assert leggauss_calls == {m: 1 for m in sizes}
+        assert rule_calls == {m: 1 for m in sizes}
         assert len(seen) == 16 * 5 * len(sizes)
         assert len({id(x) for x in seen}) == len(sizes)
 

@@ -1,10 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CARRIER, WAVELENGTH, nusw_channel, nusw_spectrum, ula_pair
-from nfdof.channel import farfield_planar_channel
+from nfdof.channel import farfield_planar_channel, los_nusw_channel, los_usw_channel
+from nfdof.geometry import build_ula
 from nfdof.metrics import dof
-from nfdof.modes import ModeDecomposition, SingularSpectrum, decompose
+from nfdof.modes import (ModeDecomposition, SingularSpectrum, decompose, parity_blocks,
+                         parity_join, split_values)
+
+
+def svd_values(m):
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def random_matrix(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def centrosymmetric(seed, n, hermitian):
+    m = random_matrix(seed, (n, n))
+    m = m + m[::-1, ::-1]
+    return m + m.conj().T if hermitian else m
 
 
 class TestDecompose:
@@ -45,10 +63,10 @@ class TestDecompose:
         assert md.n_modes == 3
         assert md.spectrum.shape == (3, 7)
 
-    @pytest.mark.parametrize("shape", [(6, 9), (9, 6), (256, 256)])
+    @pytest.mark.parametrize("shape", [(6, 9), (9, 6), (256, 256), (275, 275)])
     def test_values_only_matches_full_svd(self, shape):
-        if shape == (256, 256):
-            h = nusw_channel(256, 15.0)
+        if shape[0] == shape[1]:  # facing ULAs: the parity split
+            h = nusw_channel(shape[0], 15.0)
         else:
             rng = np.random.default_rng(3)
             h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -72,6 +90,58 @@ class TestDecompose:
             decompose(h)
         with pytest.raises(ValueError):
             decompose(h, vectors=False)
+
+
+class TestParitySplit:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), hermitian=st.booleans())
+    def test_split_values_match_the_full_solve(self, n, seed, hermitian):
+        m = centrosymmetric(seed, n, hermitian)
+        even, odd = parity_blocks(m)
+        assert even.shape == ((n + 1) // 2,) * 2 and odd.shape == (n // 2,) * 2
+        full = svd_values(m)
+        split = split_values(m, svd_values)
+        assert np.max(np.abs(split - full)) <= 1e-13 * full[0]
+        if hermitian:
+            assert np.array_equal(even, even.conj().T) and np.array_equal(odd, odd.conj().T)
+            full = np.linalg.eigvalsh(m)[::-1]
+            split = split_values(m, np.linalg.eigvalsh)
+            assert np.max(np.abs(split - full)) <= 1e-13 * np.max(np.abs(full))
+        joined = parity_join(even, odd)
+        assert np.array_equal(joined, joined[::-1, ::-1])
+        assert np.max(np.abs(joined - m)) <= 1e-14 * np.max(np.abs(m))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 40), extra=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_other_matrices_take_the_full_solve(self, n, extra, seed):
+        if extra:  # rectangular, even if mirror-symmetric
+            m = random_matrix(seed, (n, n + extra))
+            m = m + m[::-1, ::-1]
+        else:
+            m = random_matrix(seed, (n, n))
+        assert parity_blocks(m) is None
+        assert np.array_equal(split_values(m, svd_values), svd_values(m))
+        assert np.array_equal(decompose(m, vectors=False).values, svd_values(m))
+
+    def test_too_small_or_not_a_matrix(self):
+        assert parity_blocks(np.ones((1, 1))) is None
+        assert parity_blocks(np.ones(4)) is None
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 275, 1024])
+    def test_facing_ulas_give_exactly_centrosymmetric_channels(self, n):
+        for d in (15.0, 50.0, 150.0):
+            tx, rx = ula_pair(n, d)
+            for h in (los_nusw_channel(tx, rx, CARRIER).entries,
+                      los_usw_channel(tx, rx, CARRIER).entries):
+                assert np.array_equal(h, h[::-1, ::-1]), (n, d)
+
+    def test_axis_along_the_link_takes_the_full_svd(self):
+        axis = (0.0, 1.0, 0.0)
+        tx = build_ula(64, 1.37, center=(0.0, 0.0, 0.0), axis=axis)
+        rx = build_ula(64, 1.37, center=(0.0, 15.0, 0.0), axis=axis)
+        h = los_nusw_channel(tx, rx, CARRIER).entries
+        assert parity_blocks(h) is None
+        assert np.array_equal(decompose(h, vectors=False).values, svd_values(h))
 
 
 class TestSingularSpectrum:
