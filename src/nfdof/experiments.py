@@ -348,8 +348,14 @@ def validate_config(cfg, seed: int | None = None) -> ExperimentSpec:
                           seed=_number(seed, "seed", integer=True, minimum=0),
                           output_dir=output_dir, **fields)
     if spec.start_nodes >= spec.max_nodes:
-        raise ConfigError(f"kernel.start_nodes={spec.start_nodes} leaves no room to double "
+        raise ConfigError(f"kernel.start_nodes={spec.start_nodes} leaves no room to climb "
                           f"below kernel.max_nodes={spec.max_nodes}")
+    # both arrays are centred on the y-axis: along it they overlap, and
+    # elements may coincide, unless every distance exceeds the aperture
+    aperture = max((a for _, a in spec.sizes), default=0.0)
+    if abs(abs(spec.axis[1]) - 1.0) <= UNIT_TOL and min(spec.distances) <= aperture:
+        raise ConfigError("geometry.axis lies along the link, so every distance must exceed "
+                          f"the aperture ({aperture} m)")
     shared = sorted({name for name in spec.names if spec.names.count(name) > 1})
     if shared:
         raise ConfigError(f"grid points that format alike would share output table(s) {shared}")

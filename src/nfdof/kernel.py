@@ -190,6 +190,18 @@ def _require_continuous(arr: ArrayGeometry, name: str) -> np.ndarray:
     return arr.segment
 
 
+def _mirror_nodes(r_nodes: np.ndarray, s_nodes: np.ndarray) -> bool:
+    """True when, in every coordinate, both node sets are constant or both
+    are exactly antisymmetric (``c[::-1] == -c``).  Then |r_i - s_j| equals
+    |r_(m-1-i) - s_(m-1-j)| bitwise, since (-a) - (-b) rounds to -(a - b),
+    and G is exactly centrosymmetric."""
+    for a, b in zip(r_nodes.T, s_nodes.T):
+        constant = np.all(a == a[0]) and np.all(b == b[0])
+        if not (constant or (np.array_equal(a[::-1], -a) and np.array_equal(b[::-1], -b))):
+            return False
+    return True
+
+
 def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
                  m_nodes: int, rules: GaussLegendreRules | None = None
                  ) -> KernelDiscretization:
@@ -201,9 +213,12 @@ def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
     is explicitly symmetrized, so Hermiticity is exact.  Both segments map
     the same [-1, 1] rule, taken from ``rules`` (a fresh table when None).
 
-    When the weighted response W^(1/2) G is exactly centrosymmetric (two
-    mirror-placed segments facing each other), K is assembled from the two
-    half-size Grams of its parity blocks and is exactly centrosymmetric too.
+    When the nodes pass :func:`_mirror_nodes`, G is exactly centrosymmetric,
+    so only its top ``(m_nodes + 1) // 2`` rows are computed and the rest
+    are their mirror image.  When the weighted response W^(1/2) G is exactly
+    centrosymmetric (two mirror-placed segments facing each other), K is
+    assembled from the two half-size Grams of its parity blocks and is
+    exactly centrosymmetric too.
     """
     if m_nodes < 8:
         raise ValueError(f"m_nodes must be >= 8, got {m_nodes}")
@@ -214,10 +229,13 @@ def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
     rules = rules or GaussLegendreRules()
     s_nodes, s_weights = gauss_legendre_segment(tx_seg[0], tx_seg[1], m_nodes, rules)
     r_nodes, r_weights = gauss_legendre_segment(rx_seg[0], rx_seg[1], m_nodes, rules)
-    diff = r_nodes[:, None, :] - s_nodes[None, :, :]
+    rows = (m_nodes + 1) // 2 if _mirror_nodes(r_nodes, s_nodes) else m_nodes
+    diff = r_nodes[:rows, None, :] - s_nodes[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
     lam = carrier.wavelength
     g = np.exp(-2j * np.pi * dist / lam) / (4.0 * np.pi * dist)
+    if rows < m_nodes:
+        g = np.concatenate([g, g[:m_nodes // 2][::-1, ::-1]])
     halves = parity_blocks(np.sqrt(r_weights)[:, None] * g)
     if halves is None:
         k = g.conj().T @ (r_weights[:, None] * g)
@@ -265,31 +283,62 @@ def cap_edof2(spectrum: EigenSpectrum) -> float:
     return float(np.sum(lam) ** 2 / np.sum(lam * lam))
 
 
+def _path_spread(tx_seg: np.ndarray, rx_seg: np.ndarray) -> float:
+    """Largest variation of the path length |r - s| over one segment, seen
+    from an endpoint of the other: the farthest minus the nearest distance,
+    maximized over the four endpoints."""
+    spread = 0.0
+    for ends, other in ((tx_seg, rx_seg), (rx_seg, tx_seg)):
+        for p in ends:
+            far = max(float(np.linalg.norm(p - q)) for q in other)
+            spread = max(spread, far - _segment_min_distance(p, p, other[0], other[1]))
+    return spread
+
+
+def _rung(start_nodes: int, k: int) -> int:
+    """Node count of rung ``k`` on the sqrt(2) grid from ``start_nodes``;
+    every second rung is ``start_nodes * 2**j`` exactly."""
+    return round(start_nodes * 2 ** (k / 2))
+
+
 def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
                       tol: float = 1e-6, start_nodes: int = 64,
                       max_nodes: int = 4096, n_track: int = 20,
                       rules: GaussLegendreRules | None = None) -> EigenSpectrum:
-    """Double the quadrature node count until the top ``n_track`` eigenvalues
-    are stable to ``tol`` relative to lambda_1.
+    """Raise the quadrature node count by sqrt(2) per rung until the top
+    ``n_track`` eigenvalues of two successive rungs agree to ``tol``
+    relative to lambda_1.
 
-    ``tol=inf`` returns the first iterate.  Non-convergence by ``max_nodes``
-    raises :class:`ConvergenceError` with the last observed change attached.
-    Every rung takes its quadrature rule from ``rules``; pass one table to
-    share the rules between ladders (a fresh table per ladder when None).
+    The rungs are ``round(start_nodes * 2**(k/2))``.  Gauss-Legendre
+    convergence of the kernel is a cliff near pi * (path spread) /
+    wavelength nodes (:func:`_path_spread`), so the ladder starts at the
+    largest rung at or below that count and at or below ``max_nodes / 2``;
+    ``start_nodes`` is a floor.  ``max_nodes`` is a hard cap: the last rung
+    is clamped to it.  ``tol=inf`` returns the start rung.  Non-convergence
+    by ``max_nodes`` raises :class:`ConvergenceError` with the last observed
+    change and the largest rung built attached.  Every rung takes its
+    quadrature rule from ``rules``; pass one table to share the rules
+    between ladders (a fresh table per ladder when None).
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     rules = rules or GaussLegendreRules()
-    m = start_nodes
+    spread = _path_spread(_require_continuous(tx, "tx"), _require_continuous(rx, "rx"))
+    limit = min(math.pi * spread / carrier.wavelength, max_nodes / 2)
+    k = 0
+    while _rung(start_nodes, k + 1) <= limit:
+        k += 1
+    m = _rung(start_nodes, k)
     spec = cap_spectrum(build_kernel(tx, rx, carrier, m, rules))
     if math.isinf(tol):
         return spec
     last_change = np.inf
     while m < max_nodes:
-        m *= 2
+        k += 1
+        m = min(_rung(start_nodes, k), max_nodes)
         nxt = cap_spectrum(build_kernel(tx, rx, carrier, m, rules))
-        k = min(n_track, len(spec.eigenvalues), len(nxt.eigenvalues))
-        last_change = float(np.max(np.abs(nxt.eigenvalues[:k] - spec.eigenvalues[:k]))
+        n = min(n_track, len(spec.eigenvalues), len(nxt.eigenvalues))
+        last_change = float(np.max(np.abs(nxt.eigenvalues[:n] - spec.eigenvalues[:n]))
                             / nxt.eigenvalues[0])
         spec = nxt
         if last_change < tol:
@@ -297,8 +346,8 @@ def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConf
                                  tol_achieved=last_change)
     raise ConvergenceError(
         f"top-{n_track} eigenvalues still change by {last_change:.3e} "
-        f"(> tol {tol:.3e}) at {max_nodes} nodes",
-        nodes=max_nodes, last_change=last_change, tol=tol)
+        f"(> tol {tol:.3e}) at {m} nodes",
+        nodes=m, last_change=last_change, tol=tol)
 
 
 def save_eigenspectrum(spectrum: EigenSpectrum, base_path) -> tuple[Path, Path]:

@@ -239,6 +239,12 @@ BAD_CONFIGS = {
     "active_modes above n_elements": with_leaf(small_config("link-sim"),
                                                ("link", "active_modes"), 5),
     "metrics in edof2-vs-n": small_config("edof2-vs-n", metrics={"dominance": 0.5}),
+    "axis along the link, elements coincide": small_config(
+        "spectrum", geometry={"aperture_m": 1.0, "n_elements": [3], "distances_m": [0.5],
+                              "axis": [0, 1, 0]}),
+    "axis along the link, distance equals aperture": with_leaf(
+        with_leaf(small_config("link-sim"), ("geometry", "axis"), [0, -1, 0]),
+        ("geometry", "distance_m"), 0.2),
 }
 
 

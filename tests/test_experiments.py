@@ -73,6 +73,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="positive"):
             validate_config(cfg)
 
+    def test_axis_along_the_link_needs_distances_beyond_the_aperture(self):
+        geo = {"element_spacing_m": 0.1, "n_elements": [4, 11], "axis": [0.0, -1.0, 0.0]}
+        validate_config(spectrum_config(geometry={**geo, "distances_m": [1.01, 15.0]}))
+        with pytest.raises(ConfigError, match="exceed the aperture"):
+            validate_config(spectrum_config(geometry={**geo, "distances_m": [15.0, 1.0]}))
+
     def test_validation_errors_before_any_output(self, tmp_path):
         with pytest.raises(ConfigError):
             run_experiment(spectrum_config(extra=1), out_dir=tmp_path)

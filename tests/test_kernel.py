@@ -1,12 +1,14 @@
+import json
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nfdof.kernel
-from conftest import CARRIER, WAVELENGTH, cap_converged, segment_pair
+from conftest import APERTURE, CARRIER, WAVELENGTH, cap_converged, segment_pair
 from nfdof.channel import los_nusw_channel
 from nfdof.errors import ConvergenceError, SingularGeometryError
 from nfdof.experiments import run_experiment
@@ -32,6 +34,42 @@ def rule_calls(monkeypatch):
 
     monkeypatch.setattr(nfdof.kernel, "gauss_legendre_rule", counting)
     return calls
+
+
+@pytest.fixture
+def rung_calls(monkeypatch):
+    """Records the node count of every ``build_kernel`` call that the
+    kernel module's ladder makes."""
+    calls = []
+    original = nfdof.kernel.build_kernel
+
+    def counting(tx, rx, carrier, m_nodes, rules=None):
+        calls.append(m_nodes)
+        return original(tx, rx, carrier, m_nodes, rules)
+
+    monkeypatch.setattr(nfdof.kernel, "build_kernel", counting)
+    return calls
+
+
+@pytest.fixture
+def mirror_tests(monkeypatch):
+    """Records the verdict of every node-mirror test ``build_kernel`` makes."""
+    verdicts = []
+    original = nfdof.kernel._mirror_nodes
+
+    def recording(r_nodes, s_nodes):
+        verdicts.append(original(r_nodes, s_nodes))
+        return verdicts[-1]
+
+    monkeypatch.setattr(nfdof.kernel, "_mirror_nodes", recording)
+    return verdicts
+
+
+def full_g_kernel(monkeypatch, tx, rx, m):
+    """``build_kernel`` with the half-row assembly switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(nfdof.kernel, "_mirror_nodes", lambda r_nodes, s_nodes: False)
+        return build_kernel(tx, rx, CARRIER, m).kernel
 
 
 def direct_kernel(tx, rx, m):
@@ -103,12 +141,41 @@ class TestBuildKernel:
         ref = direct_kernel(tx, rx, m)
         assert np.max(np.abs(k - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_offset_segments_take_the_full_assembly(self):
+    def test_offset_segments_take_the_full_assembly(self, mirror_tests):
         tx, _ = segment_pair(25.0)
         rx = continuous_aperture((0.0, 25.0, -0.5), (0.0, 25.0, 1.0))
         k = build_kernel(tx, rx, CARRIER, 32).kernel
+        assert mirror_tests == [False]
         assert not np.array_equal(k, k[::-1, ::-1])
         assert np.array_equal(k, direct_kernel(tx, rx, 32))
+
+    @pytest.mark.parametrize("m", [33, 64, 91, 724])
+    def test_half_row_build_equals_the_full_build(self, m, monkeypatch, mirror_tests):
+        tx, rx = segment_pair(8.0, 5.0)
+        k = build_kernel(tx, rx, CARRIER, m).kernel
+        assert mirror_tests == [True]
+        assert np.array_equal(k, full_g_kernel(monkeypatch, tx, rx, m))
+
+    def test_tilted_segments_take_the_full_assembly(self, mirror_tests):
+        tx, _ = segment_pair(8.0)
+        # turned by 0.3 rad about the x-axis around its centre (0, 8, 0)
+        h = 0.5 * APERTURE * np.array([0.0, np.sin(0.3), np.cos(0.3)])
+        rx = continuous_aperture((0.0, 8.0, 0.0) - h, (0.0, 8.0, 0.0) + h)
+        k = build_kernel(tx, rx, CARRIER, 64).kernel
+        assert mirror_tests == [False]
+        assert np.array_equal(k, direct_kernel(tx, rx, 64))
+
+    def test_mirror_test_needs_both_node_sets_alike_per_coordinate(self):
+        x = np.array([-1.0, 0.0, 1.0])
+        zero, one = np.zeros(3), np.ones(3)
+
+        def mirror(r_cols, s_cols):
+            return nfdof.kernel._mirror_nodes(np.column_stack(r_cols), np.column_stack(s_cols))
+
+        assert mirror((zero, one, x), (zero, zero, 2 * x))
+        # an antisymmetric coordinate facing a constant nonzero one
+        assert not mirror((zero, x, one), (zero, one, x))
+        assert not mirror((zero, one, x + 1e-9), (zero, zero, x))
 
     def test_too_few_nodes_rejected(self):
         tx, rx = segment_pair(25.0)
@@ -204,6 +271,76 @@ class TestConvergeSpectrum:
         assert err.value.nodes == 16
         assert err.value.last_change > 1e-18
 
+    def test_ladder_starts_at_the_cliff_and_climbs_by_sqrt2(self, rung_calls):
+        # 5 m segments at 20 m: path spread sqrt(20**2 + 5**2) - 20 = 61.6
+        # wavelengths, so the cliff estimate pi * 61.6 = 193 nodes
+        tx, rx = segment_pair(20.0, 5.0)
+        spec = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
+        assert rung_calls == [181, 256, 362]
+        assert spec.node_count == 362
+
+    @pytest.mark.parametrize("start, cap", [(10, 100), (100, 1000), (12, 64)])
+    def test_rungs_never_exceed_max_nodes(self, start, cap, rung_calls):
+        tx, rx = segment_pair(15.0)
+        with pytest.raises(ConvergenceError) as err:
+            converge_spectrum(tx, rx, CARRIER, tol=1e-300, start_nodes=start,
+                              max_nodes=cap)
+        assert max(rung_calls) == rung_calls[-1] == cap == err.value.nodes
+        assert rung_calls == sorted(set(rung_calls))
+
+    @pytest.mark.parametrize("d, aperture, start, cap, first", [
+        (8.0, 5.0, 64, 4096, 362),    # cliff pi * 143 = 450 nodes
+        (8.0, 5.0, 64, 600, 256),     # capped at max_nodes / 2
+        (8.0, 5.0, 400, 4096, 400),   # start_nodes is a floor
+        (150.0, 0.5, 64, 4096, 64),   # cliff at 0.3 nodes
+        (20.0, 5.0, 16, 4096, 181),   # rungs 16, 23, 32, ..., 128, 181, 256
+    ])
+    def test_infinite_tol_returns_the_start_rung(self, d, aperture, start, cap, first,
+                                                  rung_calls):
+        tx, rx = segment_pair(d, aperture)
+        spec = converge_spectrum(tx, rx, CARRIER, tol=np.inf, start_nodes=start,
+                                 max_nodes=cap)
+        assert rung_calls == [spec.node_count] == [first]
+
+    @pytest.mark.parametrize("d", [0.2, 1.0, 3.0, 50.0, 1e9])
+    @pytest.mark.parametrize("start, cap", [(8, 16), (8, 100), (64, 4096), (50, 101)])
+    def test_start_rung_within_floor_and_half_cap(self, d, start, cap, monkeypatch):
+        monkeypatch.setattr(nfdof.kernel, "cap_spectrum", lambda disc: disc)
+        tx, rx = segment_pair(d, 5.0)
+        m = converge_spectrum(tx, rx, CARRIER, tol=np.inf, start_nodes=start,
+                              max_nodes=cap).node_count
+        assert start <= m <= max(start, cap / 2)
+        assert m in {round(start * 2 ** (k / 2)) for k in range(40)}
+
+
+# (aperture, distance) pairs; 5 m at 3 m and 6 m need 2048-4096 nodes for
+# the doubled check, too slow for the suite
+WHOLE_SPECTRUM_CASES = [(a, d) for a in (0.5, 1.37, 5.0) for d in (3.0, 6.0, 8.0, 20.0, 150.0)
+                        if not (a == 5.0 and d < 8.0)]
+
+
+@pytest.mark.parametrize("aperture, d", WHOLE_SPECTRUM_CASES)
+def test_converged_rung_resolves_the_whole_spectrum(aperture, d):
+    tx, rx = segment_pair(d, aperture)
+    spec = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
+    fine = cap_spectrum(build_kernel(tx, rx, CARRIER, 2 * spec.node_count))
+    for dominance in (0.01, 0.5):
+        assert cap_edof1(spec, dominance) == cap_edof1(fine, dominance)
+    assert cap_edof2(spec) == pytest.approx(cap_edof2(fine), rel=1e-12, abs=0)
+
+
+REPO = Path(__file__).resolve().parent.parent
+KERNEL_CONFIGS = [p for p in sorted(REPO.glob("configs/*.json")) + sorted(
+    REPO.glob("nfbench/configs/*.json"))
+    if json.loads(p.read_text())["experiment"] in ("cap-edof-vs-distance", "edof2-vs-n")]
+
+
+@pytest.mark.parametrize("path", KERNEL_CONFIGS, ids=lambda p: p.name)
+def test_every_shipped_ladder_takes_the_half_row_build(path, tmp_path, rung_calls,
+                                                        mirror_tests):
+    run_experiment(json.loads(path.read_text()), out_dir=tmp_path)
+    assert rung_calls and mirror_tests == [True] * len(rung_calls)
+
 
 class TestGaussLegendreRules:
     def test_rule_is_read_only_and_shared(self):
@@ -257,7 +394,7 @@ class TestGaussLegendreRules:
             "geometry": {"apertures_m": [0.5, 1.0], "distances_m": [15.0, 40.0, 100.0]},
         }
         run_experiment(cfg, out_dir=tmp_path, threads=threads)
-        assert set(rule_calls) >= {64, 128}
+        assert len(rule_calls) >= 2
         assert set(rule_calls.values()) == {1}
 
     def test_concurrent_lookups_compute_each_rule_once(self, rule_calls):
