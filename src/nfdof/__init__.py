@@ -5,39 +5,30 @@ capacity, and a mode-multiplexed link simulator."""
 __version__ = "0.1.0"
 
 from .channel import (ChannelMatrix, farfield_planar_channel, frobenius_normalized,
-                      iid_rayleigh_channel, load_channel, los_nusw_channel,
-                      los_usw_channel, save_channel)
+                      los_nusw_channel, los_usw_channel)
 from .errors import (ActiveSetChangeError, ConfigError, ConvergenceError,
                      EigenSolverError, NfdofError, SingularGeometryError)
 from .geometry import (ArrayGeometry, CarrierConfig, SPEED_OF_LIGHT, build_ula,
-                       classify_region, continuous_aperture, discrete_array,
-                       mimo_rayleigh_distance, rayleigh_distance)
-from .kernel import (EigenSpectrum, KernelDiscretization, build_kernel, cap_edof1,
-                     cap_edof2, cap_spectrum, converge_spectrum, greens_scalar,
-                     load_eigenspectrum, save_eigenspectrum)
+                       continuous_aperture, discrete_array, rayleigh_distance)
+from .kernel import (KernelDiscretization, build_kernel, cap_edof1, cap_edof2,
+                     cap_spectrum, converge_spectrum)
 from .linksim import (LinkReport, TransmissionConfig, combine, precode, run_link,
                       transmit_awgn)
-from .metrics import (DofMetrics, EbnoAnalysis, PowerAllocation, capacity, dof,
-                      ebno_analysis, edof1, edof1_knee, edof1_limit_linear, edof2,
-                      edof3, edof3_auto, edof3_envelope, evaluate_dof_metrics,
-                      metrics_report, waterfill)
+from .metrics import (PowerAllocation, capacity, dof, edof1, edof1_limit_linear, edof2,
+                      edof3, edof3_auto, edof3_envelope, metrics_report, waterfill)
 from .modes import ModeDecomposition, SingularSpectrum, decompose
 
 __all__ = [
     "__version__",
     "ActiveSetChangeError", "ArrayGeometry", "CarrierConfig", "ChannelMatrix",
-    "ConfigError", "ConvergenceError", "DofMetrics", "EbnoAnalysis",
-    "EigenSolverError", "EigenSpectrum", "KernelDiscretization", "LinkReport",
-    "ModeDecomposition", "NfdofError", "PowerAllocation", "SPEED_OF_LIGHT",
-    "SingularGeometryError", "SingularSpectrum", "TransmissionConfig",
-    "build_kernel", "build_ula", "cap_edof1", "cap_edof2", "cap_spectrum",
-    "capacity", "classify_region", "combine", "continuous_aperture",
-    "converge_spectrum", "decompose", "discrete_array", "dof", "ebno_analysis",
-    "edof1", "edof1_knee", "edof1_limit_linear", "edof2", "edof3", "edof3_auto",
-    "edof3_envelope", "evaluate_dof_metrics", "farfield_planar_channel",
-    "frobenius_normalized", "greens_scalar", "iid_rayleigh_channel",
-    "load_channel", "load_eigenspectrum", "los_nusw_channel", "los_usw_channel",
-    "metrics_report", "mimo_rayleigh_distance", "precode", "rayleigh_distance",
-    "run_link", "save_channel", "save_eigenspectrum", "transmit_awgn",
-    "waterfill",
+    "ConfigError", "ConvergenceError", "EigenSolverError", "KernelDiscretization",
+    "LinkReport", "ModeDecomposition", "NfdofError", "PowerAllocation",
+    "SPEED_OF_LIGHT", "SingularGeometryError", "SingularSpectrum",
+    "TransmissionConfig", "build_kernel", "build_ula", "cap_edof1", "cap_edof2",
+    "cap_spectrum", "capacity", "combine", "continuous_aperture",
+    "converge_spectrum", "decompose", "discrete_array", "dof", "edof1",
+    "edof1_limit_linear", "edof2", "edof3", "edof3_auto", "edof3_envelope",
+    "farfield_planar_channel", "frobenius_normalized", "los_nusw_channel",
+    "los_usw_channel", "metrics_report", "precode", "rayleigh_distance",
+    "run_link", "transmit_awgn", "waterfill",
 ]

@@ -6,37 +6,30 @@ nusw          exact spherical wave: per-link amplitude and phase,
               h_nm = lambda/(4*pi*d_nm) * exp(-1j*2*pi*d_nm/lambda)
 usw           spherical phase, uniform amplitude taken at the center distance
 planar        far-field plane wave, rank-1 outer product by construction
-iid_rayleigh  i.i.d. unit-variance circularly-symmetric Gaussian entries
 
 Rows index receive elements, columns index transmit elements.  The phase sign
-convention exp(-1j*2*pi*d/lambda) is fixed so serialized matrices are stable.
+convention exp(-1j*2*pi*d/lambda) is fixed so written outputs are stable.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import SingularGeometryError
 from .geometry import ArrayGeometry, CarrierConfig
 
-MODELS = ("nusw", "usw", "planar", "iid_rayleigh")
+MODELS = ("nusw", "usw", "planar")
 
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """Complex N_r x N_t gain matrix with model metadata.
-
-    ``wavelength`` is in meters; it is None for the statistical i.i.d. model,
-    which has no physical carrier.
-    """
+    """Complex N_r x N_t gain matrix with model metadata; ``wavelength`` is
+    in meters."""
 
     entries: np.ndarray
-    wavelength: float | None
+    wavelength: float
     model: str
 
     def __post_init__(self):
@@ -130,16 +123,6 @@ def farfield_planar_channel(tx: ArrayGeometry, rx: ArrayGeometry,
     return ChannelMatrix(entries=h, wavelength=lam, model="planar")
 
 
-def iid_rayleigh_channel(n_r: int, n_t: int, seed: int) -> ChannelMatrix:
-    """i.i.d. circularly-symmetric complex Gaussian entries with unit variance,
-    deterministic for a given seed.  Statistical stand-in for rich scattering."""
-    if n_r < 1 or n_t < 1:
-        raise ValueError(f"matrix dimensions must be >= 1, got {n_r}x{n_t}")
-    rng = np.random.default_rng(seed)
-    h = (rng.standard_normal((n_r, n_t)) + 1j * rng.standard_normal((n_r, n_t))) / np.sqrt(2.0)
-    return ChannelMatrix(entries=h, wavelength=None, model="iid_rayleigh")
-
-
 def frobenius_normalized(channel: ChannelMatrix) -> ChannelMatrix:
     """Rescale so that ||H||_F**2 = N_t * N_r.
 
@@ -154,54 +137,3 @@ def frobenius_normalized(channel: ChannelMatrix) -> ChannelMatrix:
     return ChannelMatrix(entries=h * scale, wavelength=channel.wavelength,
                          model=channel.model)
 
-
-# --- serialization ----------------------------------------------------------
-#
-# A channel is stored as a (re, im) CSV in column-major entry order plus a JSON
-# envelope holding shape and model metadata.  Floats are written with repr(),
-# which round-trips bit-exactly.
-
-
-def save_channel(channel: ChannelMatrix, base_path) -> tuple[Path, Path]:
-    """Write ``<base>.csv`` and ``<base>.json``; returns the two paths."""
-    base = Path(base_path)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
-    flat = channel.entries.flatten(order="F")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["re", "im"])
-        for z in flat:
-            writer.writerow([repr(float(z.real)), repr(float(z.imag))])
-    envelope = {
-        "model": channel.model,
-        "wavelength": channel.wavelength,
-        "n_r": channel.n_r,
-        "n_t": channel.n_t,
-        "order": "column-major",
-        "csv": csv_path.name,
-    }
-    with open(json_path, "w") as fh:
-        json.dump(envelope, fh, indent=2)
-        fh.write("\n")
-    return csv_path, json_path
-
-
-def load_channel(json_path) -> ChannelMatrix:
-    """Load a channel written by :func:`save_channel`; bit-exact round trip."""
-    json_path = Path(json_path)
-    with open(json_path) as fh:
-        envelope = json.load(fh)
-    csv_path = json_path.parent / envelope["csv"]
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["re", "im"]:
-            raise ValueError(f"unexpected channel CSV header {header}")
-        values = [complex(float(re), float(im)) for re, im in reader]
-    n_r, n_t = envelope["n_r"], envelope["n_t"]
-    if len(values) != n_r * n_t:
-        raise ValueError(f"expected {n_r * n_t} entries, found {len(values)}")
-    h = np.array(values, dtype=complex).reshape((n_r, n_t), order="F")
-    return ChannelMatrix(entries=h, wavelength=envelope["wavelength"],
-                         model=envelope["model"])

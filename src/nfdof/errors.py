@@ -24,7 +24,7 @@ class ConvergenceError(NfdofError):
 
 
 class EigenSolverError(NfdofError):
-    """The dense Hermitian eigensolver failed; inputs are reported, never ignored."""
+    """The dense SVD of a kernel response failed; inputs are reported, never ignored."""
 
 
 class ActiveSetChangeError(NfdofError):

@@ -158,6 +158,12 @@ def _flag(obj, key, where) -> bool:
 # SNRs in dB within this bound have a positive, finite linear value
 _SNR_DB_LIMIT = {"minimum": -3000.0, "maximum": 3000.0}
 
+MAX_COUNT = 1_000_000
+"""Largest accepted n_elements, kernel node count, link.n_symbols and grid
+count.  It lies above every size the toolkit is run at (2048-element arrays,
+4096-node kernels, 10**5 link symbols) and rejects absurd sizes before any
+allocation; a size below it can still exceed the memory of the machine."""
+
 
 def _parse_carrier(cfg: dict) -> CarrierConfig:
     car = _object(cfg, "carrier")
@@ -188,7 +194,8 @@ def _grid(obj, key, where, **rules) -> tuple:
     _check_keys(val, {"start", "stop", "count", "spacing"}, {"start", "stop", "count"}, where)
     start = _number(val["start"], f"{where}.start", **rules)
     stop = _number(val["stop"], f"{where}.stop", **rules)
-    count = _number(val["count"], f"{where}.count", integer=True, minimum=2)
+    count = _number(val["count"], f"{where}.count", integer=True, minimum=2,
+                    maximum=MAX_COUNT)
     spacing = val.get("spacing", "log")
     if spacing == "log":
         if start <= 0 or stop <= 0:
@@ -206,7 +213,7 @@ def _ula_sizes(geo: dict, sweep: bool = True) -> tuple:
     has_ap = "aperture_m" in geo
     if has_ap == ("element_spacing_m" in geo):
         raise ConfigError("geometry needs exactly one of aperture_m or element_spacing_m")
-    rule = {"integer": True, "minimum": 2}
+    rule = {"integer": True, "minimum": 2, "maximum": MAX_COUNT}
     ns = (_number_list(geo, "n_elements", "geometry", **rule) if sweep
           else (_number(geo["n_elements"], "geometry.n_elements", **rule),))
     if has_ap:
@@ -250,7 +257,7 @@ def _metrics(cfg: dict, allowed: set, required: set = frozenset()) -> dict:
 def _kernel(cfg: dict) -> dict:
     ker = _object(cfg, "kernel")
     _check_keys(ker, {"tol", "start_nodes", "max_nodes"}, set(), "kernel")
-    nodes = {"integer": True, "minimum": 8}
+    nodes = {"integer": True, "minimum": 8, "maximum": MAX_COUNT}
     return _given(ker, "kernel", tol={"positive": True}, start_nodes=nodes, max_nodes=nodes)
 
 
@@ -318,7 +325,7 @@ def _parse_link_sim(cfg: dict, geo: dict) -> dict:
     out = {"sizes": sizes, "distances": (d,), **_array_options(cfg, geo),
            # an n-element pair has n channel modes
            **_given(link, "link", active_modes={"integer": True, "minimum": 1, "maximum": n},
-                    n_symbols={"integer": True, "minimum": 1}),
+                    n_symbols={"integer": True, "minimum": 1, "maximum": MAX_COUNT}),
            "snr_db": (_number(link["snr_db"], "link.snr_db", **_SNR_DB_LIMIT),),
            "names": (f"link_sim_n{n}_d{_slug(d)}",)}
     if "dump_symbols" in link:
@@ -551,8 +558,8 @@ def _run_cap_edof_vs_distance(spec, prov, threads, out_dir):
         rd = rayleigh_distance(aperture, spec.carrier.wavelength)
         rows = []
         for d in spec.distances:
-            eig = _converge(spec, aperture, d, rules)
-            rows.append([d, cap_edof1(eig, dominance=spec.dominance), cap_edof2(eig), rd])
+            s = _converge(spec, aperture, d, rules)
+            rows.append([d, cap_edof1(s, dominance=spec.dominance), cap_edof2(s), rd])
         return ResultTable(name=name,
                            columns=["distance_m", "cap_edof1", "cap_edof2",
                                     "rayleigh_distance_m"],

@@ -1,4 +1,4 @@
-"""Transmit/receive aperture geometries and propagation-region classification.
+"""Transmit/receive aperture geometries and the Rayleigh distance.
 
 Conventions: 3D Cartesian coordinates in meters; the canonical experiment frame
 puts the transmitter center at the origin, the receiver center at (0, d, 0) and
@@ -13,9 +13,6 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0
 "Speed of light in m/s."
-
-NEAR_FIELD = "near_field"
-FAR_FIELD = "far_field"
 
 UNIT_TOL = 1e-12
 "Largest accepted deviation of an array axis from unit norm."
@@ -172,34 +169,3 @@ def rayleigh_distance(aperture: float, wavelength: float) -> float:
     if aperture < 0:
         raise ValueError(f"aperture must be non-negative, got {aperture}")
     return 2.0 * aperture * aperture / wavelength
-
-
-def mimo_rayleigh_distance(aperture_tx: float, aperture_rx: float,
-                           wavelength: float, combine: str = "max") -> float:
-    """Rayleigh distance for a two-aperture link.
-
-    ``combine="max"`` (default) uses the larger aperture; ``combine="sum"``
-    uses the combined extent aperture_tx + aperture_rx.  The default is the
-    more conservative convention for deciding when spherical-wave modeling is
-    required per array.
-    """
-    if combine == "max":
-        a = max(aperture_tx, aperture_rx)
-    elif combine == "sum":
-        a = aperture_tx + aperture_rx
-    else:
-        raise ValueError(f"combine must be 'max' or 'sum', got {combine!r}")
-    return rayleigh_distance(a, wavelength)
-
-
-def classify_region(link_distance: float, aperture: float, wavelength: float) -> str:
-    """Classify a link distance as ``near_field`` or ``far_field``.
-
-    Near field iff the distance is strictly below the Rayleigh distance; a
-    distance exactly on the boundary classifies as far field.
-    """
-    if link_distance <= 0:
-        raise ValueError(f"link_distance must be positive, got {link_distance}")
-    if link_distance < rayleigh_distance(aperture, wavelength):
-        return NEAR_FIELD
-    return FAR_FIELD

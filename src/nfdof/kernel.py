@@ -1,4 +1,4 @@
-"""Hermitian kernel eigenanalysis for continuous linear apertures.
+"""Communication modes of two continuous linear apertures.
 
 The scalar free-space response between a source point s and a field point r is
 
@@ -7,42 +7,29 @@ The scalar free-space response between a source point s and a field point r is
 The transmit-side kernel K(s_i, s_j) = integral over the receive segment of
 conj(g(r, s_i)) * g(r, s_j) dr plays the role of H H^H; its eigenvalues are the
 squared gains of the continuous communication modes.  Both segments are
-discretized with Gauss-Legendre quadrature and the eigenproblem is solved for
-the symmetrized operator W^(1/2) K W^(1/2) (Nystrom method), which keeps it
-Hermitian and positive semidefinite.
+discretized with Gauss-Legendre quadrature (Nystrom method), which turns the
+link into a weighted discrete array: the weighted response
+H = W_r^(1/2) G W_s^(1/2) has H^H H = W_s^(1/2) K W_s^(1/2), so the squared
+singular values of H are the eigenvalues of the discretized kernel
+(D. A. B. Miller, Appl. Opt. 39(11), 2000), and the same values-only SVD that
+serves discrete channels solves the aperture pair.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConvergenceError, EigenSolverError, SingularGeometryError
 from .geometry import ArrayGeometry, CarrierConfig
-from .modes import parity_blocks, parity_join, split_values
-
-ZERO_CLIP = 1e-14
-"Eigenvalues below ZERO_CLIP * lambda_1 are clipped to zero (roundoff noise)."
+from .metrics import edof1, edof2
+from .modes import SingularSpectrum, decompose
 
 _NEWTON_STEPS = 20
 "Cap on the Newton steps for the Gauss-Legendre roots; 3-4 suffice up to m = 4096."
-
-
-def greens_scalar(field_point, source_point, wavelength: float) -> complex:
-    """Scalar free-space response exp(-1j*2*pi*d/lambda)/(4*pi*d) between two
-    distinct points d = |field_point - source_point| apart."""
-    r = np.asarray(field_point, dtype=float)
-    s = np.asarray(source_point, dtype=float)
-    d = float(np.linalg.norm(r - s))
-    if d == 0.0:
-        raise SingularGeometryError("field point and source point coincide")
-    return complex(np.exp(-2j * np.pi * d / wavelength) / (4.0 * np.pi * d))
 
 
 def _legendre(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,40 +135,26 @@ def _segment_min_distance(p1, q1, p2, q2) -> float:
 
 @dataclass(frozen=True)
 class KernelDiscretization:
-    """Quadrature discretization of the transmit-side kernel.
+    """Quadrature discretization of an aperture pair.
 
-    ``kernel`` is the M x M Hermitian matrix K(s_i, s_j); ``tx_nodes`` and
-    ``tx_weights`` are the Gauss-Legendre rule it was sampled on.
+    ``response`` is the M x M weighted response W_r^(1/2) G W_s^(1/2), with
+    G_ij = g(r_i, s_j); ``tx_nodes`` and ``tx_weights`` are the transmit
+    Gauss-Legendre rule.
     """
 
     tx_nodes: np.ndarray
     tx_weights: np.ndarray
-    kernel: np.ndarray
+    response: np.ndarray
 
     @property
     def node_count(self) -> int:
         return self.tx_weights.size
 
-
-@dataclass(frozen=True)
-class EigenSpectrum:
-    """Descending eigenvalues lambda_n = sigma_n**2 of the discretized kernel,
-    with the quadrature node count that produced them."""
-
-    eigenvalues: np.ndarray
-    node_count: int
-    tol_achieved: float | None = None
-
-    def __post_init__(self):
-        v = np.array(self.eigenvalues, dtype=float, copy=True)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("eigenvalues must be a nonempty 1D array")
-        if np.any(np.diff(v) > 0):
-            raise ValueError("eigenvalues must be sorted descending")
-        if np.any(v < 0):
-            raise ValueError("eigenvalues must be non-negative after clipping")
-        v.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", v)
+    @property
+    def kernel(self) -> np.ndarray:
+        """The sampled kernel K = G^H W_r G, formed on demand."""
+        inv = 1.0 / np.sqrt(self.tx_weights)
+        return inv[:, None] * (self.response.conj().T @ self.response) * inv[None, :]
 
 
 def _require_continuous(arr: ArrayGeometry, name: str) -> np.ndarray:
@@ -205,20 +178,14 @@ def _mirror_nodes(r_nodes: np.ndarray, s_nodes: np.ndarray) -> bool:
 def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
                  m_nodes: int, rules: GaussLegendreRules | None = None
                  ) -> KernelDiscretization:
-    """Assemble K(s_i, s_j) = sum_q w_q conj(g(r_q, s_i)) g(r_q, s_j) with
-    Gauss-Legendre rules of ``m_nodes`` points on both segments.
+    """Assemble the weighted response H = W_r^(1/2) G W_s^(1/2) with
+    Gauss-Legendre rules of ``m_nodes`` points on both segments, taken from
+    ``rules`` (a fresh table when None).
 
-    The receive-side sum approximates the integral over the receive segment;
-    the transmit nodes are where the kernel is sampled.  The assembled matrix
-    is explicitly symmetrized, so Hermiticity is exact.  Both segments map
-    the same [-1, 1] rule, taken from ``rules`` (a fresh table when None).
-
-    When the nodes pass :func:`_mirror_nodes`, G is exactly centrosymmetric,
-    so only its top ``(m_nodes + 1) // 2`` rows are computed and the rest
-    are their mirror image.  When the weighted response W^(1/2) G is exactly
-    centrosymmetric (two mirror-placed segments facing each other), K is
-    assembled from the two half-size Grams of its parity blocks and is
-    exactly centrosymmetric too.
+    When the nodes pass :func:`_mirror_nodes`, G is exactly centrosymmetric
+    and both weight vectors are exact mirror images, so only the top
+    ``(m_nodes + 1) // 2`` rows of H are computed and weighted; the rest are
+    their mirror image, and H is exactly centrosymmetric.
     """
     if m_nodes < 8:
         raise ValueError(f"m_nodes must be >= 8, got {m_nodes}")
@@ -234,53 +201,26 @@ def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
     lam = carrier.wavelength
     g = np.exp(-2j * np.pi * dist / lam) / (4.0 * np.pi * dist)
+    h = np.sqrt(r_weights[:rows])[:, None] * g * np.sqrt(s_weights)[None, :]
     if rows < m_nodes:
-        g = np.concatenate([g, g[:m_nodes // 2][::-1, ::-1]])
-    halves = parity_blocks(np.sqrt(r_weights)[:, None] * g)
-    if halves is None:
-        k = g.conj().T @ (r_weights[:, None] * g)
-        k = 0.5 * (k + k.conj().T)
-    else:
-        grams = [f.conj().T @ f for f in halves]
-        k = parity_join(*(0.5 * (q + q.conj().T) for q in grams))
-    return KernelDiscretization(tx_nodes=s_nodes, tx_weights=s_weights, kernel=k)
+        h = np.concatenate([h, h[:m_nodes // 2][::-1, ::-1]])
+    return KernelDiscretization(tx_nodes=s_nodes, tx_weights=s_weights, response=h)
 
 
-def cap_spectrum(disc: KernelDiscretization) -> EigenSpectrum:
-    """Eigenvalues of the symmetrized weighted operator W^(1/2) K W^(1/2),
-    sorted descending and clipped at numerical zero; a centrosymmetric
-    operator is solved as its two parity blocks."""
-    sqrt_w = np.sqrt(disc.tx_weights)
-    sym = sqrt_w[:, None] * disc.kernel * sqrt_w[None, :]
+def cap_spectrum(disc: KernelDiscretization) -> SingularSpectrum:
+    """Singular values sigma_n of the weighted response; sigma_n**2 are the
+    eigenvalues of the discretized kernel.  A centrosymmetric response is
+    solved as its two parity blocks."""
     try:
-        eig = split_values(sym, np.linalg.eigvalsh)
+        return decompose(disc.response, vectors=False)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(
-            f"eigensolver failed on a {disc.node_count}-node kernel: {exc}") from exc
-    top = eig[0]
-    if top <= 0:
-        raise EigenSolverError("kernel has no positive eigenvalue")
-    eig[eig < ZERO_CLIP * top] = 0.0
-    return EigenSpectrum(eigenvalues=eig, node_count=disc.node_count)
+            f"SVD failed on a {disc.node_count}-node response: {exc}") from exc
 
 
-def cap_edof1(spectrum: EigenSpectrum, dominance: float = 0.01) -> int:
-    """Count of eigenvalues within the dominance ratio of the largest."""
-    if not 0.0 < dominance < 1.0:
-        raise ValueError(f"dominance must lie in (0, 1), got {dominance}")
-    lam = spectrum.eigenvalues
-    if lam[0] <= 0:
-        raise ValueError("spectrum has no positive eigenvalue")
-    return int(np.count_nonzero(lam >= dominance * lam[0]))
-
-
-def cap_edof2(spectrum: EigenSpectrum) -> float:
-    """(sum lambda)**2 / sum lambda**2, the eigenvalue form of the
-    trace-to-Frobenius ratio squared."""
-    lam = spectrum.eigenvalues
-    if lam[0] <= 0:
-        raise ValueError("spectrum has no positive eigenvalue")
-    return float(np.sum(lam) ** 2 / np.sum(lam * lam))
+# The benchmark probes these names in nfdof.experiments, so they stay as
+# aliases of the metrics every spectrum shares.
+cap_edof1, cap_edof2 = edof1, edof2
 
 
 def _path_spread(tx_seg: np.ndarray, rx_seg: np.ndarray) -> float:
@@ -304,10 +244,10 @@ def _rung(start_nodes: int, k: int) -> int:
 def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
                       tol: float = 1e-6, start_nodes: int = 64,
                       max_nodes: int = 4096, n_track: int = 20,
-                      rules: GaussLegendreRules | None = None) -> EigenSpectrum:
+                      rules: GaussLegendreRules | None = None) -> SingularSpectrum:
     """Raise the quadrature node count by sqrt(2) per rung until the top
-    ``n_track`` eigenvalues of two successive rungs agree to ``tol``
-    relative to lambda_1.
+    ``n_track`` eigenvalues sigma_n**2 of two successive rungs agree to
+    ``tol`` relative to the largest.
 
     The rungs are ``round(start_nodes * 2**(k/2))``.  Gauss-Legendre
     convergence of the kernel is a cliff near pi * (path spread) /
@@ -318,7 +258,8 @@ def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConf
     by ``max_nodes`` raises :class:`ConvergenceError` with the last observed
     change and the largest rung built attached.  Every rung takes its
     quadrature rule from ``rules``; pass one table to share the rules
-    between ladders (a fresh table per ladder when None).
+    between ladders (a fresh table per ladder when None).  The node count of
+    the returned spectrum is ``shape[0]``.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -332,54 +273,19 @@ def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConf
     spec = cap_spectrum(build_kernel(tx, rx, carrier, m, rules))
     if math.isinf(tol):
         return spec
+    lam = spec.values ** 2
     last_change = np.inf
     while m < max_nodes:
         k += 1
         m = min(_rung(start_nodes, k), max_nodes)
-        nxt = cap_spectrum(build_kernel(tx, rx, carrier, m, rules))
-        n = min(n_track, len(spec.eigenvalues), len(nxt.eigenvalues))
-        last_change = float(np.max(np.abs(nxt.eigenvalues[:n] - spec.eigenvalues[:n]))
-                            / nxt.eigenvalues[0])
-        spec = nxt
+        spec = cap_spectrum(build_kernel(tx, rx, carrier, m, rules))
+        nxt = spec.values ** 2
+        n = min(n_track, lam.size, nxt.size)
+        last_change = float(np.max(np.abs(nxt[:n] - lam[:n])) / nxt[0])
+        lam = nxt
         if last_change < tol:
-            return EigenSpectrum(eigenvalues=spec.eigenvalues, node_count=m,
-                                 tol_achieved=last_change)
+            return spec
     raise ConvergenceError(
         f"top-{n_track} eigenvalues still change by {last_change:.3e} "
         f"(> tol {tol:.3e}) at {m} nodes",
         nodes=m, last_change=last_change, tol=tol)
-
-
-def save_eigenspectrum(spectrum: EigenSpectrum, base_path) -> tuple[Path, Path]:
-    """Write ``<base>.csv`` (index, eigenvalue) plus a JSON sidecar with the
-    convergence metadata; floats use repr() for exact round-trips."""
-    base = Path(base_path)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "eigenvalue"])
-        for i, lam in enumerate(spectrum.eigenvalues, start=1):
-            writer.writerow([i, repr(float(lam))])
-    meta = {
-        "node_count": spectrum.node_count,
-        "tol_achieved": spectrum.tol_achieved,
-        "csv": csv_path.name,
-    }
-    with open(json_path, "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
-    return csv_path, json_path
-
-
-def load_eigenspectrum(json_path) -> EigenSpectrum:
-    """Load a spectrum written by :func:`save_eigenspectrum`."""
-    json_path = Path(json_path)
-    with open(json_path) as fh:
-        meta = json.load(fh)
-    with open(json_path.parent / meta["csv"], newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        values = [float(row[1]) for row in reader]
-    return EigenSpectrum(eigenvalues=np.asarray(values), node_count=meta["node_count"],
-                         tol_achieved=meta["tol_achieved"])

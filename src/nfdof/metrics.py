@@ -65,23 +65,6 @@ def edof1(spectrum, dominance: float = 0.01) -> int:
     return int(np.count_nonzero(v * v >= dominance * v[0] * v[0]))
 
 
-def edof1_knee(spectrum) -> int:
-    """Knee estimate from the maximum discrete curvature of log sigma_n.
-
-    Diagnostic only; the thresholded :func:`edof1` is the operative count,
-    and its half-power form ``edof1(..., dominance=0.5)`` is the one that
-    :func:`edof1_limit_linear` approximates.
-    Returns the 1-based index where the log-spectrum bends hardest downward.
-    """
-    v = _positive_leading(spectrum)
-    pos = v[v > 1e-300]
-    if pos.size < 3:
-        return pos.size
-    y = np.log(pos)
-    curvature = y[:-2] - 2.0 * y[1:-1] + y[2:]
-    return int(np.argmin(curvature)) + 2
-
-
 def edof1_limit_linear(l_t: float, l_r: float, wavelength: float,
                        distance: float) -> float:
     """Asymptotic dominant-mode count for two parallel line apertures of
@@ -246,71 +229,6 @@ def edof3_auto(spectrum, snr: float, delta_step: float = 0.01,
         except ActiveSetChangeError:
             step *= 0.5
     return edof3_envelope(spectrum, snr)
-
-
-@dataclass(frozen=True)
-class DofMetrics:
-    """The four DoF-family metrics for one channel at one SNR."""
-
-    dof: int
-    edof1: int
-    edof2: float
-    edof3: float
-    snr: float
-
-
-def evaluate_dof_metrics(spectrum, snr: float, dominance: float = 0.01,
-                         rank_tol: float | None = None) -> DofMetrics:
-    """Evaluate all four metrics;  edof3 uses the exact envelope derivative."""
-    return DofMetrics(
-        dof=dof(spectrum, rank_tol=rank_tol),
-        edof1=edof1(spectrum, dominance=dominance),
-        edof2=edof2(spectrum),
-        edof3=edof3_envelope(spectrum, snr),
-        snr=float(snr),
-    )
-
-
-@dataclass(frozen=True)
-class EbnoAnalysis:
-    """Capacity versus energy-per-bit over noise density.
-
-    ``ebno_min`` is the water-filling low-SNR limit ln2 / sigma_1**2 (all
-    vanishing power rides the best mode).  ``low_snr_slope`` is the fitted
-    slope dC/dlog2(Eb/N0) at the low end of the grid; dividing by 2 gives the
-    slope-implied mode-count estimate comparable with edof2 (the classic
-    wideband slope is twice the mode count because capacity is measured per
-    3 dB of Eb/N0).
-    """
-
-    snr: np.ndarray
-    ebno: np.ndarray
-    capacity: np.ndarray
-    ebno_min: float
-    low_snr_slope: float
-    slope_mode_estimate: float
-
-
-def ebno_analysis(spectrum, snr_grid) -> EbnoAnalysis:
-    """Trace (Eb/N0, C) over an ascending positive SNR grid using
-    water-filling capacity, with Eb/N0 = snr / C(snr)."""
-    grid = np.asarray(snr_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("snr grid must be a nonempty 1D array")
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("snr grid must be positive and strictly ascending")
-    v = _positive_leading(spectrum)
-    caps = np.array([capacity(v, s, policy="waterfilling") for s in grid])
-    ebno = grid / caps
-    ebno_min = LN2 / float(v[0] ** 2)
-    if grid.size >= 2:
-        d_log_ebno = np.log2(ebno[1]) - np.log2(ebno[0])
-        slope = (caps[1] - caps[0]) / d_log_ebno if d_log_ebno != 0 else np.inf
-    else:
-        slope = np.nan
-    return EbnoAnalysis(snr=grid, ebno=ebno, capacity=caps, ebno_min=ebno_min,
-                        low_snr_slope=float(slope),
-                        slope_mode_estimate=float(slope) / 2.0)
 
 
 def metrics_report(spectrum, snr_grid, config_echo: dict | None = None,

@@ -1,11 +1,11 @@
 """SVD decomposition of a channel into orthogonal communication modes.
 
 A square matrix M is centrosymmetric when J M J = M, J being the exchange
-matrix that reverses the index order.  The channel and the kernel of two
-mirror-placed apertures facing each other are centrosymmetric, and then the
-orthogonal change of basis to even and odd vectors splits M into two
-half-size blocks (Cantoni & Butler, Linear Algebra Appl. 13, 1976) whose
-spectra together are the spectrum of M.
+matrix that reverses the index order.  The channel of two mirror-placed
+arrays, and the weighted response of two mirror-placed apertures, facing
+each other are centrosymmetric, and then the orthogonal change of basis to
+even and odd vectors splits M into two half-size blocks (Cantoni & Butler,
+Linear Algebra Appl. 13, 1976) whose singular values together are those of M.
 """
 
 from __future__ import annotations
@@ -67,10 +67,6 @@ class ModeDecomposition:
         return self.singular_values.size
 
 
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(m, compute_uv=False)
-
-
 def _as_matrix(h) -> np.ndarray:
     entries = getattr(h, "entries", h)
     return np.asarray(entries, dtype=complex)
@@ -102,36 +98,11 @@ def parity_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return even, a - bj
 
 
-def parity_join(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """The exactly centrosymmetric matrix whose :func:`parity_blocks` are
-    ``even`` and ``odd`` (inverse of the split, up to rounding)."""
-    p = odd.shape[0]
-    n = even.shape[0] + p
-    s = 0.5 * (even[:p, :p] + odd)
-    d = 0.5 * (even[:p, :p] - odd)
-    m = np.empty((n, n), dtype=np.result_type(even, odd))
-    m[:p, :p] = s
-    m[:p, n - p:] = d[:, ::-1]
-    m[n - p:, :p] = d[::-1, :]
-    m[n - p:, n - p:] = s[::-1, ::-1]
-    if n % 2:
-        col = even[:p, p] / _SQRT2
-        row = even[p, :p] / _SQRT2
-        m[:p, p], m[n - p:, p] = col, col[::-1]
-        m[p, :p], m[p, n - p:] = row, row[::-1]
-        m[p, p] = even[p, p]
-    return m
-
-
-def split_values(m: np.ndarray, solve) -> np.ndarray:
-    """``solve`` (a values-only SVD or Hermitian eigensolver) applied to
-    both parity blocks of ``m`` when it is exactly centrosymmetric, else to
-    ``m`` itself; the values are returned in descending order."""
-    blocks = parity_blocks(m)
-    if blocks is None:
-        values = solve(m)
-    else:
-        values = np.concatenate([solve(b) for b in blocks])
+def split_values(m: np.ndarray) -> np.ndarray:
+    """Singular values of ``m`` in descending order, from its two parity
+    blocks when it is exactly centrosymmetric."""
+    blocks = parity_blocks(m) or (m,)
+    values = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])
     return np.sort(values)[::-1]
 
 
@@ -151,7 +122,7 @@ def decompose(h, vectors: bool = True) -> ModeDecomposition | SingularSpectrum:
     if not np.any(m):
         raise ValueError("cannot decompose an all-zero channel matrix")
     if not vectors:
-        return SingularSpectrum(values=split_values(m, _singular_values), shape=m.shape)
+        return SingularSpectrum(values=split_values(m), shape=m.shape)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     return ModeDecomposition(left_vectors=u, right_vectors=vh.conj().T,
                              singular_values=s)

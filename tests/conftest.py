@@ -13,7 +13,7 @@ import numpy as np
 
 from nfdof.channel import los_nusw_channel
 from nfdof.geometry import CarrierConfig, build_ula, continuous_aperture
-from nfdof.kernel import converge_spectrum
+from nfdof.kernel import converge_spectrum, gauss_legendre_segment
 from nfdof.modes import decompose
 
 WAVELENGTH = 0.01
@@ -32,6 +32,14 @@ def segment_pair(d, aperture=APERTURE):
     tx = continuous_aperture((0.0, 0.0, -aperture / 2), (0.0, 0.0, aperture / 2))
     rx = continuous_aperture((0.0, d, -aperture / 2), (0.0, d, aperture / 2))
     return tx, rx
+
+
+def tilted_pair(d, angle, aperture=APERTURE):
+    """``segment_pair`` with the receive segment turned by ``angle`` rad about
+    the x-axis around its centre (0, d, 0)."""
+    tx, _ = segment_pair(d, aperture)
+    h = 0.5 * aperture * np.array([0.0, np.sin(angle), np.cos(angle)])
+    return tx, continuous_aperture((0.0, d, 0.0) - h, (0.0, d, 0.0) + h)
 
 
 @lru_cache(maxsize=None)
@@ -107,3 +115,24 @@ def waterfill_loop(values, budget, noise):
     powers = np.zeros_like(v)
     powers[:k_active] = mu - inv[:k_active]
     return powers, mu
+
+
+def quadrature_g(tx, rx, m, wavelength=WAVELENGTH):
+    """G_ij = g(r_i, s_j) on ``m``-node Gauss-Legendre rules of both segments,
+    assembled in full from the formula, with the tx and rx weights."""
+    s_nodes, s_weights = gauss_legendre_segment(tx.segment[0], tx.segment[1], m)
+    r_nodes, r_weights = gauss_legendre_segment(rx.segment[0], rx.segment[1], m)
+    diff = r_nodes[:, None, :] - s_nodes[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    g = np.exp(-2j * np.pi * dist / wavelength) / (4.0 * np.pi * dist)
+    return g, s_weights, r_weights
+
+
+def cap_eigenvalues_direct(tx, rx, m):
+    """Kernel oracle: descending eigenvalues of W_s^(1/2) (G^H W_r G) W_s^(1/2)
+    on ``m``-node rules, solved by one Hermitian eigensolve with no parity
+    split."""
+    g, s_weights, r_weights = quadrature_g(tx, rx, m)
+    k = g.conj().T @ (r_weights[:, None] * g)
+    w = np.sqrt(s_weights)
+    return np.linalg.eigvalsh(w[:, None] * k * w[None, :])[::-1]

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import CARRIER, WAVELENGTH, ula_pair
-from nfdof.channel import (farfield_planar_channel, frobenius_normalized,
-                           iid_rayleigh_channel, load_channel, los_nusw_channel,
-                           los_usw_channel, save_channel)
+from nfdof.channel import (farfield_planar_channel, frobenius_normalized, los_nusw_channel,
+                           los_usw_channel)
 from nfdof.errors import SingularGeometryError
 from nfdof.geometry import build_ula, rayleigh_distance
 from nfdof.modes import decompose
@@ -117,57 +116,8 @@ class TestPlanar:
         assert left > 0.999 and right > 0.999
 
 
-class TestIidRayleigh:
-    def test_deterministic_per_seed(self):
-        a = iid_rayleigh_channel(16, 16, seed=3).entries
-        b = iid_rayleigh_channel(16, 16, seed=3).entries
-        assert np.array_equal(a, b)
-        c = iid_rayleigh_channel(16, 16, seed=4).entries
-        assert not np.array_equal(a, c)
-
-    def test_full_rank(self):
-        s = decompose(iid_rayleigh_channel(64, 64, seed=0)).spectrum
-        assert int(np.count_nonzero(s.values >= 1e-10 * 64 * s.values[0])) == 64
-
-    def test_unit_variance(self):
-        h = iid_rayleigh_channel(1000, 1000, seed=12).entries
-        assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, abs=0.01)
-
-    def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError):
-            iid_rayleigh_channel(0, 4, seed=0)
-
-
 class TestNormalization:
     def test_frobenius_target(self):
         tx, rx = ula_pair(16, 15.0)
         h = frobenius_normalized(los_nusw_channel(tx, rx, CARRIER))
         assert np.linalg.norm(h.entries) ** 2 == pytest.approx(16 * 16, rel=1e-12)
-
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
-        tx, rx = ula_pair(5, 12.0)
-        original = los_nusw_channel(tx, rx, CARRIER)
-        _, json_path = save_channel(original, tmp_path / "chan")
-        loaded = load_channel(json_path)
-        assert np.array_equal(original.entries, loaded.entries)
-        assert loaded.model == "nusw"
-        assert loaded.wavelength == original.wavelength
-
-    def test_resave_is_byte_identical(self, tmp_path):
-        original = iid_rayleigh_channel(6, 3, seed=5)
-        csv_path, json_path = save_channel(original, tmp_path / "a")
-        loaded = load_channel(json_path)
-        csv2, _ = save_channel(loaded, tmp_path / "b")
-        assert csv_path.read_bytes() == csv2.read_bytes()
-
-    def test_column_major_order(self, tmp_path):
-        h = np.arange(6, dtype=complex).reshape(2, 3)
-        from nfdof.channel import ChannelMatrix
-        csv_path, _ = save_channel(
-            ChannelMatrix(entries=h, wavelength=None, model="iid_rayleigh"),
-            tmp_path / "c")
-        rows = csv_path.read_text().splitlines()[1:]
-        firsts = [float(r.split(",")[0]) for r in rows]
-        assert firsts == [0.0, 3.0, 1.0, 4.0, 2.0, 5.0]

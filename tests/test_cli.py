@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from nfdof import __version__
 from nfdof.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
+from nfdof.experiments import MAX_COUNT
 
 
 def write_config(path, cfg):
@@ -247,6 +248,21 @@ BAD_CONFIGS = {
         ("geometry", "distance_m"), 0.2),
 }
 
+# (experiment, path) of every size that MAX_COUNT bounds
+SIZE_LEAVES = [
+    ("spectrum", ("geometry", "n_elements", 1)),
+    ("link-sim", ("geometry", "n_elements")),
+    ("cap-edof-vs-distance", ("kernel", "max_nodes")),
+    ("link-sim", ("link", "n_symbols")),
+    ("cap-edof-vs-distance", ("geometry", "distances_m", "count")),
+    ("edof3-vs-snr", ("metrics", "snr_db", "count")),
+]
+BAD_CONFIGS["n_elements 1e13"] = with_leaf(small_config("spectrum"),
+                                           ("geometry", "n_elements", 1), 1e13)
+for kind, leaf in SIZE_LEAVES:
+    BAD_CONFIGS[f"{kind} {'.'.join(map(str, leaf))} above the size limit"] = with_leaf(
+        small_config(kind), leaf, MAX_COUNT + 1)
+
 
 class TestBadConfigs:
     @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
@@ -262,6 +278,12 @@ class TestBadConfigs:
         assert list(work.iterdir()) == []
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("error: invalid config") == 2
+
+    @pytest.mark.parametrize("kind, leaf", SIZE_LEAVES)
+    def test_size_limit_itself_validates(self, kind, leaf, tmp_path):
+        cfg_path = write_config(tmp_path / "cfg.json",
+                                with_leaf(small_config(kind), leaf, MAX_COUNT))
+        assert main(["validate", cfg_path]) == EXIT_OK
 
     def test_negative_seed_flag_is_2_before_any_output(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "cfg.json", small_config("link-sim"))

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from nfdof.geometry import (SPEED_OF_LIGHT, CarrierConfig, build_ula, classify_region,
-                            continuous_aperture, discrete_array,
-                            mimo_rayleigh_distance, rayleigh_distance)
+from nfdof.geometry import (SPEED_OF_LIGHT, CarrierConfig, build_ula, continuous_aperture,
+                            discrete_array, rayleigh_distance)
 
 
 class TestCarrierConfig:
@@ -102,35 +101,6 @@ class TestRayleighDistance:
     def test_nonpositive_wavelength_rejected(self):
         with pytest.raises(ValueError):
             rayleigh_distance(1.0, 0.0)
-
-
-class TestClassifyRegion:
-    def test_near_field(self):
-        assert classify_region(15.0, 1.37, 0.01) == "near_field"
-
-    def test_far_field(self):
-        assert classify_region(400.0, 1.37, 0.01) == "far_field"
-
-    def test_boundary_is_far_field(self):
-        boundary = rayleigh_distance(1.37, 0.01)
-        assert classify_region(boundary, 1.37, 0.01) == "far_field"
-
-    def test_nonpositive_distance_rejected(self):
-        with pytest.raises(ValueError):
-            classify_region(0.0, 1.37, 0.01)
-
-
-class TestMimoRayleighDistance:
-    def test_max_default(self):
-        assert mimo_rayleigh_distance(1.0, 2.0, 0.01) == rayleigh_distance(2.0, 0.01)
-
-    def test_sum_variant(self):
-        assert mimo_rayleigh_distance(1.0, 2.0, 0.01, combine="sum") == \
-            rayleigh_distance(3.0, 0.01)
-
-    def test_unknown_combine_rejected(self):
-        with pytest.raises(ValueError):
-            mimo_rayleigh_distance(1.0, 2.0, 0.01, combine="mean")
 
 
 class TestArrayConstruction:

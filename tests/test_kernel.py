@@ -6,17 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nfdof.kernel
-from conftest import APERTURE, CARRIER, WAVELENGTH, cap_converged, segment_pair
-from nfdof.channel import los_nusw_channel
+from conftest import (CARRIER, WAVELENGTH, cap_converged, cap_eigenvalues_direct,
+                      quadrature_g, segment_pair, tilted_pair)
 from nfdof.errors import ConvergenceError, SingularGeometryError
 from nfdof.experiments import run_experiment
-from nfdof.geometry import build_ula, continuous_aperture, rayleigh_distance
+from nfdof.geometry import continuous_aperture, rayleigh_distance
 from nfdof.kernel import (GaussLegendreRules, build_kernel, cap_edof1, cap_edof2,
-                          cap_spectrum, converge_spectrum, gauss_legendre_rule,
-                          gauss_legendre_segment, greens_scalar, load_eigenspectrum,
-                          save_eigenspectrum)
+                          cap_spectrum, converge_spectrum, gauss_legendre_rule)
+from nfdof.modes import SingularSpectrum
 
 
 @pytest.fixture
@@ -65,43 +65,17 @@ def mirror_tests(monkeypatch):
     return verdicts
 
 
-def full_g_kernel(monkeypatch, tx, rx, m):
+def full_g_response(monkeypatch, tx, rx, m):
     """``build_kernel`` with the half-row assembly switched off."""
     with monkeypatch.context() as patch:
         patch.setattr(nfdof.kernel, "_mirror_nodes", lambda r_nodes, s_nodes: False)
-        return build_kernel(tx, rx, CARRIER, m).kernel
+        return build_kernel(tx, rx, CARRIER, m).response
 
 
-def direct_kernel(tx, rx, m):
-    """K = G^H W G, symmetrized, from the quadrature formula as written."""
-    s_nodes, _ = gauss_legendre_segment(tx.segment[0], tx.segment[1], m)
-    r_nodes, r_weights = gauss_legendre_segment(rx.segment[0], rx.segment[1], m)
-    diff = r_nodes[:, None, :] - s_nodes[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    g = np.exp(-2j * np.pi * dist / WAVELENGTH) / (4.0 * np.pi * dist)
-    k = g.conj().T @ (r_weights[:, None] * g)
-    return 0.5 * (k + k.conj().T)
-
-
-class TestGreensScalar:
-    def test_full_wavelength(self):
-        g = greens_scalar((0, WAVELENGTH, 0), (0, 0, 0), WAVELENGTH)
-        assert g == pytest.approx(1.0 / (4 * np.pi * WAVELENGTH), abs=1e-12)
-
-    def test_half_wavelength(self):
-        g = greens_scalar((0, WAVELENGTH / 2, 0), (0, 0, 0), WAVELENGTH)
-        assert g == pytest.approx(-1.0 / (2 * np.pi * WAVELENGTH), abs=1e-12)
-
-    def test_matches_siso_channel(self):
-        tx = build_ula(1, 0.0, center=(0, 0, 0))
-        rx = build_ula(1, 0.0, center=(0, 4.2, 0))
-        h = los_nusw_channel(tx, rx, CARRIER).entries[0, 0]
-        g = greens_scalar((0, 4.2, 0), (0, 0, 0), WAVELENGTH)
-        assert h == pytest.approx(WAVELENGTH * g, rel=1e-14)
-
-    def test_coincident_points_rejected(self):
-        with pytest.raises(SingularGeometryError):
-            greens_scalar((1, 2, 3), (1, 2, 3), WAVELENGTH)
+def direct_response(tx, rx, m):
+    """H = W_r^(1/2) G W_s^(1/2) from the quadrature formula as written."""
+    g, s_weights, r_weights = quadrature_g(tx, rx, m)
+    return np.sqrt(r_weights)[:, None] * g * np.sqrt(s_weights)[None, :]
 
 
 class TestBuildKernel:
@@ -109,7 +83,7 @@ class TestBuildKernel:
         tx, rx = segment_pair(25.0)
         k = build_kernel(tx, rx, CARRIER, 32).kernel
         diag = np.diag(k)
-        assert np.max(np.abs(diag.imag)) == 0.0
+        assert np.max(np.abs(diag.imag)) <= 1e-14 * np.max(diag.real)
         assert np.all(diag.real > 0.0)
 
     def test_hermitian_by_construction(self):
@@ -135,35 +109,30 @@ class TestBuildKernel:
     @pytest.mark.parametrize("m", [33, 64])
     def test_mirror_segments_give_centrosymmetric_kernel(self, m):
         tx, rx = segment_pair(25.0)
-        k = build_kernel(tx, rx, CARRIER, m).kernel
-        assert np.array_equal(k, k[::-1, ::-1])
-        assert np.array_equal(k, k.conj().T)
-        ref = direct_kernel(tx, rx, m)
-        assert np.max(np.abs(k - ref)) <= 1e-13 * np.max(np.abs(ref))
+        h = build_kernel(tx, rx, CARRIER, m).response
+        assert np.array_equal(h, h[::-1, ::-1])
+        assert np.array_equal(h, direct_response(tx, rx, m))
 
     def test_offset_segments_take_the_full_assembly(self, mirror_tests):
         tx, _ = segment_pair(25.0)
         rx = continuous_aperture((0.0, 25.0, -0.5), (0.0, 25.0, 1.0))
-        k = build_kernel(tx, rx, CARRIER, 32).kernel
+        h = build_kernel(tx, rx, CARRIER, 32).response
         assert mirror_tests == [False]
-        assert not np.array_equal(k, k[::-1, ::-1])
-        assert np.array_equal(k, direct_kernel(tx, rx, 32))
+        assert not np.array_equal(h, h[::-1, ::-1])
+        assert np.array_equal(h, direct_response(tx, rx, 32))
 
     @pytest.mark.parametrize("m", [33, 64, 91, 724])
     def test_half_row_build_equals_the_full_build(self, m, monkeypatch, mirror_tests):
         tx, rx = segment_pair(8.0, 5.0)
-        k = build_kernel(tx, rx, CARRIER, m).kernel
+        h = build_kernel(tx, rx, CARRIER, m).response
         assert mirror_tests == [True]
-        assert np.array_equal(k, full_g_kernel(monkeypatch, tx, rx, m))
+        assert np.array_equal(h, full_g_response(monkeypatch, tx, rx, m))
 
     def test_tilted_segments_take_the_full_assembly(self, mirror_tests):
-        tx, _ = segment_pair(8.0)
-        # turned by 0.3 rad about the x-axis around its centre (0, 8, 0)
-        h = 0.5 * APERTURE * np.array([0.0, np.sin(0.3), np.cos(0.3)])
-        rx = continuous_aperture((0.0, 8.0, 0.0) - h, (0.0, 8.0, 0.0) + h)
-        k = build_kernel(tx, rx, CARRIER, 64).kernel
+        tx, rx = tilted_pair(8.0, 0.3)
+        h = build_kernel(tx, rx, CARRIER, 64).response
         assert mirror_tests == [False]
-        assert np.array_equal(k, direct_kernel(tx, rx, 64))
+        assert np.array_equal(h, direct_response(tx, rx, 64))
 
     def test_mirror_test_needs_both_node_sets_alike_per_coordinate(self):
         x = np.array([-1.0, 0.0, 1.0])
@@ -194,7 +163,7 @@ class TestCapSpectrum:
         aperture = 0.1
         d = 10.0 * rayleigh_distance(aperture, WAVELENGTH)
         tx, rx = segment_pair(d, aperture)
-        lam = cap_spectrum(build_kernel(tx, rx, CARRIER, 64)).eigenvalues
+        lam = cap_spectrum(build_kernel(tx, rx, CARRIER, 64)).values ** 2
         assert lam[1] / lam[0] < 1e-3
 
     def test_canonical_dominant_count(self):
@@ -204,7 +173,7 @@ class TestCapSpectrum:
     def test_odd_node_count_matches_the_full_eigensolve(self):
         tx, rx = segment_pair(15.0)
         disc = build_kernel(tx, rx, CARRIER, 33)
-        lam = cap_spectrum(disc).eigenvalues
+        lam = cap_spectrum(disc).values ** 2
         w = np.sqrt(disc.tx_weights)
         full = np.linalg.eigvalsh(w[:, None] * disc.kernel * w[None, :])[::-1]
         assert lam.size == full.size == 33
@@ -212,21 +181,41 @@ class TestCapSpectrum:
 
     def test_all_nonnegative(self):
         tx, rx = segment_pair(15.0)
-        lam = cap_spectrum(build_kernel(tx, rx, CARRIER, 96)).eigenvalues
+        lam = cap_spectrum(build_kernel(tx, rx, CARRIER, 96)).values ** 2
         assert np.all(lam >= 0.0)
 
     def test_eigenvalue_sum_matches_weighted_trace(self):
         tx, rx = segment_pair(35.0)
         disc = build_kernel(tx, rx, CARRIER, 128)
-        lam = cap_spectrum(disc).eigenvalues
+        lam = cap_spectrum(disc).values ** 2
         trace = float(np.sum(disc.tx_weights * np.diag(disc.kernel).real))
         assert abs(lam.sum() - trace) < 1e-10 * trace
+
+    @settings(max_examples=60, deadline=None)
+    @given(layout=st.sampled_from(["mirror", "offset", "tilted"]),
+           half=st.integers(4, 36), odd=st.booleans(), d=st.floats(2.0, 200.0),
+           aperture=st.floats(0.1, 3.0), shift=st.floats(0.05, 1.0),
+           angle=st.floats(0.05, 1.2))
+    def test_squared_singular_values_match_the_direct_eigensolve(
+            self, layout, half, odd, d, aperture, shift, angle):
+        m = 2 * half + odd
+        if layout == "mirror":
+            tx, rx = segment_pair(d, aperture)
+        elif layout == "offset":
+            tx, _ = segment_pair(d, aperture)
+            rx = continuous_aperture((0.0, d, shift - aperture / 2),
+                                     (0.0, d, shift + aperture / 2))
+        else:
+            tx, rx = tilted_pair(d, angle, aperture)
+        lam = cap_spectrum(build_kernel(tx, rx, CARRIER, m)).values ** 2
+        ref = cap_eigenvalues_direct(tx, rx, m)
+        assert lam.size == ref.size == m
+        assert np.max(np.abs(lam - ref)) <= 1e-13 * ref[0]
 
 
 class TestCapMetrics:
     def test_equal_eigenvalues(self):
-        from nfdof.kernel import EigenSpectrum
-        spec = EigenSpectrum(eigenvalues=np.full(5, 2.5), node_count=5)
+        spec = SingularSpectrum(values=np.full(5, np.sqrt(2.5)), shape=(5, 5))
         assert cap_edof2(spec) == pytest.approx(5.0, rel=1e-12)
 
     def test_distance_sweep_decreases(self):
@@ -248,21 +237,25 @@ class TestCapMetrics:
 
 
 class TestConvergeSpectrum:
-    def test_converges_quickly_mid_range(self):
-        spec = cap_converged(50.0)
-        assert spec.node_count <= 512
-        assert spec.tol_achieved is not None and spec.tol_achieved < 1e-6
+    def test_converges_quickly_mid_range(self, rung_calls):
+        tx, rx = segment_pair(50.0)
+        spec = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
+        m = spec.shape[0]
+        assert m == rung_calls[-1] <= 512
+        lam = spec.values[:20] ** 2
+        below = cap_spectrum(build_kernel(tx, rx, CARRIER, rung_calls[-2])).values[:20] ** 2
+        assert np.max(np.abs(lam - below)) / lam[0] < 1e-6
 
     def test_infinite_tol_returns_first_iterate(self):
         tx, rx = segment_pair(50.0)
         spec = converge_spectrum(tx, rx, CARRIER, tol=np.inf, start_nodes=16)
-        assert spec.node_count == 16
+        assert spec.shape == (16, 16)
 
     def test_deterministic(self):
         tx, rx = segment_pair(50.0)
         a = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
         b = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.values, b.values)
 
     def test_nonconvergence_raises(self):
         tx, rx = segment_pair(15.0)
@@ -277,7 +270,7 @@ class TestConvergeSpectrum:
         tx, rx = segment_pair(20.0, 5.0)
         spec = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
         assert rung_calls == [181, 256, 362]
-        assert spec.node_count == 362
+        assert spec.shape[0] == 362
 
     @pytest.mark.parametrize("start, cap", [(10, 100), (100, 1000), (12, 64)])
     def test_rungs_never_exceed_max_nodes(self, start, cap, rung_calls):
@@ -300,7 +293,7 @@ class TestConvergeSpectrum:
         tx, rx = segment_pair(d, aperture)
         spec = converge_spectrum(tx, rx, CARRIER, tol=np.inf, start_nodes=start,
                                  max_nodes=cap)
-        assert rung_calls == [spec.node_count] == [first]
+        assert rung_calls == [spec.shape[0]] == [first]
 
     @pytest.mark.parametrize("d", [0.2, 1.0, 3.0, 50.0, 1e9])
     @pytest.mark.parametrize("start, cap", [(8, 16), (8, 100), (64, 4096), (50, 101)])
@@ -323,7 +316,7 @@ WHOLE_SPECTRUM_CASES = [(a, d) for a in (0.5, 1.37, 5.0) for d in (3.0, 6.0, 8.0
 def test_converged_rung_resolves_the_whole_spectrum(aperture, d):
     tx, rx = segment_pair(d, aperture)
     spec = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
-    fine = cap_spectrum(build_kernel(tx, rx, CARRIER, 2 * spec.node_count))
+    fine = cap_spectrum(build_kernel(tx, rx, CARRIER, 2 * spec.shape[0]))
     for dominance in (0.01, 0.5):
         assert cap_edof1(spec, dominance) == cap_edof1(fine, dominance)
     assert cap_edof2(spec) == pytest.approx(cap_edof2(fine), rel=1e-12, abs=0)
@@ -382,8 +375,8 @@ class TestGaussLegendreRules:
         rules = GaussLegendreRules()
         for _ in range(2):
             shared = converge_spectrum(tx, rx, CARRIER, tol=1e-6, rules=rules)
-            assert np.array_equal(shared.eigenvalues, fresh.eigenvalues)
-            assert shared.node_count == fresh.node_count
+            assert np.array_equal(shared.values, fresh.values)
+            assert shared.shape == fresh.shape
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_one_rule_computation_per_node_count_in_a_run(self, tmp_path, threads,
@@ -420,12 +413,3 @@ class TestGaussLegendreRules:
         assert len(seen) == 16 * 5 * len(sizes)
         assert len({id(x) for x in seen}) == len(sizes)
 
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        spec = cap_converged(50.0)
-        _, json_path = save_eigenspectrum(spec, tmp_path / "spec")
-        loaded = load_eigenspectrum(json_path)
-        assert np.array_equal(spec.eigenvalues, loaded.eigenvalues)
-        assert loaded.node_count == spec.node_count
-        assert loaded.tol_achieved == spec.tol_achieved
