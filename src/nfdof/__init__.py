@@ -4,8 +4,8 @@ capacity, and a mode-multiplexed link simulator."""
 
 __version__ = "0.1.0"
 
-from .channel import (ChannelMatrix, farfield_planar_channel, frobenius_normalized,
-                      los_nusw_channel, los_usw_channel)
+from .channel import (farfield_planar_channel, frobenius_normalized, los_nusw_channel,
+                      los_usw_channel)
 from .errors import (ActiveSetChangeError, ConfigError, ConvergenceError,
                      EigenSolverError, NfdofError, SingularGeometryError)
 from .geometry import (ArrayGeometry, CarrierConfig, SPEED_OF_LIGHT, build_ula,
@@ -20,9 +20,9 @@ from .modes import ModeDecomposition, SingularSpectrum, decompose
 
 __all__ = [
     "__version__",
-    "ActiveSetChangeError", "ArrayGeometry", "CarrierConfig", "ChannelMatrix",
-    "ConfigError", "ConvergenceError", "EigenSolverError", "KernelDiscretization",
-    "LinkReport", "ModeDecomposition", "NfdofError", "PowerAllocation",
+    "ActiveSetChangeError", "ArrayGeometry", "CarrierConfig", "ConfigError",
+    "ConvergenceError", "EigenSolverError", "KernelDiscretization", "LinkReport",
+    "ModeDecomposition", "NfdofError", "PowerAllocation",
     "SPEED_OF_LIGHT", "SingularGeometryError", "SingularSpectrum",
     "TransmissionConfig", "build_kernel", "build_ula", "cap_edof1", "cap_edof2",
     "cap_spectrum", "capacity", "combine", "continuous_aperture",

@@ -9,47 +9,58 @@ planar        far-field plane wave, rank-1 outer product by construction
 
 Rows index receive elements, columns index transmit elements.  The phase sign
 convention exp(-1j*2*pi*d/lambda) is fixed so written outputs are stable.
+Every builder returns a read-only complex N_r x N_t ndarray.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularGeometryError
 from .geometry import ArrayGeometry, CarrierConfig
 
-MODELS = ("nusw", "usw", "planar")
+
+def _mirror_points(rx_pts: np.ndarray, tx_pts: np.ndarray) -> bool:
+    """True when, in every coordinate, both point sets are constant or both
+    are exactly antisymmetric (``c[::-1] == -c``).  Then |r_i - t_j| equals
+    |r_(n_r-1-i) - t_(n_t-1-j)| bitwise, since (-a) - (-b) rounds to
+    -(a - b), and every matrix built from the distances is exactly
+    centrosymmetric."""
+    for a, b in zip(rx_pts.T, tx_pts.T):
+        constant = np.all(a == a[0]) and np.all(b == b[0])
+        if not (constant or (np.array_equal(a[::-1], -a) and np.array_equal(b[::-1], -b))):
+            return False
+    return True
 
 
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """Complex N_r x N_t gain matrix with model metadata; ``wavelength`` is
-    in meters."""
+def greens_function(d, wavelength: float):
+    """Scalar free-space response g = exp(-1j*2*pi*d/lambda) / (4*pi*d) at
+    distances ``d`` in meters."""
+    return np.exp(-2j * np.pi * d / wavelength) / (4.0 * np.pi * d)
 
-    entries: np.ndarray
-    wavelength: float
-    model: str
 
-    def __post_init__(self):
-        h = np.array(self.entries, dtype=complex, copy=True)
-        if h.ndim != 2 or h.shape[0] < 1 or h.shape[1] < 1:
-            raise ValueError(f"entries must be a 2D matrix, got shape {h.shape}")
-        if not (np.all(np.isfinite(h.real)) and np.all(np.isfinite(h.imag))):
-            raise ValueError("channel entries must be finite")
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}, expected one of {MODELS}")
-        h.setflags(write=False)
-        object.__setattr__(self, "entries", h)
+def spherical_wave_matrix(rx_pts: np.ndarray, tx_pts: np.ndarray, entry) -> np.ndarray:
+    """The read-only N_r x N_t matrix ``entry(d)`` over the distances
+    d_ij = |r_i - t_j| between receive points ``rx_pts`` (N_r, 3) and
+    transmit points ``tx_pts`` (N_t, 3).
 
-    @property
-    def n_r(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_t(self) -> int:
-        return self.entries.shape[1]
+    ``entry`` maps a block of rows of the distance matrix to the same rows
+    of the result, elementwise along each row.  When the point sets pass
+    :func:`_mirror_points`, only the top ``(N_r + 1) // 2`` rows are
+    computed and the rest are their mirror image, bitwise equal to the full
+    build.  A zero distance raises :class:`SingularGeometryError`.
+    """
+    n_r = rx_pts.shape[0]
+    rows = (n_r + 1) // 2 if _mirror_points(rx_pts, tx_pts) else n_r
+    diff = rx_pts[:rows, None, :] - tx_pts[None, :, :]
+    d = np.sqrt(np.sum(diff * diff, axis=-1))
+    if np.any(d == 0.0):
+        raise SingularGeometryError("transmit and receive points coincide (d = 0)")
+    h = entry(d)
+    if rows < n_r:
+        h = np.concatenate([h, h[:n_r // 2][::-1, ::-1]])
+    h.setflags(write=False)
+    return h
 
 
 def _discrete_pair(tx: ArrayGeometry, rx: ArrayGeometry):
@@ -58,26 +69,25 @@ def _discrete_pair(tx: ArrayGeometry, rx: ArrayGeometry):
     return tx.elements, rx.elements
 
 
-def _pairwise_distances(tx_pts: np.ndarray, rx_pts: np.ndarray) -> np.ndarray:
-    diff = rx_pts[:, None, :] - tx_pts[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+def _center_distance(tx: ArrayGeometry, rx: ArrayGeometry) -> float:
+    d_ref = float(np.linalg.norm(rx.center - tx.center))
+    if d_ref == 0.0:
+        raise SingularGeometryError("array centers coincide")
+    return d_ref
 
 
 def los_nusw_channel(tx: ArrayGeometry, rx: ArrayGeometry,
-                     carrier: CarrierConfig) -> ChannelMatrix:
+                     carrier: CarrierConfig) -> np.ndarray:
     """Non-uniform spherical-wave channel: exact per-link distance in both
     amplitude and phase."""
     tx_pts, rx_pts = _discrete_pair(tx, rx)
-    d = _pairwise_distances(tx_pts, rx_pts)
-    if np.any(d == 0.0):
-        raise SingularGeometryError("transmit and receive elements coincide (d_nm = 0)")
     lam = carrier.wavelength
-    h = lam / (4.0 * np.pi * d) * np.exp(-2j * np.pi * d / lam)
-    return ChannelMatrix(entries=h, wavelength=lam, model="nusw")
+    return spherical_wave_matrix(
+        rx_pts, tx_pts, lambda d: lam / (4.0 * np.pi * d) * np.exp(-2j * np.pi * d / lam))
 
 
 def los_usw_channel(tx: ArrayGeometry, rx: ArrayGeometry,
-                    carrier: CarrierConfig) -> ChannelMatrix:
+                    carrier: CarrierConfig) -> np.ndarray:
     """Uniform spherical-wave channel: exact spherical phases, all amplitudes
     pinned to the center-to-center distance.
 
@@ -86,19 +96,14 @@ def los_usw_channel(tx: ArrayGeometry, rx: ArrayGeometry,
     the model explicitly.
     """
     tx_pts, rx_pts = _discrete_pair(tx, rx)
-    d_ref = float(np.linalg.norm(rx.center - tx.center))
-    if d_ref == 0.0:
-        raise SingularGeometryError("array centers coincide")
-    d = _pairwise_distances(tx_pts, rx_pts)
-    if np.any(d == 0.0):
-        raise SingularGeometryError("transmit and receive elements coincide (d_nm = 0)")
     lam = carrier.wavelength
-    h = lam / (4.0 * np.pi * d_ref) * np.exp(-2j * np.pi * d / lam)
-    return ChannelMatrix(entries=h, wavelength=lam, model="usw")
+    amp = lam / (4.0 * np.pi * _center_distance(tx, rx))
+    return spherical_wave_matrix(rx_pts, tx_pts,
+                                 lambda d: amp * np.exp(-2j * np.pi * d / lam))
 
 
 def farfield_planar_channel(tx: ArrayGeometry, rx: ArrayGeometry,
-                            carrier: CarrierConfig) -> ChannelMatrix:
+                            carrier: CarrierConfig) -> np.ndarray:
     """Far-field planar-wave channel.
 
     Phases are first order in the element offsets along the boresight unit
@@ -111,29 +116,26 @@ def farfield_planar_channel(tx: ArrayGeometry, rx: ArrayGeometry,
     """
     tx_pts, rx_pts = _discrete_pair(tx, rx)
     c_t, c_r = tx.center, rx.center
-    d_ref = float(np.linalg.norm(c_r - c_t))
-    if d_ref == 0.0:
-        raise SingularGeometryError("array centers coincide")
+    d_ref = _center_distance(tx, rx)
     lam = carrier.wavelength
     u = (c_r - c_t) / d_ref
     rx_phase = np.exp(-2j * np.pi * ((rx_pts - c_r) @ u) / lam)
     tx_phase = np.exp(+2j * np.pi * ((tx_pts - c_t) @ u) / lam)
     amp = lam / (4.0 * np.pi * d_ref) * np.exp(-2j * np.pi * d_ref / lam)
     h = amp * np.outer(rx_phase, tx_phase)
-    return ChannelMatrix(entries=h, wavelength=lam, model="planar")
+    h.setflags(write=False)
+    return h
 
 
-def frobenius_normalized(channel: ChannelMatrix) -> ChannelMatrix:
-    """Rescale so that ||H||_F**2 = N_t * N_r.
+def frobenius_normalized(h: np.ndarray) -> np.ndarray:
+    """Rescale so that ||H||_F**2 = N_t * N_r; the result is read-only.
 
     Used before capacity/EDoF-vs-SNR evaluation so the SNR axis is comparable
     across geometries; pass the raw matrix instead for physical link budgets.
     """
-    h = channel.entries
     norm = np.linalg.norm(h)
     if norm == 0.0:
         raise ValueError("cannot normalize an all-zero channel")
-    scale = np.sqrt(h.shape[0] * h.shape[1]) / norm
-    return ChannelMatrix(entries=h * scale, wavelength=channel.wavelength,
-                         model=channel.model)
-
+    out = h * (np.sqrt(h.shape[0] * h.shape[1]) / norm)
+    out.setflags(write=False)
+    return out

@@ -4,7 +4,8 @@
     nfdof validate <config.json>
     nfdof version
 
-Exit codes: 0 success, 2 invalid config, 3 numerical failure, 4 I/O failure.
+Exit codes: 0 success, 2 invalid config, 3 numerical failure or out of
+memory, 4 I/O failure.
 The NFDOF_OUT environment variable overrides the output directory when
 --out is not given.
 """
@@ -81,6 +82,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except _NUMERICAL_ERRORS as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import greens_function, spherical_wave_matrix
 from .errors import ConvergenceError, EigenSolverError, SingularGeometryError
 from .geometry import ArrayGeometry, CarrierConfig
 from .metrics import edof1, edof2
@@ -138,11 +139,10 @@ class KernelDiscretization:
     """Quadrature discretization of an aperture pair.
 
     ``response`` is the M x M weighted response W_r^(1/2) G W_s^(1/2), with
-    G_ij = g(r_i, s_j); ``tx_nodes`` and ``tx_weights`` are the transmit
-    Gauss-Legendre rule.
+    G_ij = g(r_i, s_j); ``tx_weights`` are the transmit Gauss-Legendre
+    weights.
     """
 
-    tx_nodes: np.ndarray
     tx_weights: np.ndarray
     response: np.ndarray
 
@@ -163,18 +163,6 @@ def _require_continuous(arr: ArrayGeometry, name: str) -> np.ndarray:
     return arr.segment
 
 
-def _mirror_nodes(r_nodes: np.ndarray, s_nodes: np.ndarray) -> bool:
-    """True when, in every coordinate, both node sets are constant or both
-    are exactly antisymmetric (``c[::-1] == -c``).  Then |r_i - s_j| equals
-    |r_(m-1-i) - s_(m-1-j)| bitwise, since (-a) - (-b) rounds to -(a - b),
-    and G is exactly centrosymmetric."""
-    for a, b in zip(r_nodes.T, s_nodes.T):
-        constant = np.all(a == a[0]) and np.all(b == b[0])
-        if not (constant or (np.array_equal(a[::-1], -a) and np.array_equal(b[::-1], -b))):
-            return False
-    return True
-
-
 def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
                  m_nodes: int, rules: GaussLegendreRules | None = None
                  ) -> KernelDiscretization:
@@ -182,10 +170,11 @@ def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
     Gauss-Legendre rules of ``m_nodes`` points on both segments, taken from
     ``rules`` (a fresh table when None).
 
-    When the nodes pass :func:`_mirror_nodes`, G is exactly centrosymmetric
-    and both weight vectors are exact mirror images, so only the top
-    ``(m_nodes + 1) // 2`` rows of H are computed and weighted; the rest are
-    their mirror image, and H is exactly centrosymmetric.
+    The assembly is :func:`~nfdof.channel.spherical_wave_matrix`: when the
+    nodes are exact mirror images, G is exactly centrosymmetric and both
+    weight vectors are mirror images too, so only the top
+    ``(m_nodes + 1) // 2`` rows of H are computed and weighted, and H is
+    exactly centrosymmetric.
     """
     if m_nodes < 8:
         raise ValueError(f"m_nodes must be >= 8, got {m_nodes}")
@@ -196,15 +185,10 @@ def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
     rules = rules or GaussLegendreRules()
     s_nodes, s_weights = gauss_legendre_segment(tx_seg[0], tx_seg[1], m_nodes, rules)
     r_nodes, r_weights = gauss_legendre_segment(rx_seg[0], rx_seg[1], m_nodes, rules)
-    rows = (m_nodes + 1) // 2 if _mirror_nodes(r_nodes, s_nodes) else m_nodes
-    diff = r_nodes[:rows, None, :] - s_nodes[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    lam = carrier.wavelength
-    g = np.exp(-2j * np.pi * dist / lam) / (4.0 * np.pi * dist)
-    h = np.sqrt(r_weights[:rows])[:, None] * g * np.sqrt(s_weights)[None, :]
-    if rows < m_nodes:
-        h = np.concatenate([h, h[:m_nodes // 2][::-1, ::-1]])
-    return KernelDiscretization(tx_nodes=s_nodes, tx_weights=s_weights, response=h)
+    r_root, s_root = np.sqrt(r_weights), np.sqrt(s_weights)
+    h = spherical_wave_matrix(r_nodes, s_nodes, lambda d: r_root[:len(d), None]
+                              * greens_function(d, carrier.wavelength) * s_root[None, :])
+    return KernelDiscretization(tx_weights=s_weights, response=h)
 
 
 def cap_spectrum(disc: KernelDiscretization) -> SingularSpectrum:

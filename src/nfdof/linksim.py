@@ -93,7 +93,7 @@ def precode(symbols: np.ndarray, modes: ModeDecomposition, powers) -> np.ndarray
 def transmit_awgn(h, x: np.ndarray, noise_power: float, rng) -> np.ndarray:
     """y = H x + n with circularly-symmetric noise of per-component variance
     ``noise_power`` (deterministic for a given generator state)."""
-    m = np.asarray(getattr(h, "entries", h))
+    m = np.asarray(h)
     if m.shape[1] != x.shape[0]:
         raise ValueError(f"channel expects {m.shape[1]} transmit dims, got {x.shape[0]}")
     if noise_power < 0:
@@ -119,7 +119,7 @@ def combine(y: np.ndarray, modes: ModeDecomposition, powers) -> np.ndarray:
 def mode_coupling(h, modes: ModeDecomposition, powers) -> np.ndarray:
     """Noiseless symbol-to-estimate transfer matrix; identity when the modes
     diagonalize the channel exactly."""
-    m = np.asarray(getattr(h, "entries", h))
+    m = np.asarray(h)
     p = np.asarray(powers, dtype=float)
     k = p.size
     eq = modes.left_vectors[:, :k].conj().T @ m @ modes.right_vectors[:, :k]

@@ -3,7 +3,9 @@
 All functions accept a :class:`~nfdof.modes.SingularSpectrum`, a
 :class:`~nfdof.modes.ModeDecomposition`, or a plain descending array of
 singular values.  SNR and power quantities are linear ratios with the noise
-power normalized to 1 unless stated otherwise.
+power normalized to 1 unless stated otherwise.  Every metric reads the
+spectrum clipped once at the rank tolerance of ``dof``: singular values below
+it are round-off and count as zero.
 
 Metric family
 -------------
@@ -30,28 +32,30 @@ from .modes import SingularSpectrum, spectrum_values
 LN2 = math.log(2.0)
 
 
-def _positive_leading(spectrum) -> np.ndarray:
-    v = spectrum_values(spectrum)
-    if v[0] <= 0:
-        raise ValueError("spectrum has no positive singular value")
-    return v
-
-
-def dof(spectrum, rank_tol: float | None = None) -> int:
-    """Numerical rank: count of sigma_n >= rank_tol * sigma_1.
+def _clipped(spectrum, rank_tol: float | None = None) -> np.ndarray:
+    """The singular values with every sigma_n < rank_tol * sigma_1 set to
+    zero, so that no metric reads a mode that :func:`dof` does not count.
 
     When ``rank_tol`` is None it defaults to 1e-10 times the larger matrix
     dimension (taken from the spectrum's shape metadata when available,
     otherwise the spectrum length).
     """
-    v = _positive_leading(spectrum)
+    v = spectrum_values(spectrum)
+    if v[0] <= 0:
+        raise ValueError("spectrum has no positive singular value")
     if rank_tol is None:
         if isinstance(spectrum, SingularSpectrum) and spectrum.shape is not None:
             dim = max(spectrum.shape)
         else:
             dim = v.size
         rank_tol = 1e-10 * dim
-    return int(np.count_nonzero(v >= rank_tol * v[0]))
+    return np.where(v >= rank_tol * v[0], v, 0.0)
+
+
+def dof(spectrum, rank_tol: float | None = None) -> int:
+    """Numerical rank: count of sigma_n >= rank_tol * sigma_1, with
+    ``rank_tol`` defaulting as in the clip every metric reads."""
+    return int(np.count_nonzero(_clipped(spectrum, rank_tol)))
 
 
 def edof1(spectrum, dominance: float = 0.01) -> int:
@@ -61,7 +65,7 @@ def edof1(spectrum, dominance: float = 0.01) -> int:
     """
     if not 0.0 < dominance < 1.0:
         raise ValueError(f"dominance must lie in (0, 1), got {dominance}")
-    v = _positive_leading(spectrum)
+    v = _clipped(spectrum)
     return int(np.count_nonzero(v * v >= dominance * v[0] * v[0]))
 
 
@@ -92,7 +96,7 @@ def edof2(spectrum) -> float:
 
     Scale invariant; equals k for k equal modes and 1 for a rank-1 channel.
     """
-    v = _positive_leading(spectrum)
+    v = _clipped(spectrum)
     p = v * v
     return float(np.sum(p) ** 2 / np.sum(p * p))
 
@@ -124,7 +128,7 @@ def waterfill(spectrum, budget: float, noise: float) -> PowerAllocation:
         raise ValueError(f"power budget must be positive, got {budget}")
     if noise <= 0:
         raise ValueError(f"noise power must be positive, got {noise}")
-    v = _positive_leading(spectrum)
+    v = _clipped(spectrum)
     gains = v * v / noise
     # near-zero gains overflow to inf, which correctly keeps those modes dry
     with np.errstate(divide="ignore", over="ignore"):
@@ -146,27 +150,15 @@ def waterfill(spectrum, budget: float, noise: float) -> PowerAllocation:
     return PowerAllocation(powers=powers, water_level=mu, budget=float(budget))
 
 
-def capacity(spectrum, snr: float, policy: str = "waterfilling") -> float:
+def capacity(spectrum, snr: float) -> float:
     """Channel capacity in bits/s/Hz with noise normalized to 1 and a total
-    transmit power of ``snr`` split across modes.
-
-    ``policy="waterfilling"`` uses the optimal allocation; ``policy="equal"``
-    splits ``snr`` evenly over the dof modes.
-    """
+    transmit power of ``snr`` split across modes by water-filling."""
     if snr <= 0:
         raise ValueError(f"snr must be positive, got {snr}")
-    v = _positive_leading(spectrum)
-    gains = v * v
-    if policy == "waterfilling":
-        powers = waterfill(v, budget=snr, noise=1.0).powers
-    elif policy == "equal":
-        k = dof(spectrum)
-        powers = np.zeros_like(v)
-        powers[:k] = snr / k
-    else:
-        raise ValueError(f"policy must be 'waterfilling' or 'equal', got {policy!r}")
+    v = _clipped(spectrum)
+    powers = waterfill(v, budget=snr, noise=1.0).powers
     # log1p keeps the low-SNR regime accurate where 1 + p*g rounds badly
-    return float(np.sum(np.log1p(powers * gains)) / LN2)
+    return float(np.sum(np.log1p(powers * (v * v))) / LN2)
 
 
 def edof3_envelope(spectrum, snr: float) -> float:
@@ -180,7 +172,7 @@ def edof3_envelope(spectrum, snr: float) -> float:
     """
     if snr <= 0:
         raise ValueError(f"snr must be positive, got {snr}")
-    v = _positive_leading(spectrum)
+    v = _clipped(spectrum)
     alloc = waterfill(v, budget=snr, noise=1.0)
     k = alloc.n_active
     gains = v[:k] ** 2
@@ -200,7 +192,7 @@ def edof3(spectrum, snr: float, delta_step: float = 0.01) -> float:
         raise ValueError(f"snr must be positive, got {snr}")
     if not 0.0 < delta_step <= 0.05:
         raise ValueError(f"delta_step must lie in (0, 0.05], got {delta_step}")
-    v = _positive_leading(spectrum)
+    v = _clipped(spectrum)
     lo, hi = snr * 2.0 ** -delta_step, snr * 2.0 ** delta_step
     k_lo = waterfill(v, budget=lo, noise=1.0).n_active
     k_hi = waterfill(v, budget=hi, noise=1.0).n_active
@@ -209,8 +201,8 @@ def edof3(spectrum, snr: float, delta_step: float = 0.01) -> float:
             f"active set changes across the stencil at snr={snr} "
             f"({k_lo} vs {k_hi} active modes); shrink delta_step",
             snr=snr, active_low=k_lo, active_high=k_hi)
-    c_lo = capacity(v, lo, policy="waterfilling")
-    c_hi = capacity(v, hi, policy="waterfilling")
+    c_lo = capacity(v, lo)
+    c_hi = capacity(v, hi)
     return (c_hi - c_lo) / (2.0 * delta_step)
 
 
@@ -244,7 +236,7 @@ def metrics_report(spectrum, snr_grid, config_echo: dict | None = None,
     :func:`edof3_auto` with its default step.
     """
     grid = np.asarray(snr_grid, dtype=float)
-    v = _positive_leading(spectrum)
+    v = _clipped(spectrum)
     if edof3_values is None:
         edof3_values = [edof3_auto(v, float(s)) for s in grid]
     return {

@@ -67,11 +67,6 @@ class ModeDecomposition:
         return self.singular_values.size
 
 
-def _as_matrix(h) -> np.ndarray:
-    entries = getattr(h, "entries", h)
-    return np.asarray(entries, dtype=complex)
-
-
 def parity_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The even and odd blocks of a square matrix with J m J == m exactly,
     or None when ``m`` is not square of size >= 2 or not exactly
@@ -107,14 +102,13 @@ def split_values(m: np.ndarray) -> np.ndarray:
 
 
 def decompose(h, vectors: bool = True) -> ModeDecomposition | SingularSpectrum:
-    """SVD of a channel matrix (or raw complex matrix), truncated to
-    min(N_r, N_t) modes.
+    """SVD of a complex channel matrix, truncated to min(N_r, N_t) modes.
 
     With ``vectors=False`` only the singular values are computed, returned
     as a :class:`SingularSpectrum` that keeps the matrix shape (N_r, N_t);
     a centrosymmetric matrix is then solved as its two parity blocks.
     """
-    m = _as_matrix(h)
+    m = np.asarray(h, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2D matrix, got shape {m.shape}")
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):

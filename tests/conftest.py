@@ -6,11 +6,14 @@ Caching keeps repeated large SVDs and kernel convergences to one evaluation
 per parameter set for the whole session.
 """
 
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 
+import nfdof.channel
 from nfdof.channel import los_nusw_channel
 from nfdof.geometry import CarrierConfig, build_ula, continuous_aperture
 from nfdof.kernel import converge_spectrum, gauss_legendre_segment
@@ -117,15 +120,53 @@ def waterfill_loop(values, budget, noise):
     return powers, mu
 
 
+@contextmanager
+def mirror_verdicts():
+    """Records the verdict of every point-mirror test the shared
+    spherical-wave assembly makes inside the block."""
+    verdicts = []
+    original = nfdof.channel._mirror_points
+
+    def recording(rx_pts, tx_pts):
+        verdicts.append(original(rx_pts, tx_pts))
+        return verdicts[-1]
+
+    with mock.patch.object(nfdof.channel, "_mirror_points", recording):
+        yield verdicts
+
+
+def full_distances(rx_pts, tx_pts):
+    """Distance oracle: the full N_r x N_t matrix |r_i - t_j|, every entry
+    computed, with no mirror."""
+    diff = rx_pts[:, None, :] - tx_pts[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=-1))
+
+
+def channel_entries(model, tx, rx, wavelength=WAVELENGTH):
+    """Channel oracle: nusw or usw entries from the model formulas as
+    written, over :func:`full_distances`."""
+    d = full_distances(rx.elements, tx.elements)
+    if model == "nusw":
+        return wavelength / (4.0 * np.pi * d) * np.exp(-2j * np.pi * d / wavelength)
+    d_ref = float(np.linalg.norm(rx.center - tx.center))
+    return wavelength / (4.0 * np.pi * d_ref) * np.exp(-2j * np.pi * d / wavelength)
+
+
 def quadrature_g(tx, rx, m, wavelength=WAVELENGTH):
     """G_ij = g(r_i, s_j) on ``m``-node Gauss-Legendre rules of both segments,
     assembled in full from the formula, with the tx and rx weights."""
     s_nodes, s_weights = gauss_legendre_segment(tx.segment[0], tx.segment[1], m)
     r_nodes, r_weights = gauss_legendre_segment(rx.segment[0], rx.segment[1], m)
-    diff = r_nodes[:, None, :] - s_nodes[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    dist = full_distances(r_nodes, s_nodes)
     g = np.exp(-2j * np.pi * dist / wavelength) / (4.0 * np.pi * dist)
     return g, s_weights, r_weights
+
+
+def direct_response(tx, rx, m):
+    """Kernel response oracle: H = W_r^(1/2) G W_s^(1/2) from the quadrature
+    formula as written, with no mirror."""
+    g, s_weights, r_weights = quadrature_g(tx, rx, m)
+    return np.sqrt(r_weights)[:, None] * g * np.sqrt(s_weights)[None, :]
 
 
 def cap_eigenvalues_direct(tx, rx, m):

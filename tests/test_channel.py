@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import CARRIER, WAVELENGTH, ula_pair
+from conftest import (CARRIER, WAVELENGTH, channel_entries, direct_response, mirror_verdicts,
+                      segment_pair, tilted_pair, ula_pair)
 from nfdof.channel import (farfield_planar_channel, frobenius_normalized, los_nusw_channel,
                            los_usw_channel)
 from nfdof.errors import SingularGeometryError
-from nfdof.geometry import build_ula, rayleigh_distance
+from nfdof.geometry import build_ula, continuous_aperture, rayleigh_distance
+from nfdof.kernel import build_kernel
 from nfdof.modes import decompose
+
+BUILDERS = {"nusw": los_nusw_channel, "usw": los_usw_channel}
 
 
 def siso_pair(distance):
@@ -18,20 +23,20 @@ def siso_pair(distance):
 class TestNusw:
     def test_full_wavelength_distance(self):
         tx, rx = siso_pair(WAVELENGTH)
-        h = los_nusw_channel(tx, rx, CARRIER).entries[0, 0]
+        h = los_nusw_channel(tx, rx, CARRIER)[0, 0]
         assert h == pytest.approx(1.0 / (4.0 * np.pi), abs=1e-15)
 
     def test_half_wavelength_phase_inversion(self):
         # amplitude lam/(4 pi d) at d = lam/2 is 1/(2 pi); phase exp(-1j pi) = -1
         tx, rx = siso_pair(WAVELENGTH / 2)
-        h = los_nusw_channel(tx, rx, CARRIER).entries[0, 0]
+        h = los_nusw_channel(tx, rx, CARRIER)[0, 0]
         assert h == pytest.approx(-1.0 / (2.0 * np.pi), abs=1e-15)
 
     def test_amplitudes_follow_distances(self):
         # 2x2 parallel ULAs: the two aligned paths are shorter than the two
         # cross paths, so NUSW amplitudes split into two distinct levels
         tx, rx = ula_pair(2, 15.0)
-        h = los_nusw_channel(tx, rx, CARRIER).entries
+        h = los_nusw_channel(tx, rx, CARRIER)
         d_aligned = 15.0
         d_cross = np.hypot(15.0, 1.37)
         assert abs(h[0, 0]) == pytest.approx(WAVELENGTH / (4 * np.pi * d_aligned), rel=1e-12)
@@ -41,15 +46,15 @@ class TestNusw:
 
     def test_amplitude_invariant(self):
         tx, rx = ula_pair(7, 9.0)
-        h = los_nusw_channel(tx, rx, CARRIER).entries
+        h = los_nusw_channel(tx, rx, CARRIER)
         diff = rx.elements[:, None, :] - tx.elements[None, :, :]
         d = np.linalg.norm(diff, axis=-1)
         assert np.max(np.abs(np.abs(h) * (4 * np.pi * d) / WAVELENGTH - 1.0)) < 1e-12
 
     def test_reciprocity(self):
         tx, rx = ula_pair(5, 11.0)
-        fwd = los_nusw_channel(tx, rx, CARRIER).entries
-        bwd = los_nusw_channel(rx, tx, CARRIER).entries
+        fwd = los_nusw_channel(tx, rx, CARRIER)
+        bwd = los_nusw_channel(rx, tx, CARRIER)
         assert np.max(np.abs(fwd - bwd.T)) < 1e-12 * np.max(np.abs(fwd))
 
     def test_coincident_elements_rejected(self):
@@ -61,20 +66,20 @@ class TestNusw:
 class TestUsw:
     def test_uniform_amplitudes(self):
         tx, rx = ula_pair(6, 15.0)
-        h = los_usw_channel(tx, rx, CARRIER).entries
+        h = los_usw_channel(tx, rx, CARRIER)
         expected = WAVELENGTH / (4 * np.pi * 15.0)
         assert np.max(np.abs(np.abs(h) - expected)) < 1e-15
 
     def test_siso_equals_nusw(self):
         tx, rx = siso_pair(3 * WAVELENGTH)
-        hu = los_usw_channel(tx, rx, CARRIER).entries[0, 0]
-        hn = los_nusw_channel(tx, rx, CARRIER).entries[0, 0]
+        hu = los_usw_channel(tx, rx, CARRIER)[0, 0]
+        hn = los_nusw_channel(tx, rx, CARRIER)[0, 0]
         assert hu == pytest.approx(hn, rel=1e-15)
 
     def test_differs_from_nusw_entrywise(self):
         tx, rx = ula_pair(64, 15.0)
-        hu = los_usw_channel(tx, rx, CARRIER).entries
-        hn = los_nusw_channel(tx, rx, CARRIER).entries
+        hu = los_usw_channel(tx, rx, CARRIER)
+        hn = los_nusw_channel(tx, rx, CARRIER)
         assert np.max(np.abs(hn - hu)) > 0.0
 
     def test_nusw_converges_to_usw_with_distance(self):
@@ -82,8 +87,8 @@ class TestUsw:
         diffs = []
         for d in np.geomspace(5.0, 5000.0, 10):
             rx = build_ula(8, 1.37, center=(0, d, 0))
-            hn = los_nusw_channel(tx, rx, CARRIER).entries
-            hu = los_usw_channel(tx, rx, CARRIER).entries
+            hn = los_nusw_channel(tx, rx, CARRIER)
+            hu = los_usw_channel(tx, rx, CARRIER)
             diffs.append(np.max(np.abs(hn - hu) / np.abs(hu)))
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
         assert diffs[-1] < 1e-7
@@ -102,8 +107,8 @@ class TestPlanar:
 
     def test_siso_equals_nusw(self):
         tx, rx = siso_pair(5.0)
-        hp = farfield_planar_channel(tx, rx, CARRIER).entries[0, 0]
-        hn = los_nusw_channel(tx, rx, CARRIER).entries[0, 0]
+        hp = farfield_planar_channel(tx, rx, CARRIER)[0, 0]
+        hn = los_nusw_channel(tx, rx, CARRIER)[0, 0]
         assert hp == pytest.approx(hn, rel=1e-12)
 
     def test_usw_aligns_with_planar_far_out(self):
@@ -120,4 +125,61 @@ class TestNormalization:
     def test_frobenius_target(self):
         tx, rx = ula_pair(16, 15.0)
         h = frobenius_normalized(los_nusw_channel(tx, rx, CARRIER))
-        assert np.linalg.norm(h.entries) ** 2 == pytest.approx(16 * 16, rel=1e-12)
+        assert np.linalg.norm(h) ** 2 == pytest.approx(16 * 16, rel=1e-12)
+
+
+class TestSharedAssembly:
+    """Channels and kernel responses come from one spherical-wave assembly,
+    which builds only the top half of the rows for exact mirror pairs."""
+
+    @pytest.mark.parametrize("model", sorted(BUILDERS))
+    @pytest.mark.parametrize("n_r, n_t", [(5, 12), (12, 5), (7, 7), (64, 64)])
+    def test_mirror_ulas_take_the_half_row_build(self, model, n_r, n_t):
+        tx = build_ula(n_t, 1.37)
+        rx = build_ula(n_r, 1.37, center=(0.0, 15.0, 0.0))
+        with mirror_verdicts() as verdicts:
+            h = BUILDERS[model](tx, rx, CARRIER)
+        assert verdicts == [True]
+        assert h.shape == (n_r, n_t)
+        assert np.array_equal(h, h[::-1, ::-1])
+        assert np.array_equal(h, channel_entries(model, tx, rx))
+
+    def test_builders_return_read_only_arrays(self):
+        tx, rx = ula_pair(6, 15.0)
+        for build in (los_nusw_channel, los_usw_channel, farfield_planar_channel):
+            h = build(tx, rx, CARRIER)
+            assert type(h) is np.ndarray and h.dtype == complex
+            with pytest.raises(ValueError):
+                h[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                frobenius_normalized(h)[0, 0] = 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["nusw", "usw", "kernel"]),
+           layout=st.sampled_from(["mirror", "offset", "tilted"]),
+           n_r=st.integers(2, 40), n_t=st.integers(2, 40), d=st.floats(2.0, 200.0),
+           ap_r=st.floats(0.1, 1.5), ap_t=st.floats(0.1, 1.5),
+           shift=st.floats(0.05, 1.0), angle=st.floats(0.05, 1.2))
+    def test_every_response_equals_the_full_build(self, kind, layout, n_r, n_t, d,
+                                                  ap_r, ap_t, shift, angle):
+        with mirror_verdicts() as verdicts:
+            if kind == "kernel":
+                m = max(n_r, 8)
+                tx, rx = segment_pair(d, ap_t)
+                if layout == "offset":
+                    rx = continuous_aperture((0.0, d, shift - ap_t / 2),
+                                             (0.0, d, shift + ap_t / 2))
+                elif layout == "tilted":
+                    tx, rx = tilted_pair(d, angle, ap_t)
+                h = build_kernel(tx, rx, CARRIER, m).response
+                full = direct_response(tx, rx, m)
+            else:
+                axis = (0.0, np.sin(angle), np.cos(angle)) if layout == "tilted" \
+                    else (0.0, 0.0, 1.0)
+                center = (0.0, d, shift if layout == "offset" else 0.0)
+                tx = build_ula(n_t, ap_t)
+                rx = build_ula(n_r, ap_r, center=center, axis=axis)
+                h = BUILDERS[kind](tx, rx, CARRIER)
+                full = channel_entries(kind, tx, rx)
+        assert verdicts == [layout == "mirror"]
+        assert np.array_equal(h, full)

@@ -100,11 +100,52 @@ class TestExitCodes:
         cfg_path = write_config(tmp_path / "hard.json", cfg)
         assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 149. GiB for an array with shape (100000, 100000) and data "
+        "type complex128", ""])
+    def test_out_of_memory_is_3_without_traceback(self, message, tmp_path, monkeypatch,
+                                                  capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("nfdof.experiments.los_nusw_channel", exhausted)
+        cfg_path = write_config(tmp_path / "cfg.json", spectrum_config())
+        assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+
     def test_io_failure_is_4(self, tmp_path):
         cfg_path = write_config(tmp_path / "cfg.json", spectrum_config())
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
         assert main(["run", cfg_path, "--out", str(blocker)]) == EXIT_IO
+
+
+class TestExtremeInputs:
+    def test_round_off_modes_count_nowhere_at_1e9_m(self, tmp_path):
+        # a rank-1 channel (sigma_2 / sigma_1 = 3.4e-17): no metric may read
+        # more than the one mode dof counts, even at 400 and 3000 dB
+        cfg = {
+            "experiment": "edof3-vs-snr",
+            "carrier": {"wavelength_m": 0.01},
+            "geometry": {"aperture_m": 1.37, "n_elements": 16, "distances_m": [1e9]},
+            "metrics": {"snr_db": [0.0, 400.0, 3000.0]},
+            "normalize": True,
+        }
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path / "far.json", cfg),
+                     "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "edof3_vs_snr_summary.json").read_text())
+        (report,) = summary["metric_reports"].values()
+        assert report["dof"] == 1
+        for (snr, edof3), (_, cap) in zip(report["edof3_by_snr"], report["capacity_by_snr"]):
+            # the central difference carries about C * eps / delta_step of round-off
+            assert edof3 <= 1.0 + 1e-9
+            # sigma_1**2 = 256 for the normalized rank-1 16 x 16 channel
+            assert cap <= math.log2(1.0 + snr * 256.0) * (1.0 + 1e-12)
+        assert [row[2] for row in summary["tables"][0]["rows"]] == \
+            [e for _, e in report["edof3_by_snr"]]
 
 
 class TestSeedAndThreads:

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nfdof.channel
 import nfdof.kernel
 from conftest import (CARRIER, WAVELENGTH, cap_converged, cap_eigenvalues_direct,
-                      quadrature_g, segment_pair, tilted_pair)
+                      direct_response, mirror_verdicts, segment_pair, tilted_pair)
 from nfdof.errors import ConvergenceError, SingularGeometryError
 from nfdof.experiments import run_experiment
 from nfdof.geometry import continuous_aperture, rayleigh_distance
@@ -52,30 +53,18 @@ def rung_calls(monkeypatch):
 
 
 @pytest.fixture
-def mirror_tests(monkeypatch):
-    """Records the verdict of every node-mirror test ``build_kernel`` makes."""
-    verdicts = []
-    original = nfdof.kernel._mirror_nodes
-
-    def recording(r_nodes, s_nodes):
-        verdicts.append(original(r_nodes, s_nodes))
-        return verdicts[-1]
-
-    monkeypatch.setattr(nfdof.kernel, "_mirror_nodes", recording)
-    return verdicts
+def mirror_tests():
+    """Records the verdict of every point-mirror test the shared assembly
+    makes, for kernels and channels alike."""
+    with mirror_verdicts() as verdicts:
+        yield verdicts
 
 
 def full_g_response(monkeypatch, tx, rx, m):
     """``build_kernel`` with the half-row assembly switched off."""
     with monkeypatch.context() as patch:
-        patch.setattr(nfdof.kernel, "_mirror_nodes", lambda r_nodes, s_nodes: False)
+        patch.setattr(nfdof.channel, "_mirror_points", lambda rx_pts, tx_pts: False)
         return build_kernel(tx, rx, CARRIER, m).response
-
-
-def direct_response(tx, rx, m):
-    """H = W_r^(1/2) G W_s^(1/2) from the quadrature formula as written."""
-    g, s_weights, r_weights = quadrature_g(tx, rx, m)
-    return np.sqrt(r_weights)[:, None] * g * np.sqrt(s_weights)[None, :]
 
 
 class TestBuildKernel:
@@ -139,7 +128,8 @@ class TestBuildKernel:
         zero, one = np.zeros(3), np.ones(3)
 
         def mirror(r_cols, s_cols):
-            return nfdof.kernel._mirror_nodes(np.column_stack(r_cols), np.column_stack(s_cols))
+            return nfdof.channel._mirror_points(np.column_stack(r_cols),
+                                                np.column_stack(s_cols))
 
         assert mirror((zero, one, x), (zero, zero, 2 * x))
         # an antisymmetric coordinate facing a constant nonzero one
@@ -331,8 +321,10 @@ KERNEL_CONFIGS = [p for p in sorted(REPO.glob("configs/*.json")) + sorted(
 @pytest.mark.parametrize("path", KERNEL_CONFIGS, ids=lambda p: p.name)
 def test_every_shipped_ladder_takes_the_half_row_build(path, tmp_path, rung_calls,
                                                         mirror_tests):
+    # edof2-vs-n runs also build one channel per grid point
     run_experiment(json.loads(path.read_text()), out_dir=tmp_path)
-    assert rung_calls and mirror_tests == [True] * len(rung_calls)
+    assert rung_calls and len(mirror_tests) >= len(rung_calls)
+    assert mirror_tests == [True] * len(mirror_tests)
 
 
 class TestGaussLegendreRules:

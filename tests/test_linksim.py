@@ -48,7 +48,7 @@ class TestTransmitAwgn:
         h, modes = small_link()
         x = np.ones((32, 3), dtype=complex)
         y = transmit_awgn(h, x, 0.0, np.random.default_rng(0))
-        assert np.array_equal(y, h.entries @ x)
+        assert np.array_equal(y, h @ x)
 
     def test_noise_variance(self):
         h = np.zeros((10, 1), dtype=complex)
@@ -95,7 +95,7 @@ class TestCombine:
 
     def test_equivalent_channel_diagonal(self):
         h, modes = small_link()
-        eq = modes.left_vectors.conj().T @ h.entries @ modes.right_vectors
+        eq = modes.left_vectors.conj().T @ h @ modes.right_vectors
         sigma = modes.singular_values
         assert np.max(np.abs(eq - np.diag(sigma))) < 1e-10 * sigma[0]
 
@@ -105,7 +105,7 @@ class TestRunLink:
         from conftest import ula_pair
         from nfdof.channel import farfield_planar_channel
         h = farfield_planar_channel(*ula_pair(16, 400.0), CARRIER)
-        sigma1 = np.linalg.svd(h.entries, compute_uv=False)[0]
+        sigma1 = np.linalg.svd(h, compute_uv=False)[0]
         noise = (sigma1 ** 2) / 100.0
         cfg = TransmissionConfig(active_modes=1, mode_powers=[1.0], noise_power=noise,
                                  n_symbols=100_000, seed=3)

@@ -197,23 +197,40 @@ class TestCapacity:
     def test_rank_one_any_policy(self):
         s = planar_spectrum()
         expected = np.log2(1.0 + 7.0 * s.values[0] ** 2)
-        assert capacity(s, 7.0, "waterfilling") == pytest.approx(expected, rel=1e-12)
-        assert capacity(s, 7.0, "equal") == pytest.approx(expected, rel=1e-12)
+        assert capacity(s, 7.0) == pytest.approx(expected, rel=1e-12)
 
     def test_waterfilling_beats_equal(self):
         rng = np.random.default_rng(13)
         for _ in range(300):
             s = random_spectrum(rng)
             snr = 10.0 ** rng.uniform(-1.0, 3.0)
-            c_wf = capacity(s, snr, "waterfilling")
-            c_eq = capacity(s, snr, "equal")
+            c_wf = capacity(s, snr)
+            k = dof(s)  # equal powers over the dof modes
+            c_eq = float(np.sum(np.log2(1.0 + snr / k * s[:k] ** 2)))
             assert c_wf >= c_eq - 1e-12
             if np.ptp(s[: dof(s)]) == 0.0:
                 assert c_wf == pytest.approx(c_eq, rel=1e-12)
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            capacity(np.array([1.0]), 1.0, policy="greedy")
+
+class TestRoundOffClip:
+    @settings(max_examples=200, deadline=None)
+    @given(head=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=4),
+           tail=st.lists(st.floats(-300.0, -10.0), min_size=1, max_size=4),
+           snr_db=st.floats(-30.0, 3000.0))
+    def test_tiny_tails_count_nowhere(self, head, tail, snr_db):
+        # the tail sits below dof's rank tolerance, 1e-10 * len(s) * sigma_1
+        head = np.sort(head)[::-1]
+        s = np.concatenate([head, head[0] * 10.0 ** np.sort(tail)[::-1]])
+        snr = 10.0 ** (snr_db / 10.0)
+        k = dof(s)
+        assert k == head.size
+        cap = capacity(s, snr)
+        assert cap == pytest.approx(waterfill_bruteforce(head, snr, 1.0)[1], rel=1e-9)
+        assert cap <= k * np.log2(1.0 + snr * s[0] ** 2) * (1.0 + 1e-12)
+        assert edof3_envelope(s, snr) <= k
+        # the central difference carries about C * eps / delta_step of round-off
+        assert edof3_auto(s, snr) <= k * (1.0 + 1e-8)
+        assert edof1(s, dominance=1e-300) == k
 
 
 class TestEdof3:

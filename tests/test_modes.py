@@ -124,15 +124,15 @@ class TestParitySplit:
     def test_facing_ulas_give_exactly_centrosymmetric_channels(self, n):
         for d in (15.0, 50.0, 150.0):
             tx, rx = ula_pair(n, d)
-            for h in (los_nusw_channel(tx, rx, CARRIER).entries,
-                      los_usw_channel(tx, rx, CARRIER).entries):
+            for h in (los_nusw_channel(tx, rx, CARRIER),
+                      los_usw_channel(tx, rx, CARRIER)):
                 assert np.array_equal(h, h[::-1, ::-1]), (n, d)
 
     def test_axis_along_the_link_takes_the_full_svd(self):
         axis = (0.0, 1.0, 0.0)
         tx = build_ula(64, 1.37, center=(0.0, 0.0, 0.0), axis=axis)
         rx = build_ula(64, 1.37, center=(0.0, 15.0, 0.0), axis=axis)
-        h = los_nusw_channel(tx, rx, CARRIER).entries
+        h = los_nusw_channel(tx, rx, CARRIER)
         assert parity_blocks(h) is None
         assert np.array_equal(decompose(h, vectors=False).values, svd_values(h))
 
