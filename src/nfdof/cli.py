@@ -4,10 +4,9 @@
     nfdof validate <config.json>
     nfdof version
 
-Exit codes: 0 success, 2 invalid config, 3 numerical failure or out of
-memory, 4 I/O failure.
-The NFDOF_OUT environment variable overrides the output directory when
---out is not given.
+Outputs go to --out, the working directory by default.  Exit codes:
+0 success, 2 invalid config, 3 numerical failure or out of memory, 4 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run an experiment config")
     run.add_argument("config", help="path to the experiment JSON document")
-    run.add_argument("--out", default=None, help="output directory")
+    run.add_argument("--out", default=".", help="output directory (default: .)")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--threads", type=int, default=1,
                      help="worker threads for grid evaluation (output-invariant)")

@@ -219,41 +219,50 @@ def _path_spread(tx_seg: np.ndarray, rx_seg: np.ndarray) -> float:
     return spread
 
 
-def _rung(start_nodes: int, k: int) -> int:
-    """Node count of rung ``k`` on the sqrt(2) grid from ``start_nodes``;
-    every second rung is ``start_nodes * 2**j`` exactly."""
-    return round(start_nodes * 2 ** (k / 2))
+LADDER_FLOOR = 64
+"Node count of the lowest rung of every kernel ladder."
+
+_N_TRACK = 20
+"Number of leading eigenvalues the ladder compares between rungs."
+
+
+def _rung(k: int) -> int:
+    """Node count of rung ``k`` on the sqrt(2) grid from :data:`LADDER_FLOOR`;
+    every second rung is ``LADDER_FLOOR * 2**j`` exactly."""
+    return round(LADDER_FLOOR * 2 ** (k / 2))
 
 
 def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
-                      tol: float = 1e-6, start_nodes: int = 64,
-                      max_nodes: int = 4096, n_track: int = 20,
+                      tol: float = 1e-6, max_nodes: int = 4096,
                       rules: GaussLegendreRules | None = None) -> SingularSpectrum:
-    """Raise the quadrature node count by sqrt(2) per rung until the top
-    ``n_track`` eigenvalues sigma_n**2 of two successive rungs agree to
-    ``tol`` relative to the largest.
+    """Raise the quadrature node count by sqrt(2) per rung until the top 20
+    eigenvalues sigma_n**2 of two successive rungs agree to ``tol`` relative
+    to the largest.
 
-    The rungs are ``round(start_nodes * 2**(k/2))``.  Gauss-Legendre
-    convergence of the kernel is a cliff near pi * (path spread) /
-    wavelength nodes (:func:`_path_spread`), so the ladder starts at the
-    largest rung at or below that count and at or below ``max_nodes / 2``;
-    ``start_nodes`` is a floor.  ``max_nodes`` is a hard cap: the last rung
-    is clamped to it.  ``tol=inf`` returns the start rung.  Non-convergence
-    by ``max_nodes`` raises :class:`ConvergenceError` with the last observed
-    change and the largest rung built attached.  Every rung takes its
-    quadrature rule from ``rules``; pass one table to share the rules
-    between ladders (a fresh table per ladder when None).  The node count of
-    the returned spectrum is ``shape[0]``.
+    The rungs are ``round(64 * 2**(k/2))`` (64, 91, 128, 181, ...).
+    Gauss-Legendre convergence of the kernel is a cliff near
+    pi * (path spread) / wavelength nodes (:func:`_path_spread`), so the
+    ladder starts at the largest rung at or below that count and at or below
+    ``max_nodes / 2``, and never below 64.  ``max_nodes`` must exceed 64 and
+    is a hard cap: the last rung is clamped to it.  ``tol=inf`` returns the
+    start rung.  Non-convergence by ``max_nodes`` raises
+    :class:`ConvergenceError` with the last observed change and the largest
+    rung built attached.  Every rung takes its quadrature rule from
+    ``rules``; pass one table to share the rules between ladders (a fresh
+    table per ladder when None).  The node count of the returned spectrum is
+    ``shape[0]``.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if not max_nodes > LADDER_FLOOR:
+        raise ValueError(f"max_nodes must exceed {LADDER_FLOOR}, got {max_nodes}")
     rules = rules or GaussLegendreRules()
     spread = _path_spread(_require_continuous(tx, "tx"), _require_continuous(rx, "rx"))
     limit = min(math.pi * spread / carrier.wavelength, max_nodes / 2)
     k = 0
-    while _rung(start_nodes, k + 1) <= limit:
+    while _rung(k + 1) <= limit:
         k += 1
-    m = _rung(start_nodes, k)
+    m = _rung(k)
     spec = cap_spectrum(build_kernel(tx, rx, carrier, m, rules))
     if math.isinf(tol):
         return spec
@@ -261,15 +270,15 @@ def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConf
     last_change = np.inf
     while m < max_nodes:
         k += 1
-        m = min(_rung(start_nodes, k), max_nodes)
+        m = min(_rung(k), max_nodes)
         spec = cap_spectrum(build_kernel(tx, rx, carrier, m, rules))
         nxt = spec.values ** 2
-        n = min(n_track, lam.size, nxt.size)
+        n = min(_N_TRACK, lam.size, nxt.size)
         last_change = float(np.max(np.abs(nxt[:n] - lam[:n])) / nxt[0])
         lam = nxt
         if last_change < tol:
             return spec
     raise ConvergenceError(
-        f"top-{n_track} eigenvalues still change by {last_change:.3e} "
+        f"top-{_N_TRACK} eigenvalues still change by {last_change:.3e} "
         f"(> tol {tol:.3e}) at {m} nodes",
         nodes=m, last_change=last_change, tol=tol)

@@ -12,7 +12,6 @@ aggregate statistics do not depend on execution order.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -127,13 +126,9 @@ def mode_coupling(h, modes: ModeDecomposition, powers) -> np.ndarray:
     return scale_out[:, None] * eq * np.sqrt(p)[None, :]
 
 
-def run_link(h, config: TransmissionConfig, dump_path=None) -> LinkReport:
+def run_link(h, config: TransmissionConfig) -> LinkReport:
     """Run precode -> AWGN channel -> combine over ``config.n_symbols`` QPSK
-    symbols and aggregate per-mode statistics.
-
-    ``dump_path`` optionally writes every transmitted/estimated symbol pair to
-    a CSV (large for long runs; off by default).
-    """
+    symbols and aggregate per-mode statistics."""
     modes = decompose(h)
     k = config.active_modes
     if k > modes.n_modes:
@@ -152,35 +147,17 @@ def run_link(h, config: TransmissionConfig, dump_path=None) -> LinkReport:
     err_cross = np.zeros((k, k), dtype=complex)
     total = config.n_symbols
     seeds = np.random.SeedSequence(config.seed).spawn((total + _CHUNK - 1) // _CHUNK)
-    done = 0
-    dump = None
-    if dump_path is not None:
-        dump = open(Path(dump_path), "w", newline="")
-        writer = csv.writer(dump, lineterminator="\n")
-        writer.writerow(["symbol", "mode", "tx_re", "tx_im", "est_re", "est_im"])
-    try:
-        for chunk_seed in seeds:
-            n = min(_CHUNK, total - done)
-            rng = np.random.default_rng(chunk_seed)
-            s = qpsk_symbols(k, n, rng)
-            x = precode(s, modes, p)
-            y = transmit_awgn(h, x, config.noise_power, rng)
-            s_hat = combine(y, modes, p)
-            e = s_hat - s
-            err_power += np.sum(np.abs(e) ** 2, axis=1)
-            sym_power += np.sum(np.abs(s) ** 2, axis=1)
-            err_cross += e @ e.conj().T
-            if dump is not None:
-                for j in range(n):
-                    for m in range(k):
-                        # Python scalars: numpy >= 2 reprs its own as np.float64(...)
-                        tx, est = complex(s[m, j]), complex(s_hat[m, j])
-                        writer.writerow([done + j + 1, m + 1, repr(tx.real), repr(tx.imag),
-                                         repr(est.real), repr(est.imag)])
-            done += n
-    finally:
-        if dump is not None:
-            dump.close()
+    for i, chunk_seed in enumerate(seeds):
+        n = min(_CHUNK, total - i * _CHUNK)
+        rng = np.random.default_rng(chunk_seed)
+        s = qpsk_symbols(k, n, rng)
+        x = precode(s, modes, p)
+        y = transmit_awgn(h, x, config.noise_power, rng)
+        s_hat = combine(y, modes, p)
+        e = s_hat - s
+        err_power += np.sum(np.abs(e) ** 2, axis=1)
+        sym_power += np.sum(np.abs(s) ** 2, axis=1)
+        err_cross += e @ e.conj().T
 
     mse = err_power / total
     with np.errstate(divide="ignore"):

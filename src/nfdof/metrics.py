@@ -32,30 +32,27 @@ from .modes import SingularSpectrum, spectrum_values
 LN2 = math.log(2.0)
 
 
-def _clipped(spectrum, rank_tol: float | None = None) -> np.ndarray:
-    """The singular values with every sigma_n < rank_tol * sigma_1 set to
-    zero, so that no metric reads a mode that :func:`dof` does not count.
+def _clipped(spectrum) -> np.ndarray:
+    """The singular values with every sigma_n below the rank tolerance,
+    1e-10 times the larger matrix dimension times sigma_1, set to zero.
 
-    When ``rank_tol`` is None it defaults to 1e-10 times the larger matrix
-    dimension (taken from the spectrum's shape metadata when available,
-    otherwise the spectrum length).
+    The dimension comes from the spectrum's shape metadata when available,
+    otherwise from the spectrum length.
     """
     v = spectrum_values(spectrum)
     if v[0] <= 0:
         raise ValueError("spectrum has no positive singular value")
-    if rank_tol is None:
-        if isinstance(spectrum, SingularSpectrum) and spectrum.shape is not None:
-            dim = max(spectrum.shape)
-        else:
-            dim = v.size
-        rank_tol = 1e-10 * dim
-    return np.where(v >= rank_tol * v[0], v, 0.0)
+    if isinstance(spectrum, SingularSpectrum) and spectrum.shape is not None:
+        dim = max(spectrum.shape)
+    else:
+        dim = v.size
+    return np.where(v >= 1e-10 * dim * v[0], v, 0.0)
 
 
-def dof(spectrum, rank_tol: float | None = None) -> int:
-    """Numerical rank: count of sigma_n >= rank_tol * sigma_1, with
-    ``rank_tol`` defaulting as in the clip every metric reads."""
-    return int(np.count_nonzero(_clipped(spectrum, rank_tol)))
+def dof(spectrum) -> int:
+    """Numerical rank: count of the singular values the clip every metric
+    reads keeps."""
+    return int(np.count_nonzero(_clipped(spectrum)))
 
 
 def edof1(spectrum, dominance: float = 0.01) -> int:
@@ -103,12 +100,11 @@ def edof2(spectrum) -> float:
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Water-filling result: per-mode powers, the common water level, and the
-    total budget.  Powers align with the input spectrum order."""
+    """Water-filling result: per-mode powers and the common water level.
+    Powers align with the input spectrum order."""
 
     powers: np.ndarray
     water_level: float
-    budget: float
 
     @property
     def n_active(self) -> int:
@@ -147,7 +143,7 @@ def waterfill(spectrum, budget: float, noise: float) -> PowerAllocation:
         powers[0] = budget
     else:
         mu = 0.0
-    return PowerAllocation(powers=powers, water_level=mu, budget=float(budget))
+    return PowerAllocation(powers=powers, water_level=mu)
 
 
 def capacity(spectrum, snr: float) -> float:
@@ -177,7 +173,8 @@ def edof3_envelope(spectrum, snr: float) -> float:
     k = alloc.n_active
     gains = v[:k] ** 2
     inv_sum = float(np.sum(1.0 / gains))
-    return k * snr / (snr + inv_sum)
+    # snr / (snr + inv_sum) rounds to at most 1, so the value never exceeds k
+    return k * (snr / (snr + inv_sum))
 
 
 def edof3(spectrum, snr: float, delta_step: float = 0.01) -> float:
@@ -224,8 +221,7 @@ def edof3_auto(spectrum, snr: float, delta_step: float = 0.01,
 
 
 def metrics_report(spectrum, snr_grid, config_echo: dict | None = None,
-                   dominance: float = 0.01, rank_tol: float | None = None,
-                   edof3_values=None) -> dict:
+                   dominance: float = 0.01, edof3_values=None) -> dict:
     """JSON-ready metric report:
 
     {dof, edof1, edof2, edof3_by_snr: [[snr, value]...], capacity_by_snr,
@@ -240,7 +236,7 @@ def metrics_report(spectrum, snr_grid, config_echo: dict | None = None,
     if edof3_values is None:
         edof3_values = [edof3_auto(v, float(s)) for s in grid]
     return {
-        "dof": dof(spectrum, rank_tol=rank_tol),
+        "dof": dof(spectrum),
         "edof1": edof1(spectrum, dominance=dominance),
         "edof2": edof2(spectrum),
         "edof3_by_snr": [[float(s), float(e)] for s, e in zip(grid, edof3_values)],

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import math
 import os
@@ -95,7 +97,7 @@ class TestExitCodes:
             "experiment": "cap-edof-vs-distance",
             "carrier": {"wavelength_m": 0.01},
             "geometry": {"apertures_m": [1.37], "distances_m": [15.0]},
-            "kernel": {"tol": 1e-18, "start_nodes": 8, "max_nodes": 16},
+            "kernel": {"tol": 1e-18, "max_nodes": 91},
         }
         cfg_path = write_config(tmp_path / "hard.json", cfg)
         assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
@@ -147,6 +149,22 @@ class TestExtremeInputs:
         assert [row[2] for row in summary["tables"][0]["rows"]] == \
             [e for _, e in report["edof3_by_snr"]]
 
+    def test_link_sim_past_its_float64_floor_is_3(self, tmp_path, capsys):
+        # a predicted per-mode SNR near 1e40, which float64 estimates cannot measure
+        cfg = {
+            "experiment": "link-sim",
+            "carrier": {"wavelength_m": 0.01},
+            "geometry": {"aperture_m": 1.37, "n_elements": 16, "distance_m": 15.0},
+            "link": {"active_modes": 2, "snr_db": 400.0, "n_symbols": 4000},
+            "seed": 1,
+        }
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path / "loud.json", cfg),
+                     "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure: ") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
 
 class TestSeedAndThreads:
     def test_seed_flag_reaches_provenance(self, tmp_path):
@@ -177,18 +195,18 @@ SMALL_CONFIGS = {
         "experiment": "spectrum", "carrier": {"wavelength_m": 0.01},
         "geometry": {"aperture_m": 0.2, "n_elements": [4, 6], "distances_m": [15.0, 50.0],
                      "axis": [0.0, 0.0, 1.0]},
-        "model": "nusw", "seed": 0, "output_dir": "unused",
+        "model": "nusw", "seed": 0,
     },
     "edof-vs-n": {
         "experiment": "edof-vs-n", "carrier": {"frequency_hz": 3e10},
         "geometry": {"element_spacing_m": 0.05, "n_elements": [4, 6],
                      "distances_m": [15.0, 50.0]},
-        "metrics": {"dominance": 0.01, "rank_tol": 1e-9}, "model": "usw",
+        "metrics": {"dominance": 0.01}, "model": "usw",
     },
     "edof2-vs-n": {
         "experiment": "edof2-vs-n", "carrier": {"wavelength_m": 0.01},
         "geometry": {"aperture_m": 0.2, "n_elements": [4], "distances_m": [15.0, 50.0]},
-        "kernel": {"tol": 1e-3, "start_nodes": 8, "max_nodes": 64},
+        "kernel": {"tol": 1e-3, "max_nodes": 100},
     },
     "edof3-vs-snr": {
         "experiment": "edof3-vs-snr", "carrier": {"wavelength_m": 0.01},
@@ -201,13 +219,13 @@ SMALL_CONFIGS = {
         "experiment": "cap-edof-vs-distance", "carrier": {"wavelength_m": 0.01},
         "geometry": {"apertures_m": [0.2, 0.3],
                      "distances_m": {"start": 10.0, "stop": 20.0, "count": 2}},
-        "kernel": {"tol": 1e-3, "start_nodes": 8, "max_nodes": 64},
+        "kernel": {"tol": 1e-3, "max_nodes": 100},
         "metrics": {"dominance": 0.01},
     },
     "link-sim": {
         "experiment": "link-sim", "carrier": {"wavelength_m": 0.01},
         "geometry": {"aperture_m": 0.2, "n_elements": 4, "distance_m": 15.0},
-        "link": {"active_modes": 2, "snr_db": 10.0, "n_symbols": 64, "dump_symbols": False},
+        "link": {"active_modes": 2, "snr_db": 10.0, "n_symbols": 64},
         "normalize": True, "seed": 1,
     },
 }
@@ -278,6 +296,8 @@ BAD_CONFIGS = {
                                      [4, 4]),
     "start_nodes above max_nodes": with_leaf(small_config("cap-edof-vs-distance"),
                                              ("kernel", "start_nodes"), 128),
+    "max_nodes at the ladder floor": with_leaf(small_config("cap-edof-vs-distance"),
+                                               ("kernel", "max_nodes"), 64),
     "active_modes above n_elements": with_leaf(small_config("link-sim"),
                                                ("link", "active_modes"), 5),
     "metrics in edof2-vs-n": small_config("edof2-vs-n", metrics={"dominance": 0.5}),
@@ -287,6 +307,27 @@ BAD_CONFIGS = {
     "axis along the link, distance equals aperture": with_leaf(
         with_leaf(small_config("link-sim"), ("geometry", "axis"), [0, -1, 0]),
         ("geometry", "distance_m"), 0.2),
+    # keys no config sets any more
+    "removed key output_dir": small_config("spectrum", output_dir="elsewhere"),
+    "removed key metrics.rank_tol": with_leaf(small_config("edof-vs-n"),
+                                              ("metrics", "rank_tol"), 1e-9),
+    "removed key kernel.start_nodes": with_leaf(small_config("edof2-vs-n"),
+                                                ("kernel", "start_nodes"), 64),
+    "removed key link.dump_symbols": with_leaf(small_config("link-sim"),
+                                               ("link", "dump_symbols"), False),
+    # lengths outside [1e-15, 1e15] m
+    "distance 1e200": with_leaf(small_config("spectrum"), ("geometry", "distances_m"), [1e200]),
+    "distance 1e150": with_leaf(small_config("edof-vs-n"), ("geometry", "distances_m"), [1e150]),
+    "link distance 1e16": with_leaf(small_config("link-sim"), ("geometry", "distance_m"), 1e16),
+    "aperture 1e-200": with_leaf(small_config("cap-edof-vs-distance"),
+                                 ("geometry", "apertures_m"), [1e-200]),
+    "element spacing 1e-16": with_leaf(small_config("edof-vs-n"),
+                                       ("geometry", "element_spacing_m"), 1e-16),
+    "spanned aperture 3e15": with_leaf(small_config("edof-vs-n"),
+                                       ("geometry", "element_spacing_m"), 1e15),
+    "wavelength 1e200": small_config("edof-vs-n", carrier={"wavelength_m": 1e200}),
+    "wavelength from frequency_hz 1e-10": small_config("edof-vs-n",
+                                                       carrier={"frequency_hz": 1e-10}),
 }
 
 # (experiment, path) of every size that MAX_COUNT bounds
@@ -312,7 +353,6 @@ class TestBadConfigs:
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)  # where a run without --out would write
-        monkeypatch.delenv("NFDOF_OUT", raising=False)
         assert main(["validate", cfg_path]) == EXIT_CONFIG
         out_args = [] if "output_dir" in name else ["--out", str(work / "out")]
         assert main(["run", cfg_path, *out_args]) == EXIT_CONFIG
@@ -332,6 +372,14 @@ class TestBadConfigs:
         assert main(["run", cfg_path, "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
         assert not out.exists()
         assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_CONFIGS))
+def test_small_config_bases_are_valid(kind, tmp_path):
+    # the one-leaf property below needs valid bases to tell rejections apart
+    cfg_path = write_config(tmp_path / "cfg.json", SMALL_CONFIGS[kind])
+    assert main(["validate", cfg_path]) == EXIT_OK
+    assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 LEAF_VALUES = [None, True, False, "x", "", -1, 0, 0.5, 1, 2, 3, 1.5, 1e-3, 15.0000001,
@@ -356,3 +404,58 @@ def test_validate_and_run_agree_on_one_leaf_change(data, tmp_path_factory):
         assert not out.exists()
     if ran == EXIT_OK:
         assert_finite_outputs(out)
+
+
+@st.composite
+def extreme_configs(draw):
+    """A small config of one experiment at extreme but legal values: SNRs up
+    to 400 dB, distances up to 1e9 m, apertures down to 1 um, wavelengths
+    from 1 mm to 1 m and at most 16 elements."""
+    kind = draw(st.sampled_from(sorted(SMALL_CONFIGS)), label="experiment")
+    n = draw(st.integers(2, 16), label="n_elements")
+    a, d, lam = (10.0 ** draw(st.floats(lo, hi), label=label) for label, lo, hi in
+                 (("log10 aperture", -6.0, 1.0), ("log10 distance", -3.0, 9.0),
+                  ("log10 wavelength", -3.0, 0.0)))
+    snr_db = draw(st.floats(-400.0, 400.0), label="snr_db")
+    cfg = small_config(kind, carrier={"wavelength_m": lam})
+    geo = cfg["geometry"]
+    for key, value in (("aperture_m", a), ("apertures_m", [a]), ("element_spacing_m", a / (n - 1)),
+                       ("distances_m", [d]), ("distance_m", d)):
+        if key in geo:
+            geo[key] = value
+    if "n_elements" in geo:
+        geo["n_elements"] = [n] if isinstance(geo["n_elements"], list) else n
+    if "snr_db" in cfg.get("metrics", {}):
+        cfg["metrics"]["snr_db"] = [snr_db]
+    if "link" in cfg:
+        cfg["link"]["snr_db"] = snr_db
+    return cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=extreme_configs())
+def test_extreme_legal_values_end_cleanly(cfg, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("extreme")
+    cfg_path = write_config(tmp / "cfg.json", cfg)
+    out = tmp / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        validated = main(["validate", cfg_path])
+        ran = main(["run", cfg_path, "--out", str(out)])
+    assert ran in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert (validated == EXIT_CONFIG) == (ran == EXIT_CONFIG), (validated, ran)
+    if ran != EXIT_OK:
+        return
+    assert_finite_outputs(out)
+    (summary_path,) = out.glob("*_summary.json")
+    summary = json.loads(summary_path.read_text())
+    for table in summary["tables"]:
+        for row in table["rows"]:
+            values = dict(zip(table["columns"], row))
+            if "dof" in values:
+                assert values["edof1"] <= values["dof"]
+    for report in summary.get("metric_reports", {}).values():
+        assert report["edof1"] <= report["dof"]
+        # the central difference carries about C * eps / delta_step of round-off
+        assert all(e <= report["dof"] * (1.0 + 1e-9) for _, e in report["edof3_by_snr"])

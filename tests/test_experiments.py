@@ -29,8 +29,8 @@ class TestValidation:
         assert spec.axis == (0.0, 0.0, 1.0) and spec.carrier.wavelength == 0.01
         assert spec.sizes == ((32, 1.37),) and spec.distances == (15.0,)
         assert spec.names == ("spectrum_n32_d15",)
-        assert (spec.dominance, spec.delta_step, spec.rank_tol) == (0.01, 0.01, None)
-        assert (spec.tol, spec.start_nodes, spec.max_nodes) == (1e-6, 64, 4096)
+        assert (spec.dominance, spec.delta_step) == (0.01, 0.01)
+        assert (spec.tol, spec.max_nodes) == (1e-6, 4096)
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -273,11 +273,12 @@ class TestEmit:
 
 
 class TestOutputDirPrecedence:
-    def test_env_override(self, tmp_path, monkeypatch):
-        target = tmp_path / "from_env"
-        monkeypatch.setenv("NFDOF_OUT", str(target))
+    def test_default_is_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("NFDOF_OUT", str(tmp_path / "ignored"))
         run_experiment(spectrum_config())
-        assert (target / "spectrum_n32_d15.csv").exists()
+        assert (tmp_path / "spectrum_n32_d15.csv").exists()
+        assert not (tmp_path / "ignored").exists()
 
     def test_explicit_out_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NFDOF_OUT", str(tmp_path / "ignored"))

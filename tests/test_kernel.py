@@ -238,8 +238,8 @@ class TestConvergeSpectrum:
 
     def test_infinite_tol_returns_first_iterate(self):
         tx, rx = segment_pair(50.0)
-        spec = converge_spectrum(tx, rx, CARRIER, tol=np.inf, start_nodes=16)
-        assert spec.shape == (16, 16)
+        spec = converge_spectrum(tx, rx, CARRIER, tol=np.inf)
+        assert spec.shape == (64, 64)
 
     def test_deterministic(self):
         tx, rx = segment_pair(50.0)
@@ -250,8 +250,8 @@ class TestConvergeSpectrum:
     def test_nonconvergence_raises(self):
         tx, rx = segment_pair(15.0)
         with pytest.raises(ConvergenceError) as err:
-            converge_spectrum(tx, rx, CARRIER, tol=1e-18, start_nodes=8, max_nodes=16)
-        assert err.value.nodes == 16
+            converge_spectrum(tx, rx, CARRIER, tol=1e-18, max_nodes=91)
+        assert err.value.nodes == 91
         assert err.value.last_change > 1e-18
 
     def test_ladder_starts_at_the_cliff_and_climbs_by_sqrt2(self, rung_calls):
@@ -262,38 +262,40 @@ class TestConvergeSpectrum:
         assert rung_calls == [181, 256, 362]
         assert spec.shape[0] == 362
 
-    @pytest.mark.parametrize("start, cap", [(10, 100), (100, 1000), (12, 64)])
-    def test_rungs_never_exceed_max_nodes(self, start, cap, rung_calls):
+    @pytest.mark.parametrize("cap", [65, 100, 1000])
+    def test_rungs_never_exceed_max_nodes(self, cap, rung_calls):
         tx, rx = segment_pair(15.0)
         with pytest.raises(ConvergenceError) as err:
-            converge_spectrum(tx, rx, CARRIER, tol=1e-300, start_nodes=start,
-                              max_nodes=cap)
+            converge_spectrum(tx, rx, CARRIER, tol=1e-300, max_nodes=cap)
         assert max(rung_calls) == rung_calls[-1] == cap == err.value.nodes
         assert rung_calls == sorted(set(rung_calls))
 
-    @pytest.mark.parametrize("d, aperture, start, cap, first", [
-        (8.0, 5.0, 64, 4096, 362),    # cliff pi * 143 = 450 nodes
-        (8.0, 5.0, 64, 600, 256),     # capped at max_nodes / 2
-        (8.0, 5.0, 400, 4096, 400),   # start_nodes is a floor
-        (150.0, 0.5, 64, 4096, 64),   # cliff at 0.3 nodes
-        (20.0, 5.0, 16, 4096, 181),   # rungs 16, 23, 32, ..., 128, 181, 256
+    def test_max_nodes_must_exceed_the_floor(self, rung_calls):
+        tx, rx = segment_pair(15.0)
+        with pytest.raises(ValueError, match="max_nodes"):
+            converge_spectrum(tx, rx, CARRIER, max_nodes=64)
+        assert rung_calls == []
+
+    @pytest.mark.parametrize("d, aperture, cap, first", [
+        (8.0, 5.0, 4096, 362),    # cliff pi * 143 = 450 nodes
+        (8.0, 5.0, 600, 256),     # capped at max_nodes / 2
+        (8.0, 5.0, 100, 64),      # max_nodes / 2 below the floor of 64
+        (150.0, 0.5, 4096, 64),   # cliff at 0.3 nodes
+        (20.0, 5.0, 4096, 181),   # rungs 64, 91, 128, 181, 256
     ])
-    def test_infinite_tol_returns_the_start_rung(self, d, aperture, start, cap, first,
-                                                  rung_calls):
+    def test_infinite_tol_returns_the_start_rung(self, d, aperture, cap, first, rung_calls):
         tx, rx = segment_pair(d, aperture)
-        spec = converge_spectrum(tx, rx, CARRIER, tol=np.inf, start_nodes=start,
-                                 max_nodes=cap)
+        spec = converge_spectrum(tx, rx, CARRIER, tol=np.inf, max_nodes=cap)
         assert rung_calls == [spec.shape[0]] == [first]
 
     @pytest.mark.parametrize("d", [0.2, 1.0, 3.0, 50.0, 1e9])
-    @pytest.mark.parametrize("start, cap", [(8, 16), (8, 100), (64, 4096), (50, 101)])
-    def test_start_rung_within_floor_and_half_cap(self, d, start, cap, monkeypatch):
+    @pytest.mark.parametrize("cap", [65, 100, 101, 4096])
+    def test_start_rung_within_floor_and_half_cap(self, d, cap, monkeypatch):
         monkeypatch.setattr(nfdof.kernel, "cap_spectrum", lambda disc: disc)
         tx, rx = segment_pair(d, 5.0)
-        m = converge_spectrum(tx, rx, CARRIER, tol=np.inf, start_nodes=start,
-                              max_nodes=cap).node_count
-        assert start <= m <= max(start, cap / 2)
-        assert m in {round(start * 2 ** (k / 2)) for k in range(40)}
+        m = converge_spectrum(tx, rx, CARRIER, tol=np.inf, max_nodes=cap).node_count
+        assert 64 <= m <= max(64, cap / 2)
+        assert m in {round(64 * 2 ** (k / 2)) for k in range(40)}
 
 
 # (aperture, distance) pairs; 5 m at 3 m and 6 m need 2048-4096 nodes for

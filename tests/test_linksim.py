@@ -26,6 +26,7 @@ class TestPrecode:
         rng = np.random.default_rng(0)
         powers = np.array([2.0, 1.0, 0.5])
         s = qpsk_symbols(3, 100_000, rng)
+        assert np.allclose(np.abs(s.view(float)), np.sqrt(0.5), rtol=1e-15)  # unit-power QPSK
         x = precode(s, modes, powers)
         mean_power = np.mean(np.sum(np.abs(x) ** 2, axis=0))
         assert mean_power == pytest.approx(powers.sum(), rel=0.01)
@@ -177,18 +178,6 @@ class TestRunLink:
         payload = json.loads(path.read_text())
         assert payload["n_symbols"] == 1000
         assert len(payload["measured_mode_snr"]) == 2
-
-    def test_symbol_dump(self, tmp_path):
-        h = nusw_channel(16, 15.0)
-        cfg = TransmissionConfig(active_modes=2, mode_powers=[1.0, 0.5],
-                                 noise_power=1e-9, n_symbols=50, seed=10)
-        dump = tmp_path / "symbols.csv"
-        run_link(h, cfg, dump_path=dump)
-        lines = dump.read_text().splitlines()
-        assert lines[0] == "symbol,mode,tx_re,tx_im,est_re,est_im"
-        assert len(lines) == 1 + 50 * 2
-        values = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-        assert np.allclose(np.abs(values[:, 2:4]), np.sqrt(0.5), rtol=1e-15)  # unit-power QPSK
 
 
 class TestConfigValidation:
