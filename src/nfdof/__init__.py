@@ -9,7 +9,7 @@ from .channel import (farfield_planar_channel, frobenius_normalized, los_nusw_ch
 from .errors import (ActiveSetChangeError, ConfigError, ConvergenceError,
                      EigenSolverError, NfdofError, SingularGeometryError)
 from .geometry import (ArrayGeometry, CarrierConfig, SPEED_OF_LIGHT, build_ula,
-                       continuous_aperture, discrete_array, rayleigh_distance)
+                       continuous_aperture, rayleigh_distance)
 from .kernel import (KernelDiscretization, build_kernel, cap_edof1, cap_edof2,
                      cap_spectrum, converge_spectrum)
 from .linksim import (LinkReport, TransmissionConfig, combine, precode, run_link,
@@ -26,7 +26,7 @@ __all__ = [
     "SPEED_OF_LIGHT", "SingularGeometryError", "SingularSpectrum",
     "TransmissionConfig", "build_kernel", "build_ula", "cap_edof1", "cap_edof2",
     "cap_spectrum", "capacity", "combine", "continuous_aperture",
-    "converge_spectrum", "decompose", "discrete_array", "dof", "edof1",
+    "converge_spectrum", "decompose", "dof", "edof1",
     "edof1_limit_linear", "edof2", "edof3", "edof3_auto", "edof3_envelope",
     "farfield_planar_channel", "frobenius_normalized", "los_nusw_channel",
     "los_usw_channel", "metrics_report", "precode", "rayleigh_distance",

@@ -37,6 +37,8 @@ def _load_config(path: str) -> dict:
             return json.load(fh)
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path} nests arrays or objects too deeply") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

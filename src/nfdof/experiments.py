@@ -26,15 +26,13 @@ import numpy as np
 from . import __version__
 from .channel import frobenius_normalized, los_nusw_channel, los_usw_channel
 from .errors import ConfigError
-from .geometry import (SPEED_OF_LIGHT, UNIT_TOL, CarrierConfig, build_ula, continuous_aperture,
+from .geometry import (SPEED_OF_LIGHT, CarrierConfig, build_ula, continuous_aperture,
                        rayleigh_distance)
 from .kernel import LADDER_FLOOR, GaussLegendreRules, cap_edof1, cap_edof2, converge_spectrum
 from .linksim import TransmissionConfig, run_link, save_link_report
 from .metrics import (dof, edof1, edof1_limit_linear, edof2, edof3_auto,
                       metrics_report, waterfill)
 from .modes import decompose
-
-_EPOCH_ISO = "1970-01-01T00:00:00Z"
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,8 @@ class ResultTable:
 class ExperimentSpec:
     """Every value a runner reads, parsed and range-checked from one config.
 
-    ``names`` lists the output tables in the order the runner writes them.
+    ``names`` lists the output tables in the order the runner writes them;
+    ``timestamp`` is the provenance time read from SOURCE_DATE_EPOCH.
     Fields an experiment does not use keep their defaults, which are also
     the defaults of the optional config keys of the same name.
     """
@@ -73,8 +72,8 @@ class ExperimentSpec:
     carrier: CarrierConfig
     seed: int
     names: tuple
+    timestamp: str
     model: str = "nusw"
-    axis: tuple = (0.0, 0.0, 1.0)
     normalize: bool = True
     sizes: tuple = ()  # (n_elements, aperture_m) pairs
     distances: tuple = ()
@@ -215,20 +214,13 @@ def _ula_sizes(geo: dict, sweep: bool = True) -> tuple:
                  for n in ns)
 
 
-def _array_options(cfg: dict, geo: dict) -> dict:
-    """The optional model, axis and normalize keys, where present."""
+def _array_options(cfg: dict) -> dict:
+    """The optional model and normalize keys, where present."""
     out = {}
     if "model" in cfg:
         if cfg["model"] not in ("nusw", "usw"):
             raise ConfigError("model must be 'nusw' or 'usw'")
         out["model"] = cfg["model"]
-    if "axis" in geo:
-        axis = _number_list(geo, "axis", "geometry")
-        if len(axis) != 3:
-            raise ConfigError("geometry.axis must be a 3-element list")
-        if abs(np.linalg.norm(axis) - 1.0) > UNIT_TOL:
-            raise ConfigError(f"geometry.axis must have unit norm, got {list(axis)}")
-        out["axis"] = axis
     if "normalize" in cfg:
         if not isinstance(cfg["normalize"], bool):
             raise ConfigError(f"normalize must be true or false, got {cfg['normalize']!r}")
@@ -258,9 +250,9 @@ def _ula_sweep(cfg: dict, geo: dict, extra: set) -> dict:
     """An element-count sweep over distances.  The metrics and kernel objects
     are read only where ``extra`` allows them."""
     _check_keys(cfg, _TOP_KEYS | {"model"} | extra, _TOP_REQUIRED, "config")
-    _check_keys(geo, {"aperture_m", "element_spacing_m", "n_elements", "distances_m", "axis"},
+    _check_keys(geo, {"aperture_m", "element_spacing_m", "n_elements", "distances_m"},
                 {"n_elements", "distances_m"}, "geometry")
-    return {"sizes": _ula_sizes(geo), **_array_options(cfg, geo),
+    return {"sizes": _ula_sizes(geo), **_array_options(cfg),
             "distances": _number_list(geo, "distances_m", "geometry", **_LENGTH),
             **_metrics(cfg, {"dominance"}), **_kernel(cfg)}
 
@@ -284,9 +276,9 @@ def _parse_edof2_vs_n(cfg: dict, geo: dict) -> dict:
 def _parse_edof3_vs_snr(cfg: dict, geo: dict) -> dict:
     _check_keys(cfg, _TOP_KEYS | {"model", "metrics", "normalize"},
                 _TOP_REQUIRED | {"metrics"}, "config")
-    _check_keys(geo, {"aperture_m", "n_elements", "distances_m", "axis"},
+    _check_keys(geo, {"aperture_m", "n_elements", "distances_m"},
                 {"aperture_m", "n_elements", "distances_m"}, "geometry")
-    out = {"sizes": _ula_sizes(geo, sweep=False), **_array_options(cfg, geo),
+    out = {"sizes": _ula_sizes(geo, sweep=False), **_array_options(cfg),
            "distances": _number_list(geo, "distances_m", "geometry", **_LENGTH),
            **_metrics(cfg, {"snr_db", "delta_step", "dominance"}, {"snr_db"})}
     out["names"] = tuple(f"edof3_vs_snr_d{_slug(d)}" for d in out["distances"])
@@ -307,7 +299,7 @@ def _parse_cap_edof_vs_distance(cfg: dict, geo: dict) -> dict:
 def _parse_link_sim(cfg: dict, geo: dict) -> dict:
     _check_keys(cfg, _TOP_KEYS | {"link", "normalize"},
                 _TOP_REQUIRED | {"link", "seed"}, "config")
-    _check_keys(geo, {"aperture_m", "n_elements", "distance_m", "axis"},
+    _check_keys(geo, {"aperture_m", "n_elements", "distance_m"},
                 {"aperture_m", "n_elements", "distance_m"}, "geometry")
     link = _object(cfg, "link")
     _check_keys(link, {"active_modes", "snr_db", "n_symbols"},
@@ -315,7 +307,7 @@ def _parse_link_sim(cfg: dict, geo: dict) -> dict:
     sizes = _ula_sizes(geo, sweep=False)
     n = sizes[0][0]
     d = _number(geo["distance_m"], "geometry.distance_m", **_LENGTH)
-    return {"sizes": sizes, "distances": (d,), **_array_options(cfg, geo),
+    return {"sizes": sizes, "distances": (d,), **_array_options(cfg),
             # an n-element pair has n channel modes
             **_given(link, "link", active_modes={"integer": True, "minimum": 1, "maximum": n},
                      n_symbols={"integer": True, "minimum": 1, "maximum": MAX_COUNT}),
@@ -328,8 +320,9 @@ def validate_config(cfg, seed: int | None = None) -> ExperimentSpec:
 
     ``seed`` overrides the config seed and obeys the same rule (a
     non-negative integer).  Raises :class:`ConfigError` on any unknown key,
-    missing parameter, out-of-range value or pair of output tables that would
-    share a file name, before any computation starts.
+    missing parameter, out-of-range value, pair of output tables that would
+    share a file name or malformed SOURCE_DATE_EPOCH, before any computation
+    starts.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -339,13 +332,8 @@ def validate_config(cfg, seed: int | None = None) -> ExperimentSpec:
     fields = EXPERIMENTS[kind][0](cfg, _object(cfg, "geometry"))
     seed = cfg.get("seed", 0) if seed is None else seed
     spec = ExperimentSpec(experiment=kind, carrier=_parse_carrier(cfg),
-                          seed=_number(seed, "seed", integer=True, minimum=0), **fields)
-    # both arrays are centred on the y-axis: along it they overlap, and
-    # elements may coincide, unless every distance exceeds the aperture
-    aperture = max((a for _, a in spec.sizes), default=0.0)
-    if abs(abs(spec.axis[1]) - 1.0) <= UNIT_TOL and min(spec.distances) <= aperture:
-        raise ConfigError("geometry.axis lies along the link, so every distance must exceed "
-                          f"the aperture ({aperture} m)")
+                          seed=_number(seed, "seed", integer=True, minimum=0),
+                          timestamp=_timestamp(), **fields)
     shared = sorted({name for name in spec.names if spec.names.count(name) > 1})
     if shared:
         raise ConfigError(f"grid points that format alike would share output table(s) {shared}")
@@ -361,19 +349,24 @@ def config_hash(cfg: dict) -> str:
 
 
 def _timestamp() -> str:
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is None:
-        return _EPOCH_ISO
-    dt = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+    """SOURCE_DATE_EPOCH as a UTC time, the epoch itself when it is unset."""
+    epoch = os.environ.get("SOURCE_DATE_EPOCH", "0")
+    try:
+        if not (epoch.isascii() and epoch.isdigit()):
+            raise ValueError
+        dt = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise ConfigError("SOURCE_DATE_EPOCH must be a non-negative integer number of "
+                          f"seconds before the year 10000, got {epoch!r}") from None
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _provenance(cfg: dict, seed: int) -> dict:
+def _provenance(cfg: dict, spec: ExperimentSpec) -> dict:
     return {
         "config_hash": config_hash(cfg),
         "version": __version__,
-        "timestamp": _timestamp(),
-        "seed": seed,
+        "timestamp": spec.timestamp,
+        "seed": spec.seed,
         "experiment": cfg["experiment"],
     }
 
@@ -405,29 +398,6 @@ def emit_plot_data(table: ResultTable, out_dir) -> Path:
     return path
 
 
-def parse_result_csv(path) -> ResultTable:
-    """Read back a CSV written by :func:`emit_plot_data`; re-emitting the
-    parsed table reproduces the file byte for byte."""
-    path = Path(path)
-    provenance = {}
-    columns = None
-    rows = []
-    with open(path, newline="") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("# "):
-                key, _, value = line[2:].partition("=")
-                provenance[key] = int(value) if key == "seed" else value
-            elif columns is None:
-                columns = line.split(",")
-            elif line:
-                rows.append([float(x) for x in line.split(",")])
-    if columns is None:
-        raise ValueError(f"{path} has no header row")
-    return ResultTable(name=path.stem, columns=columns, rows=rows,
-                       provenance=provenance)
-
-
 # --- experiment implementations -----------------------------------------------
 
 
@@ -443,8 +413,8 @@ def _slug(x: float) -> str:
 
 
 def _spd_channel(spec: ExperimentSpec, n: int, aperture: float, distance: float):
-    tx = build_ula(n, aperture, center=(0.0, 0.0, 0.0), axis=spec.axis)
-    rx = build_ula(n, aperture, center=(0.0, distance, 0.0), axis=spec.axis)
+    tx = build_ula(n, aperture, center=(0.0, 0.0, 0.0))
+    rx = build_ula(n, aperture, center=(0.0, distance, 0.0))
     build = los_nusw_channel if spec.model == "nusw" else los_usw_channel
     return build(tx, rx, spec.carrier)
 
@@ -552,8 +522,8 @@ def _run_cap_edof_vs_distance(spec, prov, threads, out_dir):
 
 # measured/predicted SNR stays within 1e-5 of its low-SNR value up to a
 # predicted 9e24 (N = 16, 4000 symbols), then round-off bends it: 3e-3 off at
-# 9e26, 24 % at 9e28.  Low SNRs are measured well, but the products of error
-# powers in the error correlation overflow below about 1e-148 at 10**6 symbols.
+# 9e26, 24 % at 9e28.  Low SNRs are measured well until the error powers, about
+# n_symbols / SNR, near the float64 maximum: below about 1e-302 at 10**6 symbols.
 _LINK_SNR_RANGE = (1e-100, 1e25)
 
 
@@ -607,7 +577,7 @@ def run_experiment(cfg: dict, out_dir=".", seed: int | None = None,
     spec = validate_config(cfg, seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    prov = _provenance(cfg, spec.seed)
+    prov = _provenance(cfg, spec)
     tables, extra = EXPERIMENTS[spec.experiment][1](spec, prov, threads, out_dir)
     for table in tables:
         emit_plot_data(table, out_dir)

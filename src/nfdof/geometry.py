@@ -76,30 +76,6 @@ class ArrayGeometry:
             return self.elements.mean(axis=0)
         return self.segment.mean(axis=0)
 
-    @property
-    def n_elements(self) -> int:
-        if self.kind != "discrete":
-            raise ValueError("continuous apertures have no element count")
-        return self.elements.shape[0]
-
-
-def discrete_array(elements) -> ArrayGeometry:
-    """Wrap an (n, 3) element list, validating distinctness and computing the aperture."""
-    pts = np.atleast_2d(np.asarray(elements, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-        raise ValueError(f"elements must be an (n, 3) array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("element coordinates must be finite")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    n = pts.shape[0]
-    if n > 1:
-        off = dist[~np.eye(n, dtype=bool)]
-        if np.any(off == 0.0):
-            raise ValueError("discrete array elements must be pairwise distinct")
-    aperture = float(dist.max())
-    return ArrayGeometry(kind="discrete", aperture=aperture, elements=_readonly(pts))
-
 
 def continuous_aperture(start, end) -> ArrayGeometry:
     """A continuous linear aperture between two distinct 3D endpoints."""
@@ -118,24 +94,23 @@ def build_ula(n_elements: int, aperture: float, center=(0.0, 0.0, 0.0),
 
     Elements sit at ``center + (k - (n-1)/2) * (aperture/(n-1)) * axis`` for
     k = 0..n-1, so elements k and n-1-k are exact mirror images about the
-    center and the spacing is ``aperture / (n - 1)``.  A single-element
-    array degenerates to ``center`` and requires ``aperture == 0``.
+    center and the spacing is ``aperture / (n - 1)``.
 
     Parameters
     ----------
     n_elements : int
-        Number of antennas, >= 1.
+        Number of antennas, >= 2.
     aperture : float
-        End-to-end array extent in meters, >= 0.
+        End-to-end array extent in meters, > 0.
     center : array-like of 3 floats
         Array center in meters.
     axis : array-like of 3 floats
         Array orientation; must have unit norm within 1e-12.
     """
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be >= 1, got {n_elements}")
-    if aperture < 0:
-        raise ValueError(f"aperture must be non-negative, got {aperture}")
+    if n_elements < 2:
+        raise ValueError(f"n_elements must be >= 2, got {n_elements}")
+    if not aperture > 0:
+        raise ValueError(f"aperture must be positive, got {aperture}")
     axis = np.asarray(axis, dtype=float)
     center = np.asarray(center, dtype=float)
     if axis.shape != (3,) or center.shape != (3,):
@@ -143,10 +118,6 @@ def build_ula(n_elements: int, aperture: float, center=(0.0, 0.0, 0.0),
     if abs(np.linalg.norm(axis) - 1.0) > UNIT_TOL:
         raise ValueError(f"axis must have unit norm within {UNIT_TOL}, got |axis| = "
                          f"{np.linalg.norm(axis)}")
-    if n_elements == 1:
-        if aperture > 0:
-            raise ValueError("a single-element array cannot have a positive aperture")
-        return discrete_array(center[None, :])
     offsets = (np.arange(n_elements) - 0.5 * (n_elements - 1)) * (aperture / (n_elements - 1))
     pts = center[None, :] + offsets[:, None] * axis[None, :]
     if not np.all(np.isfinite(pts)):

@@ -164,7 +164,7 @@ def run_link(h, config: TransmissionConfig) -> LinkReport:
         measured = np.where(mse > 0, (sym_power / total) / mse, np.inf)
         predicted = (p * sig ** 2 / config.noise_power if config.noise_power > 0
                      else np.full(k, np.inf))
-    denom = np.sqrt(np.outer(err_power, err_power))
+    denom = np.outer(np.sqrt(err_power), np.sqrt(err_power))
     corr = np.abs(np.divide(err_cross, denom, out=np.zeros_like(err_cross),
                             where=denom > 0))
     return LinkReport(measured_mode_snr=measured, predicted_mode_snr=predicted,

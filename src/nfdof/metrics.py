@@ -1,8 +1,7 @@
 """DoF-family metrics, water-filling power allocation, and capacity.
 
-All functions accept a :class:`~nfdof.modes.SingularSpectrum`, a
-:class:`~nfdof.modes.ModeDecomposition`, or a plain descending array of
-singular values.  SNR and power quantities are linear ratios with the noise
+All functions accept a :class:`~nfdof.modes.SingularSpectrum` or a plain
+descending array of singular values.  SNR and power quantities are linear ratios with the noise
 power normalized to 1 unless stated otherwise.  Every metric reads the
 spectrum clipped once at the rank tolerance of ``dof``: singular values below
 it are round-off and count as zero.

@@ -123,10 +123,7 @@ def decompose(h, vectors: bool = True) -> ModeDecomposition | SingularSpectrum:
 
 
 def spectrum_values(spectrum) -> np.ndarray:
-    """Coerce a SingularSpectrum, ModeDecomposition, or array-like to a
-    descending value array."""
-    if isinstance(spectrum, ModeDecomposition):
-        return np.asarray(spectrum.singular_values, dtype=float)
+    """Coerce a SingularSpectrum or array-like to a descending value array."""
     if isinstance(spectrum, SingularSpectrum):
         return spectrum.values
     v = np.asarray(spectrum, dtype=float)

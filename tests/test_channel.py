@@ -7,7 +7,7 @@ from conftest import (CARRIER, WAVELENGTH, channel_entries, direct_response, mir
 from nfdof.channel import (farfield_planar_channel, frobenius_normalized, los_nusw_channel,
                            los_usw_channel)
 from nfdof.errors import SingularGeometryError
-from nfdof.geometry import build_ula, continuous_aperture, rayleigh_distance
+from nfdof.geometry import ArrayGeometry, build_ula, continuous_aperture, rayleigh_distance
 from nfdof.kernel import build_kernel
 from nfdof.modes import decompose
 
@@ -15,9 +15,9 @@ BUILDERS = {"nusw": los_nusw_channel, "usw": los_usw_channel}
 
 
 def siso_pair(distance):
-    tx = build_ula(1, 0.0, center=(0, 0, 0))
-    rx = build_ula(1, 0.0, center=(0, distance, 0))
-    return tx, rx
+    def antenna(y):
+        return ArrayGeometry(kind="discrete", aperture=0.0, elements=np.array([[0.0, y, 0.0]]))
+    return antenna(0.0), antenna(distance)
 
 
 class TestNusw:

@@ -92,6 +92,28 @@ class TestExitCodes:
         assert main(["validate", str(path)]) == EXIT_CONFIG
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    def test_deeply_nested_json_is_2_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        out = tmp_path / "o"
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("error: invalid config") == 2 and err.count("\n") == 2
+
+    @pytest.mark.parametrize("epoch", ["abc", "1e9", "99999999999999", "-1", " 1", ""])
+    def test_malformed_source_date_epoch_is_2_before_any_output(self, epoch, tmp_path,
+                                                                 monkeypatch, capsys):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        cfg_path = write_config(tmp_path / "cfg.json", spectrum_config())
+        out = tmp_path / "o"
+        assert main(["validate", cfg_path]) == EXIT_CONFIG
+        assert main(["run", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("SOURCE_DATE_EPOCH") == 2 and err.count("\n") == 2
+
     def test_numerical_failure_is_3(self, tmp_path):
         cfg = {
             "experiment": "cap-edof-vs-distance",
@@ -174,6 +196,17 @@ class TestSeedAndThreads:
         header = (out / "spectrum_n16_d15.csv").read_text().splitlines()
         assert "# seed=77" in header
 
+    @pytest.mark.parametrize("epoch, stamp", [("0", "1970-01-01T00:00:00Z"),
+                                              ("86400", "1970-01-02T00:00:00Z"),
+                                              ("253402300799", "9999-12-31T23:59:59Z")])
+    def test_source_date_epoch_reaches_provenance(self, epoch, stamp, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        cfg_path = write_config(tmp_path / "cfg.json", spectrum_config())
+        out = tmp_path / "out"
+        assert main(["run", cfg_path, "--out", str(out)]) == EXIT_OK
+        header = (out / "spectrum_n16_d15.csv").read_text().splitlines()
+        assert f"# timestamp={stamp}" in header
+
     def test_threads_do_not_change_bytes(self, tmp_path):
         cfg = spectrum_config()
         cfg["geometry"]["distances_m"] = [15.0, 50.0, 150.0]
@@ -193,8 +226,7 @@ class TestSeedAndThreads:
 SMALL_CONFIGS = {
     "spectrum": {
         "experiment": "spectrum", "carrier": {"wavelength_m": 0.01},
-        "geometry": {"aperture_m": 0.2, "n_elements": [4, 6], "distances_m": [15.0, 50.0],
-                     "axis": [0.0, 0.0, 1.0]},
+        "geometry": {"aperture_m": 0.2, "n_elements": [4, 6], "distances_m": [15.0, 50.0]},
         "model": "nusw", "seed": 0,
     },
     "edof-vs-n": {
@@ -308,6 +340,8 @@ BAD_CONFIGS = {
         with_leaf(small_config("link-sim"), ("geometry", "axis"), [0, -1, 0]),
         ("geometry", "distance_m"), 0.2),
     # keys no config sets any more
+    "removed key geometry.axis": with_leaf(small_config("spectrum"), ("geometry", "axis"),
+                                           [0.0, 0.0, 1.0]),
     "removed key output_dir": small_config("spectrum", output_dir="elsewhere"),
     "removed key metrics.rank_tol": with_leaf(small_config("edof-vs-n"),
                                               ("metrics", "rank_tol"), 1e-9),

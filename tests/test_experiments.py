@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nfdof.errors import ConfigError
-from nfdof.experiments import (ResultTable, config_hash, emit_plot_data,
-                               parse_result_csv, run_experiment, validate_config)
+from nfdof.experiments import (ResultTable, config_hash, emit_plot_data, run_experiment,
+                               validate_config)
 
 
 def spectrum_config(**overrides):
@@ -19,6 +19,13 @@ def spectrum_config(**overrides):
     return cfg
 
 
+def read_csv_rows(path):
+    """The numeric rows of a CSV written by ``emit_plot_data``: the lines
+    after the provenance lines and the header row."""
+    body = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return [[float(x) for x in line.split(",")] for line in body[1:]]
+
+
 class TestValidation:
     def test_valid_config_passes(self):
         validate_config(spectrum_config())
@@ -26,7 +33,7 @@ class TestValidation:
     def test_spec_holds_defaults_and_seed_override(self):
         spec = validate_config(spectrum_config(), seed=5)
         assert (spec.experiment, spec.seed, spec.model) == ("spectrum", 5, "nusw")
-        assert spec.axis == (0.0, 0.0, 1.0) and spec.carrier.wavelength == 0.01
+        assert spec.carrier.wavelength == 0.01
         assert spec.sizes == ((32, 1.37),) and spec.distances == (15.0,)
         assert spec.names == ("spectrum_n32_d15",)
         assert (spec.dominance, spec.delta_step) == (0.01, 0.01)
@@ -72,12 +79,6 @@ class TestValidation:
         cfg["geometry"]["distances_m"] = [15.0, -1.0]
         with pytest.raises(ConfigError, match="positive"):
             validate_config(cfg)
-
-    def test_axis_along_the_link_needs_distances_beyond_the_aperture(self):
-        geo = {"element_spacing_m": 0.1, "n_elements": [4, 11], "axis": [0.0, -1.0, 0.0]}
-        validate_config(spectrum_config(geometry={**geo, "distances_m": [1.01, 15.0]}))
-        with pytest.raises(ConfigError, match="exceed the aperture"):
-            validate_config(spectrum_config(geometry={**geo, "distances_m": [15.0, 1.0]}))
 
     def test_validation_errors_before_any_output(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -180,7 +181,7 @@ class TestEdof3Experiment:
                         "delta_step": 0.05},
         }
         (table,) = run_experiment(cfg, out_dir=tmp_path)
-        csv_rows = parse_result_csv(tmp_path / f"{table.name}.csv").rows
+        csv_rows = read_csv_rows(tmp_path / f"{table.name}.csv")
         summary = json.loads((tmp_path / "edof3_vs_snr_summary.json").read_text())
         report = summary["metric_reports"]["d15"]["edof3_by_snr"]
         assert [[r[1], r[2]] for r in csv_rows] == report
@@ -202,7 +203,7 @@ class TestLinkSimExperiment:
             "seed": 7,
         }
         (table,) = run_experiment(cfg, out_dir=tmp_path)
-        rows = parse_result_csv(tmp_path / f"{table.name}.csv").rows
+        rows = read_csv_rows(tmp_path / f"{table.name}.csv")
         assert len(rows) == 1 and rows[0][1] == pytest.approx(1e-30, rel=1e-12)
         assert np.all(np.isfinite(rows))
         for name in ("link_report.json", "link_sim_summary.json"):
@@ -253,12 +254,6 @@ class TestEmit:
         with pytest.raises(ValueError, match="no rows"):
             emit_plot_data(table, tmp_path / "sub")
         assert not (tmp_path / "sub").exists()
-
-    def test_csv_round_trip_byte_identical(self, tmp_path):
-        path = emit_plot_data(self.table(), tmp_path)
-        parsed = parse_result_csv(path)
-        path2 = emit_plot_data(parsed, tmp_path / "again")
-        assert path.read_bytes() == path2.read_bytes()
 
     def test_csv_formatting(self, tmp_path):
         path = emit_plot_data(self.table(), tmp_path)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import nfdof.channel
 import nfdof.kernel
+import nfdof.modes
 from conftest import (CARRIER, WAVELENGTH, cap_converged, cap_eigenvalues_direct,
                       direct_response, mirror_verdicts, segment_pair, tilted_pair)
 from nfdof.errors import ConvergenceError, SingularGeometryError
@@ -315,18 +316,32 @@ def test_converged_rung_resolves_the_whole_spectrum(aperture, d):
 
 
 REPO = Path(__file__).resolve().parent.parent
-KERNEL_CONFIGS = [p for p in sorted(REPO.glob("configs/*.json")) + sorted(
+# the shipped configs and the benchmark's stress configs
+TRAFFIC_CONFIGS = sorted(REPO.glob("configs/*.json")) + sorted(
     REPO.glob("nfbench/configs/*.json"))
-    if json.loads(p.read_text())["experiment"] in ("cap-edof-vs-distance", "edof2-vs-n")]
 
 
-@pytest.mark.parametrize("path", KERNEL_CONFIGS, ids=lambda p: p.name)
-def test_every_shipped_ladder_takes_the_half_row_build(path, tmp_path, rung_calls,
-                                                        mirror_tests):
-    # edof2-vs-n runs also build one channel per grid point
-    run_experiment(json.loads(path.read_text()), out_dir=tmp_path)
-    assert rung_calls and len(mirror_tests) >= len(rung_calls)
-    assert mirror_tests == [True] * len(mirror_tests)
+@pytest.mark.parametrize("path", TRAFFIC_CONFIGS, ids=lambda p: p.name)
+def test_every_shipped_ladder_takes_the_half_row_build(path, tmp_path, monkeypatch,
+                                                        rung_calls, mirror_tests):
+    # every channel and kernel assembly builds half its rows, and every
+    # values-only spectrum is solved as two parity blocks
+    splits = []
+    original = nfdof.modes.parity_blocks
+
+    def recording(m):
+        blocks = original(m)
+        splits.append(blocks is not None)
+        return blocks
+
+    monkeypatch.setattr(nfdof.modes, "parity_blocks", recording)
+    cfg = json.loads(path.read_text())
+    run_experiment(cfg, out_dir=tmp_path)
+    assert mirror_tests and mirror_tests == [True] * len(mirror_tests)
+    assert splits and splits == [True] * len(splits)
+    if cfg["experiment"] in ("cap-edof-vs-distance", "edof2-vs-n"):
+        # edof2-vs-n runs also build one channel per grid point
+        assert rung_calls and len(mirror_tests) >= len(rung_calls)
 
 
 class TestGaussLegendreRules:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,18 @@ class TestRunLink:
         report = run_link(h, cfg)
         off = report.error_correlation - np.diag(np.diag(report.error_correlation))
         assert np.max(off) < 5.0 / np.sqrt(cfg.n_symbols)
+
+    def test_error_correlation_diagonal_at_vanishing_snr(self):
+        # error powers near 1e203, whose products overflow float64
+        h = nusw_channel(16, 15.0)
+        s = nusw_modes(16, 15.0).singular_values
+        cfg = TransmissionConfig(active_modes=2, mode_powers=1e-200 / s[:2] ** 2,
+                                 noise_power=1.0, n_symbols=4000, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_link(h, cfg)
+        assert np.allclose(report.predicted_mode_snr, 1e-200, rtol=1e-12)
+        assert np.max(np.abs(np.diag(report.error_correlation) - 1.0)) <= 1e-12
 
     def test_single_noiseless_symbol(self):
         h = nusw_channel(16, 15.0)

@@ -1,0 +1,79 @@
+"""Print the statements of ``src/nfdof`` that the traffic never reaches.
+
+The traffic is ``nfdof run`` on the seven ``configs/*.json`` and the two
+``nfbench/configs/*.json``, plus ``pytest tests/test_acceptance.py``.  Both
+run in this process under a ``sys.settrace`` line trace, started before
+``nfdof`` is imported so that import-time statements count too.  Run from
+anywhere with
+
+    python tools/traffic_trace.py
+
+Needs only the standard library and the test suite's own pytest.
+"""
+
+import ast
+import contextlib
+import io
+import sys
+import tempfile
+import threading
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "nfdof"
+
+
+def statement_lines(path: Path) -> dict:
+    """Line number -> first source line of every statement that compiles to
+    code: docstrings and ``global``/``nonlocal`` declarations compile to none."""
+    source = path.read_text()
+    lines = source.splitlines()
+    return {node.lineno: lines[node.lineno - 1].strip()
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.stmt)
+            and not isinstance(node, (ast.Global, ast.Nonlocal))
+            and not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                     and isinstance(node.value.value, str))}
+
+
+def main() -> int:
+    reached = set()
+    prefix = str(PACKAGE)
+
+    def local(frame, event, arg):
+        if event == "line":
+            reached.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(prefix) else None
+
+    sys.path.insert(0, str(REPO / "src"))
+    threading.settrace(tracer)
+    sys.settrace(tracer)
+    try:
+        from nfdof.cli import main as nfdof_main
+        configs = sorted(REPO.glob("configs/*.json")) + sorted(REPO.glob("nfbench/configs/*.json"))
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+            codes = {config.name: nfdof_main(["run", str(config), "--out",
+                                              str(Path(out) / config.stem)])
+                     for config in configs}
+        print(f"nfdof run exit codes: {codes}")
+        import pytest
+        pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(REPO),
+                     str(REPO / "tests" / "test_acceptance.py")])
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        statements = statement_lines(path)
+        missed = sorted(n for n in statements if (str(path), n) not in reached)
+        print(f"{path.name}: {len(missed)} of {len(statements)} statements never reached")
+        for n in missed:
+            print(f"  {n:4d}  {statements[n]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
