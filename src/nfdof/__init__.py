@@ -6,12 +6,11 @@ __version__ = "0.1.0"
 
 from .channel import (farfield_planar_channel, frobenius_normalized, los_nusw_channel,
                       los_usw_channel)
-from .errors import (ActiveSetChangeError, ConfigError, ConvergenceError,
-                     EigenSolverError, NfdofError, SingularGeometryError)
+from .errors import (ActiveSetChangeError, ConfigError, ConvergenceError, NfdofError,
+                     SingularGeometryError)
 from .geometry import (ArrayGeometry, CarrierConfig, SPEED_OF_LIGHT, build_ula,
                        continuous_aperture, rayleigh_distance)
-from .kernel import (KernelDiscretization, build_kernel, cap_edof1, cap_edof2,
-                     cap_spectrum, converge_spectrum)
+from .kernel import build_kernel, cap_edof1, cap_edof2, cap_spectrum, converge_spectrum
 from .linksim import (LinkReport, TransmissionConfig, combine, precode, run_link,
                       transmit_awgn)
 from .metrics import (PowerAllocation, capacity, dof, edof1, edof1_limit_linear, edof2,
@@ -21,7 +20,7 @@ from .modes import ModeDecomposition, SingularSpectrum, decompose
 __all__ = [
     "__version__",
     "ActiveSetChangeError", "ArrayGeometry", "CarrierConfig", "ConfigError",
-    "ConvergenceError", "EigenSolverError", "KernelDiscretization", "LinkReport",
+    "ConvergenceError", "LinkReport",
     "ModeDecomposition", "NfdofError", "PowerAllocation",
     "SPEED_OF_LIGHT", "SingularGeometryError", "SingularSpectrum",
     "TransmissionConfig", "build_kernel", "build_ula", "cap_edof1", "cap_edof2",

@@ -19,16 +19,15 @@ import numpy as np
 
 from . import __version__
 from .errors import (ActiveSetChangeError, ConfigError, ConvergenceError,
-                     EigenSolverError, SingularGeometryError)
+                     SingularGeometryError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-_NUMERICAL_ERRORS = (ConvergenceError, EigenSolverError, ActiveSetChangeError,
-                     SingularGeometryError, FloatingPointError,
-                     np.linalg.LinAlgError)
+_NUMERICAL_ERRORS = (ConvergenceError, ActiveSetChangeError, SingularGeometryError,
+                     FloatingPointError, np.linalg.LinAlgError)
 
 
 def _load_config(path: str) -> dict:

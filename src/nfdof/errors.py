@@ -23,10 +23,6 @@ class ConvergenceError(NfdofError):
         self.tol = tol
 
 
-class EigenSolverError(NfdofError):
-    """The dense SVD of a kernel response failed; inputs are reported, never ignored."""
-
-
 class ActiveSetChangeError(NfdofError):
     """The derivative stencil straddles a water-filling active-set change.
 

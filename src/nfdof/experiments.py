@@ -28,7 +28,7 @@ from .channel import frobenius_normalized, los_nusw_channel, los_usw_channel
 from .errors import ConfigError
 from .geometry import (SPEED_OF_LIGHT, CarrierConfig, build_ula, continuous_aperture,
                        rayleigh_distance)
-from .kernel import LADDER_FLOOR, GaussLegendreRules, cap_edof1, cap_edof2, converge_spectrum
+from .kernel import LADDER_FLOOR, cap_edof1, cap_edof2, converge_spectrum
 from .linksim import TransmissionConfig, run_link, save_link_report
 from .metrics import (dof, edof1, edof1_limit_linear, edof2, edof3_auto,
                       metrics_report, waterfill)
@@ -163,7 +163,7 @@ def _parse_carrier(cfg: dict) -> CarrierConfig:
         raise ConfigError("carrier needs frequency_hz or wavelength_m")
     freq, lam = (_number(car[k], f"carrier.{k}", positive=True) if k in car else None
                  for k in ("frequency_hz", "wavelength_m"))
-    try:  # the same quotients as CarrierConfig.from_frequency/from_wavelength
+    try:  # the missing one is c over the given one, as in CarrierConfig.from_wavelength
         carrier = CarrierConfig(frequency=freq or SPEED_OF_LIGHT / lam,
                                 wavelength=lam or SPEED_OF_LIGHT / freq)
     except ValueError as exc:
@@ -419,11 +419,10 @@ def _spd_channel(spec: ExperimentSpec, n: int, aperture: float, distance: float)
     return build(tx, rx, spec.carrier)
 
 
-def _converge(spec: ExperimentSpec, aperture: float, distance: float, rules):
+def _converge(spec: ExperimentSpec, aperture: float, distance: float):
     tx = continuous_aperture((0.0, 0.0, -aperture / 2), (0.0, 0.0, aperture / 2))
     rx = continuous_aperture((0.0, distance, -aperture / 2), (0.0, distance, aperture / 2))
-    return converge_spectrum(tx, rx, spec.carrier, tol=spec.tol, max_nodes=spec.max_nodes,
-                             rules=rules)
+    return converge_spectrum(tx, rx, spec.carrier, tol=spec.tol, max_nodes=spec.max_nodes)
 
 
 def _run_spectrum(spec, prov, threads, out_dir):
@@ -457,14 +456,13 @@ def _run_edof_vs_n(spec, prov, threads, out_dir):
 
 
 def _run_edof2_vs_n(spec, prov, threads, out_dir):
-    rules = GaussLegendreRules()
     # one converged reference per (aperture, d), computed sequentially in grid
     # order for determinism before the grid is mapped
     cap_ref = {}
     for d in spec.distances:
         for _, a in spec.sizes:
             if (a, d) not in cap_ref:
-                cap_ref[a, d] = cap_edof2(_converge(spec, a, d, rules))
+                cap_ref[a, d] = cap_edof2(_converge(spec, a, d))
 
     def one(item):
         name, d = item
@@ -503,14 +501,12 @@ def _run_edof3_vs_snr(spec, prov, threads, out_dir):
 
 
 def _run_cap_edof_vs_distance(spec, prov, threads, out_dir):
-    rules = GaussLegendreRules()
-
     def one(item):
         name, aperture = item
         rd = rayleigh_distance(aperture, spec.carrier.wavelength)
         rows = []
         for d in spec.distances:
-            s = _converge(spec, aperture, d, rules)
+            s = _converge(spec, aperture, d)
             rows.append([d, cap_edof1(s, dominance=spec.dominance), cap_edof2(s), rd])
         return ResultTable(name=name,
                            columns=["distance_m", "cap_edof1", "cap_edof2",

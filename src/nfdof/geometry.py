@@ -36,12 +36,6 @@ class CarrierConfig:
             )
 
     @classmethod
-    def from_frequency(cls, frequency: float) -> "CarrierConfig":
-        if not frequency > 0:
-            raise ValueError(f"frequency must be positive, got {frequency}")
-        return cls(frequency=frequency, wavelength=SPEED_OF_LIGHT / frequency)
-
-    @classmethod
     def from_wavelength(cls, wavelength: float) -> "CarrierConfig":
         if not wavelength > 0:
             raise ValueError(f"wavelength must be positive, got {wavelength}")

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import greens_function, spherical_wave_matrix
-from .errors import ConvergenceError, EigenSolverError, SingularGeometryError
+from .errors import ConvergenceError, SingularGeometryError
 from .geometry import ArrayGeometry, CarrierConfig
 from .metrics import edof1, edof2
 from .modes import SingularSpectrum, decompose
@@ -69,35 +68,22 @@ def gauss_legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-x[:h], x[::-1]]), np.concatenate([w[:h], w[::-1]])
 
 
-class GaussLegendreRules:
-    """Gauss-Legendre rules on [-1, 1], each node count computed once.
-
-    One table serves every kernel ladder of a run, so
-    :func:`gauss_legendre_rule` runs once per distinct node count.  The
-    returned arrays are read-only; lookups are safe from several threads.
-    """
-
-    def __init__(self):
-        self._rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._lock = threading.Lock()
-
-    def rule(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights of the ``m``-point rule on [-1, 1]."""
-        with self._lock:
-            if m not in self._rules:
-                x, w = gauss_legendre_rule(m)
-                x.setflags(write=False)
-                w.setflags(write=False)
-                self._rules[m] = (x, w)
-            return self._rules[m]
+_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_RULES_LOCK = threading.Lock()
 
 
-def gauss_legendre_segment(start, end, m: int,
-                           rules: GaussLegendreRules | None = None):
+def gauss_legendre_segment(start, end, m: int):
     """Gauss-Legendre nodes (m, 3) and weights (m,) on a 3D segment; the
     weights carry the physical length measure in meters.  The [-1, 1] rule
-    comes from ``rules`` (a fresh table when None)."""
-    x, w = (rules or GaussLegendreRules()).rule(m)
+    is computed once per node count for the whole process and kept
+    read-only; lookups are safe from several threads."""
+    with _RULES_LOCK:
+        if m not in _RULES:
+            x, w = gauss_legendre_rule(m)
+            x.setflags(write=False)
+            w.setflags(write=False)
+            _RULES[m] = (x, w)
+        x, w = _RULES[m]
     p0 = np.asarray(start, dtype=float)
     p1 = np.asarray(end, dtype=float)
     mid = 0.5 * (p0 + p1)
@@ -134,29 +120,6 @@ def _segment_min_distance(p1, q1, p2, q2) -> float:
     return float(np.linalg.norm(closest1 - closest2))
 
 
-@dataclass(frozen=True)
-class KernelDiscretization:
-    """Quadrature discretization of an aperture pair.
-
-    ``response`` is the M x M weighted response W_r^(1/2) G W_s^(1/2), with
-    G_ij = g(r_i, s_j); ``tx_weights`` are the transmit Gauss-Legendre
-    weights.
-    """
-
-    tx_weights: np.ndarray
-    response: np.ndarray
-
-    @property
-    def node_count(self) -> int:
-        return self.tx_weights.size
-
-    @property
-    def kernel(self) -> np.ndarray:
-        """The sampled kernel K = G^H W_r G, formed on demand."""
-        inv = 1.0 / np.sqrt(self.tx_weights)
-        return inv[:, None] * (self.response.conj().T @ self.response) * inv[None, :]
-
-
 def _require_continuous(arr: ArrayGeometry, name: str) -> np.ndarray:
     if arr.kind != "continuous":
         raise ValueError(f"{name} must be a continuous aperture")
@@ -164,11 +127,10 @@ def _require_continuous(arr: ArrayGeometry, name: str) -> np.ndarray:
 
 
 def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
-                 m_nodes: int, rules: GaussLegendreRules | None = None
-                 ) -> KernelDiscretization:
-    """Assemble the weighted response H = W_r^(1/2) G W_s^(1/2) with
-    Gauss-Legendre rules of ``m_nodes`` points on both segments, taken from
-    ``rules`` (a fresh table when None).
+                 m_nodes: int) -> np.ndarray:
+    """The read-only weighted response H = W_r^(1/2) G W_s^(1/2), with
+    G_ij = g(r_i, s_j) on Gauss-Legendre rules of ``m_nodes`` points on both
+    segments.
 
     The assembly is :func:`~nfdof.channel.spherical_wave_matrix`: when the
     nodes are exact mirror images, G is exactly centrosymmetric and both
@@ -182,24 +144,18 @@ def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
     rx_seg = _require_continuous(rx, "rx")
     if _segment_min_distance(tx_seg[0], tx_seg[1], rx_seg[0], rx_seg[1]) == 0.0:
         raise SingularGeometryError("transmit and receive segments overlap")
-    rules = rules or GaussLegendreRules()
-    s_nodes, s_weights = gauss_legendre_segment(tx_seg[0], tx_seg[1], m_nodes, rules)
-    r_nodes, r_weights = gauss_legendre_segment(rx_seg[0], rx_seg[1], m_nodes, rules)
+    s_nodes, s_weights = gauss_legendre_segment(tx_seg[0], tx_seg[1], m_nodes)
+    r_nodes, r_weights = gauss_legendre_segment(rx_seg[0], rx_seg[1], m_nodes)
     r_root, s_root = np.sqrt(r_weights), np.sqrt(s_weights)
-    h = spherical_wave_matrix(r_nodes, s_nodes, lambda d: r_root[:len(d), None]
-                              * greens_function(d, carrier.wavelength) * s_root[None, :])
-    return KernelDiscretization(tx_weights=s_weights, response=h)
+    return spherical_wave_matrix(r_nodes, s_nodes, lambda d: r_root[:len(d), None]
+                                 * greens_function(d, carrier.wavelength) * s_root[None, :])
 
 
-def cap_spectrum(disc: KernelDiscretization) -> SingularSpectrum:
-    """Singular values sigma_n of the weighted response; sigma_n**2 are the
-    eigenvalues of the discretized kernel.  A centrosymmetric response is
+def cap_spectrum(h: np.ndarray) -> SingularSpectrum:
+    """Singular values sigma_n of the weighted response ``h``; sigma_n**2 are
+    the eigenvalues of the discretized kernel.  A centrosymmetric response is
     solved as its two parity blocks."""
-    try:
-        return decompose(disc.response, vectors=False)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(
-            f"SVD failed on a {disc.node_count}-node response: {exc}") from exc
+    return decompose(h, vectors=False)
 
 
 # The benchmark probes these names in nfdof.experiments, so they stay as
@@ -233,8 +189,7 @@ def _rung(k: int) -> int:
 
 
 def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
-                      tol: float = 1e-6, max_nodes: int = 4096,
-                      rules: GaussLegendreRules | None = None) -> SingularSpectrum:
+                      tol: float = 1e-6, max_nodes: int = 4096) -> SingularSpectrum:
     """Raise the quadrature node count by sqrt(2) per rung until the top 20
     eigenvalues sigma_n**2 of two successive rungs agree to ``tol`` relative
     to the largest.
@@ -247,23 +202,20 @@ def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConf
     is a hard cap: the last rung is clamped to it.  ``tol=inf`` returns the
     start rung.  Non-convergence by ``max_nodes`` raises
     :class:`ConvergenceError` with the last observed change and the largest
-    rung built attached.  Every rung takes its quadrature rule from
-    ``rules``; pass one table to share the rules between ladders (a fresh
-    table per ladder when None).  The node count of the returned spectrum is
+    rung built attached.  The node count of the returned spectrum is
     ``shape[0]``.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not max_nodes > LADDER_FLOOR:
         raise ValueError(f"max_nodes must exceed {LADDER_FLOOR}, got {max_nodes}")
-    rules = rules or GaussLegendreRules()
     spread = _path_spread(_require_continuous(tx, "tx"), _require_continuous(rx, "rx"))
     limit = min(math.pi * spread / carrier.wavelength, max_nodes / 2)
     k = 0
     while _rung(k + 1) <= limit:
         k += 1
     m = _rung(k)
-    spec = cap_spectrum(build_kernel(tx, rx, carrier, m, rules))
+    spec = cap_spectrum(build_kernel(tx, rx, carrier, m))
     if math.isinf(tol):
         return spec
     lam = spec.values ** 2
@@ -271,7 +223,7 @@ def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConf
     while m < max_nodes:
         k += 1
         m = min(_rung(k), max_nodes)
-        spec = cap_spectrum(build_kernel(tx, rx, carrier, m, rules))
+        spec = cap_spectrum(build_kernel(tx, rx, carrier, m))
         nxt = spec.values ** 2
         n = min(_N_TRACK, lam.size, nxt.size)
         last_change = float(np.max(np.abs(nxt[:n] - lam[:n])) / nxt[0])

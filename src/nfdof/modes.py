@@ -41,9 +41,6 @@ class SingularSpectrum:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def __len__(self) -> int:
-        return self.values.size
-
 
 @dataclass(frozen=True)
 class ModeDecomposition:

@@ -16,7 +16,7 @@ import numpy as np
 import nfdof.channel
 from nfdof.channel import los_nusw_channel
 from nfdof.geometry import CarrierConfig, build_ula, continuous_aperture
-from nfdof.kernel import converge_spectrum, gauss_legendre_segment
+from nfdof.kernel import build_kernel, converge_spectrum, gauss_legendre_segment
 from nfdof.modes import decompose
 
 WAVELENGTH = 0.01
@@ -169,6 +169,16 @@ def direct_response(tx, rx, m):
     return np.sqrt(r_weights)[:, None] * g * np.sqrt(s_weights)[None, :]
 
 
+def sampled_kernel(tx, rx, m):
+    """The response H of ``build_kernel`` on ``m`` nodes, the sampled kernel
+    K = G^H W_r G formed from it as W_s^(-1/2) H^H H W_s^(-1/2), and the
+    transmit weights W_s."""
+    h = build_kernel(tx, rx, CARRIER, m)
+    _, w = gauss_legendre_segment(tx.segment[0], tx.segment[1], m)
+    inv = 1.0 / np.sqrt(w)
+    return h, inv[:, None] * (h.conj().T @ h) * inv[None, :], w
+
+
 def cap_eigenvalues_direct(tx, rx, m):
     """Kernel oracle: descending eigenvalues of W_s^(1/2) (G^H W_r G) W_s^(1/2)
     on ``m``-node rules, solved by one Hermitian eigensolve with no parity
@@ -177,3 +187,35 @@ def cap_eigenvalues_direct(tx, rx, m):
     k = g.conj().T @ (r_weights[:, None] * g)
     w = np.sqrt(s_weights)
     return np.linalg.eigvalsh(w[:, None] * k * w[None, :])[::-1]
+
+
+def prolate_eigenvalues(c):
+    """Slepian's prolate eigenvalues lambda_n(c), descending: the spectrum of
+    the sinc kernel sin(c (x - y)) / (pi (x - y)) on [-1, 1], from numpy
+    alone and no toolkit code.
+
+    In the normalized Legendre basis sqrt(k + 1/2) P_k the prolate
+    differential operator splits by parity into two symmetric tridiagonals
+    (Xiao, Rokhlin & Yarvin, Inverse Problems 17, 2001); their eigenvectors
+    beta are the prolate functions psi_n.  The integral equation
+    mu_n psi_n(x) = int exp(i c x t) psi_n(t) dt at x = 0 gives
+    |mu_n| = sqrt(2) |beta_0 / psi_n(0)| for even n and
+    c sqrt(2/3) |beta_1 / psi_n'(0)| for odd n, and
+    lambda_n = c |mu_n|**2 / (2 pi).  (The same equation at x = 1 divides
+    by psi_n(1), about exp(-c) for the leading modes, and loses every digit
+    by c = 47.)
+    """
+    lam = []
+    for parity in (0, 1):
+        k = np.arange(parity, 2 * int(c) + 80, 2, dtype=float)
+        diag = k * (k + 1) + c * c * (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1))
+        j = k[:-1]
+        off = c * c * (j + 2) * (j + 1) / ((2 * j + 3) * np.sqrt((2 * j + 1) * (2 * j + 5)))
+        _, beta = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        # P_2m(0) = (-1)**m (2m - 1)!! / (2m)!!, and P'_2m+1(0) = (2m + 1) P_2m(0)
+        m = np.arange(1, k.size)
+        p0 = np.cumprod(np.concatenate([[1.0], -(2 * m - 1) / (2 * m)]))
+        at_zero = (np.sqrt(k + 0.5) * (k if parity else 1.0) * p0) @ beta
+        mu = (c * np.sqrt(2 / 3) if parity else np.sqrt(2)) * beta[0] / at_zero
+        lam.append(c * mu * mu / (2 * np.pi))
+    return np.sort(np.concatenate(lam))[::-1]

@@ -171,7 +171,7 @@ class TestSharedAssembly:
                                              (0.0, d, shift + ap_t / 2))
                 elif layout == "tilted":
                     tx, rx = tilted_pair(d, angle, ap_t)
-                h = build_kernel(tx, rx, CARRIER, m).response
+                h = build_kernel(tx, rx, CARRIER, m)
                 full = direct_response(tx, rx, m)
             else:
                 axis = (0.0, np.sin(angle), np.cos(angle)) if layout == "tilted" \

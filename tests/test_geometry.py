@@ -6,10 +6,6 @@ from nfdof.geometry import (SPEED_OF_LIGHT, CarrierConfig, build_ula, continuous
 
 
 class TestCarrierConfig:
-    def test_from_frequency(self):
-        c = CarrierConfig.from_frequency(28e9)
-        assert c.wavelength == pytest.approx(SPEED_OF_LIGHT / 28e9, rel=1e-15)
-
     def test_from_wavelength(self):
         c = CarrierConfig.from_wavelength(0.01)
         assert c.frequency == pytest.approx(SPEED_OF_LIGHT / 0.01, rel=1e-15)
@@ -20,7 +16,7 @@ class TestCarrierConfig:
 
     def test_nonpositive_frequency_rejected(self):
         with pytest.raises(ValueError):
-            CarrierConfig.from_frequency(0.0)
+            CarrierConfig(frequency=0.0, wavelength=1.0)
 
 
 class TestBuildUla:

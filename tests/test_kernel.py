@@ -12,19 +12,22 @@ import nfdof.channel
 import nfdof.kernel
 import nfdof.modes
 from conftest import (CARRIER, WAVELENGTH, cap_converged, cap_eigenvalues_direct,
-                      direct_response, mirror_verdicts, segment_pair, tilted_pair)
+                      direct_response, mirror_verdicts, prolate_eigenvalues,
+                      sampled_kernel, segment_pair, tilted_pair)
 from nfdof.errors import ConvergenceError, SingularGeometryError
 from nfdof.experiments import run_experiment
 from nfdof.geometry import continuous_aperture, rayleigh_distance
-from nfdof.kernel import (GaussLegendreRules, build_kernel, cap_edof1, cap_edof2,
-                          cap_spectrum, converge_spectrum, gauss_legendre_rule)
+from nfdof.kernel import (build_kernel, cap_edof1, cap_edof2, cap_spectrum,
+                          converge_spectrum, gauss_legendre_rule, gauss_legendre_segment)
 from nfdof.modes import SingularSpectrum
 
 
 @pytest.fixture
 def rule_calls(monkeypatch):
     """Counts the node counts passed to ``gauss_legendre_rule`` by the
-    kernel module."""
+    kernel module, from an empty process-wide rule table; the warm table
+    comes back after the test."""
+    monkeypatch.setattr(nfdof.kernel, "_RULES", {})
     calls = Counter()
     lock = threading.Lock()
     original = nfdof.kernel.gauss_legendre_rule
@@ -45,9 +48,9 @@ def rung_calls(monkeypatch):
     calls = []
     original = nfdof.kernel.build_kernel
 
-    def counting(tx, rx, carrier, m_nodes, rules=None):
+    def counting(tx, rx, carrier, m_nodes):
         calls.append(m_nodes)
-        return original(tx, rx, carrier, m_nodes, rules)
+        return original(tx, rx, carrier, m_nodes)
 
     monkeypatch.setattr(nfdof.kernel, "build_kernel", counting)
     return calls
@@ -65,48 +68,49 @@ def full_g_response(monkeypatch, tx, rx, m):
     """``build_kernel`` with the half-row assembly switched off."""
     with monkeypatch.context() as patch:
         patch.setattr(nfdof.channel, "_mirror_points", lambda rx_pts, tx_pts: False)
-        return build_kernel(tx, rx, CARRIER, m).response
+        return build_kernel(tx, rx, CARRIER, m)
 
 
 class TestBuildKernel:
     def test_diagonal_real_positive(self):
         tx, rx = segment_pair(25.0)
-        k = build_kernel(tx, rx, CARRIER, 32).kernel
+        _, k, _ = sampled_kernel(tx, rx, 32)
         diag = np.diag(k)
         assert np.max(np.abs(diag.imag)) <= 1e-14 * np.max(diag.real)
         assert np.all(diag.real > 0.0)
 
     def test_hermitian_by_construction(self):
         tx, rx = segment_pair(25.0)
-        k = build_kernel(tx, rx, CARRIER, 48).kernel
+        _, k, _ = sampled_kernel(tx, rx, 48)
         assert np.linalg.norm(k - k.conj().T) < 1e-12 * np.linalg.norm(k)
 
     def test_weighted_trace_quadrature_invariant(self):
         tx, rx = segment_pair(50.0)
         traces = []
         for m in (128, 256):
-            disc = build_kernel(tx, rx, CARRIER, m)
-            traces.append(float(np.sum(disc.tx_weights * np.diag(disc.kernel).real)))
+            _, k, w = sampled_kernel(tx, rx, m)
+            traces.append(float(np.sum(w * np.diag(k).real)))
         assert abs(traces[1] - traces[0]) < 1e-8 * abs(traces[1])
 
     def test_positive_semidefinite(self):
         tx, rx = segment_pair(15.0)
-        disc = build_kernel(tx, rx, CARRIER, 64)
-        w = np.sqrt(disc.tx_weights)
-        eig = np.linalg.eigvalsh(w[:, None] * disc.kernel * w[None, :])
+        _, k, w = sampled_kernel(tx, rx, 64)
+        w = np.sqrt(w)
+        eig = np.linalg.eigvalsh(w[:, None] * k * w[None, :])
         assert eig.min() > -1e-10 * eig.max()
 
     @pytest.mark.parametrize("m", [33, 64])
     def test_mirror_segments_give_centrosymmetric_kernel(self, m):
         tx, rx = segment_pair(25.0)
-        h = build_kernel(tx, rx, CARRIER, m).response
+        h = build_kernel(tx, rx, CARRIER, m)
+        assert not h.flags.writeable
         assert np.array_equal(h, h[::-1, ::-1])
         assert np.array_equal(h, direct_response(tx, rx, m))
 
     def test_offset_segments_take_the_full_assembly(self, mirror_tests):
         tx, _ = segment_pair(25.0)
         rx = continuous_aperture((0.0, 25.0, -0.5), (0.0, 25.0, 1.0))
-        h = build_kernel(tx, rx, CARRIER, 32).response
+        h = build_kernel(tx, rx, CARRIER, 32)
         assert mirror_tests == [False]
         assert not np.array_equal(h, h[::-1, ::-1])
         assert np.array_equal(h, direct_response(tx, rx, 32))
@@ -114,13 +118,13 @@ class TestBuildKernel:
     @pytest.mark.parametrize("m", [33, 64, 91, 724])
     def test_half_row_build_equals_the_full_build(self, m, monkeypatch, mirror_tests):
         tx, rx = segment_pair(8.0, 5.0)
-        h = build_kernel(tx, rx, CARRIER, m).response
+        h = build_kernel(tx, rx, CARRIER, m)
         assert mirror_tests == [True]
         assert np.array_equal(h, full_g_response(monkeypatch, tx, rx, m))
 
     def test_tilted_segments_take_the_full_assembly(self, mirror_tests):
         tx, rx = tilted_pair(8.0, 0.3)
-        h = build_kernel(tx, rx, CARRIER, 64).response
+        h = build_kernel(tx, rx, CARRIER, 64)
         assert mirror_tests == [False]
         assert np.array_equal(h, direct_response(tx, rx, 64))
 
@@ -163,10 +167,10 @@ class TestCapSpectrum:
 
     def test_odd_node_count_matches_the_full_eigensolve(self):
         tx, rx = segment_pair(15.0)
-        disc = build_kernel(tx, rx, CARRIER, 33)
-        lam = cap_spectrum(disc).values ** 2
-        w = np.sqrt(disc.tx_weights)
-        full = np.linalg.eigvalsh(w[:, None] * disc.kernel * w[None, :])[::-1]
+        h, k, w = sampled_kernel(tx, rx, 33)
+        lam = cap_spectrum(h).values ** 2
+        w = np.sqrt(w)
+        full = np.linalg.eigvalsh(w[:, None] * k * w[None, :])[::-1]
         assert lam.size == full.size == 33
         assert np.max(np.abs(lam - full)) <= 1e-13 * full[0]
 
@@ -177,9 +181,9 @@ class TestCapSpectrum:
 
     def test_eigenvalue_sum_matches_weighted_trace(self):
         tx, rx = segment_pair(35.0)
-        disc = build_kernel(tx, rx, CARRIER, 128)
-        lam = cap_spectrum(disc).values ** 2
-        trace = float(np.sum(disc.tx_weights * np.diag(disc.kernel).real))
+        h, k, w = sampled_kernel(tx, rx, 128)
+        lam = cap_spectrum(h).values ** 2
+        trace = float(np.sum(w * np.diag(k).real))
         assert abs(lam.sum() - trace) < 1e-10 * trace
 
     @settings(max_examples=60, deadline=None)
@@ -292,9 +296,9 @@ class TestConvergeSpectrum:
     @pytest.mark.parametrize("d", [0.2, 1.0, 3.0, 50.0, 1e9])
     @pytest.mark.parametrize("cap", [65, 100, 101, 4096])
     def test_start_rung_within_floor_and_half_cap(self, d, cap, monkeypatch):
-        monkeypatch.setattr(nfdof.kernel, "cap_spectrum", lambda disc: disc)
+        monkeypatch.setattr(nfdof.kernel, "cap_spectrum", lambda h: h)
         tx, rx = segment_pair(d, 5.0)
-        m = converge_spectrum(tx, rx, CARRIER, tol=np.inf, max_nodes=cap).node_count
+        m = converge_spectrum(tx, rx, CARRIER, tol=np.inf, max_nodes=cap).shape[0]
         assert 64 <= m <= max(64, cap / 2)
         assert m in {round(64 * 2 ** (k / 2)) for k in range(40)}
 
@@ -313,6 +317,50 @@ def test_converged_rung_resolves_the_whole_spectrum(aperture, d):
     for dominance in (0.01, 0.5):
         assert cap_edof1(spec, dominance) == cap_edof1(fine, dominance)
     assert cap_edof2(spec) == pytest.approx(cap_edof2(fine), rel=1e-12, abs=0)
+
+
+class TestProlateOracle:
+    """In the Fresnel limit two parallel facing segments of lengths L_t and
+    L_r at distance d have, up to diagonal unitaries and a scale, the sinc
+    kernel of bandwidth c = pi L_t L_r / (2 lambda d) (Slepian & Pollak,
+    Bell Syst. Tech. J. 40, 1961), so sigma_n**2 / sigma_1**2 approaches
+    lambda_n(c) / lambda_0(c) up to Fresnel terms of order (L/d)**2.  The
+    oracle shares no node, weight or solver with the toolkit."""
+
+    @staticmethod
+    def gap(l_t, l_r, d):
+        """The converged kernel spectrum, the prolate ratios lambda_n /
+        lambda_0, and their largest difference over the modes above 1e-12."""
+        tx = continuous_aperture((0.0, 0.0, -l_t / 2), (0.0, 0.0, l_t / 2))
+        rx = continuous_aperture((0.0, d, -l_r / 2), (0.0, d, l_r / 2))
+        spec = converge_spectrum(tx, rx, CARRIER, tol=1e-10)
+        ratio = spec.values ** 2 / spec.values[0] ** 2
+        lam = prolate_eigenvalues(np.pi * l_t * l_r / (2 * WAVELENGTH * d))
+        n = min(int(np.count_nonzero(ratio > 1e-12)), lam.size)
+        return spec, lam / lam[0], float(np.max(np.abs(ratio[:n] - lam[:n] / lam[0])))
+
+    def test_oracle_matches_the_tables_and_the_trace(self):
+        assert prolate_eigenvalues(1.0)[0] == pytest.approx(0.5726, abs=5e-5)
+        assert np.allclose(prolate_eigenvalues(4.0)[:4], [0.9959, 0.9121, 0.5191, 0.1102],
+                           rtol=0, atol=5e-5)
+        # the trace of the sinc kernel on [-1, 1] is the Shannon number 2c/pi
+        for c in (0.5, 4.0, 20.0, 31.4):
+            assert prolate_eigenvalues(c).sum() == pytest.approx(2 * c / np.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("aperture, d", [(1.37, 150.0), (1.37, 50.0), (1.37, 15.0),
+                                             (0.5, 10.0)])
+    def test_whole_spectrum_at_the_roadmap_geometries(self, aperture, d):
+        spec, lam, gap = self.gap(aperture, aperture, d)
+        assert gap <= 2 * (aperture / d) ** 2
+        assert cap_edof1(spec, dominance=0.01) == np.count_nonzero(lam >= 0.01)
+
+    # d >= 10 max(L) and L <= 2 m keep c below 32: beyond about c = 35 the
+    # dropped quartic Fresnel phase, about c (L/d)**2 / 2, outgrows 2 (L/d)**2
+    @settings(max_examples=100, deadline=None)
+    @given(l_t=st.floats(0.05, 2.0), l_r=st.floats(0.05, 2.0), spacing=st.floats(10.0, 300.0))
+    def test_fresnel_limit_of_the_whole_spectrum(self, l_t, l_r, spacing):
+        d = spacing * max(l_t, l_r)
+        assert self.gap(l_t, l_r, d)[2] <= 2 * (max(l_t, l_r) / d) ** 2
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -345,11 +393,15 @@ def test_every_shipped_ladder_takes_the_half_row_build(path, tmp_path, monkeypat
 
 
 class TestGaussLegendreRules:
-    def test_rule_is_read_only_and_shared(self):
-        rules = GaussLegendreRules()
-        x, w = rules.rule(16)
-        assert rules.rule(16)[0] is x
+    """The process-wide table of rules behind ``gauss_legendre_segment``."""
+
+    def test_rule_is_read_only_and_shared(self, rule_calls):
+        nodes, weights = gauss_legendre_segment((0.0, 0.0, -1.0), (0.0, 0.0, 1.0), 16)
+        gauss_legendre_segment((0.0, 0.0, 0.0), (2.0, 0.0, 0.0), 16)
+        assert rule_calls == {16: 1}
         ref_x, ref_w = gauss_legendre_rule(16)
+        assert np.array_equal(nodes[:, 2], ref_x) and np.array_equal(weights, ref_w)
+        x, w = nfdof.kernel._RULES[16]
         assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
         for arr in (x, w):
             with pytest.raises(ValueError):
@@ -369,23 +421,24 @@ class TestGaussLegendreRules:
         moments = np.sum(w[None, :] * x[None, :] ** (2 * k[:, None]), axis=1)
         assert np.max(np.abs(moments * (2 * k + 1) / 2 - 1)) <= 1e-13
 
-    def test_bad_node_count_rejected(self):
+    def test_bad_node_count_rejected(self, rule_calls):
         with pytest.raises(ValueError, match="at least one node"):
-            GaussLegendreRules().rule(0)
+            gauss_legendre_segment((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0)
+        assert 0 not in nfdof.kernel._RULES
 
     def test_one_rule_per_kernel(self, rule_calls):
         tx, rx = segment_pair(25.0)
         build_kernel(tx, rx, CARRIER, 32)
         assert rule_calls == {32: 1}
 
-    def test_shared_table_gives_identical_spectra(self):
+    def test_shared_table_gives_identical_spectra(self, rule_calls):
         tx, rx = segment_pair(50.0)
-        fresh = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
-        rules = GaussLegendreRules()
+        cold = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
         for _ in range(2):
-            shared = converge_spectrum(tx, rx, CARRIER, tol=1e-6, rules=rules)
-            assert np.array_equal(shared.values, fresh.values)
-            assert shared.shape == fresh.shape
+            warm = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
+            assert np.array_equal(warm.values, cold.values)
+            assert warm.shape == cold.shape
+        assert rule_calls and set(rule_calls.values()) == {1}
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_one_rule_computation_per_node_count_in_a_run(self, tmp_path, threads,
@@ -400,7 +453,6 @@ class TestGaussLegendreRules:
         assert set(rule_calls.values()) == {1}
 
     def test_concurrent_lookups_compute_each_rule_once(self, rule_calls):
-        rules = GaussLegendreRules()
         sizes = (8, 16, 32, 64)
         seen = []
         interval = sys.getswitchinterval()
@@ -408,7 +460,8 @@ class TestGaussLegendreRules:
         try:
             def worker():
                 for _ in range(5):
-                    seen.extend(rules.rule(m)[0] for m in sizes)
+                    seen.extend(gauss_legendre_segment((0.0, 0.0, -1.0), (0.0, 0.0, 1.0), m)
+                                for m in sizes)
 
             workers = [threading.Thread(target=worker) for _ in range(16)]
             for t in workers:
@@ -420,5 +473,8 @@ class TestGaussLegendreRules:
         assert not any(t.is_alive() for t in workers)
         assert rule_calls == {m: 1 for m in sizes}
         assert len(seen) == 16 * 5 * len(sizes)
-        assert len({id(x) for x in seen}) == len(sizes)
+        for m in sizes:
+            x, w = nfdof.kernel._RULES[m]
+            assert all(np.array_equal(nodes[:, 2], x) and np.array_equal(weights, w)
+                       for nodes, weights in seen if weights.size == m)
 

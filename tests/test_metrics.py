@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (cap_converged, nusw_spectrum, random_spectrum, ula_pair,
                       waterfill_bruteforce, waterfill_loop, CARRIER)
@@ -217,6 +217,7 @@ class TestRoundOffClip:
     @given(head=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=4),
            tail=st.lists(st.floats(-300.0, -10.0), min_size=1, max_size=4),
            snr_db=st.floats(-30.0, 3000.0))
+    @example(head=[0.0546875], tail=[-10.0], snr_db=-15.0)
     def test_tiny_tails_count_nowhere(self, head, tail, snr_db):
         # the tail sits below dof's rank tolerance, 1e-10 * len(s) * sigma_1
         head = np.sort(head)[::-1]
@@ -226,7 +227,8 @@ class TestRoundOffClip:
         assert k == head.size
         cap = capacity(s, snr)
         assert cap == pytest.approx(waterfill_bruteforce(head, snr, 1.0)[1], rel=1e-9)
-        assert cap <= k * np.log2(1.0 + snr * s[0] ** 2) * (1.0 + 1e-12)
+        # log2(1 + x) loses about eps / x relative at small x; log1p does not
+        assert cap <= k * np.log1p(snr * s[0] ** 2) / np.log(2.0) * (1.0 + 1e-12)
         assert edof3_envelope(s, snr) <= k
         # the central difference carries about C * eps / delta_step of round-off
         assert edof3_auto(s, snr) <= k * (1.0 + 1e-8)

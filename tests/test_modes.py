@@ -150,4 +150,4 @@ class TestSingularSpectrum:
         s = SingularSpectrum(values=np.array([2.0, 1.0]))
         with pytest.raises(ValueError):
             s.values[0] = 5.0
-        assert len(s) == 2
+        assert s.values.size == 2

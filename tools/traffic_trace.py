@@ -1,10 +1,13 @@
-"""Print the statements of ``src/nfdof`` that the traffic never reaches.
+"""Print the statements of ``src/nfdof`` that the traffic never reaches,
+then every function or method none of whose statements it reaches.
 
 The traffic is ``nfdof run`` on the seven ``configs/*.json`` and the two
 ``nfbench/configs/*.json``, plus ``pytest tests/test_acceptance.py``.  Both
 run in this process under a ``sys.settrace`` line trace, started before
-``nfdof`` is imported so that import-time statements count too.  Run from
-anywhere with
+``nfdof`` is imported so that import-time statements count too.  A whole
+definition that is never reached is tagged when ``nfbench/spans.py`` probes
+its name, because the benchmark then needs it to exist.  Run from anywhere
+with
 
     python tools/traffic_trace.py
 
@@ -34,6 +37,30 @@ def statement_lines(path: Path) -> dict:
             and not isinstance(node, (ast.Global, ast.Nonlocal))
             and not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
                      and isinstance(node.value.value, str))}
+
+
+def definitions(path: Path) -> list:
+    """(line, qualified name, body statement lines) of every module-level
+    function and every method of a module-level class."""
+    tree = ast.parse(path.read_text())
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = [(node, node.name) for node in tree.body if isinstance(node, funcs)]
+    found += [(item, f"{node.name}.{item.name}") for node in tree.body
+              if isinstance(node, ast.ClassDef) for item in node.body
+              if isinstance(item, funcs)]
+    return sorted((node.lineno, name, {sub.lineno for stmt in node.body
+                                       for sub in ast.walk(stmt) if isinstance(sub, ast.stmt)})
+                  for node, name in found)
+
+
+def probed_names() -> set:
+    """The function names that the benchmark's probes wrap."""
+    sys.path.insert(0, str(REPO / "nfbench"))
+    try:
+        from spans import PROBES
+    finally:
+        sys.path.pop(0)
+    return {probe.attr for probe in PROBES}
 
 
 def main() -> int:
@@ -72,6 +99,16 @@ def main() -> int:
         print(f"{path.name}: {len(missed)} of {len(statements)} statements never reached")
         for n in missed:
             print(f"  {n:4d}  {statements[n]}")
+
+    probed = probed_names()
+    print("definitions with no reached statement:")
+    for path in sorted(PACKAGE.glob("*.py")):
+        statements = statement_lines(path)
+        for line, name, body in definitions(path):
+            body &= statements.keys()
+            if body and not any((str(path), n) in reached for n in body):
+                tag = "  (probed by nfbench/spans.py)" if name in probed else ""
+                print(f"  {path.name}:{line}  {name}{tag}")
     return 0
 
 
