@@ -516,11 +516,14 @@ def _run_cap_edof_vs_distance(spec, prov, threads, out_dir):
     return _map_ordered(one, list(zip(spec.names, spec.apertures)), threads), {}
 
 
-# measured/predicted SNR stays within 1e-5 of its low-SNR value up to a
-# predicted 9e24 (N = 16, 4000 symbols), then round-off bends it: 3e-3 off at
-# 9e26, 24 % at 9e28.  Low SNRs are measured well until the error powers, about
-# n_symbols / SNR, near the float64 maximum: below about 1e-302 at 10**6 symbols.
-_LINK_SNR_RANGE = (1e-100, 1e25)
+# measured/predicted SNR stays within 5e-5 of its value at SNR 1 up to a
+# predicted 1e25 (N = 16, 2 modes, 4000 symbols), then round-off bends it:
+# 4e-4 off at 9e26, 3 % at 9e28.  Low SNRs are measured well until the summed
+# error powers, about n_symbols / SNR, near the float64 maximum: outputs stay
+# finite down to 1e-304 at 4000 symbols and 1e-302 at MAX_COUNT symbols, and
+# turn to inf or nan one decade lower.  1e-300 keeps a factor of 100 at
+# MAX_COUNT.
+_LINK_SNR_RANGE = (1e-300, 1e25)
 
 
 def _run_link_sim(spec, prov, threads, out_dir):

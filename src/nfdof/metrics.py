@@ -116,8 +116,9 @@ def waterfill(spectrum, budget: float, noise: float) -> PowerAllocation:
     Finds the largest active-mode count k whose water level
     mu = (budget + sum_{j<=k} 1/g_j) / k exceeds 1/g_k, then assigns
     powers_j = mu - 1/g_j to active modes and zero elsewhere.  Modes with
-    zero gain are never active.  A budget too small to raise the level above
-    1/g_1 in floating point goes entirely to the strongest mode.
+    zero gain are never active.  When only the strongest mode is active it
+    gets exactly ``budget``, also when the budget is too small to raise the
+    level above 1/g_1 in floating point.
     """
     if budget <= 0:
         raise ValueError(f"power budget must be positive, got {budget}")
@@ -133,11 +134,13 @@ def waterfill(spectrum, budget: float, noise: float) -> PowerAllocation:
     candidates = (budget + np.cumsum(inv[:n_finite])) / np.arange(1, n_finite + 1)
     fits = np.flatnonzero(candidates > inv[:n_finite])
     powers = np.zeros_like(v)
-    if fits.size:
+    if fits.size and fits[-1] > 0:
         k_active = int(fits[-1]) + 1
         mu = candidates[k_active - 1]
         powers[:k_active] = mu - inv[:k_active]
     elif n_finite:
+        # one active mode takes the whole budget exactly: mu - 1/g_1 with
+        # mu = budget + 1/g_1 would cancel to eps * (1/g_1) / budget relative
         mu = inv[0] + budget
         powers[0] = budget
     else:

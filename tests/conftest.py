@@ -17,6 +17,7 @@ import nfdof.channel
 from nfdof.channel import los_nusw_channel
 from nfdof.geometry import CarrierConfig, build_ula, continuous_aperture
 from nfdof.kernel import build_kernel, converge_spectrum, gauss_legendre_segment
+from nfdof.linksim import LinkReport, combine, mode_coupling, precode, qpsk_symbols
 from nfdof.modes import decompose
 
 WAVELENGTH = 0.01
@@ -116,8 +117,51 @@ def waterfill_loop(values, budget, noise):
         if candidate > inv[k - 1]:
             k_active, mu = k, candidate
     powers = np.zeros_like(v)
-    powers[:k_active] = mu - inv[:k_active]
+    if k_active == 1:
+        # mu - 1/g_1 = (budget + 1/g_1) - 1/g_1 cancels; the budget is exact
+        powers[0] = budget
+    else:
+        powers[:k_active] = mu - inv[:k_active]
     return powers, mu
+
+
+def run_link_loop(h, config, chunk=8192):
+    """Reference link run that sends every chunk through the physical
+    channel: precode -> H @ x -> noise assembled as a + 1j*b from two
+    ``standard_normal`` calls -> combine, over the same spawned chunk seeds
+    as ``run_link``.  Returns a ``LinkReport``."""
+    modes = decompose(h)
+    p, k, total = config.mode_powers, config.active_modes, config.n_symbols
+    sig = modes.singular_values[:k]
+    coupling = mode_coupling(h, modes, p)
+    off = coupling - np.diag(np.diag(coupling))
+    leakage = float(np.max(np.abs(off) ** 2)) if k > 1 else 0.0
+    err_power, sym_power = np.zeros(k), np.zeros(k)
+    err_cross = np.zeros((k, k), dtype=complex)
+    seeds = np.random.SeedSequence(config.seed).spawn((total + chunk - 1) // chunk)
+    for i, chunk_seed in enumerate(seeds):
+        n = min(chunk, total - i * chunk)
+        rng = np.random.default_rng(chunk_seed)
+        s = qpsk_symbols(k, n, rng)
+        y = h @ precode(s, modes, p)
+        if config.noise_power > 0:
+            y = y + np.sqrt(config.noise_power / 2.0) * (rng.standard_normal(y.shape)
+                                                         + 1j * rng.standard_normal(y.shape))
+        e = combine(y, modes, p) - s
+        err_power += np.sum(np.abs(e) ** 2, axis=1)
+        sym_power += np.sum(np.abs(s) ** 2, axis=1)
+        err_cross += e @ e.conj().T
+    mse = err_power / total
+    with np.errstate(divide="ignore"):
+        measured = np.where(mse > 0, (sym_power / total) / mse, np.inf)
+        predicted = (p * sig ** 2 / config.noise_power if config.noise_power > 0
+                     else np.full(k, np.inf))
+    denom = np.outer(np.sqrt(err_power), np.sqrt(err_power))
+    corr = np.abs(np.divide(err_cross, denom, out=np.zeros_like(err_cross),
+                            where=denom > 0))
+    return LinkReport(measured_mode_snr=measured, predicted_mode_snr=predicted,
+                      cross_mode_leakage=leakage, mode_mse=mse,
+                      error_correlation=corr, n_symbols=total)
 
 
 @contextmanager

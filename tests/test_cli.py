@@ -187,6 +187,32 @@ class TestExtremeInputs:
         assert err.startswith("error: numerical failure: ") and err.count("\n") == 1
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("factor, n_symbols, code", [(1.0 / 1.1, 64, EXIT_NUMERICAL),
+                                                         (1.1, MAX_COUNT, EXIT_OK)],
+                             ids=["below", "above"])
+    def test_link_sim_at_the_low_end_of_its_snr_range(self, tmp_path, capsys, factor,
+                                                      n_symbols, code):
+        # a raw-gain 4 x 4 link at 10 km is rank 1 with sigma_1**2 within 2e-7 of
+        # 16 * (lambda / (4 pi d))**2, so snr_db puts the one predicted SNR a
+        # factor 1.1 below or above the range's low end, 1e-300
+        d = 1e4
+        gain = 16.0 * (0.01 / (4.0 * math.pi * d)) ** 2
+        cfg = with_leaf(small_config("link-sim", normalize=False),
+                        ("geometry", "distance_m"), d)
+        cfg["link"] = {"active_modes": 1, "n_symbols": n_symbols,
+                       "snr_db": 10.0 * math.log10(factor * 1e-300 / gain)}
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path / "faint.json", cfg),
+                     "--out", str(out)]) == code
+        if code == EXIT_NUMERICAL:
+            assert capsys.readouterr().err.startswith("error: numerical failure: ")
+            assert list(out.iterdir()) == []
+            return
+        assert_finite_outputs(out)
+        report = json.loads((out / "link_report.json").read_text())
+        assert report["predicted_mode_snr"][0] == pytest.approx(1.1e-300, rel=1e-6)
+        assert report["measured_mode_snr"][0] == pytest.approx(1.1e-300, rel=0.01)
+
 
 class TestSeedAndThreads:
     def test_seed_flag_reaches_provenance(self, tmp_path):

@@ -1,10 +1,13 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import CARRIER, nusw_channel, nusw_modes
+from conftest import CARRIER, nusw_channel, nusw_modes, run_link_loop
+from nfdof.experiments import MAX_COUNT
 from nfdof.linksim import (LinkReport, TransmissionConfig, combine, mode_coupling,
                            precode, qpsk_symbols, run_link, save_link_report,
                            transmit_awgn)
@@ -71,6 +74,20 @@ class TestTransmitAwgn:
         with pytest.raises(ValueError):
             transmit_awgn(h, np.ones((31, 2), dtype=complex), 0.0,
                           np.random.default_rng(0))
+
+    @pytest.mark.parametrize("unit", [1j, 0.0], ids=["complex", "real"])
+    def test_draws_are_two_standard_normal_calls(self, unit):
+        # the recorded link-sim outputs hold these draws: the real parts of the
+        # noise are one standard_normal(y.shape) call, the imaginary parts the next
+        g = np.random.default_rng(21)
+        h = g.standard_normal((12, 5)) + unit * g.standard_normal((12, 5))
+        x = g.standard_normal((5, 37)) + unit * g.standard_normal((5, 37))
+        y = transmit_awgn(h, x, 0.3, np.random.default_rng(4))
+        ref_rng = np.random.default_rng(4)
+        ref = h @ x + np.sqrt(0.3 / 2.0) * (ref_rng.standard_normal((12, 37))
+                                           + 1j * ref_rng.standard_normal((12, 37)))
+        assert y.dtype == ref.dtype
+        assert y.tobytes() == ref.tobytes()
 
 
 class TestCombine:
@@ -148,6 +165,21 @@ class TestRunLink:
         assert np.allclose(report.predicted_mode_snr, 1e-200, rtol=1e-12)
         assert np.max(np.abs(np.diag(report.error_correlation) - 1.0)) <= 1e-12
 
+    def test_low_end_of_the_cli_range_at_max_count(self):
+        # summed error powers near MAX_COUNT / SNR = 1e306 stay finite
+        h = nusw_channel(16, 15.0)
+        s = nusw_modes(16, 15.0).singular_values
+        cfg = TransmissionConfig(active_modes=2, mode_powers=1e-300 / s[:2] ** 2,
+                                 noise_power=1.0, n_symbols=MAX_COUNT, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_link(h, cfg)
+        assert np.allclose(report.predicted_mode_snr, 1e-300, rtol=1e-12)
+        assert np.allclose(report.measured_mode_snr, 1e-300, rtol=0.01)
+        assert np.all(np.isfinite(report.mode_mse))
+        assert np.max(np.abs(np.diag(report.error_correlation) - 1.0)) <= 1e-12
+        assert report.error_correlation[0, 1] < 5.0 / np.sqrt(MAX_COUNT)
+
     def test_single_noiseless_symbol(self):
         h = nusw_channel(16, 15.0)
         cfg = TransmissionConfig(active_modes=2, mode_powers=[1.0, 1.0],
@@ -191,6 +223,54 @@ class TestRunLink:
         payload = json.loads(path.read_text())
         assert payload["n_symbols"] == 1000
         assert len(payload["measured_mode_snr"]) == 2
+
+
+class TestChunkPipeline:
+    """``run_link`` sends each chunk through the precomputed effective channel
+    H V_k diag(sqrt(p)); ``conftest.run_link_loop`` precodes each chunk and
+    sends it through H.  The draws are the same, so only the association of
+    the products differs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_t=st.integers(1, 8), extra_rx=st.integers(0, 8), data=st.data(),
+           noise_power=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+           n_symbols=st.sampled_from([1, 2, 8191, 8192, 8193, 16385]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_chunk_precoding(self, n_t, extra_rx, data, noise_power,
+                                         n_symbols, seed):
+        g = np.random.default_rng(seed)
+        n_r = n_t + extra_rx
+        h = g.standard_normal((n_r, n_t)) + 1j * g.standard_normal((n_r, n_t))
+        k = data.draw(st.integers(1, n_t), label="k")
+        powers = data.draw(st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k),
+                           label="powers")
+        cfg = TransmissionConfig(active_modes=k, mode_powers=powers,
+                                 noise_power=noise_power, n_symbols=n_symbols, seed=seed)
+        got, ref = run_link(h, cfg), run_link_loop(h, cfg)
+        assert got.predicted_mode_snr.tobytes() == ref.predicted_mode_snr.tobytes()
+        assert got.cross_mode_leakage == ref.cross_mode_leakage
+        if noise_power == 0.0:
+            # the errors are round-off alone, which the association changes
+            assert np.max(got.mode_mse) < 1e-20 and np.max(ref.mode_mse) < 1e-20
+            return
+        for field in ("measured_mode_snr", "mode_mse", "error_correlation"):
+            np.testing.assert_allclose(getattr(got, field), getattr(ref, field),
+                                       rtol=1e-12, atol=0, err_msg=field)
+
+    def test_peak_memory_of_three_chunks(self):
+        # the old chunk held about 43 MB at once: the N_t x n transmit block,
+        # the receive block and the complex noise temporaries of two chunks
+        h = nusw_channel(64, 15.0)
+        cfg = TransmissionConfig(active_modes=8, mode_powers=np.ones(8), noise_power=1.0,
+                                 n_symbols=3 * 8192, seed=2)
+        run_link(h, cfg)
+        tracemalloc.start()
+        try:
+            run_link(h, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 64 * 8192 * 16
 
 
 class TestConfigValidation:

@@ -218,6 +218,8 @@ class TestRoundOffClip:
            tail=st.lists(st.floats(-300.0, -10.0), min_size=1, max_size=4),
            snr_db=st.floats(-30.0, 3000.0))
     @example(head=[0.0546875], tail=[-10.0], snr_db=-15.0)
+    # one active mode at low SNR, where mu - 1/g_1 with mu = budget + 1/g_1 cancels
+    @example(head=[0.0625], tail=[-10.0], snr_db=-22.0)
     def test_tiny_tails_count_nowhere(self, head, tail, snr_db):
         # the tail sits below dof's rank tolerance, 1e-10 * len(s) * sigma_1
         head = np.sort(head)[::-1]
