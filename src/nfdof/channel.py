@@ -33,32 +33,35 @@ def _mirror_points(rx_pts: np.ndarray, tx_pts: np.ndarray) -> bool:
     return True
 
 
-def greens_function(d, wavelength: float):
-    """Scalar free-space response g = exp(-1j*2*pi*d/lambda) / (4*pi*d) at
-    distances ``d`` in meters."""
-    return np.exp(-2j * np.pi * d / wavelength) / (4.0 * np.pi * d)
+def spherical_wave_matrix(rx_pts: np.ndarray, tx_pts: np.ndarray, wavelength: float,
+                          amplitude) -> np.ndarray:
+    """The read-only N_r x N_t matrix a(d) * exp(-1j*2*pi*d/lambda) over the
+    distances d_ij = |r_i - t_j| between receive points ``rx_pts`` (N_r, 3)
+    and transmit points ``tx_pts`` (N_t, 3).
 
-
-def spherical_wave_matrix(rx_pts: np.ndarray, tx_pts: np.ndarray, entry) -> np.ndarray:
-    """The read-only N_r x N_t matrix ``entry(d)`` over the distances
-    d_ij = |r_i - t_j| between receive points ``rx_pts`` (N_r, 3) and
-    transmit points ``tx_pts`` (N_t, 3).
-
-    ``entry`` maps a block of rows of the distance matrix to the same rows
-    of the result, elementwise along each row.  When the point sets pass
+    ``amplitude(h, d)`` multiplies a(d) in place into ``h``, the computed
+    top rows of the result holding their phases, and may overwrite ``d``,
+    the distances of those rows.  When the point sets pass
     :func:`_mirror_points`, only the top ``(N_r + 1) // 2`` rows are
     computed and the rest are their mirror image, bitwise equal to the full
-    build.  A zero distance raises :class:`SingularGeometryError`.
+    build.  The squared distances are summed one coordinate at a time, so
+    the build holds at most the result and one float per computed entry.
+    A zero distance raises :class:`SingularGeometryError`.
     """
     n_r = rx_pts.shape[0]
     rows = (n_r + 1) // 2 if _mirror_points(rx_pts, tx_pts) else n_r
-    diff = rx_pts[:rows, None, :] - tx_pts[None, :, :]
-    d = np.sqrt(np.sum(diff * diff, axis=-1))
-    if np.any(d == 0.0):
+    d = np.zeros((rows, tx_pts.shape[0]))
+    part = np.empty_like(d)
+    for a, b in zip(rx_pts[:rows].T, tx_pts.T):
+        d += np.square(np.subtract.outer(a, b, out=part), out=part)
+    del part
+    if not np.sqrt(d, out=d).all():
         raise SingularGeometryError("transmit and receive points coincide (d = 0)")
-    h = entry(d)
-    if rows < n_r:
-        h = np.concatenate([h, h[:n_r // 2][::-1, ::-1]])
+    h = np.empty((n_r, tx_pts.shape[0]), dtype=complex)
+    top = h[:rows]
+    np.exp(np.divide(np.multiply(-2j * np.pi, d, out=top), wavelength, out=top), out=top)
+    amplitude(top, d)
+    h[rows:] = h[:n_r - rows][::-1, ::-1]
     h.setflags(write=False)
     return h
 
@@ -82,8 +85,11 @@ def los_nusw_channel(tx: ArrayGeometry, rx: ArrayGeometry,
     amplitude and phase."""
     tx_pts, rx_pts = _discrete_pair(tx, rx)
     lam = carrier.wavelength
-    return spherical_wave_matrix(
-        rx_pts, tx_pts, lambda d: lam / (4.0 * np.pi * d) * np.exp(-2j * np.pi * d / lam))
+
+    def amplitude(h, d):
+        h *= np.divide(lam, np.multiply(4.0 * np.pi, d, out=d), out=d)
+
+    return spherical_wave_matrix(rx_pts, tx_pts, lam, amplitude)
 
 
 def los_usw_channel(tx: ArrayGeometry, rx: ArrayGeometry,
@@ -98,8 +104,8 @@ def los_usw_channel(tx: ArrayGeometry, rx: ArrayGeometry,
     tx_pts, rx_pts = _discrete_pair(tx, rx)
     lam = carrier.wavelength
     amp = lam / (4.0 * np.pi * _center_distance(tx, rx))
-    return spherical_wave_matrix(rx_pts, tx_pts,
-                                 lambda d: amp * np.exp(-2j * np.pi * d / lam))
+    return spherical_wave_matrix(rx_pts, tx_pts, lam,
+                                 lambda h, d: np.multiply(h, amp, out=h))
 
 
 def farfield_planar_channel(tx: ArrayGeometry, rx: ArrayGeometry,

@@ -22,7 +22,7 @@ import threading
 
 import numpy as np
 
-from .channel import greens_function, spherical_wave_matrix
+from .channel import spherical_wave_matrix
 from .errors import ConvergenceError, SingularGeometryError
 from .geometry import ArrayGeometry, CarrierConfig
 from .metrics import edof1, edof2
@@ -147,8 +147,13 @@ def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
     s_nodes, s_weights = gauss_legendre_segment(tx_seg[0], tx_seg[1], m_nodes)
     r_nodes, r_weights = gauss_legendre_segment(rx_seg[0], rx_seg[1], m_nodes)
     r_root, s_root = np.sqrt(r_weights), np.sqrt(s_weights)
-    return spherical_wave_matrix(r_nodes, s_nodes, lambda d: r_root[:len(d), None]
-                                 * greens_function(d, carrier.wavelength) * s_root[None, :])
+
+    def amplitude(h, d):
+        h /= np.multiply(4.0 * np.pi, d, out=d)
+        h *= r_root[:len(h), None]
+        h *= s_root
+
+    return spherical_wave_matrix(r_nodes, s_nodes, carrier.wavelength, amplitude)
 
 
 def cap_spectrum(h: np.ndarray) -> SingularSpectrum:

@@ -73,11 +73,14 @@ def parity_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     A + BJ (even) and A - BJ (odd).  For odd n the middle row and column
     join the even block, scaled by sqrt(2), with the middle entry unscaled.
     """
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2 \
-            or not np.array_equal(m, m[::-1, ::-1]):
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
         return None
     n = m.shape[0]
     p = n // 2
+    # J m J == m: the bottom p rows mirror the top p; an odd middle row mirrors itself
+    if not (np.array_equal(m[n - p:], m[:p][::-1, ::-1])
+            and (n % 2 == 0 or np.array_equal(m[p], m[p, ::-1]))):
+        return None
     a = m[:p, :p]
     bj = m[:p, ::-1][:, :p]
     if n % 2 == 0:
@@ -108,7 +111,7 @@ def decompose(h, vectors: bool = True) -> ModeDecomposition | SingularSpectrum:
     m = np.asarray(h, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2D matrix, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("channel matrix must be finite")
     if not np.any(m):
         raise ValueError("cannot decompose an all-zero channel matrix")

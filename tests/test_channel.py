@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +175,7 @@ class TestSharedAssembly:
                     tx, rx = tilted_pair(d, angle, ap_t)
                 h = build_kernel(tx, rx, CARRIER, m)
                 full = direct_response(tx, rx, m)
+                inputs = (tx.segment, rx.segment)
             else:
                 axis = (0.0, np.sin(angle), np.cos(angle)) if layout == "tilted" \
                     else (0.0, 0.0, 1.0)
@@ -181,5 +184,33 @@ class TestSharedAssembly:
                 rx = build_ula(n_r, ap_r, center=center, axis=axis)
                 h = BUILDERS[kind](tx, rx, CARRIER)
                 full = channel_entries(kind, tx, rx)
+                inputs = (tx.elements, rx.elements)
         assert verdicts == [layout == "mirror"]
         assert np.array_equal(h, full)
+        assert h.flags.c_contiguous and not h.flags.writeable
+        assert not any(np.shares_memory(h, a) for a in inputs)
+
+    @pytest.mark.parametrize("build, n, layout", [
+        (los_nusw_channel, 1024, "mirror"),
+        (los_nusw_channel, 512, "offset"),
+        (build_kernel, 724, "mirror"),
+    ])
+    def test_peak_memory_of_one_build(self, build, n, layout):
+        # the old assembly held a (rows, N_t, 3) difference tensor, its square
+        # and the complex temporaries of the entry formula beside the result:
+        # 2.5 x the result on a mirror pair, 4.5 x on an offset pair
+        if build is build_kernel:
+            tx, rx = segment_pair(8.0, 5.0)
+            args = (tx, rx, CARRIER, n)
+        else:
+            tx = build_ula(n, 1.37)
+            rx = build_ula(n, 1.37, center=(0.0, 15.0, 0.3 if layout == "offset" else 0.0))
+            args = (tx, rx, CARRIER)
+        build(*args)
+        tracemalloc.start()
+        try:
+            h = build(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * h.nbytes

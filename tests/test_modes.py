@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import CARRIER, WAVELENGTH, nusw_channel, nusw_spectrum, ula_pair
 from nfdof.channel import farfield_planar_channel, los_nusw_channel, los_usw_channel
@@ -115,6 +115,29 @@ class TestParitySplit:
         assert parity_blocks(m) is None
         assert np.array_equal(split_values(m), svd_values(m))
         assert np.array_equal(decompose(m, vectors=False).values, svd_values(m))
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 41), seed=st.integers(0, 2**32 - 1), hermitian=st.booleans(),
+           i=st.integers(0, 40), j=st.integers(0, 40),
+           how=st.sampled_from(["none", "ulp", "conj", "nan"]))
+    @example(n=5, seed=0, hermitian=False, i=2, j=0, how="ulp")
+    @example(n=5, seed=0, hermitian=False, i=0, j=2, how="ulp")
+    @example(n=5, seed=0, hermitian=False, i=2, j=2, how="ulp")
+    @example(n=6, seed=0, hermitian=True, i=3, j=2, how="nan")
+    def test_verdict_equals_the_all_entries_test(self, n, seed, hermitian, i, j, how):
+        # parity_blocks compares half of the entries; one changed entry
+        # anywhere, the middle row and column included, must not slip by
+        m = centrosymmetric(seed, n, hermitian)
+        i, j = i % n, j % n
+        if how == "ulp":
+            m[i, j] = complex(np.nextafter(m[i, j].real, np.inf), m[i, j].imag)
+        elif how == "conj":
+            m[i, j] = np.conj(m[i, j])
+        elif how == "nan":
+            m[i, j] = complex(np.nan, m[i, j].imag)
+        expected = np.array_equal(m, m[::-1, ::-1])
+        assert expected or how != "none"
+        assert (parity_blocks(m) is not None) == expected
 
     def test_too_small_or_not_a_matrix(self):
         assert parity_blocks(np.ones((1, 1))) is None
