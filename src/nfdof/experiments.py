@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +29,7 @@ from .channel import frobenius_normalized, los_nusw_channel, los_usw_channel
 from .errors import ConfigError
 from .geometry import (SPEED_OF_LIGHT, CarrierConfig, build_ula, continuous_aperture,
                        rayleigh_distance)
-from .kernel import LADDER_FLOOR, cap_edof1, cap_edof2, converge_spectrum
+from .kernel import LADDER_FLOOR, _path_spread, cap_edof1, cap_edof2, converge_spectrum
 from .linksim import TransmissionConfig, run_link, save_link_report
 from .metrics import (dof, edof1, edof1_limit_linear, edof2, edof3_auto,
                       metrics_report, waterfill)
@@ -412,11 +413,16 @@ def _slug(x: float) -> str:
     return f"{x:g}".replace(".", "p").replace("-", "m")
 
 
-def _spd_channel(spec: ExperimentSpec, n: int, aperture: float, distance: float):
+def _spd_pair(spec: ExperimentSpec, n: int, aperture: float, distance: float):
+    """The facing ULAs at ``distance`` and their channel."""
     tx = build_ula(n, aperture, center=(0.0, 0.0, 0.0))
     rx = build_ula(n, aperture, center=(0.0, distance, 0.0))
     build = los_nusw_channel if spec.model == "nusw" else los_usw_channel
-    return build(tx, rx, spec.carrier)
+    return tx, rx, build(tx, rx, spec.carrier)
+
+
+def _spd_channel(spec: ExperimentSpec, n: int, aperture: float, distance: float):
+    return _spd_pair(spec, n, aperture, distance)[2]
 
 
 def _converge(spec: ExperimentSpec, aperture: float, distance: float):
@@ -430,7 +436,11 @@ def _run_spectrum(spec, prov, threads, out_dir):
 
     def one(item):
         name, (n, a, d) = item
-        s = decompose(_spd_channel(spec, n, a, d), vectors=False).values
+        tx, rx, h = _spd_pair(spec, n, a, d)
+        # pi * (path spread) / wavelength: the rank the finder starts from
+        spread = _path_spread(tx.elements[[0, -1]], rx.elements[[0, -1]])
+        s = decompose(h, vectors=False,
+                      rank_estimate=math.pi * spread / spec.carrier.wavelength).values
         rows = [[i + 1, float(v), float(v / s[0])] for i, v in enumerate(s)]
         return ResultTable(name=name, columns=["mode_index", "sigma", "sigma_over_sigma1"],
                            rows=rows, provenance=prov)

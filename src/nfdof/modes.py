@@ -10,6 +10,7 @@ Linear Algebra Appl. 13, 1976) whose singular values together are those of M.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,20 +94,64 @@ def parity_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return even, a - bj
 
 
-def split_values(m: np.ndarray) -> np.ndarray:
+_FINDER_STOP = 1e-13
+"""The finder stops once sigma_k < _FINDER_STOP * max(shape) * sigma_1,
+1e-3 of the rank tolerance every metric clips at."""
+
+
+def _leading_values(b: np.ndarray, k: int, dim: int) -> np.ndarray:
+    """The leading singular values of ``b`` down to the first one below
+    :data:`_FINDER_STOP` * dim * sigma_1, by a randomized range finder
+    (Halko, Martinsson & Tropp, SIAM Rev. 53(2), 2011): k Gaussian probes,
+    two power iterations with a QR after each product, then the SVD of
+    Q^H b.  k doubles until the smallest value passes the stop; once 2k
+    reaches the block size every value is computed by SVD instead."""
+    rng = np.random.default_rng(0)  # the same probes on every call
+    while 2 * k < min(b.shape):
+        omega = rng.standard_normal((b.shape[1], k)) + 1j * rng.standard_normal((b.shape[1], k))
+        q = np.linalg.qr(b @ omega)[0]
+        for _ in range(2):
+            # b^H q formed as (q^H b)^H, so b is never copied as a conjugate
+            q = np.linalg.qr((q.conj().T @ b).conj().T)[0]
+            q = np.linalg.qr(b @ q)[0]
+        s = np.linalg.svd(q.conj().T @ b, compute_uv=False)
+        if s[-1] < _FINDER_STOP * dim * s[0]:
+            return s
+        k *= 2
+    return np.linalg.svd(b, compute_uv=False)
+
+
+def split_values(m: np.ndarray, rank_estimate: float | None = None) -> np.ndarray:
     """Singular values of ``m`` in descending order, from its two parity
-    blocks when it is exactly centrosymmetric."""
+    blocks when it is exactly centrosymmetric.
+
+    A ``rank_estimate`` at most min(shape) / 4 solves each block by
+    :func:`_leading_values` from max(32, rank_estimate) probes; the values
+    it leaves out lie below 1e-13 * max(shape) * sigma_1, round-off by the
+    rank tolerance of every metric, and are returned as 0.0.  Otherwise,
+    and without an estimate, every value is computed by SVD.
+    """
     blocks = parity_blocks(m) or (m,)
-    values = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])
-    return np.sort(values)[::-1]
+    n = min(m.shape)
+    if rank_estimate is None or rank_estimate > n / 4:
+        found = [np.linalg.svd(b, compute_uv=False) for b in blocks]
+    else:
+        k = max(32, math.ceil(rank_estimate))
+        found = [_leading_values(b, k, max(m.shape)) for b in blocks]
+    leading = np.sort(np.concatenate(found))[::-1]
+    values = np.zeros(n)
+    values[:leading.size] = leading
+    return values
 
 
-def decompose(h, vectors: bool = True) -> ModeDecomposition | SingularSpectrum:
+def decompose(h, vectors: bool = True,
+              rank_estimate: float | None = None) -> ModeDecomposition | SingularSpectrum:
     """SVD of a complex channel matrix, truncated to min(N_r, N_t) modes.
 
     With ``vectors=False`` only the singular values are computed, returned
     as a :class:`SingularSpectrum` that keeps the matrix shape (N_r, N_t);
-    a centrosymmetric matrix is then solved as its two parity blocks.
+    a centrosymmetric matrix is then solved as its two parity blocks, and a
+    ``rank_estimate`` selects the solver as in :func:`split_values`.
     """
     m = np.asarray(h, dtype=complex)
     if m.ndim != 2:
@@ -116,7 +161,7 @@ def decompose(h, vectors: bool = True) -> ModeDecomposition | SingularSpectrum:
     if not np.any(m):
         raise ValueError("cannot decompose an all-zero channel matrix")
     if not vectors:
-        return SingularSpectrum(values=split_values(m), shape=m.shape)
+        return SingularSpectrum(values=split_values(m, rank_estimate), shape=m.shape)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     return ModeDecomposition(left_vectors=u, right_vectors=vh.conj().T,
                              singular_values=s)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import nfdof.modes
 from nfdof.errors import ConfigError
 from nfdof.experiments import (ResultTable, config_hash, emit_plot_data, run_experiment,
                                validate_config)
@@ -107,6 +108,27 @@ class TestSpectrumExperiment:
         for name in ("spectrum_n32_d15.csv", "spectrum_summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_finder_outputs_are_byte_identical(self, tmp_path, monkeypatch):
+        # 256 elements: pi * (path spread) / wavelength is 19.6 at 15 m and
+        # 2.0 at 150 m, below N / 4, so each parity block takes the finder
+        calls = []
+        finder = nfdof.modes._leading_values
+        monkeypatch.setattr(nfdof.modes, "_leading_values",
+                            lambda b, k, dim: calls.append(k) or finder(b, k, dim))
+        cfg = spectrum_config(geometry={"aperture_m": 1.37, "n_elements": [256],
+                                        "distances_m": [15.0, 150.0]})
+        runs = (("r1_t1", 1), ("r2_t1", 1), ("r3_t4", 4))
+        for label, threads in runs:
+            run_experiment(cfg, out_dir=tmp_path / label, threads=threads)
+        assert calls == [32] * (2 * 2 * len(runs))
+        for name in ("spectrum_n256_d15.csv", "spectrum_n256_d150.csv", "spectrum_summary.json"):
+            first = (tmp_path / "r1_t1" / name).read_bytes()
+            assert all((tmp_path / label / name).read_bytes() == first for label, _ in runs)
+        rows = read_csv_rows(tmp_path / "r1_t1" / "spectrum_n256_d15.csv")
+        # the values the finder leaves out are written as 0.0, one row per element
+        assert [r[0] for r in rows] == list(range(1, 257))
+        assert rows[-1][1:] == [0.0, 0.0] and rows[25][1] > 0.0
 
     def test_usw_model(self, tmp_path):
         cfg = spectrum_config(model="usw")

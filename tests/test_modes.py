@@ -5,12 +5,18 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import CARRIER, WAVELENGTH, nusw_channel, nusw_spectrum, ula_pair
 from nfdof.channel import farfield_planar_channel, los_nusw_channel, los_usw_channel
 from nfdof.geometry import build_ula
-from nfdof.metrics import dof
+from nfdof.metrics import dof, edof1
 from nfdof.modes import ModeDecomposition, SingularSpectrum, decompose, parity_blocks, split_values
 
 
 def svd_values(m):
     return np.linalg.svd(m, compute_uv=False)
+
+
+def parity_split_values(m):
+    """Every singular value of ``m`` by SVD, of its parity blocks when it
+    has them, in descending order."""
+    return np.sort(np.concatenate([svd_values(b) for b in parity_blocks(m) or (m,)]))[::-1]
 
 
 def random_matrix(seed, shape):
@@ -158,6 +164,71 @@ class TestParitySplit:
         h = los_nusw_channel(tx, rx, CARRIER)
         assert parity_blocks(h) is None
         assert np.array_equal(decompose(h, vectors=False).values, svd_values(h))
+
+
+def ranked_matrix(seed, n, rank, tail, centro):
+    """An n x n matrix with ``rank`` values in [0.01, 1] and the other
+    values spread over three decades down from ``tail`` times the rank
+    tolerance of ``dof``; ``centro`` averages it with its mirror, which keeps
+    the tail at its level and at most doubles the rank."""
+    rng = np.random.default_rng(seed)
+    head = np.concatenate([[1.0], rng.uniform(0.01, 1.0, rank - 1)])
+    s = np.concatenate([head, tail * 1e-10 * n * np.logspace(0, -3, n - rank)])
+    u = np.linalg.qr(random_matrix(seed + 1, (n, n)))[0]
+    v = np.linalg.qr(random_matrix(seed + 2, (n, n)))[0]
+    m = (u * s) @ v.conj().T
+    return (m + m[::-1, ::-1]) / 2 if centro else m
+
+
+class TestRankRevealing:
+    """``split_values`` with a rank estimate: a randomized range finder on
+    each parity block, against the SVD of every value."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(130, 260), seed=st.integers(0, 2**32 - 4),
+           rank=st.integers(1, 60), tail=st.sampled_from([1e-6, 1e-4, 0.5, 0.9, 1.1, 2.0]),
+           centro=st.booleans(), estimate=st.sampled_from([1.0, 10.0, 32.0, "n/4"]))
+    @example(n=200, seed=0, rank=50, tail=1e-6, centro=False, estimate=1.0)
+    @example(n=201, seed=0, rank=40, tail=1e-6, centro=True, estimate=1.0)
+    def test_same_metrics_as_the_full_solve(self, n, seed, rank, tail, centro, estimate):
+        m = ranked_matrix(seed, n, rank, tail, centro)
+        full = SingularSpectrum(parity_split_values(m), shape=m.shape)
+        estimate = n / 4 if estimate == "n/4" else estimate
+        fast = SingularSpectrum(split_values(m, estimate), shape=m.shape)
+        assert fast.values.shape == (n,)
+        assert dof(fast) == dof(full)
+        for dominance in (0.01, 0.5):
+            assert edof1(fast, dominance=dominance) == edof1(full, dominance=dominance)
+        # the values every metric reads agree; the rest are round-off
+        k = dof(full)
+        assert np.max(np.abs(fast.values[:k] - full.values[:k])) <= 1e-13 * full.values[0]
+
+    @pytest.mark.parametrize("n", [150, 151])
+    def test_estimate_above_a_quarter_takes_the_full_solve(self, n):
+        m = ranked_matrix(3, n, 5, 1e-6, centro=True)
+        assert parity_blocks(m) is not None
+        full = parity_split_values(m)
+        assert np.array_equal(split_values(m, n / 4 + 0.5), full)
+        assert np.array_equal(split_values(m), full)
+        assert np.array_equal(decompose(m, vectors=False, rank_estimate=n / 4 + 0.5).values, full)
+        assert not np.array_equal(split_values(m, 1.0), full)
+
+    def test_values_left_out_read_zero(self):
+        m = ranked_matrix(4, 256, 8, 1e-6, centro=False)[:, :200]
+        values = split_values(m, 1.0)
+        assert values.shape == (200,)
+        assert np.count_nonzero(values) < 200 and values[-1] == 0.0
+        assert np.array_equal(values, np.sort(values)[::-1])
+        assert np.array_equal(values, split_values(m, 1.0))
+
+    def test_facing_ulas(self):
+        # 1024 elements at 15 m: pi * (path spread) / wavelength is 19.6
+        h = nusw_channel(1024, 15.0)
+        full = SingularSpectrum(parity_split_values(h), shape=h.shape)
+        fast = decompose(h, vectors=False, rank_estimate=19.6)
+        assert dof(fast) == dof(full) == 25
+        assert np.count_nonzero(fast.values) < 1024 // 4
+        assert np.max(np.abs(fast.values[:25] - full.values[:25])) <= 1e-13 * full.values[0]
 
 
 class TestSingularSpectrum:
