@@ -18,7 +18,7 @@ from nfdof.channel import los_nusw_channel
 from nfdof.geometry import CarrierConfig, build_ula, continuous_aperture
 from nfdof.kernel import build_kernel, converge_spectrum, gauss_legendre_segment
 from nfdof.linksim import LinkReport, combine, mode_coupling, precode, qpsk_symbols
-from nfdof.modes import decompose
+from nfdof.modes import decompose, parity_blocks
 
 WAVELENGTH = 0.01
 APERTURE = 1.37
@@ -221,6 +221,13 @@ def sampled_kernel(tx, rx, m):
     _, w = gauss_legendre_segment(tx.segment[0], tx.segment[1], m)
     inv = 1.0 / np.sqrt(w)
     return h, inv[:, None] * (h.conj().T @ h) * inv[None, :], w
+
+
+def parity_split_values(m):
+    """Every singular value of ``m`` by SVD, of its parity blocks when it
+    has them, in descending order."""
+    blocks = parity_blocks(m) or (m,)
+    return np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks]))[::-1]
 
 
 def cap_eigenvalues_direct(tx, rx, m):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import CARRIER, WAVELENGTH, nusw_channel, nusw_spectrum, ula_pair
+from conftest import (CARRIER, WAVELENGTH, nusw_channel, nusw_spectrum, parity_split_values,
+                      ula_pair)
 from nfdof.channel import farfield_planar_channel, los_nusw_channel, los_usw_channel
 from nfdof.geometry import build_ula
 from nfdof.metrics import dof, edof1
@@ -11,12 +12,6 @@ from nfdof.modes import ModeDecomposition, SingularSpectrum, decompose, parity_b
 
 def svd_values(m):
     return np.linalg.svd(m, compute_uv=False)
-
-
-def parity_split_values(m):
-    """Every singular value of ``m`` by SVD, of its parity blocks when it
-    has them, in descending order."""
-    return np.sort(np.concatenate([svd_values(b) for b in parity_blocks(m) or (m,)]))[::-1]
 
 
 def random_matrix(seed, shape):
