@@ -33,6 +33,29 @@ def _mirror_points(rx_pts: np.ndarray, tx_pts: np.ndarray) -> bool:
     return True
 
 
+def _wave_rows(rx_pts: np.ndarray, tx_pts: np.ndarray, wavelength: float, amplitude,
+               full: bool) -> tuple[np.ndarray, int]:
+    """The computed rows of :func:`spherical_wave_matrix`: the top
+    ``(N_r + 1) // 2`` when the point sets pass :func:`_mirror_points`, else
+    all N_r.  Returns the writable result and that row count; the result
+    has N_r rows when ``full``, the rows after the computed ones left
+    unset, and only the computed rows otherwise."""
+    n_r = rx_pts.shape[0]
+    rows = (n_r + 1) // 2 if _mirror_points(rx_pts, tx_pts) else n_r
+    d = np.zeros((rows, tx_pts.shape[0]))
+    part = np.empty_like(d)
+    for a, b in zip(rx_pts[:rows].T, tx_pts.T):
+        d += np.square(np.subtract.outer(a, b, out=part), out=part)
+    del part
+    if not np.sqrt(d, out=d).all():
+        raise SingularGeometryError("transmit and receive points coincide (d = 0)")
+    h = np.empty((n_r if full else rows, tx_pts.shape[0]), dtype=complex)
+    top = h[:rows]
+    np.exp(np.divide(np.multiply(-2j * np.pi, d, out=top), wavelength, out=top), out=top)
+    amplitude(top, d)
+    return h, rows
+
+
 def spherical_wave_matrix(rx_pts: np.ndarray, tx_pts: np.ndarray, wavelength: float,
                           amplitude) -> np.ndarray:
     """The read-only N_r x N_t matrix a(d) * exp(-1j*2*pi*d/lambda) over the
@@ -48,20 +71,8 @@ def spherical_wave_matrix(rx_pts: np.ndarray, tx_pts: np.ndarray, wavelength: fl
     the build holds at most the result and one float per computed entry.
     A zero distance raises :class:`SingularGeometryError`.
     """
-    n_r = rx_pts.shape[0]
-    rows = (n_r + 1) // 2 if _mirror_points(rx_pts, tx_pts) else n_r
-    d = np.zeros((rows, tx_pts.shape[0]))
-    part = np.empty_like(d)
-    for a, b in zip(rx_pts[:rows].T, tx_pts.T):
-        d += np.square(np.subtract.outer(a, b, out=part), out=part)
-    del part
-    if not np.sqrt(d, out=d).all():
-        raise SingularGeometryError("transmit and receive points coincide (d = 0)")
-    h = np.empty((n_r, tx_pts.shape[0]), dtype=complex)
-    top = h[:rows]
-    np.exp(np.divide(np.multiply(-2j * np.pi, d, out=top), wavelength, out=top), out=top)
-    amplitude(top, d)
-    h[rows:] = h[:n_r - rows][::-1, ::-1]
+    h, rows = _wave_rows(rx_pts, tx_pts, wavelength, amplitude, full=True)
+    h[rows:] = h[:len(h) - rows][::-1, ::-1]
     h.setflags(write=False)
     return h
 
@@ -79,17 +90,32 @@ def _center_distance(tx: ArrayGeometry, rx: ArrayGeometry) -> float:
     return d_ref
 
 
+def _los(model: str, tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
+         full: bool = True) -> np.ndarray:
+    """The nusw or usw channel of ``model``: the read-only matrix when
+    ``full``, else its writable computed rows (see :func:`_wave_rows`)."""
+    tx_pts, rx_pts = _discrete_pair(tx, rx)
+    lam = carrier.wavelength
+    if model == "nusw":
+        def amplitude(h, d):
+            h *= np.divide(lam, np.multiply(4.0 * np.pi, d, out=d), out=d)
+    elif model == "usw":
+        amp = lam / (4.0 * np.pi * _center_distance(tx, rx))
+
+        def amplitude(h, d):
+            np.multiply(h, amp, out=h)
+    else:
+        raise ValueError(f"unknown channel model {model!r}")
+    if full:
+        return spherical_wave_matrix(rx_pts, tx_pts, lam, amplitude)
+    return _wave_rows(rx_pts, tx_pts, lam, amplitude, full=False)[0]
+
+
 def los_nusw_channel(tx: ArrayGeometry, rx: ArrayGeometry,
                      carrier: CarrierConfig) -> np.ndarray:
     """Non-uniform spherical-wave channel: exact per-link distance in both
     amplitude and phase."""
-    tx_pts, rx_pts = _discrete_pair(tx, rx)
-    lam = carrier.wavelength
-
-    def amplitude(h, d):
-        h *= np.divide(lam, np.multiply(4.0 * np.pi, d, out=d), out=d)
-
-    return spherical_wave_matrix(rx_pts, tx_pts, lam, amplitude)
+    return _los("nusw", tx, rx, carrier)
 
 
 def los_usw_channel(tx: ArrayGeometry, rx: ArrayGeometry,
@@ -101,11 +127,18 @@ def los_usw_channel(tx: ArrayGeometry, rx: ArrayGeometry,
     times the aperture extents; nothing here gates model choice, callers pick
     the model explicitly.
     """
-    tx_pts, rx_pts = _discrete_pair(tx, rx)
-    lam = carrier.wavelength
-    amp = lam / (4.0 * np.pi * _center_distance(tx, rx))
-    return spherical_wave_matrix(rx_pts, tx_pts, lam,
-                                 lambda h, d: np.multiply(h, amp, out=h))
+    return _los("usw", tx, rx, carrier)
+
+
+def los_computed_rows(model: str, tx: ArrayGeometry, rx: ArrayGeometry,
+                      carrier: CarrierConfig) -> np.ndarray:
+    """The rows of the ``model`` ("nusw" or "usw") channel that its build
+    computes, as a writable array: the top (N_r + 1) // 2 when the elements
+    of the two arrays are mirror images, the rest of the channel being
+    their mirror, else all N_r.  Bitwise equal to those rows of
+    :func:`los_nusw_channel` or :func:`los_usw_channel`; the other rows
+    are never formed."""
+    return _los(model, tx, rx, carrier, full=False)
 
 
 def farfield_planar_channel(tx: ArrayGeometry, rx: ArrayGeometry,

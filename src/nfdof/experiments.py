@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import frobenius_normalized, los_nusw_channel, los_usw_channel
+from .channel import (frobenius_normalized, los_computed_rows, los_nusw_channel,
+                      los_usw_channel)
 from .errors import ConfigError
 from .geometry import (SPEED_OF_LIGHT, CarrierConfig, build_ula, continuous_aperture,
                        rayleigh_distance)
@@ -33,7 +34,7 @@ from .kernel import LADDER_FLOOR, _path_spread, cap_edof1, cap_edof2, converge_s
 from .linksim import TransmissionConfig, run_link, save_link_report
 from .metrics import (dof, edof1, edof1_limit_linear, edof2, edof3_auto,
                       metrics_report, waterfill)
-from .modes import decompose
+from .modes import decompose, rows_spectrum
 
 
 @dataclass(frozen=True)
@@ -413,16 +414,24 @@ def _slug(x: float) -> str:
     return f"{x:g}".replace(".", "p").replace("-", "m")
 
 
-def _spd_pair(spec: ExperimentSpec, n: int, aperture: float, distance: float):
-    """The facing ULAs at ``distance`` and their channel."""
+def _spd_arrays(n: int, aperture: float, distance: float):
+    """The facing ULAs at ``distance``."""
     tx = build_ula(n, aperture, center=(0.0, 0.0, 0.0))
     rx = build_ula(n, aperture, center=(0.0, distance, 0.0))
-    build = los_nusw_channel if spec.model == "nusw" else los_usw_channel
-    return tx, rx, build(tx, rx, spec.carrier)
+    return tx, rx
 
 
 def _spd_channel(spec: ExperimentSpec, n: int, aperture: float, distance: float):
-    return _spd_pair(spec, n, aperture, distance)[2]
+    build = los_nusw_channel if spec.model == "nusw" else los_usw_channel
+    return build(*_spd_arrays(n, aperture, distance), spec.carrier)
+
+
+def _spd_values(spec: ExperimentSpec, tx, rx, rank_estimate=None):
+    """The values-only spectrum of the facing ULAs' channel, solved from its
+    computed rows: the same values as ``decompose`` of the full channel,
+    which is never formed."""
+    rows = los_computed_rows(spec.model, tx, rx, spec.carrier)
+    return rows_spectrum(rows, len(rx.elements), rank_estimate)
 
 
 def _converge(spec: ExperimentSpec, aperture: float, distance: float):
@@ -436,11 +445,10 @@ def _run_spectrum(spec, prov, threads, out_dir):
 
     def one(item):
         name, (n, a, d) = item
-        tx, rx, h = _spd_pair(spec, n, a, d)
+        tx, rx = _spd_arrays(n, a, d)
         # pi * (path spread) / wavelength: the rank the finder starts from
         spread = _path_spread(tx.elements[[0, -1]], rx.elements[[0, -1]])
-        s = decompose(h, vectors=False,
-                      rank_estimate=math.pi * spread / spec.carrier.wavelength).values
+        s = _spd_values(spec, tx, rx, math.pi * spread / spec.carrier.wavelength).values
         rows = [[i + 1, float(v), float(v / s[0])] for i, v in enumerate(s)]
         return ResultTable(name=name, columns=["mode_index", "sigma", "sigma_over_sigma1"],
                            rows=rows, provenance=prov)
@@ -453,7 +461,7 @@ def _run_edof_vs_n(spec, prov, threads, out_dir):
         name, d = item
         rows = []
         for n, a in spec.sizes:
-            s = decompose(_spd_channel(spec, n, a, d), vectors=False)
+            s = _spd_values(spec, *_spd_arrays(n, a, d))
             rows.append([n, a, dof(s),
                          edof1(s, dominance=spec.dominance),
                          edof1_limit_linear(a, a, spec.carrier.wavelength, d), edof2(s)])
@@ -478,7 +486,7 @@ def _run_edof2_vs_n(spec, prov, threads, out_dir):
         name, d = item
         rows = []
         for n, a in spec.sizes:
-            s = decompose(_spd_channel(spec, n, a, d), vectors=False)
+            s = _spd_values(spec, *_spd_arrays(n, a, d))
             rows.append([n, a, edof2(s), cap_ref[a, d]])
         return ResultTable(name=name,
                            columns=["n_elements", "aperture_m", "edof2_spd", "edof2_cap"],

@@ -65,6 +65,24 @@ class ModeDecomposition:
         return self.singular_values.size
 
 
+def _fold(even: np.ndarray, bj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The parity blocks of an exactly centrosymmetric n x n matrix m, with
+    p = n // 2, formed in place.
+
+    ``even`` is a writable view holding m[:n-p, :n-p], which becomes the
+    even block A + BJ, its middle row and column scaled by sqrt(2) for odd
+    n; ``bj`` is m[:p, ::-1][:, :p].  The odd block A - BJ, formed first,
+    is the one new array."""
+    p = bj.shape[0]
+    a = even[:p, :p]
+    odd = a - bj
+    a += bj
+    if even.shape[0] > p:
+        even[:p, p] *= _SQRT2
+        even[p, :p] *= _SQRT2
+    return even, odd
+
+
 def parity_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The even and odd blocks of a square matrix with J m J == m exactly,
     or None when ``m`` is not square of size >= 2 or not exactly
@@ -82,16 +100,7 @@ def parity_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if not (np.array_equal(m[n - p:], m[:p][::-1, ::-1])
             and (n % 2 == 0 or np.array_equal(m[p], m[p, ::-1]))):
         return None
-    a = m[:p, :p]
-    bj = m[:p, ::-1][:, :p]
-    if n % 2 == 0:
-        return a + bj, a - bj
-    even = np.empty((p + 1, p + 1), dtype=m.dtype)
-    even[:p, :p] = a + bj
-    even[:p, p] = _SQRT2 * m[:p, p]
-    even[p, :p] = _SQRT2 * m[p, :p]
-    even[p, p] = m[p, p]
-    return even, a - bj
+    return _fold(m[:n - p, :n - p].copy(), m[:p, ::-1][:, :p])
 
 
 _FINDER_STOP = 1e-13
@@ -121,27 +130,63 @@ def _leading_values(b: np.ndarray, k: int, dim: int) -> np.ndarray:
     return np.linalg.svd(b, compute_uv=False)
 
 
-def split_values(m: np.ndarray, rank_estimate: float | None = None) -> np.ndarray:
-    """Singular values of ``m`` in descending order, from its two parity
-    blocks when it is exactly centrosymmetric.
+def _block_values(blocks, shape: tuple[int, int],
+                  rank_estimate: float | None) -> np.ndarray:
+    """The singular values of the blocks of a matrix of ``shape``, in
+    descending order and padded with 0.0 to min(shape).
 
-    A ``rank_estimate`` at most min(shape) / 4 solves each block by
-    :func:`_leading_values` from max(32, rank_estimate) probes; the values
+    With a ``rank_estimate``, a block takes :func:`_leading_values` from
+    k = max(32, rank_estimate) probes when 2k is below its size; the values
     it leaves out lie below 1e-13 * max(shape) * sigma_1, round-off by the
-    rank tolerance of every metric, and are returned as 0.0.  Otherwise,
-    and without an estimate, every value is computed by SVD.
-    """
-    blocks = parity_blocks(m) or (m,)
-    n = min(m.shape)
-    if rank_estimate is None or rank_estimate > n / 4:
-        found = [np.linalg.svd(b, compute_uv=False) for b in blocks]
-    else:
-        k = max(32, math.ceil(rank_estimate))
-        found = [_leading_values(b, k, max(m.shape)) for b in blocks]
+    rank tolerance of every metric.  Every other block, and every block
+    without an estimate, is solved by SVD."""
+    k = None if rank_estimate is None else max(32, math.ceil(rank_estimate))
+    found = [_leading_values(b, k, max(shape)) if k is not None and 2 * k < min(b.shape)
+             else np.linalg.svd(b, compute_uv=False) for b in blocks]
     leading = np.sort(np.concatenate(found))[::-1]
-    values = np.zeros(n)
+    values = np.zeros(min(shape))
     values[:leading.size] = leading
     return values
+
+
+def split_values(m: np.ndarray, rank_estimate: float | None = None) -> np.ndarray:
+    """Singular values of ``m`` in descending order, from its two parity
+    blocks when it is exactly centrosymmetric; a ``rank_estimate`` selects
+    each block's solver as in :func:`_block_values`.  The blocks of a
+    centrosymmetric matrix have about min(shape) / 2 rows, so they take the
+    finder only for estimates below min(shape) / 4 and from 130 rows."""
+    return _block_values(parity_blocks(m) or (m,), m.shape, rank_estimate)
+
+
+def _require_solvable(m: np.ndarray):
+    if not np.isfinite(m).all():
+        raise ValueError("channel matrix must be finite")
+    if not np.any(m):
+        raise ValueError("cannot decompose an all-zero channel matrix")
+
+
+def rows_spectrum(rows: np.ndarray, n: int,
+                  rank_estimate: float | None = None) -> SingularSpectrum:
+    """The values-only spectrum of an n x n matrix from the rows that were
+    computed of it: all n, or the top (n + 1) // 2 of an exactly
+    centrosymmetric matrix whose other rows mirror them, as
+    :func:`~nfdof.channel.los_computed_rows` returns them.
+
+    Top rows are folded in place into the parity blocks, so ``rows`` is
+    overwritten and the full matrix is never formed.  The values equal
+    those of ``decompose(m, vectors=False, rank_estimate)`` bitwise.
+    """
+    if rows.ndim != 2 or rows.shape[1] != n or rows.shape[0] not in ((n + 1) // 2, n):
+        raise ValueError(f"rows of shape {rows.shape} are not the computed rows "
+                         f"of an {n} x {n} matrix")
+    _require_solvable(rows)
+    if rows.shape[0] == n:
+        values = split_values(rows, rank_estimate)
+    else:
+        p = n // 2
+        values = _block_values(_fold(rows[:, :n - p], rows[:p, ::-1][:, :p]), (n, n),
+                               rank_estimate)
+    return SingularSpectrum(values=values, shape=(n, n))
 
 
 def decompose(h, vectors: bool = True,
@@ -156,10 +201,7 @@ def decompose(h, vectors: bool = True,
     m = np.asarray(h, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2D matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("channel matrix must be finite")
-    if not np.any(m):
-        raise ValueError("cannot decompose an all-zero channel matrix")
+    _require_solvable(m)
     if not vectors:
         return SingularSpectrum(values=split_values(m, rank_estimate), shape=m.shape)
     u, s, vh = np.linalg.svd(m, full_matrices=False)

@@ -132,7 +132,7 @@ class TestExitCodes:
         def exhausted(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr("nfdof.experiments.los_nusw_channel", exhausted)
+        monkeypatch.setattr("nfdof.experiments.los_computed_rows", exhausted)
         cfg_path = write_config(tmp_path / "cfg.json", spectrum_config())
         assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
         err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,34 @@ class TestSpectrumExperiment:
         # the values the finder leaves out are written as 0.0, one row per element
         assert [r[0] for r in rows] == list(range(1, 257))
         assert rows[-1][1:] == [0.0, 0.0] and rows[25][1] > 0.0
+
+    def test_small_blocks_go_straight_to_the_svd(self, tmp_path, monkeypatch):
+        # 64 elements at 50 m: the estimate is 6.5, but 2 * 32 probes do not
+        # fit in a 32-row parity block, so the finder is never entered
+        calls = []
+        monkeypatch.setattr(nfdof.modes, "_leading_values",
+                            lambda b, k, dim: calls.append(k))
+        cfg = spectrum_config(geometry={"aperture_m": 1.37, "n_elements": [64],
+                                        "distances_m": [50.0]})
+        tables = run_experiment(cfg, out_dir=tmp_path)
+        assert calls == []
+        assert all(row[1] > 0.0 for row in tables[0].rows)
+
+    def test_peak_memory_of_one_solve(self, tmp_path):
+        # the values path holds the computed half rows and the odd parity
+        # block; building the whole channel and splitting it, as decompose
+        # does, holds about 1.6 x the channel
+        n = 1024
+        cfg = spectrum_config(geometry={"aperture_m": 1.37, "n_elements": [n],
+                                        "distances_m": [15.0]})
+        run_experiment(cfg, out_dir=tmp_path / "warm")
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, out_dir=tmp_path / "traced")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.85 * n * n * np.dtype(complex).itemsize
 
     def test_usw_model(self, tmp_path):
         cfg = spectrum_config(model="usw")

@@ -396,16 +396,16 @@ TRAFFIC_CONFIGS = sorted(REPO.glob("configs/*.json")) + sorted(
 def test_every_shipped_ladder_takes_the_half_row_build(path, tmp_path, monkeypatch,
                                                         rung_calls, mirror_tests):
     # every channel and kernel assembly builds half its rows, and every
-    # values-only spectrum is solved as two parity blocks
+    # values-only spectrum, from a full matrix or from the computed rows, is
+    # solved as two parity blocks
     splits = []
-    original = nfdof.modes.parity_blocks
+    original = nfdof.modes._block_values
 
-    def recording(m):
-        blocks = original(m)
-        splits.append(blocks is not None)
-        return blocks
+    def recording(blocks, shape, rank_estimate):
+        splits.append(len(blocks) == 2)
+        return original(blocks, shape, rank_estimate)
 
-    monkeypatch.setattr(nfdof.modes, "parity_blocks", recording)
+    monkeypatch.setattr(nfdof.modes, "_block_values", recording)
     cfg = json.loads(path.read_text())
     run_experiment(cfg, out_dir=tmp_path)
     assert mirror_tests and mirror_tests == [True] * len(mirror_tests)
