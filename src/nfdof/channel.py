@@ -9,7 +9,7 @@ planar        far-field plane wave, rank-1 outer product by construction
 
 Rows index receive elements, columns index transmit elements.  The phase sign
 convention exp(-1j*2*pi*d/lambda) is fixed so written outputs are stable.
-Every builder returns a read-only complex N_r x N_t ndarray.
+Every builder returns a read-only complex ndarray: N_r x N_t, or one column.
 """
 
 from __future__ import annotations
@@ -33,27 +33,11 @@ def _mirror_points(rx_pts: np.ndarray, tx_pts: np.ndarray) -> bool:
     return True
 
 
-def _wave_rows(rx_pts: np.ndarray, tx_pts: np.ndarray, wavelength: float, amplitude,
-               full: bool) -> tuple[np.ndarray, int]:
-    """The computed rows of :func:`spherical_wave_matrix`: the top
-    ``(N_r + 1) // 2`` when the point sets pass :func:`_mirror_points`, else
-    all N_r.  Returns the writable result and that row count; the result
-    has N_r rows when ``full``, the rows after the computed ones left
-    unset, and only the computed rows otherwise."""
-    n_r = rx_pts.shape[0]
-    rows = (n_r + 1) // 2 if _mirror_points(rx_pts, tx_pts) else n_r
-    d = np.zeros((rows, tx_pts.shape[0]))
-    part = np.empty_like(d)
-    for a, b in zip(rx_pts[:rows].T, tx_pts.T):
-        d += np.square(np.subtract.outer(a, b, out=part), out=part)
-    del part
-    if not np.sqrt(d, out=d).all():
-        raise SingularGeometryError("transmit and receive points coincide (d = 0)")
-    h = np.empty((n_r if full else rows, tx_pts.shape[0]), dtype=complex)
-    top = h[:rows]
-    np.exp(np.divide(np.multiply(-2j * np.pi, d, out=top), wavelength, out=top), out=top)
-    amplitude(top, d)
-    return h, rows
+def _wave(h: np.ndarray, d: np.ndarray, wavelength: float, amplitude):
+    """Write a(d) * exp(-1j*2*pi*d/lambda) into ``h`` over the distances
+    ``d``, which ``amplitude(h, d)`` may overwrite."""
+    np.exp(np.divide(np.multiply(-2j * np.pi, d, out=h), wavelength, out=h), out=h)
+    amplitude(h, d)
 
 
 def spherical_wave_matrix(rx_pts: np.ndarray, tx_pts: np.ndarray, wavelength: float,
@@ -71,8 +55,18 @@ def spherical_wave_matrix(rx_pts: np.ndarray, tx_pts: np.ndarray, wavelength: fl
     the build holds at most the result and one float per computed entry.
     A zero distance raises :class:`SingularGeometryError`.
     """
-    h, rows = _wave_rows(rx_pts, tx_pts, wavelength, amplitude, full=True)
-    h[rows:] = h[:len(h) - rows][::-1, ::-1]
+    n_r = rx_pts.shape[0]
+    rows = (n_r + 1) // 2 if _mirror_points(rx_pts, tx_pts) else n_r
+    d = np.zeros((rows, tx_pts.shape[0]))
+    part = np.empty_like(d)
+    for a, b in zip(rx_pts[:rows].T, tx_pts.T):
+        d += np.square(np.subtract.outer(a, b, out=part), out=part)
+    del part
+    if not np.sqrt(d, out=d).all():
+        raise SingularGeometryError("transmit and receive points coincide (d = 0)")
+    h = np.empty((n_r, tx_pts.shape[0]), dtype=complex)
+    _wave(h[:rows], d, wavelength, amplitude)
+    h[rows:] = h[:n_r - rows][::-1, ::-1]
     h.setflags(write=False)
     return h
 
@@ -90,25 +84,29 @@ def _center_distance(tx: ArrayGeometry, rx: ArrayGeometry) -> float:
     return d_ref
 
 
-def _los(model: str, tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
-         full: bool = True) -> np.ndarray:
-    """The nusw or usw channel of ``model``: the read-only matrix when
-    ``full``, else its writable computed rows (see :func:`_wave_rows`)."""
-    tx_pts, rx_pts = _discrete_pair(tx, rx)
-    lam = carrier.wavelength
+def _amplitude(model: str, wavelength: float, center_distance):
+    """The in-place ``amplitude(h, d)`` of ``model``: lambda / (4*pi*d) per
+    entry for nusw, and for usw one lambda / (4*pi*d_ref) with d_ref from
+    the callable ``center_distance``."""
     if model == "nusw":
         def amplitude(h, d):
-            h *= np.divide(lam, np.multiply(4.0 * np.pi, d, out=d), out=d)
+            h *= np.divide(wavelength, np.multiply(4.0 * np.pi, d, out=d), out=d)
     elif model == "usw":
-        amp = lam / (4.0 * np.pi * _center_distance(tx, rx))
+        amp = wavelength / (4.0 * np.pi * center_distance())
 
         def amplitude(h, d):
             np.multiply(h, amp, out=h)
     else:
         raise ValueError(f"unknown channel model {model!r}")
-    if full:
-        return spherical_wave_matrix(rx_pts, tx_pts, lam, amplitude)
-    return _wave_rows(rx_pts, tx_pts, lam, amplitude, full=False)[0]
+    return amplitude
+
+
+def _los(model: str, tx: ArrayGeometry, rx: ArrayGeometry,
+         carrier: CarrierConfig) -> np.ndarray:
+    tx_pts, rx_pts = _discrete_pair(tx, rx)
+    lam = carrier.wavelength
+    return spherical_wave_matrix(rx_pts, tx_pts, lam,
+                                 _amplitude(model, lam, lambda: _center_distance(tx, rx)))
 
 
 def los_nusw_channel(tx: ArrayGeometry, rx: ArrayGeometry,
@@ -130,15 +128,29 @@ def los_usw_channel(tx: ArrayGeometry, rx: ArrayGeometry,
     return _los("usw", tx, rx, carrier)
 
 
-def los_computed_rows(model: str, tx: ArrayGeometry, rx: ArrayGeometry,
+def facing_ula_column(model: str, n: int, aperture: float, distance: float,
                       carrier: CarrierConfig) -> np.ndarray:
-    """The rows of the ``model`` ("nusw" or "usw") channel that its build
-    computes, as a writable array: the top (N_r + 1) // 2 when the elements
-    of the two arrays are mirror images, the rest of the channel being
-    their mirror, else all N_r.  Bitwise equal to those rows of
-    :func:`los_nusw_channel` or :func:`los_usw_channel`; the other rows
-    are never formed."""
-    return _los(model, tx, rx, carrier, full=False)
+    """The first column f of the ``model`` ("nusw" or "usw") channel of two
+    equal, parallel ``n``-element ULAs of ``aperture`` m whose centres face
+    each other ``distance`` apart: H_ij = f[|i - j|], symmetric Toeplitz,
+    with f[k] at d_k = sqrt(distance**2 + (k * aperture / (n - 1))**2).
+
+    Only these n entries are computed.  They differ from those the matrix
+    builders compute from ``build_ula`` coordinates by the rounding of the
+    distances, about 1e-12 relative at 15 m.  A zero distance raises
+    :class:`SingularGeometryError`.
+    """
+    if n < 2 or not aperture > 0:
+        raise ValueError(f"need n >= 2 elements and a positive aperture, got {n}, {aperture}")
+    lam = carrier.wavelength
+    d = np.square(np.arange(n) * (aperture / (n - 1)))
+    d += distance * distance
+    if not np.sqrt(d, out=d).all():
+        raise SingularGeometryError("transmit and receive points coincide (d = 0)")
+    f = np.empty(n, dtype=complex)
+    _wave(f, d, lam, _amplitude(model, lam, lambda: abs(distance)))
+    f.setflags(write=False)
+    return f
 
 
 def farfield_planar_channel(tx: ArrayGeometry, rx: ArrayGeometry,

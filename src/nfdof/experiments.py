@@ -25,16 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import (frobenius_normalized, los_computed_rows, los_nusw_channel,
+from .channel import (facing_ula_column, frobenius_normalized, los_nusw_channel,
                       los_usw_channel)
 from .errors import ConfigError
 from .geometry import (SPEED_OF_LIGHT, CarrierConfig, build_ula, continuous_aperture,
                        rayleigh_distance)
-from .kernel import LADDER_FLOOR, _path_spread, cap_edof1, cap_edof2, converge_spectrum
+from .kernel import LADDER_FLOOR, cap_edof1, cap_edof2, converge_spectrum
 from .linksim import TransmissionConfig, run_link, save_link_report
 from .metrics import (dof, edof1, edof1_limit_linear, edof2, edof3_auto,
                       metrics_report, waterfill)
-from .modes import decompose, rows_spectrum
+from .modes import decompose, toeplitz_spectrum
 
 
 @dataclass(frozen=True)
@@ -414,24 +414,12 @@ def _slug(x: float) -> str:
     return f"{x:g}".replace(".", "p").replace("-", "m")
 
 
-def _spd_arrays(n: int, aperture: float, distance: float):
-    """The facing ULAs at ``distance``."""
+def _spd_channel(spec: ExperimentSpec, n: int, aperture: float, distance: float):
+    """The channel matrix of the facing ULAs at ``distance``."""
     tx = build_ula(n, aperture, center=(0.0, 0.0, 0.0))
     rx = build_ula(n, aperture, center=(0.0, distance, 0.0))
-    return tx, rx
-
-
-def _spd_channel(spec: ExperimentSpec, n: int, aperture: float, distance: float):
     build = los_nusw_channel if spec.model == "nusw" else los_usw_channel
-    return build(*_spd_arrays(n, aperture, distance), spec.carrier)
-
-
-def _spd_values(spec: ExperimentSpec, tx, rx, rank_estimate=None):
-    """The values-only spectrum of the facing ULAs' channel, solved from its
-    computed rows: the same values as ``decompose`` of the full channel,
-    which is never formed."""
-    rows = los_computed_rows(spec.model, tx, rx, spec.carrier)
-    return rows_spectrum(rows, len(rx.elements), rank_estimate)
+    return build(tx, rx, spec.carrier)
 
 
 def _converge(spec: ExperimentSpec, aperture: float, distance: float):
@@ -445,10 +433,11 @@ def _run_spectrum(spec, prov, threads, out_dir):
 
     def one(item):
         name, (n, a, d) = item
-        tx, rx = _spd_arrays(n, a, d)
-        # pi * (path spread) / wavelength: the rank the finder starts from
-        spread = _path_spread(tx.elements[[0, -1]], rx.elements[[0, -1]])
-        s = _spd_values(spec, tx, rx, math.pi * spread / spec.carrier.wavelength).values
+        # pi * (path spread) / wavelength: the rank the finder starts from,
+        # with the spread hypot(a, d) - d of the facing apertures
+        spread = a * a / (math.hypot(a, d) + d)
+        column = facing_ula_column(spec.model, n, a, d, spec.carrier)
+        s = toeplitz_spectrum(column, math.pi * spread / spec.carrier.wavelength).values
         rows = [[i + 1, float(v), float(v / s[0])] for i, v in enumerate(s)]
         return ResultTable(name=name, columns=["mode_index", "sigma", "sigma_over_sigma1"],
                            rows=rows, provenance=prov)
@@ -461,7 +450,7 @@ def _run_edof_vs_n(spec, prov, threads, out_dir):
         name, d = item
         rows = []
         for n, a in spec.sizes:
-            s = _spd_values(spec, *_spd_arrays(n, a, d))
+            s = toeplitz_spectrum(facing_ula_column(spec.model, n, a, d, spec.carrier))
             rows.append([n, a, dof(s),
                          edof1(s, dominance=spec.dominance),
                          edof1_limit_linear(a, a, spec.carrier.wavelength, d), edof2(s)])
@@ -486,7 +475,7 @@ def _run_edof2_vs_n(spec, prov, threads, out_dir):
         name, d = item
         rows = []
         for n, a in spec.sizes:
-            s = _spd_values(spec, *_spd_arrays(n, a, d))
+            s = toeplitz_spectrum(facing_ula_column(spec.model, n, a, d, spec.carrier))
             rows.append([n, a, edof2(s), cap_ref[a, d]])
         return ResultTable(name=name,
                            columns=["n_elements", "aperture_m", "edof2_spd", "edof2_cap"],

@@ -183,7 +183,8 @@ def edof3(spectrum, snr: float, delta_step: float = 0.01) -> float:
     """Central-difference estimate of the capacity slope per octave of power,
     [C(snr * 2**d) - C(snr * 2**-d)] / (2 d), with water-filling capacity.
 
-    Raises :class:`ActiveSetChangeError` when the two stencil points use
+    The estimate is clamped to the stencil's active-mode count.  Raises
+    :class:`ActiveSetChangeError` when the two stencil points use
     different water-filling active sets; retry with a smaller ``delta_step``
     or fall back to :func:`edof3_envelope`.
     """
@@ -202,7 +203,9 @@ def edof3(spectrum, snr: float, delta_step: float = 0.01) -> float:
             snr=snr, active_low=k_lo, active_high=k_hi)
     c_lo = capacity(v, lo)
     c_hi = capacity(v, hi)
-    return (c_hi - c_lo) / (2.0 * delta_step)
+    # the slope of k active modes is below k, but the difference carries
+    # about C * eps / delta_step of round-off, which at high SNR exceeds k - slope
+    return min((c_hi - c_lo) / (2.0 * delta_step), float(k_lo))
 
 
 def edof3_auto(spectrum, snr: float, delta_step: float = 0.01,

@@ -65,24 +65,6 @@ class ModeDecomposition:
         return self.singular_values.size
 
 
-def _fold(even: np.ndarray, bj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The parity blocks of an exactly centrosymmetric n x n matrix m, with
-    p = n // 2, formed in place.
-
-    ``even`` is a writable view holding m[:n-p, :n-p], which becomes the
-    even block A + BJ, its middle row and column scaled by sqrt(2) for odd
-    n; ``bj`` is m[:p, ::-1][:, :p].  The odd block A - BJ, formed first,
-    is the one new array."""
-    p = bj.shape[0]
-    a = even[:p, :p]
-    odd = a - bj
-    a += bj
-    if even.shape[0] > p:
-        even[:p, p] *= _SQRT2
-        even[p, :p] *= _SQRT2
-    return even, odd
-
-
 def parity_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The even and odd blocks of a square matrix with J m J == m exactly,
     or None when ``m`` is not square of size >= 2 or not exactly
@@ -100,62 +82,20 @@ def parity_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if not (np.array_equal(m[n - p:], m[:p][::-1, ::-1])
             and (n % 2 == 0 or np.array_equal(m[p], m[p, ::-1]))):
         return None
-    return _fold(m[:n - p, :n - p].copy(), m[:p, ::-1][:, :p])
+    even = m[:n - p, :n - p].copy()
+    bj = m[:p, ::-1][:, :p]
+    a = even[:p, :p]
+    odd = a - bj
+    a += bj
+    if n > 2 * p:
+        even[:p, p] *= _SQRT2
+        even[p, :p] *= _SQRT2
+    return even, odd
 
 
-_FINDER_STOP = 1e-13
-"""The finder stops once sigma_k < _FINDER_STOP * max(shape) * sigma_1,
-1e-3 of the rank tolerance every metric clips at."""
-
-
-def _leading_values(b: np.ndarray, k: int, dim: int) -> np.ndarray:
-    """The leading singular values of ``b`` down to the first one below
-    :data:`_FINDER_STOP` * dim * sigma_1, by a randomized range finder
-    (Halko, Martinsson & Tropp, SIAM Rev. 53(2), 2011): k Gaussian probes,
-    two power iterations with a QR after each product, then the SVD of
-    Q^H b.  k doubles until the smallest value passes the stop; once 2k
-    reaches the block size every value is computed by SVD instead."""
-    rng = np.random.default_rng(0)  # the same probes on every call
-    while 2 * k < min(b.shape):
-        omega = rng.standard_normal((b.shape[1], k)) + 1j * rng.standard_normal((b.shape[1], k))
-        q = np.linalg.qr(b @ omega)[0]
-        for _ in range(2):
-            # b^H q formed as (q^H b)^H, so b is never copied as a conjugate
-            q = np.linalg.qr((q.conj().T @ b).conj().T)[0]
-            q = np.linalg.qr(b @ q)[0]
-        s = np.linalg.svd(q.conj().T @ b, compute_uv=False)
-        if s[-1] < _FINDER_STOP * dim * s[0]:
-            return s
-        k *= 2
-    return np.linalg.svd(b, compute_uv=False)
-
-
-def _block_values(blocks, shape: tuple[int, int],
-                  rank_estimate: float | None) -> np.ndarray:
-    """The singular values of the blocks of a matrix of ``shape``, in
-    descending order and padded with 0.0 to min(shape).
-
-    With a ``rank_estimate``, a block takes :func:`_leading_values` from
-    k = max(32, rank_estimate) probes when 2k is below its size; the values
-    it leaves out lie below 1e-13 * max(shape) * sigma_1, round-off by the
-    rank tolerance of every metric.  Every other block, and every block
-    without an estimate, is solved by SVD."""
-    k = None if rank_estimate is None else max(32, math.ceil(rank_estimate))
-    found = [_leading_values(b, k, max(shape)) if k is not None and 2 * k < min(b.shape)
-             else np.linalg.svd(b, compute_uv=False) for b in blocks]
-    leading = np.sort(np.concatenate(found))[::-1]
-    values = np.zeros(min(shape))
-    values[:leading.size] = leading
-    return values
-
-
-def split_values(m: np.ndarray, rank_estimate: float | None = None) -> np.ndarray:
-    """Singular values of ``m`` in descending order, from its two parity
-    blocks when it is exactly centrosymmetric; a ``rank_estimate`` selects
-    each block's solver as in :func:`_block_values`.  The blocks of a
-    centrosymmetric matrix have about min(shape) / 2 rows, so they take the
-    finder only for estimates below min(shape) / 4 and from 130 rows."""
-    return _block_values(parity_blocks(m) or (m,), m.shape, rank_estimate)
+def _block_values(blocks) -> np.ndarray:
+    """The singular values of all ``blocks``, by SVD, in descending order."""
+    return np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks]))[::-1]
 
 
 def _require_solvable(m: np.ndarray):
@@ -165,48 +105,97 @@ def _require_solvable(m: np.ndarray):
         raise ValueError("cannot decompose an all-zero channel matrix")
 
 
-def rows_spectrum(rows: np.ndarray, n: int,
-                  rank_estimate: float | None = None) -> SingularSpectrum:
-    """The values-only spectrum of an n x n matrix from the rows that were
-    computed of it: all n, or the top (n + 1) // 2 of an exactly
-    centrosymmetric matrix whose other rows mirror them, as
-    :func:`~nfdof.channel.los_computed_rows` returns them.
-
-    Top rows are folded in place into the parity blocks, so ``rows`` is
-    overwritten and the full matrix is never formed.  The values equal
-    those of ``decompose(m, vectors=False, rank_estimate)`` bitwise.
-    """
-    if rows.ndim != 2 or rows.shape[1] != n or rows.shape[0] not in ((n + 1) // 2, n):
-        raise ValueError(f"rows of shape {rows.shape} are not the computed rows "
-                         f"of an {n} x {n} matrix")
-    _require_solvable(rows)
-    if rows.shape[0] == n:
-        values = split_values(rows, rank_estimate)
-    else:
-        p = n // 2
-        values = _block_values(_fold(rows[:, :n - p], rows[:p, ::-1][:, :p]), (n, n),
-                               rank_estimate)
-    return SingularSpectrum(values=values, shape=(n, n))
-
-
-def decompose(h, vectors: bool = True,
-              rank_estimate: float | None = None) -> ModeDecomposition | SingularSpectrum:
+def decompose(h, vectors: bool = True) -> ModeDecomposition | SingularSpectrum:
     """SVD of a complex channel matrix, truncated to min(N_r, N_t) modes.
 
     With ``vectors=False`` only the singular values are computed, returned
     as a :class:`SingularSpectrum` that keeps the matrix shape (N_r, N_t);
-    a centrosymmetric matrix is then solved as its two parity blocks, and a
-    ``rank_estimate`` selects the solver as in :func:`split_values`.
+    a centrosymmetric matrix is then solved as its two parity blocks.
     """
     m = np.asarray(h, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2D matrix, got shape {m.shape}")
     _require_solvable(m)
     if not vectors:
-        return SingularSpectrum(values=split_values(m, rank_estimate), shape=m.shape)
+        return SingularSpectrum(values=_block_values(parity_blocks(m) or (m,)), shape=m.shape)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     return ModeDecomposition(left_vectors=u, right_vectors=vh.conj().T,
                              singular_values=s)
+
+
+_FINDER_STOP = 1e-13
+"""The finder stops once sigma_k < _FINDER_STOP * n * sigma_1, 1e-3 of the
+rank tolerance every metric clips at."""
+
+
+def _leading_values(product, adjoint, n: int, k: int) -> np.ndarray | None:
+    """The leading singular values of an n x n operator H down to the first
+    one below :data:`_FINDER_STOP` * n * sigma_1, from its products
+    ``product(x)`` = H x and ``adjoint(y)`` = H^H y on (n, k) blocks, by a
+    randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53(2),
+    2011): k Gaussian probes, two power iterations with a QR after each
+    product, then the SVD of H^H Q.  k, below n / 2 on entry, doubles until
+    the smallest value passes the stop; None once 2k reaches n."""
+    rng = np.random.default_rng(0)  # the same probes on every call
+    while True:
+        omega = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        q = np.linalg.qr(product(omega))[0]
+        for _ in range(2):
+            q = np.linalg.qr(adjoint(q))[0]
+            q = np.linalg.qr(product(q))[0]
+        s = np.linalg.svd(adjoint(q), compute_uv=False)
+        if s[-1] < _FINDER_STOP * n * s[0]:
+            return s
+        k *= 2
+        if 2 * k >= n:
+            return None
+
+
+def _toeplitz_products(column: np.ndarray):
+    """H x and H^H y for the symmetric Toeplitz H_ij = column[|i - j|] of
+    size n, by its embedding in the circulant of size 2n whose first column
+    is c = [column, 0, column[:0:-1]]: H x is the top n rows of
+    ifft(fft(c) * fft(x, 2n)), and H^T = H gives H^H y = conj(H conj(y))."""
+    n = column.size
+    eig = np.fft.fft(np.concatenate([column, [0.0], column[:0:-1]]))[:, None]
+
+    def product(x):
+        f = np.fft.fft(x, 2 * n, axis=0)
+        f *= eig
+        return np.fft.ifft(f, axis=0)[:n]
+
+    def adjoint(y):
+        return product(y.conj()).conj()
+
+    return product, adjoint
+
+
+def toeplitz_spectrum(column, rank_estimate: float | None = None) -> SingularSpectrum:
+    """The values-only spectrum of the n x n symmetric Toeplitz matrix
+    H_ij = column[|i - j|].
+
+    With a ``rank_estimate`` and k = max(32, ceil(rank_estimate)) below
+    n / 2, :func:`_leading_values` runs on FFT products with H in O(n k)
+    memory; the values it leaves out are round-off by the rank tolerance of
+    every metric and read 0.0.  Otherwise, or when the finder reaches n / 2,
+    :func:`decompose` solves H gathered from the column as a read-only view,
+    which is exactly centrosymmetric, by its parity blocks.
+    """
+    column = np.asarray(column, dtype=complex)
+    if column.ndim != 1 or column.size < 2:
+        raise ValueError(f"expected a column of at least 2 entries, got shape {column.shape}")
+    _require_solvable(column)
+    n = column.size
+    k = None if rank_estimate is None else max(32, math.ceil(rank_estimate))
+    if k is not None and 2 * k < n:
+        leading = _leading_values(*_toeplitz_products(column), n, k)
+        if leading is not None:
+            values = np.zeros(n)
+            values[:leading.size] = leading
+            return SingularSpectrum(values=values, shape=(n, n))
+    # row i of the reversed windows of [column[:0:-1], column] is column[|i - j|]
+    full = np.concatenate([column[:0:-1], column])
+    return decompose(np.lib.stride_tricks.sliding_window_view(full, n)[::-1], vectors=False)
 
 
 def spectrum_values(spectrum) -> np.ndarray:

@@ -112,17 +112,19 @@ class TestSpectrumExperiment:
 
     def test_finder_outputs_are_byte_identical(self, tmp_path, monkeypatch):
         # 256 elements: pi * (path spread) / wavelength is 19.6 at 15 m and
-        # 2.0 at 150 m, below N / 4, so each parity block takes the finder
+        # 2.0 at 150 m, so 2 * 32 probes fit below N and each point runs the
+        # finder once on the whole Toeplitz operator
         calls = []
         finder = nfdof.modes._leading_values
         monkeypatch.setattr(nfdof.modes, "_leading_values",
-                            lambda b, k, dim: calls.append(k) or finder(b, k, dim))
+                            lambda product, adjoint, n, k: calls.append((n, k))
+                            or finder(product, adjoint, n, k))
         cfg = spectrum_config(geometry={"aperture_m": 1.37, "n_elements": [256],
                                         "distances_m": [15.0, 150.0]})
         runs = (("r1_t1", 1), ("r2_t1", 1), ("r3_t4", 4))
         for label, threads in runs:
             run_experiment(cfg, out_dir=tmp_path / label, threads=threads)
-        assert calls == [32] * (2 * 2 * len(runs))
+        assert calls == [(256, 32)] * (2 * len(runs))
         for name in ("spectrum_n256_d15.csv", "spectrum_n256_d150.csv", "spectrum_summary.json"):
             first = (tmp_path / "r1_t1" / name).read_bytes()
             assert all((tmp_path / label / name).read_bytes() == first for label, _ in runs)
@@ -133,10 +135,11 @@ class TestSpectrumExperiment:
 
     def test_small_blocks_go_straight_to_the_svd(self, tmp_path, monkeypatch):
         # 64 elements at 50 m: the estimate is 6.5, but 2 * 32 probes do not
-        # fit in a 32-row parity block, so the finder is never entered
+        # fit below the 64 columns of the operator, so the finder is never
+        # entered and the gathered channel is solved by SVD
         calls = []
         monkeypatch.setattr(nfdof.modes, "_leading_values",
-                            lambda b, k, dim: calls.append(k))
+                            lambda product, adjoint, n, k: calls.append(k))
         cfg = spectrum_config(geometry={"aperture_m": 1.37, "n_elements": [64],
                                         "distances_m": [50.0]})
         tables = run_experiment(cfg, out_dir=tmp_path)
@@ -144,9 +147,9 @@ class TestSpectrumExperiment:
         assert all(row[1] > 0.0 for row in tables[0].rows)
 
     def test_peak_memory_of_one_solve(self, tmp_path):
-        # the values path holds the computed half rows and the odd parity
-        # block; building the whole channel and splitting it, as decompose
-        # does, holds about 1.6 x the channel
+        # the finder holds the channel's one column and a few (2N, 32)
+        # blocks of FFT products, about 0.22 x the channel with the written
+        # tables; any build of half the channel's rows would hold 0.5 x
         n = 1024
         cfg = spectrum_config(geometry={"aperture_m": 1.37, "n_elements": [n],
                                         "distances_m": [15.0]})
@@ -157,7 +160,7 @@ class TestSpectrumExperiment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.85 * n * n * np.dtype(complex).itemsize
+        assert peak <= 0.3 * n * n * np.dtype(complex).itemsize
 
     def test_usw_model(self, tmp_path):
         cfg = spectrum_config(model="usw")

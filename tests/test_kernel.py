@@ -396,23 +396,37 @@ TRAFFIC_CONFIGS = sorted(REPO.glob("configs/*.json")) + sorted(
 def test_every_shipped_ladder_takes_the_half_row_build(path, tmp_path, monkeypatch,
                                                         rung_calls, mirror_tests):
     # every channel and kernel assembly builds half its rows, and every
-    # values-only spectrum, from a full matrix or from the computed rows, is
-    # solved as two parity blocks
-    splits = []
+    # values-only spectrum of a matrix is solved as two parity blocks; only
+    # the low-rank spectrum points, which run the finder on the Toeplitz
+    # operator of the facing ULAs, form no matrix and no blocks
+    splits, operators = [], []
     original = nfdof.modes._block_values
+    finder = nfdof.modes._leading_values
 
-    def recording(blocks, shape, rank_estimate):
+    def recording(blocks):
         splits.append(len(blocks) == 2)
-        return original(blocks, shape, rank_estimate)
+        return original(blocks)
+
+    def operator_finder(product, adjoint, n, k):
+        operators.append(n)
+        return finder(product, adjoint, n, k)
 
     monkeypatch.setattr(nfdof.modes, "_block_values", recording)
+    monkeypatch.setattr(nfdof.modes, "_leading_values", operator_finder)
     cfg = json.loads(path.read_text())
     run_experiment(cfg, out_dir=tmp_path)
-    assert mirror_tests and mirror_tests == [True] * len(mirror_tests)
-    assert splits and splits == [True] * len(splits)
+    assert mirror_tests == [True] * len(mirror_tests)
+    assert splits == [True] * len(splits)
+    assert splits or operators
+    if cfg["experiment"] != "spectrum":
+        assert operators == []
     if cfg["experiment"] in ("cap-edof-vs-distance", "edof2-vs-n"):
-        # edof2-vs-n runs also build one channel per grid point
-        assert rung_calls and len(mirror_tests) >= len(rung_calls)
+        # the SPD side of edof2-vs-n builds a column per grid point, no matrix
+        assert rung_calls and len(mirror_tests) == len(rung_calls)
+    elif cfg["experiment"] in ("spectrum", "edof-vs-n"):
+        assert mirror_tests == []
+    else:
+        assert mirror_tests
 
 
 class TestGaussLegendreRules:

@@ -232,8 +232,7 @@ class TestRoundOffClip:
         # log2(1 + x) loses about eps / x relative at small x; log1p does not
         assert cap <= k * np.log1p(snr * s[0] ** 2) / np.log(2.0) * (1.0 + 1e-12)
         assert edof3_envelope(s, snr) <= k
-        # the central difference carries about C * eps / delta_step of round-off
-        assert edof3_auto(s, snr) <= k * (1.0 + 1e-8)
+        assert edof3_auto(s, snr) <= k
         assert edof1(s, dominance=1e-300) == k
 
 
@@ -249,6 +248,16 @@ class TestEdof3:
         s = planar_spectrum()
         for snr_db in (-10.0, 0.0, 10.0, 30.0, 60.0):
             assert edof3(s, 10.0 ** (snr_db / 10.0)) < 1.0
+
+    def test_round_off_never_lifts_it_above_the_active_count(self):
+        # the normalized rank-1 16 x 16 channel at 1e9 m: at 400 dB C is 141
+        # bit/s/Hz, whose central difference carries about C * eps / delta_step
+        # of round-off and read 1.0000000000005116 before the clamp
+        tx, rx = ula_pair(16, 1e9)
+        s = decompose(frobenius_normalized(los_nusw_channel(tx, rx, CARRIER)), vectors=False)
+        assert dof(s) == 1
+        assert edof3(s, 1e40) == 1.0
+        assert edof3_auto(s, 1e40) == 1.0
 
     def test_two_equal_modes(self):
         s = np.array([1.0, 1.0])

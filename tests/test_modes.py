@@ -1,16 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (CARRIER, WAVELENGTH, nusw_channel, nusw_spectrum, parity_split_values,
-                      ula_pair)
-from nfdof.channel import (farfield_planar_channel, los_computed_rows, los_nusw_channel,
+from conftest import (APERTURE, CARRIER, WAVELENGTH, cap_converged, nusw_channel,
+                      nusw_spectrum, parity_split_values, segment_pair, ula_pair)
+from nfdof.channel import (facing_ula_column, farfield_planar_channel, los_nusw_channel,
                            los_usw_channel)
+from nfdof.errors import SingularGeometryError
 from nfdof.geometry import build_ula
 from nfdof.kernel import _path_spread
-from nfdof.metrics import dof, edof1
-from nfdof.modes import (ModeDecomposition, SingularSpectrum, decompose, parity_blocks,
-                         rows_spectrum, split_values)
+from nfdof.metrics import dof, edof1, edof2
+from nfdof.modes import (ModeDecomposition, SingularSpectrum, _leading_values, decompose,
+                         parity_blocks, toeplitz_spectrum)
 
 
 def svd_values(m):
@@ -103,7 +106,7 @@ class TestParitySplit:
         even, odd = parity_blocks(m)
         assert even.shape == ((n + 1) // 2,) * 2 and odd.shape == (n // 2,) * 2
         full = svd_values(m)
-        split = split_values(m)
+        split = decompose(m, vectors=False).values
         assert np.max(np.abs(split - full)) <= 1e-13 * full[0]
         if hermitian:
             assert np.array_equal(even, even.conj().T) and np.array_equal(odd, odd.conj().T)
@@ -117,7 +120,6 @@ class TestParitySplit:
         else:
             m = random_matrix(seed, (n, n))
         assert parity_blocks(m) is None
-        assert np.array_equal(split_values(m), svd_values(m))
         assert np.array_equal(decompose(m, vectors=False).values, svd_values(m))
 
     @settings(max_examples=300, deadline=None)
@@ -178,9 +180,38 @@ def ranked_matrix(seed, n, rank, tail, centro):
     return (m + m[::-1, ::-1]) / 2 if centro else m
 
 
+def finder_values(m, estimate):
+    """The range finder on the dense square ``m`` through its matrix
+    products, from k = max(32, ceil(estimate)) probes, padded with 0.0 to
+    the size of ``m``; every value by SVD where it does not run or reaches
+    half the size."""
+    n = m.shape[0]
+    k = max(32, math.ceil(estimate))
+    found = (_leading_values(lambda x: m @ x, lambda y: m.conj().T @ y, n, k)
+             if 2 * k < n else None)
+    if found is None:
+        return svd_values(m)
+    values = np.zeros(n)
+    values[:found.size] = found
+    return values
+
+
+def spread_estimate(d, aperture=APERTURE):
+    """pi * (path spread) / wavelength of the facing ULAs at ``d``."""
+    tx, rx = segment_pair(d, aperture)
+    return np.pi * _path_spread(tx.segment, rx.segment) / WAVELENGTH
+
+
+def gathered(column):
+    """The Toeplitz matrix column[|i - j|], indexed entry by entry."""
+    i = np.arange(column.size)
+    return column[np.abs(i[:, None] - i[None, :])]
+
+
 class TestRankRevealing:
-    """``split_values`` with a rank estimate: a randomized range finder on
-    each parity block, against the SVD of every value."""
+    """The randomized range finder, on dense matrices through their products
+    and on the Toeplitz operator of facing ULAs, against the SVD of every
+    value."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(130, 260), seed=st.integers(0, 2**32 - 4),
@@ -192,7 +223,7 @@ class TestRankRevealing:
         m = ranked_matrix(seed, n, rank, tail, centro)
         full = SingularSpectrum(parity_split_values(m), shape=m.shape)
         estimate = n / 4 if estimate == "n/4" else estimate
-        fast = SingularSpectrum(split_values(m, estimate), shape=m.shape)
+        fast = SingularSpectrum(finder_values(m, estimate), shape=m.shape)
         assert fast.values.shape == (n,)
         assert dof(fast) == dof(full)
         for dominance in (0.01, 0.5):
@@ -202,85 +233,109 @@ class TestRankRevealing:
         assert np.max(np.abs(fast.values[:k] - full.values[:k])) <= 1e-13 * full.values[0]
 
     @pytest.mark.parametrize("n", [150, 151])
-    def test_estimate_above_a_quarter_takes_the_full_solve(self, n):
-        m = ranked_matrix(3, n, 5, 1e-6, centro=True)
+    def test_estimate_of_half_the_size_takes_the_dense_solve(self, n):
+        column = facing_ula_column("nusw", n, APERTURE, 15.0, CARRIER)
+        m = gathered(column)
         assert parity_blocks(m) is not None
-        full = parity_split_values(m)
-        assert np.array_equal(split_values(m, n / 4 + 0.5), full)
-        assert np.array_equal(split_values(m), full)
-        assert np.array_equal(decompose(m, vectors=False, rank_estimate=n / 4 + 0.5).values, full)
-        assert not np.array_equal(split_values(m, 1.0), full)
+        dense = parity_split_values(m)
+        assert np.array_equal(toeplitz_spectrum(column, n / 2).values, dense)
+        assert np.array_equal(toeplitz_spectrum(column).values, dense)
+        assert np.array_equal(decompose(m, vectors=False).values, dense)
+        # one probe fewer fits, and the finder leaves values out
+        assert not np.array_equal(toeplitz_spectrum(column, math.ceil(n / 2) - 1).values, dense)
+        assert not np.array_equal(toeplitz_spectrum(column, 1.0).values, dense)
 
     def test_values_left_out_read_zero(self):
-        m = ranked_matrix(4, 256, 8, 1e-6, centro=False)[:, :200]
-        values = split_values(m, 1.0)
-        assert values.shape == (200,)
-        assert np.count_nonzero(values) < 200 and values[-1] == 0.0
+        column = facing_ula_column("nusw", 1024, APERTURE, 150.0, CARRIER)
+        values = toeplitz_spectrum(column, 2.0).values
+        assert values.shape == (1024,)
+        assert np.count_nonzero(values) < 1024 and values[-1] == 0.0
         assert np.array_equal(values, np.sort(values)[::-1])
-        assert np.array_equal(values, split_values(m, 1.0))
+        assert np.array_equal(values, toeplitz_spectrum(column, 2.0).values)
 
     def test_facing_ulas(self):
         # 1024 elements at 15 m: pi * (path spread) / wavelength is 19.6
         h = nusw_channel(1024, 15.0)
         full = SingularSpectrum(parity_split_values(h), shape=h.shape)
-        fast = decompose(h, vectors=False, rank_estimate=19.6)
+        fast = toeplitz_spectrum(facing_ula_column("nusw", 1024, APERTURE, 15.0, CARRIER), 19.6)
         assert dof(fast) == dof(full) == 25
         assert np.count_nonzero(fast.values) < 1024 // 4
         assert np.max(np.abs(fast.values[:25] - full.values[:25])) <= 1e-13 * full.values[0]
 
 
-class TestComputedRows:
-    """``rows_spectrum`` on the rows ``los_computed_rows`` builds, against
-    the full channel and its values-only ``decompose``."""
+class TestToeplitzSpectrum:
+    """``toeplitz_spectrum`` of the column ``facing_ula_column`` builds, by
+    FFT products or by the gathered matrix, against the SVD of the channel
+    built from the element coordinates."""
 
     CHANNELS = {"nusw": los_nusw_channel, "usw": los_usw_channel}
 
-    @settings(max_examples=80, deadline=None)
-    @given(n=st.integers(2, 300), d=st.sampled_from([3.0, 15.0, 50.0, 150.0, 1e4]),
-           model=st.sampled_from(["nusw", "usw"]),
-           estimate=st.sampled_from([None, "spread", 1.0]))
-    @example(n=2, d=15.0, model="nusw", estimate=None)
-    @example(n=275, d=15.0, model="nusw", estimate="spread")
-    @example(n=276, d=3.0, model="usw", estimate="spread")
-    def test_same_values_as_the_full_build(self, n, d, model, estimate):
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 600), d=st.sampled_from([3.0, 15.0, 50.0, 150.0, 1e4]),
+           model=st.sampled_from(["nusw", "usw"]), estimate=st.booleans())
+    @example(n=2, d=15.0, model="nusw", estimate=False)
+    @example(n=275, d=15.0, model="nusw", estimate=True)
+    @example(n=387, d=1e4, model="nusw", estimate=True)
+    @example(n=600, d=3.0, model="usw", estimate=True)
+    @example(n=1024, d=15.0, model="nusw", estimate=True)
+    @example(n=1024, d=1e4, model="usw", estimate=False)
+    @example(n=2048, d=3.0, model="nusw", estimate=True)
+    @example(n=2048, d=150.0, model="usw", estimate=True)
+    def test_same_metrics_as_the_coordinate_build(self, n, d, model, estimate):
         tx, rx = ula_pair(n, d)
-        if estimate == "spread":
-            spread = _path_spread(tx.elements[[0, -1]], rx.elements[[0, -1]])
-            estimate = np.pi * spread / WAVELENGTH
         h = self.CHANNELS[model](tx, rx, CARRIER)
-        rows = los_computed_rows(model, tx, rx, CARRIER)
-        assert rows.shape == ((n + 1) // 2, n) and rows.flags.writeable
-        assert np.array_equal(rows, h[:(n + 1) // 2])
-        fast = rows_spectrum(rows, n, estimate)
-        full = decompose(h, vectors=False, rank_estimate=estimate)
+        column = facing_ula_column(model, n, APERTURE, d, CARRIER)
+        assert not column.flags.writeable
+        # the column differs from the entries of the rounded coordinates by
+        # round-off in the distance, a phase error of a few 1e-12
+        assert np.max(np.abs(column - h[:, 0])) <= 1e-11 * np.max(np.abs(column))
+        fast = toeplitz_spectrum(column, spread_estimate(d) if estimate else None)
+        # the brute-force SVD up to 600 elements; the parity split beyond
+        exact = svd_values(h) if n <= 600 else parity_split_values(h)
+        full = SingularSpectrum(exact, shape=h.shape)
         assert fast.shape == full.shape == (n, n)
-        assert np.array_equal(fast.values, full.values)
-        # every value within 1e-13 sigma_1 of the full SVD, except that with
-        # an estimate the finder writes 0.0 for values below its stop,
-        # 1e-13 * n * sigma_1 (2.3e-13 sigma_1 is left out at n = 275, 15 m)
-        exact = svd_values(h)
+        assert dof(fast) == dof(full)
+        for dominance in (0.01, 0.5):
+            assert edof1(fast, dominance=dominance) == edof1(full, dominance=dominance)
+        # the values above the clip agree; with an estimate the finder
+        # writes 0.0 for values below its stop, 1e-13 * n * sigma_1.  Both
+        # builds round each phase to about eps * 2 pi d / lambda, which puts
+        # a noise floor under the spectrum that can lie above the stop, far
+        # below the clip: 6e-11 sigma_1 at 1e4 m and n = 387, where the stop
+        # is 3.9e-11 sigma_1
         gap = np.abs(fast.values - exact)
-        k = n if estimate is None else dof(SingularSpectrum(exact, shape=h.shape))
-        assert np.max(gap[:k]) <= 1e-13 * exact[0]
-        assert np.max(gap) <= 1e-13 * n * exact[0]
+        assert np.max(gap[:dof(full)]) <= 1e-13 * exact[0]
+        floor = np.finfo(float).eps * 2 * np.pi * np.hypot(d, APERTURE) / WAVELENGTH
+        assert np.max(gap) <= 1e-13 * n * exact[0] + floor * np.linalg.norm(h)
 
-    def test_pairs_that_do_not_mirror_take_every_row(self):
-        tx = build_ula(40, 1.37)
-        rx = build_ula(40, 1.37, center=(0.0, 15.0, 0.3))
-        h = los_nusw_channel(tx, rx, CARRIER)
-        rows = los_computed_rows("nusw", tx, rx, CARRIER)
-        assert np.array_equal(rows, h)
-        assert np.array_equal(rows_spectrum(rows, 40).values,
-                              decompose(h, vectors=False).values)
+    def test_spd_edof2_tends_to_the_cap_edof2(self):
+        # SPD -> CAP as the array at a fixed aperture gets denser: FFT
+        # products of one column against Gauss-Legendre Nystrom, two paths
+        # that share no node, weight or solver
+        cap = edof2(cap_converged(15.0))
+        gaps = [edof2(toeplitz_spectrum(facing_ula_column("nusw", n, APERTURE, 15.0, CARRIER),
+                                        spread_estimate(15.0))) - cap
+                for n in (1024, 2048, 4096)]
+        assert all(g > 0 for g in gaps)
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[2] < 1e-3 * cap
 
-    def test_rows_of_another_matrix_are_rejected(self):
-        rows = los_computed_rows("nusw", *ula_pair(8, 15.0), CARRIER)
-        for n in (7, 9, 16):
-            with pytest.raises(ValueError, match="computed rows"):
-                rows_spectrum(rows, n)
-        rows[1, 2] = np.nan
+    def test_bad_columns_are_rejected(self):
+        with pytest.raises(SingularGeometryError):
+            facing_ula_column("nusw", 8, APERTURE, 0.0, CARRIER)
+        with pytest.raises(ValueError, match="unknown channel model"):
+            facing_ula_column("planar", 8, APERTURE, 15.0, CARRIER)
+        for n, aperture in ((1, APERTURE), (8, 0.0)):
+            with pytest.raises(ValueError, match="n >= 2"):
+                facing_ula_column("nusw", n, aperture, 15.0, CARRIER)
+        column = np.array(facing_ula_column("nusw", 8, APERTURE, 15.0, CARRIER))
+        column[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            rows_spectrum(rows, 8)
+            toeplitz_spectrum(column)
+        with pytest.raises(ValueError, match="all-zero"):
+            toeplitz_spectrum(np.zeros(8))
+        with pytest.raises(ValueError, match="column"):
+            toeplitz_spectrum(np.ones((2, 2)))
 
 
 class TestSingularSpectrum:
