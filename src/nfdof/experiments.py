@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -165,7 +164,7 @@ def _parse_carrier(cfg: dict) -> CarrierConfig:
         raise ConfigError("carrier needs frequency_hz or wavelength_m")
     freq, lam = (_number(car[k], f"carrier.{k}", positive=True) if k in car else None
                  for k in ("frequency_hz", "wavelength_m"))
-    try:  # the missing one is c over the given one, as in CarrierConfig.from_wavelength
+    try:  # the missing one is c over the given one
         carrier = CarrierConfig(frequency=freq or SPEED_OF_LIGHT / lam,
                                 wavelength=lam or SPEED_OF_LIGHT / freq)
     except ValueError as exc:
@@ -433,11 +432,7 @@ def _run_spectrum(spec, prov, threads, out_dir):
 
     def one(item):
         name, (n, a, d) = item
-        # pi * (path spread) / wavelength: the rank the finder starts from,
-        # with the spread hypot(a, d) - d of the facing apertures
-        spread = a * a / (math.hypot(a, d) + d)
-        column = facing_ula_column(spec.model, n, a, d, spec.carrier)
-        s = toeplitz_spectrum(column, math.pi * spread / spec.carrier.wavelength).values
+        s = toeplitz_spectrum(facing_ula_column(spec.model, n, a, d, spec.carrier)).values
         rows = [[i + 1, float(v), float(v / s[0])] for i, v in enumerate(s)]
         return ResultTable(name=name, columns=["mode_index", "sigma", "sigma_over_sigma1"],
                            rows=rows, provenance=prov)

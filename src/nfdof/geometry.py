@@ -35,12 +35,6 @@ class CarrierConfig:
                 f"{self.frequency} (expected {expected})"
             )
 
-    @classmethod
-    def from_wavelength(cls, wavelength: float) -> "CarrierConfig":
-        if not wavelength > 0:
-            raise ValueError(f"wavelength must be positive, got {wavelength}")
-        return cls(frequency=SPEED_OF_LIGHT / wavelength, wavelength=wavelength)
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float, copy=True)

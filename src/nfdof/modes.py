@@ -170,24 +170,32 @@ def _toeplitz_products(column: np.ndarray):
     return product, adjoint
 
 
-def toeplitz_spectrum(column, rank_estimate: float | None = None) -> SingularSpectrum:
+def _half_phase_excursion(column: np.ndarray) -> float:
+    """Half the total phase change along ``column``: pi * (path spread) /
+    lambda where the path changes by less than lambda / 2 per element, and
+    less where a phase step wraps."""
+    return 0.5 * float(np.abs(np.angle(column[1:] * column[:-1].conj())).sum())
+
+
+def toeplitz_spectrum(column) -> SingularSpectrum:
     """The values-only spectrum of the n x n symmetric Toeplitz matrix
     H_ij = column[|i - j|].
 
-    With a ``rank_estimate`` and k = max(32, ceil(rank_estimate)) below
-    n / 2, :func:`_leading_values` runs on FFT products with H in O(n k)
-    memory; the values it leaves out are round-off by the rank tolerance of
-    every metric and read 0.0.  Otherwise, or when the finder reaches n / 2,
-    :func:`decompose` solves H gathered from the column as a read-only view,
-    which is exactly centrosymmetric, by its parity blocks.
+    With k = max(32, ceil(:func:`_half_phase_excursion`)) and 10 k <= n,
+    below which the dense solve is faster, :func:`_leading_values` runs on
+    FFT products with H in O(n k) memory; its doubling covers a low
+    estimate, and the values it leaves out are round-off by the rank
+    tolerance of every metric and read 0.0.  Otherwise, or when the finder
+    reaches n / 2, :func:`decompose` solves H gathered from the column as a
+    read-only view, which is exactly centrosymmetric, by its parity blocks.
     """
     column = np.asarray(column, dtype=complex)
     if column.ndim != 1 or column.size < 2:
         raise ValueError(f"expected a column of at least 2 entries, got shape {column.shape}")
     _require_solvable(column)
     n = column.size
-    k = None if rank_estimate is None else max(32, math.ceil(rank_estimate))
-    if k is not None and 2 * k < n:
+    k = max(32, math.ceil(_half_phase_excursion(column)))
+    if 10 * k <= n:
         leading = _leading_values(*_toeplitz_products(column), n, k)
         if leading is not None:
             values = np.zeros(n)

@@ -15,14 +15,14 @@ import numpy as np
 
 import nfdof.channel
 from nfdof.channel import los_nusw_channel
-from nfdof.geometry import CarrierConfig, build_ula, continuous_aperture
+from nfdof.geometry import SPEED_OF_LIGHT, CarrierConfig, build_ula, continuous_aperture
 from nfdof.kernel import build_kernel, converge_spectrum, gauss_legendre_segment
 from nfdof.linksim import LinkReport, combine, mode_coupling, precode, qpsk_symbols
 from nfdof.modes import decompose, parity_blocks
 
 WAVELENGTH = 0.01
 APERTURE = 1.37
-CARRIER = CarrierConfig.from_wavelength(WAVELENGTH)
+CARRIER = CarrierConfig(frequency=SPEED_OF_LIGHT / WAVELENGTH, wavelength=WAVELENGTH)
 Z_AXIS = (0.0, 0.0, 1.0)
 
 

@@ -111,32 +111,33 @@ class TestSpectrumExperiment:
                 (tmp_path / "b" / name).read_bytes()
 
     def test_finder_outputs_are_byte_identical(self, tmp_path, monkeypatch):
-        # 256 elements: pi * (path spread) / wavelength is 19.6 at 15 m and
-        # 2.0 at 150 m, so 2 * 32 probes fit below N and each point runs the
-        # finder once on the whole Toeplitz operator
+        # 1024 elements: the column's estimate is 19.6 at 15 m and 2.0 at
+        # 150 m, so 10 * 32 probes fit below N and each point runs the finder
+        # once on the whole Toeplitz operator
         calls = []
         finder = nfdof.modes._leading_values
         monkeypatch.setattr(nfdof.modes, "_leading_values",
                             lambda product, adjoint, n, k: calls.append((n, k))
                             or finder(product, adjoint, n, k))
-        cfg = spectrum_config(geometry={"aperture_m": 1.37, "n_elements": [256],
+        cfg = spectrum_config(geometry={"aperture_m": 1.37, "n_elements": [1024],
                                         "distances_m": [15.0, 150.0]})
         runs = (("r1_t1", 1), ("r2_t1", 1), ("r3_t4", 4))
         for label, threads in runs:
             run_experiment(cfg, out_dir=tmp_path / label, threads=threads)
-        assert calls == [(256, 32)] * (2 * len(runs))
-        for name in ("spectrum_n256_d15.csv", "spectrum_n256_d150.csv", "spectrum_summary.json"):
+        assert calls == [(1024, 32)] * (2 * len(runs))
+        for name in ("spectrum_n1024_d15.csv", "spectrum_n1024_d150.csv",
+                     "spectrum_summary.json"):
             first = (tmp_path / "r1_t1" / name).read_bytes()
             assert all((tmp_path / label / name).read_bytes() == first for label, _ in runs)
-        rows = read_csv_rows(tmp_path / "r1_t1" / "spectrum_n256_d15.csv")
+        rows = read_csv_rows(tmp_path / "r1_t1" / "spectrum_n1024_d15.csv")
         # the values the finder leaves out are written as 0.0, one row per element
-        assert [r[0] for r in rows] == list(range(1, 257))
+        assert [r[0] for r in rows] == list(range(1, 1025))
         assert rows[-1][1:] == [0.0, 0.0] and rows[25][1] > 0.0
 
     def test_small_blocks_go_straight_to_the_svd(self, tmp_path, monkeypatch):
-        # 64 elements at 50 m: the estimate is 6.5, but 2 * 32 probes do not
-        # fit below the 64 columns of the operator, so the finder is never
-        # entered and the gathered channel is solved by SVD
+        # 64 elements at 50 m: the estimate is 6.5, but 10 * 32 probes do
+        # not fit below the 64 columns of the operator, so the finder is
+        # never entered and the gathered channel is solved by SVD
         calls = []
         monkeypatch.setattr(nfdof.modes, "_leading_values",
                             lambda product, adjoint, n, k: calls.append(k))

@@ -6,10 +6,6 @@ from nfdof.geometry import (SPEED_OF_LIGHT, CarrierConfig, build_ula, continuous
 
 
 class TestCarrierConfig:
-    def test_from_wavelength(self):
-        c = CarrierConfig.from_wavelength(0.01)
-        assert c.frequency == pytest.approx(SPEED_OF_LIGHT / 0.01, rel=1e-15)
-
     def test_inconsistent_pair_rejected(self):
         with pytest.raises(ValueError):
             CarrierConfig(frequency=28e9, wavelength=0.01)

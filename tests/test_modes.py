@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import nfdof.modes
 from conftest import (APERTURE, CARRIER, WAVELENGTH, cap_converged, nusw_channel,
                       nusw_spectrum, parity_split_values, segment_pair, ula_pair)
 from nfdof.channel import (facing_ula_column, farfield_planar_channel, los_nusw_channel,
@@ -12,8 +13,8 @@ from nfdof.errors import SingularGeometryError
 from nfdof.geometry import build_ula
 from nfdof.kernel import _path_spread
 from nfdof.metrics import dof, edof1, edof2
-from nfdof.modes import (ModeDecomposition, SingularSpectrum, _leading_values, decompose,
-                         parity_blocks, toeplitz_spectrum)
+from nfdof.modes import (ModeDecomposition, SingularSpectrum, _half_phase_excursion,
+                         _leading_values, decompose, parity_blocks, toeplitz_spectrum)
 
 
 def svd_values(m):
@@ -232,32 +233,42 @@ class TestRankRevealing:
         k = dof(full)
         assert np.max(np.abs(fast.values[:k] - full.values[:k])) <= 1e-13 * full.values[0]
 
-    @pytest.mark.parametrize("n", [150, 151])
-    def test_estimate_of_half_the_size_takes_the_dense_solve(self, n):
-        column = facing_ula_column("nusw", n, APERTURE, 15.0, CARRIER)
+    @pytest.mark.parametrize("n, d, finder", [(319, 15.0, False), (320, 15.0, True),
+                                              (400, 3.0, False)])
+    def test_the_finder_runs_from_ten_times_its_probes(self, n, d, finder, monkeypatch):
+        # the column's estimate is 19.6 at 15 m, so k = 32 and the finder
+        # runs from n = 320; it is 93.6 at 3 m, so k = 94 waits for n = 940
+        calls = []
+        monkeypatch.setattr(nfdof.modes, "_leading_values",
+                            lambda product, adjoint, n, k: calls.append((n, k))
+                            or _leading_values(product, adjoint, n, k))
+        column = facing_ula_column("nusw", n, APERTURE, d, CARRIER)
         m = gathered(column)
         assert parity_blocks(m) is not None
         dense = parity_split_values(m)
-        assert np.array_equal(toeplitz_spectrum(column, n / 2).values, dense)
-        assert np.array_equal(toeplitz_spectrum(column).values, dense)
         assert np.array_equal(decompose(m, vectors=False).values, dense)
-        # one probe fewer fits, and the finder leaves values out
-        assert not np.array_equal(toeplitz_spectrum(column, math.ceil(n / 2) - 1).values, dense)
-        assert not np.array_equal(toeplitz_spectrum(column, 1.0).values, dense)
+        values = toeplitz_spectrum(column).values
+        if finder:
+            # the finder leaves values out
+            assert calls == [(n, 32)]
+            assert values[-1] == 0.0 and not np.array_equal(values, dense)
+        else:
+            assert calls == []
+            assert np.array_equal(values, dense)
 
     def test_values_left_out_read_zero(self):
         column = facing_ula_column("nusw", 1024, APERTURE, 150.0, CARRIER)
-        values = toeplitz_spectrum(column, 2.0).values
+        values = toeplitz_spectrum(column).values
         assert values.shape == (1024,)
         assert np.count_nonzero(values) < 1024 and values[-1] == 0.0
         assert np.array_equal(values, np.sort(values)[::-1])
-        assert np.array_equal(values, toeplitz_spectrum(column, 2.0).values)
+        assert np.array_equal(values, toeplitz_spectrum(column).values)
 
     def test_facing_ulas(self):
-        # 1024 elements at 15 m: pi * (path spread) / wavelength is 19.6
+        # 1024 elements at 15 m: the column's estimate is 19.6
         h = nusw_channel(1024, 15.0)
         full = SingularSpectrum(parity_split_values(h), shape=h.shape)
-        fast = toeplitz_spectrum(facing_ula_column("nusw", 1024, APERTURE, 15.0, CARRIER), 19.6)
+        fast = toeplitz_spectrum(facing_ula_column("nusw", 1024, APERTURE, 15.0, CARRIER))
         assert dof(fast) == dof(full) == 25
         assert np.count_nonzero(fast.values) < 1024 // 4
         assert np.max(np.abs(fast.values[:25] - full.values[:25])) <= 1e-13 * full.values[0]
@@ -272,16 +283,16 @@ class TestToeplitzSpectrum:
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 600), d=st.sampled_from([3.0, 15.0, 50.0, 150.0, 1e4]),
-           model=st.sampled_from(["nusw", "usw"]), estimate=st.booleans())
-    @example(n=2, d=15.0, model="nusw", estimate=False)
-    @example(n=275, d=15.0, model="nusw", estimate=True)
-    @example(n=387, d=1e4, model="nusw", estimate=True)
-    @example(n=600, d=3.0, model="usw", estimate=True)
-    @example(n=1024, d=15.0, model="nusw", estimate=True)
-    @example(n=1024, d=1e4, model="usw", estimate=False)
-    @example(n=2048, d=3.0, model="nusw", estimate=True)
-    @example(n=2048, d=150.0, model="usw", estimate=True)
-    def test_same_metrics_as_the_coordinate_build(self, n, d, model, estimate):
+           model=st.sampled_from(["nusw", "usw"]))
+    @example(n=2, d=15.0, model="nusw")
+    @example(n=275, d=15.0, model="nusw")
+    @example(n=387, d=1e4, model="nusw")
+    @example(n=600, d=3.0, model="usw")
+    @example(n=1024, d=15.0, model="nusw")
+    @example(n=1024, d=1e4, model="usw")
+    @example(n=2048, d=3.0, model="nusw")
+    @example(n=2048, d=150.0, model="usw")
+    def test_same_metrics_as_the_coordinate_build(self, n, d, model):
         tx, rx = ula_pair(n, d)
         h = self.CHANNELS[model](tx, rx, CARRIER)
         column = facing_ula_column(model, n, APERTURE, d, CARRIER)
@@ -289,7 +300,7 @@ class TestToeplitzSpectrum:
         # the column differs from the entries of the rounded coordinates by
         # round-off in the distance, a phase error of a few 1e-12
         assert np.max(np.abs(column - h[:, 0])) <= 1e-11 * np.max(np.abs(column))
-        fast = toeplitz_spectrum(column, spread_estimate(d) if estimate else None)
+        fast = toeplitz_spectrum(column)
         # the brute-force SVD up to 600 elements; the parity split beyond
         exact = svd_values(h) if n <= 600 else parity_split_values(h)
         full = SingularSpectrum(exact, shape=h.shape)
@@ -297,7 +308,7 @@ class TestToeplitzSpectrum:
         assert dof(fast) == dof(full)
         for dominance in (0.01, 0.5):
             assert edof1(fast, dominance=dominance) == edof1(full, dominance=dominance)
-        # the values above the clip agree; with an estimate the finder
+        # the values above the clip agree; where the finder runs it
         # writes 0.0 for values below its stop, 1e-13 * n * sigma_1.  Both
         # builds round each phase to about eps * 2 pi d / lambda, which puts
         # a noise floor under the spectrum that can lie above the stop, far
@@ -313,12 +324,31 @@ class TestToeplitzSpectrum:
         # products of one column against Gauss-Legendre Nystrom, two paths
         # that share no node, weight or solver
         cap = edof2(cap_converged(15.0))
-        gaps = [edof2(toeplitz_spectrum(facing_ula_column("nusw", n, APERTURE, 15.0, CARRIER),
-                                        spread_estimate(15.0))) - cap
+        gaps = [edof2(toeplitz_spectrum(facing_ula_column("nusw", n, APERTURE, 15.0, CARRIER)))
+                - cap
                 for n in (1024, 2048, 4096)]
         assert all(g > 0 for g in gaps)
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-3 * cap
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 4096), d=st.floats(1.0, 1e4), aperture=st.floats(0.1, 5.0),
+           model=st.sampled_from(["nusw", "usw"]))
+    @example(n=4096, d=1e4, aperture=0.1, model="nusw")
+    @example(n=4096, d=1.0, aperture=5.0, model="usw")
+    @example(n=2, d=1.0, aperture=5.0, model="nusw")
+    def test_half_phase_excursion_is_the_path_spread(self, n, d, aperture, model):
+        # the column's half phase excursion against pi * (path spread) /
+        # wavelength of the two segments, computed from their endpoints
+        estimate = _half_phase_excursion(facing_ula_column(model, n, aperture, d, CARRIER))
+        oracle = spread_estimate(d, aperture)
+        bound = 1e-11 * oracle + 1e-9
+        # the path changes per element by at most pitch * aperture / hypot(aperture, d)
+        if aperture / (n - 1) * aperture / math.hypot(aperture, d) < WAVELENGTH / 2:
+            assert abs(estimate - oracle) <= bound
+        else:
+            # a wrapped phase step is never larger than the true one
+            assert estimate <= oracle + bound
 
     def test_bad_columns_are_rejected(self):
         with pytest.raises(SingularGeometryError):

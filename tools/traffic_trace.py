@@ -1,5 +1,6 @@
 """Print the statements of ``src/nfdof`` that the traffic never reaches,
-then every function or method none of whose statements it reaches.
+then every function or method none of whose statements it reaches, and
+last the line total of ``src/nfdof/*.py`` as ``wc -l`` counts it.
 
 The traffic is ``nfdof run`` on the seven ``configs/*.json`` and the two
 ``nfbench/configs/*.json``, plus ``pytest tests/test_acceptance.py``.  Both
@@ -109,6 +110,9 @@ def main() -> int:
             if body and not any((str(path), n) in reached for n in body):
                 tag = "  (probed by nfbench/spans.py)" if name in probed else ""
                 print(f"  {path.name}:{line}  {name}{tag}")
+    # wc -l counts newline characters
+    total = sum(path.read_bytes().count(b"\n") for path in PACKAGE.glob("*.py"))
+    print(f"src/nfdof/*.py: {total} lines")
     return 0
 
 
