@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -374,8 +375,11 @@ def _provenance(cfg: dict, spec: ExperimentSpec) -> dict:
 
 def _fmt(x: float) -> str:
     """Canonical number formatting: integral floats lose the trailing .0 and
-    everything round-trips bit-exactly through float()."""
+    everything round-trips bit-exactly through float().  NaN and infinity
+    raise FloatingPointError, so no CSV cell holds one."""
     f = float(x)
+    if not math.isfinite(f):
+        raise FloatingPointError(f"cannot write the non-finite value {f!r}")
     if f.is_integer() and abs(f) < 1e16:
         return str(int(f))
     return repr(f)
@@ -518,12 +522,13 @@ def _run_cap_edof_vs_distance(spec, prov, threads, out_dir):
     return _map_ordered(one, list(zip(spec.names, spec.apertures)), threads), {}
 
 
-# measured/predicted SNR stays within 5e-5 of its value at SNR 1 up to a
-# predicted 1e25 (N = 16, 2 modes, 4000 symbols), then round-off bends it:
-# 4e-4 off at 9e26, 3 % at 9e28.  Low SNRs are measured well until the summed
-# error powers, about n_symbols / SNR, near the float64 maximum: outputs stay
-# finite down to 1e-304 at 4000 symbols and 1e-302 at MAX_COUNT symbols, and
-# turn to inf or nan one decade lower.  1e-300 keeps a factor of 100 at
+# measured/predicted SNR stays within 1e-4 of its value at SNR 1 up to a
+# predicted 1e25 (N = 16 at 15 m, 2 modes at equal SNR, 4000 symbols: 2.6e-5
+# at seed 1, 7.6e-5 at worst over seeds 1-10), then round-off bends it: 2.5e-4
+# off at 1e26, 5e-4 at 9e26, 3 % at 9e28.  Low SNRs are measured well until the
+# summed error powers, about n_symbols / SNR, near the float64 maximum: outputs
+# stay finite down to 1e-304 at 4000 symbols and 1e-302 at MAX_COUNT symbols,
+# and turn to inf or nan one decade lower.  1e-300 keeps a factor of 100 at
 # MAX_COUNT.
 _LINK_SNR_RANGE = (1e-300, 1e25)
 
@@ -570,7 +575,8 @@ EXPERIMENTS = {
 def run_experiment(cfg: dict, out_dir=".", seed: int | None = None,
                    threads: int = 1) -> list:
     """Validate ``cfg``, run it, and write one CSV per curve plus a JSON
-    summary under ``out_dir``.  Returns the result tables.
+    summary under ``out_dir``.  Returns the result tables.  A NaN or infinite
+    output value raises FloatingPointError instead of reaching a file.
 
     ``seed`` overrides the config seed; ``threads`` parallelizes grid points
     without changing any output byte.
@@ -592,5 +598,9 @@ def run_experiment(cfg: dict, out_dir=".", seed: int | None = None,
     }
     summary.update(extra)
     summary_path = out_dir / f"{spec.experiment.replace('-', '_')}_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
+    try:
+        text = json.dumps(summary, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"{summary_path.name}: {exc}") from None
+    summary_path.write_text(text + "\n")
     return tables

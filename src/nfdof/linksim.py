@@ -7,11 +7,14 @@ p_k * sigma_k**2 / N0 with zero cross-mode leakage.
 
 Monte-Carlo runs use unit-power QPSK and one seed per run; symbol chunks draw
 from independently spawned child generators keyed by chunk index, so the
-aggregate statistics do not depend on execution order.  A run forms the
-N_r x K effective channel H V_K diag(sqrt(p)) once, so each chunk costs
-N_r x K per symbol however large N_t is, and adds the noise in place.  The
-draws are those of precoding each chunk and sending it through H: only the
-association H (V sqrt(p) s) -> (H V sqrt(p)) s differs, a round-off change.
+aggregate statistics do not depend on execution order.  A run works in the
+mode domain: only U_K^H (H x + n) reaches the estimates, so no chunk forms
+the N_r x n receive block.  With W = U_K^H / (sqrt(p) sigma), the symbols go
+through the K x K matrix W H V_K diag(sqrt(p)), and each of the two real
+noise fills of shape (N_r, n) is projected by one real GEMM with
+sqrt(N0/2) [Re W; Im W].  The draws are those of precoding each chunk,
+sending it through H and combining: only the association of the products
+differs, a round-off change.
 """
 
 from __future__ import annotations
@@ -93,28 +96,51 @@ def precode(symbols: np.ndarray, modes: ModeDecomposition, powers) -> np.ndarray
     return modes.right_vectors[:, :k] @ (np.sqrt(p)[:, None] * s)
 
 
-def transmit_awgn(h, x: np.ndarray, noise_power: float, rng) -> np.ndarray:
+def transmit_awgn(h, x: np.ndarray, noise_power: float, rng,
+                  receive=None) -> np.ndarray:
     """y = H x + n with circularly-symmetric noise, E|n_i|**2 = ``noise_power``
-    (deterministic for a given generator state).
+    (deterministic for a given generator state), or W (H x + n) for a
+    ``receive`` matrix W.
 
-    The real parts of n are one ``standard_normal(y.shape)`` draw and the
-    imaginary parts the next, each scaled by sqrt(noise_power / 2) and added
-    in place through one real buffer the size of y.real.
+    The real parts of n are one ``standard_normal`` fill of one real buffer
+    the size of (H x).real and the imaginary parts the next.  Without
+    ``receive`` each fill is scaled by sqrt(noise_power / 2) and added in
+    place.  With it, y = (W H) x + W n, and each fill is projected by one real
+    GEMM with sqrt(noise_power / 2) [Re W; Im W], so the result has W's rows.
     """
     m = np.asarray(h)
     if m.shape[1] != x.shape[0]:
         raise ValueError(f"channel expects {m.shape[1]} transmit dims, got {x.shape[0]}")
     if noise_power < 0:
         raise ValueError("noise power must be non-negative")
-    y = m @ x
+    if receive is None:
+        y = m @ x
+    else:
+        w = np.asarray(receive)
+        if w.ndim != 2 or w.shape[1] != m.shape[0]:
+            raise ValueError(f"receive matrix must have {m.shape[0]} columns, "
+                             f"got shape {w.shape}")
+        y = (w @ m) @ x
     if noise_power > 0:
         y = np.asarray(y, dtype=complex)
         scale = np.sqrt(noise_power / 2.0)
-        buf = np.empty(y.shape)
-        for part in (y.real, y.imag):
+        buf = np.empty(m.shape[:1] + x.shape[1:])
+        if receive is None:
+            for part in (y.real, y.imag):
+                rng.standard_normal(out=buf)
+                buf *= scale
+                part += buf
+        else:
+            k = w.shape[0]
+            r = scale * np.concatenate([w.real, w.imag])
             rng.standard_normal(out=buf)
-            buf *= scale
-            part += buf
+            q = r @ buf  # W a, stacked as [Re; Im]
+            y.real += q[:k]
+            y.imag += q[k:]
+            rng.standard_normal(out=buf)
+            np.matmul(r, buf, out=q)  # W b, added as 1j W b
+            y.real -= q[k:]
+            y.imag += q[:k]
     return y
 
 
@@ -140,13 +166,13 @@ def mode_coupling(h, modes: ModeDecomposition, powers) -> np.ndarray:
     return scale_out[:, None] * eq * np.sqrt(p)[None, :]
 
 
-def _chunk_stats(h_eff: np.ndarray, modes: ModeDecomposition, powers: np.ndarray,
-                 noise_power: float, n: int, rng):
+def _chunk_stats(h_eff: np.ndarray, receive: np.ndarray, noise_power: float, n: int,
+                 rng):
     """Error power, symbol power and error cross-products of one chunk of
-    ``n`` symbols sent through the effective channel ``h_eff``; every array
-    of the chunk is freed on return."""
+    ``n`` symbols sent through the effective channel ``h_eff`` and projected
+    by ``receive``; every array of the chunk is freed on return."""
     s = qpsk_symbols(h_eff.shape[1], n, rng)
-    e = combine(transmit_awgn(h_eff, s, noise_power, rng), modes, powers)
+    e = transmit_awgn(h_eff, s, noise_power, rng, receive=receive)
     e -= s
     return (np.sum(np.abs(e) ** 2, axis=1), np.sum(np.abs(s) ** 2, axis=1),
             e @ e.conj().T)
@@ -156,11 +182,14 @@ def run_link(h, config: TransmissionConfig) -> LinkReport:
     """Run precode -> AWGN channel -> combine over ``config.n_symbols`` QPSK
     symbols and aggregate per-mode statistics.
 
-    The precoder is folded into the effective channel H V_K diag(sqrt(p)),
-    formed once, so a chunk of n symbols holds an N_r x n complex receive
-    block and one real noise buffer of the same shape, and nothing N_t x n.
-    The draws per chunk are the same as precoding the chunk and sending it
-    through H; ``mode_coupling`` and the leakage still read the physical H.
+    The run works in the mode domain.  The precoder is folded into the
+    effective channel H V_K diag(sqrt(p)) and the combiner into the receive
+    matrix W = U_K^H / (sqrt(p) sigma), both formed once, and each chunk gets
+    its estimates from ``transmit_awgn(..., receive=W)``.  A chunk of n
+    symbols holds one real (N_r, n) noise buffer and K-row blocks, and no
+    complex N_r x n or N_t x n array.  The draws per chunk are the same as
+    precoding the chunk, sending it through H and combining;
+    ``mode_coupling`` and the leakage still read the physical H.
     """
     modes = decompose(h)
     k = config.active_modes
@@ -180,10 +209,11 @@ def run_link(h, config: TransmissionConfig) -> LinkReport:
     err_cross = np.zeros((k, k), dtype=complex)
     total = config.n_symbols
     h_eff = np.asarray(h) @ precode(np.eye(k), modes, p)
+    receive = modes.left_vectors[:, :k].conj().T / (np.sqrt(p) * sig)[:, None]
     seeds = np.random.SeedSequence(config.seed).spawn((total + _CHUNK - 1) // _CHUNK)
     for i, chunk_seed in enumerate(seeds):
         n = min(_CHUNK, total - i * _CHUNK)
-        e_pow, s_pow, e_cross = _chunk_stats(h_eff, modes, p, config.noise_power, n,
+        e_pow, s_pow, e_cross = _chunk_stats(h_eff, receive, config.noise_power, n,
                                              np.random.default_rng(chunk_seed))
         err_power += e_pow
         sym_power += s_pow
@@ -203,7 +233,8 @@ def run_link(h, config: TransmissionConfig) -> LinkReport:
 
 
 def save_link_report(report: LinkReport, path) -> Path:
-    """Serialize a report to JSON."""
+    """Serialize a report to JSON.  A non-finite value, such as the +inf SNR
+    of a noiseless run, raises FloatingPointError and writes no file."""
     path = Path(path)
     payload = {
         "n_symbols": report.n_symbols,
@@ -214,7 +245,9 @@ def save_link_report(report: LinkReport, path) -> Path:
         "error_correlation": [[float(x) for x in row]
                               for row in report.error_correlation],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"{path.name}: {exc}") from None
+    path.write_text(text + "\n")
     return path

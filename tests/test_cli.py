@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nfdof import __version__
+from nfdof import __version__, experiments
 from nfdof.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from nfdof.experiments import MAX_COUNT
 
@@ -138,6 +139,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: ") and err.count("\n") == 1
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind, target, poison", [
+        ("cap-edof-vs-distance", "rayleigh_distance", lambda out: float("inf")),
+        ("edof3-vs-snr", "metrics_report", lambda out: {**out, "edof1": float("nan")}),
+        ("link-sim", "run_link",
+         lambda out: dataclasses.replace(out, cross_mode_leakage=float("nan"))),
+    ], ids=["csv-cell", "summary", "link-report"])
+    def test_non_finite_output_is_3_and_never_written(self, kind, target, poison, tmp_path,
+                                                      monkeypatch, capsys):
+        real = getattr(experiments, target)
+        monkeypatch.setattr(experiments, target, lambda *a, **kw: poison(real(*a, **kw)))
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path / "cfg.json", small_config(kind)),
+                     "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure: ") and err.count("\n") == 1
+        assert not list(out.glob("*_summary.json"))
+        assert_finite_outputs(out)
 
     def test_io_failure_is_4(self, tmp_path):
         cfg_path = write_config(tmp_path / "cfg.json", spectrum_config())

@@ -316,6 +316,14 @@ class TestEmit:
         assert "\r" not in text
         assert "x,y\n1,2.5\n2,0.125\n" in text
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_cell_rejected_without_file(self, value, tmp_path):
+        table = self.table()
+        table.rows[1][1] = value
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            emit_plot_data(table, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match="ragged"):
             ResultTable(name="bad", columns=["x", "y"], rows=[[1.0]],

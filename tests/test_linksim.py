@@ -89,6 +89,37 @@ class TestTransmitAwgn:
         assert y.dtype == ref.dtype
         assert y.tobytes() == ref.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(n_r=st.integers(1, 8), n_t=st.integers(1, 8), k=st.integers(1, 8),
+           n_symbols=st.integers(1, 40), unit=st.sampled_from([1j, 0.0]),
+           noise_power=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_receive_projects_the_same_draws(self, n_r, n_t, k, n_symbols, unit,
+                                             noise_power, seed):
+        g = np.random.default_rng(seed)
+        h, x, w = (g.standard_normal(shape) + unit * g.standard_normal(shape)
+                   for shape in ((n_r, n_t), (n_t, n_symbols), (k, n_r)))
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = transmit_awgn(h, x, noise_power, rng_a, receive=w)
+        y = transmit_awgn(h, x, noise_power, rng_b)
+        ref = w @ y
+        assert got.shape == ref.shape == (k, n_symbols)
+        # relative to the magnitudes the products sum, so cancellation in W H x
+        # cannot fail an exact-draw match
+        scale = np.abs(w) @ (np.abs(h) @ np.abs(x) + np.abs(y))
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("shape", [(3, 31), (3, 32, 1), (32,)])
+    def test_receive_shape_mismatch_rejected(self, shape):
+        h, modes = small_link()
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="receive"):
+            transmit_awgn(h, np.ones((32, 2), dtype=complex), 1.0, rng,
+                          receive=np.ones(shape))
+        assert rng.bit_generator.state == before
+
 
 class TestCombine:
     def test_noiseless_round_trip(self):
@@ -214,6 +245,16 @@ class TestRunLink:
         assert np.array_equal(a.measured_mode_snr, b.measured_mode_snr)
         assert np.array_equal(a.error_correlation, b.error_correlation)
 
+    def test_noiseless_report_is_not_written(self, tmp_path):
+        # its SNRs are +inf, which no output file may hold
+        h = nusw_channel(16, 15.0)
+        cfg = TransmissionConfig(active_modes=2, mode_powers=[1.0, 1.0],
+                                 noise_power=0.0, n_symbols=4, seed=6)
+        report = run_link(h, cfg)
+        with pytest.raises(FloatingPointError, match="report.json"):
+            save_link_report(report, tmp_path / "report.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_serialization(self, tmp_path):
         h = nusw_channel(16, 15.0)
         cfg = TransmissionConfig(active_modes=2, mode_powers=[1.0, 0.5],
@@ -226,10 +267,13 @@ class TestRunLink:
 
 
 class TestChunkPipeline:
-    """``run_link`` sends each chunk through the precomputed effective channel
-    H V_k diag(sqrt(p)); ``conftest.run_link_loop`` precodes each chunk and
-    sends it through H.  The draws are the same, so only the association of
-    the products differs."""
+    """``run_link`` works in the mode domain: each chunk's estimates are
+    W (H_eff s + n), computed as (W H_eff) s plus the two real noise fills
+    projected by real GEMMs, with H_eff = H V_k diag(sqrt(p)) and
+    W = U_k^H / (sqrt(p) sigma) formed once.  ``conftest.run_link_loop``
+    precodes each chunk, sends it through H, adds the N_r x n noise and
+    combines.  The draws are the same, so only the association of the
+    products differs."""
 
     @settings(max_examples=40, deadline=None)
     @given(n_t=st.integers(1, 8), extra_rx=st.integers(0, 8), data=st.data(),
@@ -258,8 +302,9 @@ class TestChunkPipeline:
                                        rtol=1e-12, atol=0, err_msg=field)
 
     def test_peak_memory_of_three_chunks(self):
-        # the old chunk held about 43 MB at once: the N_t x n transmit block,
-        # the receive block and the complex noise temporaries of two chunks
+        # a chunk holds one real (N_r, n) noise buffer, 4.2 MB here, and k-row
+        # blocks, 7.5 MB in all; the bound is 1.25 times that, so a chunk that
+        # also held the 8.4 MB N_r x n complex receive block would fail it
         h = nusw_channel(64, 15.0)
         cfg = TransmissionConfig(active_modes=8, mode_powers=np.ones(8), noise_power=1.0,
                                  n_symbols=3 * 8192, seed=2)
@@ -270,7 +315,7 @@ class TestChunkPipeline:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 64 * 8192 * 16
+        assert peak <= 9_400_000
 
 
 class TestConfigValidation:
