@@ -41,7 +41,7 @@ def _wave(h: np.ndarray, d: np.ndarray, wavelength: float, amplitude):
 
 
 def spherical_wave_matrix(rx_pts: np.ndarray, tx_pts: np.ndarray, wavelength: float,
-                          amplitude) -> np.ndarray:
+                          amplitude, top: bool = False) -> np.ndarray:
     """The read-only N_r x N_t matrix a(d) * exp(-1j*2*pi*d/lambda) over the
     distances d_ij = |r_i - t_j| between receive points ``rx_pts`` (N_r, 3)
     and transmit points ``tx_pts`` (N_t, 3).
@@ -51,9 +51,10 @@ def spherical_wave_matrix(rx_pts: np.ndarray, tx_pts: np.ndarray, wavelength: fl
     the distances of those rows.  When the point sets pass
     :func:`_mirror_points`, only the top ``(N_r + 1) // 2`` rows are
     computed and the rest are their mirror image, bitwise equal to the full
-    build.  The squared distances are summed one coordinate at a time, so
-    the build holds at most the result and one float per computed entry.
-    A zero distance raises :class:`SingularGeometryError`.
+    build; with ``top``, the computed rows alone are returned, writable.
+    The squared distances are summed one coordinate at a time, so the build
+    holds at most the result and one float per computed entry.  A zero
+    distance raises :class:`SingularGeometryError`.
     """
     n_r = rx_pts.shape[0]
     rows = (n_r + 1) // 2 if _mirror_points(rx_pts, tx_pts) else n_r
@@ -64,8 +65,10 @@ def spherical_wave_matrix(rx_pts: np.ndarray, tx_pts: np.ndarray, wavelength: fl
     del part
     if not np.sqrt(d, out=d).all():
         raise SingularGeometryError("transmit and receive points coincide (d = 0)")
-    h = np.empty((n_r, tx_pts.shape[0]), dtype=complex)
+    h = np.empty((rows if top else n_r, tx_pts.shape[0]), dtype=complex)
     _wave(h[:rows], d, wavelength, amplitude)
+    if top:
+        return h
     h[rows:] = h[:n_r - rows][::-1, ::-1]
     h.setflags(write=False)
     return h

@@ -431,7 +431,7 @@ def _converge(spec: ExperimentSpec, aperture: float, distance: float):
     return converge_spectrum(tx, rx, spec.carrier, tol=spec.tol, max_nodes=spec.max_nodes)
 
 
-def _run_spectrum(spec, prov, threads, out_dir):
+def _run_spectrum(spec, prov, threads):
     cases = [(n, a, d) for n, a in spec.sizes for d in spec.distances]
 
     def one(item):
@@ -444,7 +444,7 @@ def _run_spectrum(spec, prov, threads, out_dir):
     return _map_ordered(one, list(zip(spec.names, cases)), threads), {}
 
 
-def _run_edof_vs_n(spec, prov, threads, out_dir):
+def _run_edof_vs_n(spec, prov, threads):
     def one(item):
         name, d = item
         rows = []
@@ -461,7 +461,7 @@ def _run_edof_vs_n(spec, prov, threads, out_dir):
     return _map_ordered(one, list(zip(spec.names, spec.distances)), threads), {}
 
 
-def _run_edof2_vs_n(spec, prov, threads, out_dir):
+def _run_edof2_vs_n(spec, prov, threads):
     # one converged reference per (aperture, d), computed sequentially in grid
     # order for determinism before the grid is mapped
     cap_ref = {}
@@ -483,7 +483,7 @@ def _run_edof2_vs_n(spec, prov, threads, out_dir):
     return _map_ordered(one, list(zip(spec.names, spec.distances)), threads), {}
 
 
-def _run_edof3_vs_snr(spec, prov, threads, out_dir):
+def _run_edof3_vs_snr(spec, prov, threads):
     ((n, a),) = spec.sizes
     snrs = [10.0 ** (db / 10.0) for db in spec.snr_db]
 
@@ -506,7 +506,7 @@ def _run_edof3_vs_snr(spec, prov, threads, out_dir):
     return [r[0] for r in results], {"metric_reports": {r[1]: r[2] for r in results}}
 
 
-def _run_cap_edof_vs_distance(spec, prov, threads, out_dir):
+def _run_cap_edof_vs_distance(spec, prov, threads):
     def one(item):
         name, aperture = item
         rd = rayleigh_distance(aperture, spec.carrier.wavelength)
@@ -533,7 +533,7 @@ def _run_cap_edof_vs_distance(spec, prov, threads, out_dir):
 _LINK_SNR_RANGE = (1e-300, 1e25)
 
 
-def _run_link_sim(spec, prov, threads, out_dir):
+def _run_link_sim(spec, prov, threads):
     ((n, a),), (d,), (snr_db,) = spec.sizes, spec.distances, spec.snr_db
     h = _spd_channel(spec, n, a, d)
     if spec.normalize:
@@ -556,12 +556,11 @@ def _run_link_sim(spec, prov, threads, out_dir):
     table = ResultTable(name=spec.names[0],
                         columns=["mode", "power", "predicted_snr", "measured_snr", "mse"],
                         rows=rows, provenance=prov)
-    report_path = save_link_report(report, out_dir / "link_report.json")
-    return [table], {"link_report": report_path.name,
-                     "cross_mode_leakage": report.cross_mode_leakage}
+    return [table], {"link_report": "link_report.json",
+                     "cross_mode_leakage": report.cross_mode_leakage, "report": report}
 
 
-# name: (parse(cfg, geometry) -> spec fields, run(spec, prov, threads, out_dir) -> tables, extra)
+# name: (parse(cfg, geometry) -> spec fields, run(spec, prov, threads) -> tables, extra)
 EXPERIMENTS = {
     "spectrum": (_parse_spectrum, _run_spectrum),
     "edof-vs-n": (_parse_edof_vs_n, _run_edof_vs_n),
@@ -576,7 +575,7 @@ def run_experiment(cfg: dict, out_dir=".", seed: int | None = None,
                    threads: int = 1) -> list:
     """Validate ``cfg``, run it, and write one CSV per curve plus a JSON
     summary under ``out_dir``.  Returns the result tables.  A NaN or infinite
-    output value raises FloatingPointError instead of reaching a file.
+    output value raises FloatingPointError before any file is written.
 
     ``seed`` overrides the config seed; ``threads`` parallelizes grid points
     without changing any output byte.
@@ -585,9 +584,8 @@ def run_experiment(cfg: dict, out_dir=".", seed: int | None = None,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     prov = _provenance(cfg, spec)
-    tables, extra = EXPERIMENTS[spec.experiment][1](spec, prov, threads, out_dir)
-    for table in tables:
-        emit_plot_data(table, out_dir)
+    tables, extra = EXPERIMENTS[spec.experiment][1](spec, prov, threads)
+    report = extra.pop("report", None)
     summary = {
         "experiment": spec.experiment,
         "provenance": prov,
@@ -598,9 +596,14 @@ def run_experiment(cfg: dict, out_dir=".", seed: int | None = None,
     }
     summary.update(extra)
     summary_path = out_dir / f"{spec.experiment.replace('-', '_')}_summary.json"
+    # every table cell and extra is in the summary: render it before any write
     try:
         text = json.dumps(summary, indent=2, allow_nan=False)
     except ValueError as exc:
         raise FloatingPointError(f"{summary_path.name}: {exc}") from None
+    if report is not None:
+        save_link_report(report, out_dir / extra["link_report"])
+    for table in tables:
+        emit_plot_data(table, out_dir)
     summary_path.write_text(text + "\n")
     return tables

@@ -26,7 +26,7 @@ from .channel import spherical_wave_matrix
 from .errors import ConvergenceError, SingularGeometryError
 from .geometry import ArrayGeometry, CarrierConfig
 from .metrics import edof1, edof2
-from .modes import SingularSpectrum, decompose
+from .modes import SingularSpectrum, _block_values, fold_parity
 
 _NEWTON_STEPS = 20
 "Cap on the Newton steps for the Gauss-Legendre roots; 3-4 suffice up to m = 4096."
@@ -127,16 +127,16 @@ def _require_continuous(arr: ArrayGeometry, name: str) -> np.ndarray:
 
 
 def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
-                 m_nodes: int) -> np.ndarray:
-    """The read-only weighted response H = W_r^(1/2) G W_s^(1/2), with
+                 m_nodes: int):
+    """The weighted response H = W_r^(1/2) G W_s^(1/2), with
     G_ij = g(r_i, s_j) on Gauss-Legendre rules of ``m_nodes`` points on both
-    segments.
+    segments, read-only, for :func:`cap_spectrum`.
 
     The assembly is :func:`~nfdof.channel.spherical_wave_matrix`: when the
-    nodes are exact mirror images, G is exactly centrosymmetric and both
-    weight vectors are mirror images too, so only the top
-    ``(m_nodes + 1) // 2`` rows of H are computed and weighted, and H is
-    exactly centrosymmetric.
+    nodes are exact mirror images, H is exactly centrosymmetric, and only its
+    top ``(m_nodes + 1) // 2`` rows are computed, then folded in place into
+    its even and odd parity blocks (:func:`~nfdof.modes.fold_parity`),
+    returned as a pair, so no m x m array is formed.  Else H is returned.
     """
     if m_nodes < 8:
         raise ValueError(f"m_nodes must be >= 8, got {m_nodes}")
@@ -153,14 +153,20 @@ def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
         h *= r_root[:len(h), None]
         h *= s_root
 
-    return spherical_wave_matrix(r_nodes, s_nodes, carrier.wavelength, amplitude)
+    h = spherical_wave_matrix(r_nodes, s_nodes, carrier.wavelength, amplitude, top=True)
+    blocks = fold_parity(h) if h.shape[0] < m_nodes else (h,)
+    for b in blocks:
+        b.setflags(write=False)
+    return blocks if len(blocks) == 2 else h
 
 
-def cap_spectrum(h: np.ndarray) -> SingularSpectrum:
-    """Singular values sigma_n of the weighted response ``h``; sigma_n**2 are
-    the eigenvalues of the discretized kernel.  A centrosymmetric response is
-    solved as its two parity blocks."""
-    return decompose(h, vectors=False)
+def cap_spectrum(blocks) -> SingularSpectrum:
+    """Singular values sigma_n, as an (m, m) spectrum, of what
+    :func:`build_kernel` returns: two parity blocks or one response.
+    sigma_n**2 are the eigenvalues of the discretized kernel."""
+    blocks = (blocks,) if isinstance(blocks, np.ndarray) else blocks
+    m = sum(len(b) for b in blocks)
+    return SingularSpectrum(values=_block_values(blocks), shape=(m, m))
 
 
 # The benchmark probes these names in nfdof.experiments, so they stay as
@@ -202,22 +208,22 @@ def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConf
     The rungs are ``round(64 * 2**(k/2))`` (64, 91, 128, 181, ...).
     Gauss-Legendre convergence of the kernel is a cliff near
     pi * (path spread) / wavelength nodes (:func:`_path_spread`), so the
-    ladder starts at the largest rung at or below that count and at or below
-    ``max_nodes / 2``, and never below 64.  ``max_nodes`` must exceed 64 and
-    is a hard cap: the last rung is clamped to it.  ``tol=inf`` returns the
-    start rung.  Non-convergence by ``max_nodes`` raises
+    ladder starts at the smallest rung at or above that count, or the largest
+    at or below ``max_nodes / 2`` if that is lower, and never below 64.
+    ``max_nodes`` must exceed 64 and is a hard cap: the last rung is clamped
+    to it.  ``tol=inf`` returns the start rung, the first past the cliff
+    when ``max_nodes`` allows.  Non-convergence raises
     :class:`ConvergenceError` with the last observed change and the largest
-    rung built attached.  The node count of the returned spectrum is
-    ``shape[0]``.
+    rung built attached.  The node count of the returned spectrum is ``shape[0]``.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not max_nodes > LADDER_FLOOR:
         raise ValueError(f"max_nodes must exceed {LADDER_FLOOR}, got {max_nodes}")
     spread = _path_spread(_require_continuous(tx, "tx"), _require_continuous(rx, "rx"))
-    limit = min(math.pi * spread / carrier.wavelength, max_nodes / 2)
+    cliff = math.pi * spread / carrier.wavelength
     k = 0
-    while _rung(k + 1) <= limit:
+    while _rung(k) < cliff and _rung(k + 1) <= max_nodes / 2:
         k += 1
     m = _rung(k)
     spec = cap_spectrum(build_kernel(tx, rx, carrier, m))

@@ -65,15 +65,30 @@ class ModeDecomposition:
         return self.singular_values.size
 
 
-def parity_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The even and odd blocks of a square matrix with J m J == m exactly,
-    or None when ``m`` is not square of size >= 2 or not exactly
-    centrosymmetric.
+def fold_parity(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd blocks of an exactly centrosymmetric n x n matrix,
+    folded in place from its writable top ``(n + 1) // 2`` rows: with
+    p = n // 2, A = top[:p, :p] and B = top[:p, n-p:], they are A + BJ, a
+    view of ``top``, and A - BJ, the one new array.  For odd n the middle
+    row and column join the even block, scaled by sqrt(2), with the middle
+    entry unscaled."""
+    rows, n = top.shape
+    p = n // 2
+    even = top[:, :rows]
+    bj = top[:p, ::-1][:, :p]
+    a = even[:p, :p]
+    odd = a - bj
+    a += bj
+    if rows > p:
+        even[:p, p] *= _SQRT2
+        even[p, :p] *= _SQRT2
+    return even, odd
 
-    With p = n // 2, A = m[:p, :p] and B = m[:p, n-p:], the blocks are
-    A + BJ (even) and A - BJ (odd).  For odd n the middle row and column
-    join the even block, scaled by sqrt(2), with the middle entry unscaled.
-    """
+
+def parity_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The :func:`fold_parity` blocks of a square matrix with J m J == m
+    exactly, or None when ``m`` is not square of size >= 2 or not exactly
+    centrosymmetric."""
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
         return None
     n = m.shape[0]
@@ -82,15 +97,7 @@ def parity_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if not (np.array_equal(m[n - p:], m[:p][::-1, ::-1])
             and (n % 2 == 0 or np.array_equal(m[p], m[p, ::-1]))):
         return None
-    even = m[:n - p, :n - p].copy()
-    bj = m[:p, ::-1][:, :p]
-    a = even[:p, :p]
-    odd = a - bj
-    a += bj
-    if n > 2 * p:
-        even[:p, p] *= _SQRT2
-        even[p, :p] *= _SQRT2
-    return even, odd
+    return fold_parity(m[:n - p].copy())
 
 
 def _block_values(blocks) -> np.ndarray:

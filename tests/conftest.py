@@ -16,7 +16,7 @@ import numpy as np
 import nfdof.channel
 from nfdof.channel import los_nusw_channel
 from nfdof.geometry import SPEED_OF_LIGHT, CarrierConfig, build_ula, continuous_aperture
-from nfdof.kernel import build_kernel, converge_spectrum, gauss_legendre_segment
+from nfdof.kernel import converge_spectrum, gauss_legendre_segment
 from nfdof.linksim import LinkReport, combine, mode_coupling, precode, qpsk_symbols
 from nfdof.modes import decompose, parity_blocks
 
@@ -214,10 +214,10 @@ def direct_response(tx, rx, m):
 
 
 def sampled_kernel(tx, rx, m):
-    """The response H of ``build_kernel`` on ``m`` nodes, the sampled kernel
-    K = G^H W_r G formed from it as W_s^(-1/2) H^H H W_s^(-1/2), and the
-    transmit weights W_s."""
-    h = build_kernel(tx, rx, CARRIER, m)
+    """The response H of :func:`direct_response` on ``m`` nodes, the sampled
+    kernel K = G^H W_r G formed from it as W_s^(-1/2) H^H H W_s^(-1/2), and
+    the transmit weights W_s."""
+    h = direct_response(tx, rx, m)
     _, w = gauss_legendre_segment(tx.segment[0], tx.segment[1], m)
     inv = 1.0 / np.sqrt(w)
     return h, inv[:, None] * (h.conj().T @ h) * inv[None, :], w

@@ -155,8 +155,8 @@ class TestExitCodes:
                      "--out", str(out)]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("error: numerical failure: ") and err.count("\n") == 1
-        assert not list(out.glob("*_summary.json"))
-        assert_finite_outputs(out)
+        # the summary renders before any file is written
+        assert not [p for p in out.rglob("*") if p.is_file()]
 
     def test_io_failure_is_4(self, tmp_path):
         cfg_path = write_config(tmp_path / "cfg.json", spectrum_config())

@@ -19,7 +19,7 @@ from nfdof.experiments import run_experiment
 from nfdof.geometry import continuous_aperture, rayleigh_distance
 from nfdof.kernel import (build_kernel, cap_edof1, cap_edof2, cap_spectrum,
                           converge_spectrum, gauss_legendre_rule, gauss_legendre_segment)
-from nfdof.modes import SingularSpectrum
+from nfdof.modes import SingularSpectrum, parity_blocks
 
 
 @pytest.fixture
@@ -64,6 +64,24 @@ def mirror_tests():
         yield verdicts
 
 
+def layout_pair(layout, d, aperture, shift, angle):
+    """Facing segments, the receive one shifted along its axis by ``shift``
+    m ("offset") or tilted by ``angle`` rad ("tilted")."""
+    if layout == "offset":
+        tx, _ = segment_pair(d, aperture)
+        return tx, continuous_aperture((0.0, d, shift - aperture / 2),
+                                       (0.0, d, shift + aperture / 2))
+    if layout == "tilted":
+        return tilted_pair(d, angle, aperture)
+    return segment_pair(d, aperture)
+
+
+def assert_blocks_equal(blocks, expected):
+    assert len(blocks) == len(expected) == 2
+    for b, ref in zip(blocks, expected):
+        assert np.array_equal(b, ref)
+
+
 def full_g_response(monkeypatch, tx, rx, m):
     """``build_kernel`` with the half-row assembly switched off."""
     with monkeypatch.context() as patch:
@@ -102,10 +120,12 @@ class TestBuildKernel:
     @pytest.mark.parametrize("m", [33, 64])
     def test_mirror_segments_give_centrosymmetric_kernel(self, m):
         tx, rx = segment_pair(25.0)
-        h = build_kernel(tx, rx, CARRIER, m)
-        assert not h.flags.writeable
+        even, odd = build_kernel(tx, rx, CARRIER, m)
+        assert not even.flags.writeable and not odd.flags.writeable
+        assert (even.shape, odd.shape) == (((m + 1) // 2,) * 2, (m // 2,) * 2)
+        h = direct_response(tx, rx, m)
         assert np.array_equal(h, h[::-1, ::-1])
-        assert np.array_equal(h, direct_response(tx, rx, m))
+        assert_blocks_equal((even, odd), parity_blocks(h))
 
     def test_offset_segments_take_the_full_assembly(self, mirror_tests):
         tx, _ = segment_pair(25.0)
@@ -117,10 +137,29 @@ class TestBuildKernel:
 
     @pytest.mark.parametrize("m", [33, 64, 91, 724])
     def test_half_row_build_equals_the_full_build(self, m, monkeypatch, mirror_tests):
+        # the blocks folded from the top rows are those of the full build
         tx, rx = segment_pair(8.0, 5.0)
-        h = build_kernel(tx, rx, CARRIER, m)
+        blocks = build_kernel(tx, rx, CARRIER, m)
         assert mirror_tests == [True]
-        assert np.array_equal(h, full_g_response(monkeypatch, tx, rx, m))
+        assert_blocks_equal(blocks, parity_blocks(full_g_response(monkeypatch, tx, rx, m)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(layout=st.sampled_from(["mirror", "offset", "tilted"]),
+           half=st.integers(4, 60), odd=st.booleans(), d=st.floats(2.0, 200.0),
+           aperture=st.floats(0.1, 5.0), shift=st.floats(0.05, 1.0),
+           angle=st.floats(0.05, 1.2))
+    def test_folded_blocks_equal_those_of_the_direct_response(
+            self, layout, half, odd, d, aperture, shift, angle):
+        m = 2 * half + odd
+        tx, rx = layout_pair(layout, d, aperture, shift, angle)
+        built = build_kernel(tx, rx, CARRIER, m)
+        h = direct_response(tx, rx, m)
+        if layout == "mirror":
+            assert_blocks_equal(built, parity_blocks(h))
+            assert not any(b.flags.writeable for b in built)
+        else:
+            assert isinstance(built, np.ndarray) and not built.flags.writeable
+            assert np.array_equal(built, h)
 
     def test_tilted_segments_take_the_full_assembly(self, mirror_tests):
         tx, rx = tilted_pair(8.0, 0.3)
@@ -167,8 +206,8 @@ class TestCapSpectrum:
 
     def test_odd_node_count_matches_the_full_eigensolve(self):
         tx, rx = segment_pair(15.0)
-        h, k, w = sampled_kernel(tx, rx, 33)
-        lam = cap_spectrum(h).values ** 2
+        _, k, w = sampled_kernel(tx, rx, 33)
+        lam = cap_spectrum(build_kernel(tx, rx, CARRIER, 33)).values ** 2
         w = np.sqrt(w)
         full = np.linalg.eigvalsh(w[:, None] * k * w[None, :])[::-1]
         assert lam.size == full.size == 33
@@ -181,8 +220,8 @@ class TestCapSpectrum:
 
     def test_eigenvalue_sum_matches_weighted_trace(self):
         tx, rx = segment_pair(35.0)
-        h, k, w = sampled_kernel(tx, rx, 128)
-        lam = cap_spectrum(h).values ** 2
+        _, k, w = sampled_kernel(tx, rx, 128)
+        lam = cap_spectrum(build_kernel(tx, rx, CARRIER, 128)).values ** 2
         trace = float(np.sum(w * np.diag(k).real))
         assert abs(lam.sum() - trace) < 1e-10 * trace
 
@@ -190,9 +229,9 @@ class TestCapSpectrum:
     def test_every_value_is_solved(self, d):
         # no rank estimate reaches a kernel: each parity block takes the SVD
         tx, rx = segment_pair(d, 5.0)
-        h = build_kernel(tx, rx, CARRIER, 256)
-        assert nfdof.modes.parity_blocks(h) is not None
-        assert np.array_equal(cap_spectrum(h).values, parity_split_values(h))
+        spec = cap_spectrum(build_kernel(tx, rx, CARRIER, 256))
+        assert spec.shape == (256, 256)
+        assert np.array_equal(spec.values, parity_split_values(direct_response(tx, rx, 256)))
 
     @settings(max_examples=60, deadline=None)
     @given(layout=st.sampled_from(["mirror", "offset", "tilted"]),
@@ -202,14 +241,7 @@ class TestCapSpectrum:
     def test_squared_singular_values_match_the_direct_eigensolve(
             self, layout, half, odd, d, aperture, shift, angle):
         m = 2 * half + odd
-        if layout == "mirror":
-            tx, rx = segment_pair(d, aperture)
-        elif layout == "offset":
-            tx, _ = segment_pair(d, aperture)
-            rx = continuous_aperture((0.0, d, shift - aperture / 2),
-                                     (0.0, d, shift + aperture / 2))
-        else:
-            tx, rx = tilted_pair(d, angle, aperture)
+        tx, rx = layout_pair(layout, d, aperture, shift, angle)
         lam = cap_spectrum(build_kernel(tx, rx, CARRIER, m)).values ** 2
         ref = cap_eigenvalues_direct(tx, rx, m)
         assert lam.size == ref.size == m
@@ -272,7 +304,7 @@ class TestConvergeSpectrum:
         # wavelengths, so the cliff estimate pi * 61.6 = 193 nodes
         tx, rx = segment_pair(20.0, 5.0)
         spec = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
-        assert rung_calls == [181, 256, 362]
+        assert rung_calls == [256, 362]
         assert spec.shape[0] == 362
 
     @pytest.mark.parametrize("cap", [65, 100, 1000])
@@ -290,21 +322,49 @@ class TestConvergeSpectrum:
         assert rung_calls == []
 
     @pytest.mark.parametrize("d, aperture, cap, first", [
-        (8.0, 5.0, 4096, 362),    # cliff pi * 143 = 450 nodes
+        (8.0, 5.0, 4096, 512),    # cliff pi * 143 = 450 nodes
         (8.0, 5.0, 600, 256),     # capped at max_nodes / 2
         (8.0, 5.0, 100, 64),      # max_nodes / 2 below the floor of 64
         (150.0, 0.5, 4096, 64),   # cliff at 0.3 nodes
-        (20.0, 5.0, 4096, 181),   # rungs 64, 91, 128, 181, 256
+        (20.0, 5.0, 4096, 256),   # cliff 193: rungs 64, 91, 128, 181, 256
     ])
     def test_infinite_tol_returns_the_start_rung(self, d, aperture, cap, first, rung_calls):
         tx, rx = segment_pair(d, aperture)
         spec = converge_spectrum(tx, rx, CARRIER, tol=np.inf, max_nodes=cap)
         assert rung_calls == [spec.shape[0]] == [first]
 
+    # every final rung here is at most 362 nodes
+    @pytest.mark.parametrize("aperture, d", [(5.0, 20.0), (5.0, 30.0), (5.0, 50.0),
+                                             (1.37, 2.0), (1.37, 3.0), (2.0, 4.0), (2.0, 8.0)])
+    def test_starting_past_the_cliff_changes_no_result(self, aperture, d, rung_calls):
+        # the rung one sqrt(2) step below the start, the largest at or below
+        # the cliff, never agrees with the start, so a climb from it ends at
+        # the same rung with the same values
+        tol = 1e-6
+        tx, rx = segment_pair(d, aperture)
+        spec = converge_spectrum(tx, rx, CARRIER, tol=tol)
+        rung = nfdof.kernel._rung
+        k = [rung(j) for j in range(20)].index(rung_calls[0])
+        cliff = np.pi * nfdof.kernel._path_spread(tx.segment, rx.segment) / WAVELENGTH
+        assert 1 <= k and rung(k - 1) <= cliff <= rung(k)
+        # the old rule: climb from rung k - 1 until two rungs agree
+        climb = [cap_spectrum(build_kernel(tx, rx, CARRIER, rung(k - 1)))]
+        while True:
+            nxt = cap_spectrum(build_kernel(tx, rx, CARRIER, rung(k - 1 + len(climb))))
+            lam, new = climb[-1].values[:20] ** 2, nxt.values[:20] ** 2
+            change = float(np.max(np.abs(new - lam)) / new[0])
+            climb.append(nxt)
+            if len(climb) == 2:
+                assert change >= tol
+            if change < tol:
+                break
+        assert climb[-1].shape == spec.shape == (rung_calls[-1],) * 2
+        assert np.array_equal(climb[-1].values, spec.values)
+
     @pytest.mark.parametrize("d", [0.2, 1.0, 3.0, 50.0, 1e9])
     @pytest.mark.parametrize("cap", [65, 100, 101, 4096])
     def test_start_rung_within_floor_and_half_cap(self, d, cap, monkeypatch):
-        monkeypatch.setattr(nfdof.kernel, "cap_spectrum", lambda h: h)
+        monkeypatch.setattr(nfdof.kernel, "_block_values", lambda blocks: np.ones(1))
         tx, rx = segment_pair(d, 5.0)
         m = converge_spectrum(tx, rx, CARRIER, tol=np.inf, max_nodes=cap).shape[0]
         assert 64 <= m <= max(64, cap / 2)
@@ -411,7 +471,8 @@ def test_every_shipped_ladder_takes_the_half_row_build(path, tmp_path, monkeypat
         operators.append(n)
         return finder(product, adjoint, n, k)
 
-    monkeypatch.setattr(nfdof.modes, "_block_values", recording)
+    for module in (nfdof.modes, nfdof.kernel):
+        monkeypatch.setattr(module, "_block_values", recording)
     monkeypatch.setattr(nfdof.modes, "_leading_values", operator_finder)
     cfg = json.loads(path.read_text())
     run_experiment(cfg, out_dir=tmp_path)
