@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,9 @@ from .linksim import TransmissionConfig, run_link, save_link_report
 from .metrics import (dof, edof1, edof1_limit_linear, edof2, edof3_auto,
                       metrics_report, waterfill)
 from .modes import decompose, toeplitz_spectrum
+
+
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})  # float.__repr__ of NaN and infinities
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,19 @@ class ResultTable:
                 raise ValueError(f"ragged row in table {self.name!r}")
         if not self.provenance:
             raise ValueError("provenance block is required")
+
+    @cached_property
+    def cells(self) -> list:
+        """Each row's cells as the ``float.__repr__`` text of the cell as a
+        float, computed once: the summary JSON and the CSV are both joined
+        from it.  NaN and infinity raise FloatingPointError, so no output
+        file holds one."""
+        cells = [[repr(float(x)) for x in row] for row in self.rows]
+        for row in cells:
+            for text in row:
+                if text in _NON_FINITE:
+                    raise FloatingPointError(f"cannot write the non-finite value {text}")
+        return cells
 
 
 # --- config parsing ----------------------------------------------------------
@@ -373,16 +389,13 @@ def _provenance(cfg: dict, spec: ExperimentSpec) -> dict:
     }
 
 
-def _fmt(x: float) -> str:
-    """Canonical number formatting: integral floats lose the trailing .0 and
-    everything round-trips bit-exactly through float().  NaN and infinity
-    raise FloatingPointError, so no CSV cell holds one."""
-    f = float(x)
-    if not math.isfinite(f):
-        raise FloatingPointError(f"cannot write the non-finite value {f!r}")
-    if f.is_integer() and abs(f) < 1e16:
-        return str(int(f))
-    return repr(f)
+def _fmt(text: str) -> str:
+    """The CSV form of a cell's ``float.__repr__`` text: an integral value
+    below 1e16, which repr writes with a trailing .0, loses it (-0.0 reads
+    0), and every cell round-trips bit-exactly through float()."""
+    if text.endswith(".0"):
+        return "0" if text == "-0.0" else text[:-2]
+    return text
 
 
 def emit_plot_data(table: ResultTable, out_dir) -> Path:
@@ -392,15 +405,47 @@ def emit_plot_data(table: ResultTable, out_dir) -> Path:
     """
     if not table.rows:
         raise ValueError(f"table {table.name!r} has no rows; nothing to write")
+    lines = [f"# {k}={table.provenance[k]}" for k in sorted(table.provenance)]
+    lines.append(",".join(table.columns))
+    lines += [",".join(map(_fmt, row)) for row in table.cells]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{table.name}.csv"
-    lines = [f"# {k}={table.provenance[k]}" for k in sorted(table.provenance)]
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_fmt(x) for x in row))
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _dumps(value, depth: int) -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, indented to sit
+    ``depth`` levels deep in an enclosing document."""
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + "  " * depth)
+
+
+def _joined(open_: str, items: list, close: str, depth: int) -> str:
+    """The rendered ``items`` between ``open_`` and ``close``, laid out as
+    ``json.dumps(..., indent=2)`` lays out a container ``depth`` levels deep."""
+    if not items:
+        return open_ + close
+    pad = "\n" + "  " * (depth + 1)
+    return open_ + pad + ("," + pad).join(items) + "\n" + "  " * depth + close
+
+
+def _summary_text(summary: dict) -> str:
+    """``json.dumps(summary, indent=2, allow_nan=False)`` of the summary with
+    its ``tables`` entry, a list of ResultTables, written as
+    ``{"name", "columns", "rows"}`` objects whose rows hold each cell as a
+    float: the rows are joined from :attr:`ResultTable.cells`, and every
+    other value goes through json.dumps."""
+    def table(t):
+        rows = [_joined("[", row, "]", 4) for row in t.cells]
+        return _joined("{", [f'"name": {json.dumps(t.name)}',
+                             f'"columns": {_dumps(t.columns, 3)}',
+                             f'"rows": {_joined("[", rows, "]", 3)}'], "}", 2)
+
+    return _joined("{", [f"{json.dumps(key)}: "
+                         + (_joined("[", [table(t) for t in value], "]", 1) if key == "tables"
+                            else _dumps(value, 1))
+                         for key, value in summary.items()], "}", 0)
 
 
 # --- experiment implementations -----------------------------------------------
@@ -437,7 +482,8 @@ def _run_spectrum(spec, prov, threads):
     def one(item):
         name, (n, a, d) = item
         s = toeplitz_spectrum(facing_ula_column(spec.model, n, a, d, spec.carrier)).values
-        rows = [[i + 1, float(v), float(v / s[0])] for i, v in enumerate(s)]
+        rows = [[i, v, r] for i, v, r in zip(range(1, s.size + 1), s.tolist(),
+                                             (s / s[0]).tolist())]
         return ResultTable(name=name, columns=["mode_index", "sigma", "sigma_over_sigma1"],
                            rows=rows, provenance=prov)
 
@@ -586,19 +632,12 @@ def run_experiment(cfg: dict, out_dir=".", seed: int | None = None,
     prov = _provenance(cfg, spec)
     tables, extra = EXPERIMENTS[spec.experiment][1](spec, prov, threads)
     report = extra.pop("report", None)
-    summary = {
-        "experiment": spec.experiment,
-        "provenance": prov,
-        "config_echo": cfg,
-        "tables": [{"name": t.name, "columns": t.columns,
-                    "rows": [[float(x) for x in row] for row in t.rows]}
-                   for t in tables],
-    }
-    summary.update(extra)
+    summary = {"experiment": spec.experiment, "provenance": prov, "config_echo": cfg,
+               "tables": tables, **extra}
     summary_path = out_dir / f"{spec.experiment.replace('-', '_')}_summary.json"
     # every table cell and extra is in the summary: render it before any write
     try:
-        text = json.dumps(summary, indent=2, allow_nan=False)
+        text = _summary_text(summary)
     except ValueError as exc:
         raise FloatingPointError(f"{summary_path.name}: {exc}") from None
     if report is not None:

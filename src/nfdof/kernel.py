@@ -211,8 +211,7 @@ def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConf
     ladder starts at the smallest rung at or above that count, or the largest
     at or below ``max_nodes / 2`` if that is lower, and never below 64.
     ``max_nodes`` must exceed 64 and is a hard cap: the last rung is clamped
-    to it.  ``tol=inf`` returns the start rung, the first past the cliff
-    when ``max_nodes`` allows.  Non-convergence raises
+    to it.  Non-convergence raises
     :class:`ConvergenceError` with the last observed change and the largest
     rung built attached.  The node count of the returned spectrum is ``shape[0]``.
     """
@@ -226,10 +225,7 @@ def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConf
     while _rung(k) < cliff and _rung(k + 1) <= max_nodes / 2:
         k += 1
     m = _rung(k)
-    spec = cap_spectrum(build_kernel(tx, rx, carrier, m))
-    if math.isinf(tol):
-        return spec
-    lam = spec.values ** 2
+    lam = cap_spectrum(build_kernel(tx, rx, carrier, m)).values ** 2
     last_change = np.inf
     while m < max_nodes:
         k += 1

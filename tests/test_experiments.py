@@ -1,13 +1,19 @@
+import dataclasses
 import json
+import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import nfdof.experiments
 import nfdof.modes
 from nfdof.errors import ConfigError
-from nfdof.experiments import (ResultTable, config_hash, emit_plot_data, run_experiment,
-                               validate_config)
+from nfdof.experiments import (ResultTable, _summary_text, config_hash, emit_plot_data,
+                               run_experiment, validate_config)
 
 
 def spectrum_config(**overrides):
@@ -328,6 +334,101 @@ class TestEmit:
         with pytest.raises(ValueError, match="ragged"):
             ResultTable(name="bad", columns=["x", "y"], rows=[[1.0]],
                         provenance={"k": "v"})
+
+
+def csv_cell(x) -> str:
+    """A CSV cell formatted from the number itself: an integral float below
+    1e16 as an integer, anything else as its shortest round-trip repr."""
+    f = float(x)
+    return str(int(f)) if f.is_integer() and abs(f) < 1e16 else repr(f)
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 9.999999999999998e15, 1e16, 1e-5, 1e300]
+TEXT = st.one_of(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+                 st.sampled_from(['say "hi"', "\\", "a\nb", "Größe", "σ₁ / σ", "☃"]))
+CELL = st.one_of(st.sampled_from(EDGE_FLOATS),
+                 st.floats(allow_nan=False, allow_infinity=False),
+                 st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+                 st.integers(-2**60, 2**60).map(float),
+                 st.integers(-2**63, 2**63 - 1).map(np.int64),
+                 st.integers(-10**20, 10**20))
+JSON = st.recursive(st.one_of(st.none(), st.booleans(), st.integers(), TEXT,
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(TEXT, inner, max_size=3),
+                    max_leaves=12)
+
+
+@st.composite
+def result_tables(draw):
+    width = draw(st.integers(1, 4))
+    return ResultTable(name=draw(TEXT), columns=draw(st.lists(TEXT, min_size=width,
+                                                              max_size=width)),
+                       rows=draw(st.lists(st.lists(CELL, min_size=width, max_size=width),
+                                          max_size=5)),
+                       provenance={"config_hash": "abc"})
+
+
+class TestRender:
+    """The summary and CSV text joined from each table's cells, against
+    ``json.dumps`` of the whole summary and the per-number CSV format."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables=st.lists(result_tables(), max_size=3), config=st.dictionaries(TEXT, JSON),
+           reports=st.dictionaries(TEXT, st.dictionaries(TEXT, JSON, max_size=4), max_size=3),
+           extra=st.dictionaries(TEXT.filter(lambda k: k not in {
+               "experiment", "provenance", "config_echo", "tables", "metric_reports"}),
+               JSON, max_size=2))
+    def test_text_equals_json_dumps_and_csv_cells(self, tables, config, reports, extra):
+        head = {"experiment": "spectrum", "provenance": {"seed": 0, "version": "0.1.0"},
+                "config_echo": config}
+        tail = {"metric_reports": reports, **extra}
+        expected = json.dumps({**head, "tables": [
+            {"name": t.name, "columns": t.columns,
+             "rows": [[float(x) for x in row] for row in t.rows]} for t in tables], **tail},
+            indent=2, allow_nan=False)
+        assert _summary_text({**head, "tables": tables, **tail}) == expected
+        with tempfile.TemporaryDirectory() as out:
+            for i, table in enumerate(t for t in tables if t.rows):
+                # file names and headers in plain ASCII: only the cells are compared
+                plain = dataclasses.replace(table, name=f"t{i}",
+                                            columns=[f"c{j}" for j in range(len(table.columns))])
+                lines = emit_plot_data(plain, out).read_text().splitlines()[2:]
+                assert lines == [",".join(csv_cell(x) for x in row) for row in table.rows]
+                assert [[float(x) for x in line.split(",")] for line in lines] == \
+                    [[float(x) for x in row] for row in table.rows]
+
+    @settings(max_examples=50, deadline=None)
+    @given(table=result_tables().filter(lambda t: t.rows), at=st.integers(0, 10**6),
+           value=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_cell_raises(self, table, at, value):
+        rows = [list(row) for row in table.rows]
+        i = at % (len(rows) * len(table.columns))
+        rows[i // len(table.columns)][i % len(table.columns)] = value
+        bad = dataclasses.replace(table, rows=rows)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            _summary_text({"experiment": "spectrum", "tables": [table, bad]})
+        with tempfile.TemporaryDirectory() as out:
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                emit_plot_data(dataclasses.replace(bad, name="t"), out)
+            assert list(Path(out).iterdir()) == []
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cell_fails_the_run_without_file(self, value, tmp_path, monkeypatch):
+        parse, run = nfdof.experiments.EXPERIMENTS["spectrum"]
+
+        def poisoned(spec, prov, threads):
+            tables, extra = run(spec, prov, threads)
+            rows = [list(row) for row in tables[-1].rows]
+            rows[-1][-1] = value
+            return tables[:-1] + [dataclasses.replace(tables[-1], rows=rows)], extra
+
+        monkeypatch.setitem(nfdof.experiments.EXPERIMENTS, "spectrum", (parse, poisoned))
+        cfg = spectrum_config()
+        cfg["geometry"]["distances_m"] = [15.0, 50.0]
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            run_experiment(cfg, out_dir=tmp_path / "o")
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
 class TestOutputDirPrecedence:

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import sys
 import threading
@@ -281,10 +282,11 @@ class TestConvergeSpectrum:
         below = cap_spectrum(build_kernel(tx, rx, CARRIER, rung_calls[-2])).values[:20] ** 2
         assert np.max(np.abs(lam - below)) / lam[0] < 1e-6
 
-    def test_infinite_tol_returns_first_iterate(self):
+    def test_infinite_tol_returns_first_iterate(self, rung_calls):
+        # 1.37 m segments at 50 m put the cliff below the floor of 64
         tx, rx = segment_pair(50.0)
-        spec = converge_spectrum(tx, rx, CARRIER, tol=np.inf)
-        assert spec.shape == (64, 64)
+        converge_spectrum(tx, rx, CARRIER, tol=1e-6)
+        assert rung_calls[0] == 64
 
     def test_deterministic(self):
         tx, rx = segment_pair(50.0)
@@ -329,9 +331,12 @@ class TestConvergeSpectrum:
         (20.0, 5.0, 4096, 256),   # cliff 193: rungs 64, 91, 128, 181, 256
     ])
     def test_infinite_tol_returns_the_start_rung(self, d, aperture, cap, first, rung_calls):
+        # the first rung a finite-tol ladder builds, whether or not it
+        # converges under the cap
         tx, rx = segment_pair(d, aperture)
-        spec = converge_spectrum(tx, rx, CARRIER, tol=np.inf, max_nodes=cap)
-        assert rung_calls == [spec.shape[0]] == [first]
+        with contextlib.suppress(ConvergenceError):
+            converge_spectrum(tx, rx, CARRIER, tol=1e-6, max_nodes=cap)
+        assert rung_calls[0] == first
 
     # every final rung here is at most 362 nodes
     @pytest.mark.parametrize("aperture, d", [(5.0, 20.0), (5.0, 30.0), (5.0, 50.0),
@@ -364,9 +369,15 @@ class TestConvergeSpectrum:
     @pytest.mark.parametrize("d", [0.2, 1.0, 3.0, 50.0, 1e9])
     @pytest.mark.parametrize("cap", [65, 100, 101, 4096])
     def test_start_rung_within_floor_and_half_cap(self, d, cap, monkeypatch):
+        # the first rung, read with no kernel built: equal stub spectra stop
+        # the ladder at its second rung
+        calls = []
+        monkeypatch.setattr(nfdof.kernel, "build_kernel",
+                            lambda tx, rx, carrier, m: calls.append(m) or np.empty((m, 0)))
         monkeypatch.setattr(nfdof.kernel, "_block_values", lambda blocks: np.ones(1))
         tx, rx = segment_pair(d, 5.0)
-        m = converge_spectrum(tx, rx, CARRIER, tol=np.inf, max_nodes=cap).shape[0]
+        converge_spectrum(tx, rx, CARRIER, max_nodes=cap)
+        m = calls[0]
         assert 64 <= m <= max(64, cap / 2)
         assert m in {round(64 * 2 ** (k / 2)) for k in range(40)}
 

@@ -256,6 +256,22 @@ class TestRankRevealing:
             assert calls == []
             assert np.array_equal(values, dense)
 
+    @pytest.mark.parametrize("aperture, d, widths", [(APERTURE, 15.0, [32]), (0.5, 1.0, [38, 76])])
+    def test_one_product_and_one_adjoint_per_attempt(self, aperture, d, widths, monkeypatch):
+        # 1024 elements: the estimate is 19.6 for 1.37 m at 15 m, so one
+        # attempt at k = 32; it is 37.1 for 0.5 m at 1 m, and k = 38 doubles once
+        calls = []
+        products = nfdof.modes._toeplitz_products
+
+        def counting(column):
+            product, adjoint = products(column)
+            return (lambda x: calls.append(("product", x.shape[1])) or product(x),
+                    lambda y: calls.append(("adjoint", y.shape[1])) or adjoint(y))
+
+        monkeypatch.setattr(nfdof.modes, "_toeplitz_products", counting)
+        toeplitz_spectrum(facing_ula_column("nusw", 1024, aperture, d, CARRIER))
+        assert calls == [(kind, k) for k in widths for kind in ("product", "adjoint")]
+
     def test_values_left_out_read_zero(self):
         column = facing_ula_column("nusw", 1024, APERTURE, 150.0, CARRIER)
         values = toeplitz_spectrum(column).values
@@ -290,6 +306,9 @@ class TestToeplitzSpectrum:
     @example(n=600, d=3.0, model="usw")
     @example(n=1024, d=15.0, model="nusw")
     @example(n=1024, d=1e4, model="usw")
+    @example(n=1024, d=50.0, model="nusw")
+    @example(n=1024, d=150.0, model="nusw")
+    @example(n=2048, d=5.0, model="nusw")
     @example(n=2048, d=3.0, model="nusw")
     @example(n=2048, d=150.0, model="usw")
     def test_same_metrics_as_the_coordinate_build(self, n, d, model):

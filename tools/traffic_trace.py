@@ -27,6 +27,12 @@ REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "nfdof"
 
 
+def traffic_configs() -> list:
+    """The nine traffic configs: ``configs/*.json``, then
+    ``nfbench/configs/*.json``, each sorted by name."""
+    return sorted(REPO.glob("configs/*.json")) + sorted(REPO.glob("nfbench/configs/*.json"))
+
+
 def statement_lines(path: Path) -> dict:
     """Line number -> first source line of every statement that compiles to
     code: docstrings and ``global``/``nonlocal`` declarations compile to none."""
@@ -81,7 +87,7 @@ def main() -> int:
     sys.settrace(tracer)
     try:
         from nfdof.cli import main as nfdof_main
-        configs = sorted(REPO.glob("configs/*.json")) + sorted(REPO.glob("nfbench/configs/*.json"))
+        configs = traffic_configs()
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
             codes = {config.name: nfdof_main(["run", str(config), "--out",
                                               str(Path(out) / config.stem)])
