@@ -8,8 +8,7 @@ from .channel import (farfield_planar_channel, frobenius_normalized, los_nusw_ch
                       los_usw_channel)
 from .errors import (ActiveSetChangeError, ConfigError, ConvergenceError, NfdofError,
                      SingularGeometryError)
-from .geometry import (ArrayGeometry, CarrierConfig, SPEED_OF_LIGHT, build_ula,
-                       continuous_aperture, rayleigh_distance)
+from .geometry import ArrayGeometry, build_ula, continuous_aperture, rayleigh_distance
 from .kernel import build_kernel, cap_edof1, cap_edof2, cap_spectrum, converge_spectrum
 from .linksim import (LinkReport, TransmissionConfig, combine, precode, run_link,
                       transmit_awgn)
@@ -19,10 +18,9 @@ from .modes import ModeDecomposition, SingularSpectrum, decompose
 
 __all__ = [
     "__version__",
-    "ActiveSetChangeError", "ArrayGeometry", "CarrierConfig", "ConfigError",
-    "ConvergenceError", "LinkReport",
-    "ModeDecomposition", "NfdofError", "PowerAllocation",
-    "SPEED_OF_LIGHT", "SingularGeometryError", "SingularSpectrum",
+    "ActiveSetChangeError", "ArrayGeometry", "ConfigError", "ConvergenceError",
+    "LinkReport", "ModeDecomposition", "NfdofError", "PowerAllocation",
+    "SingularGeometryError", "SingularSpectrum",
     "TransmissionConfig", "build_kernel", "build_ula", "cap_edof1", "cap_edof2",
     "cap_spectrum", "capacity", "combine", "continuous_aperture",
     "converge_spectrum", "decompose", "dof", "edof1",

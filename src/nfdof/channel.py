@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularGeometryError
-from .geometry import ArrayGeometry, CarrierConfig
+from .geometry import ArrayGeometry
 
 
 def _mirror_points(rx_pts: np.ndarray, tx_pts: np.ndarray) -> bool:
@@ -33,9 +33,17 @@ def _mirror_points(rx_pts: np.ndarray, tx_pts: np.ndarray) -> bool:
     return True
 
 
+def _positive_finite(wavelength: float) -> float:
+    if not 0.0 < wavelength < np.inf:
+        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
+    return wavelength
+
+
 def _wave(h: np.ndarray, d: np.ndarray, wavelength: float, amplitude):
     """Write a(d) * exp(-1j*2*pi*d/lambda) into ``h`` over the distances
-    ``d``, which ``amplitude(h, d)`` may overwrite."""
+    ``d``, which ``amplitude(h, d)`` may overwrite.  A wavelength that is not
+    positive and finite raises ValueError."""
+    _positive_finite(wavelength)
     np.exp(np.divide(np.multiply(-2j * np.pi, d, out=h), wavelength, out=h), out=h)
     amplitude(h, d)
 
@@ -104,23 +112,19 @@ def _amplitude(model: str, wavelength: float, center_distance):
     return amplitude
 
 
-def _los(model: str, tx: ArrayGeometry, rx: ArrayGeometry,
-         carrier: CarrierConfig) -> np.ndarray:
+def _los(model: str, tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float) -> np.ndarray:
     tx_pts, rx_pts = _discrete_pair(tx, rx)
-    lam = carrier.wavelength
-    return spherical_wave_matrix(rx_pts, tx_pts, lam,
-                                 _amplitude(model, lam, lambda: _center_distance(tx, rx)))
+    return spherical_wave_matrix(rx_pts, tx_pts, wavelength,
+                                 _amplitude(model, wavelength, lambda: _center_distance(tx, rx)))
 
 
-def los_nusw_channel(tx: ArrayGeometry, rx: ArrayGeometry,
-                     carrier: CarrierConfig) -> np.ndarray:
+def los_nusw_channel(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float) -> np.ndarray:
     """Non-uniform spherical-wave channel: exact per-link distance in both
     amplitude and phase."""
-    return _los("nusw", tx, rx, carrier)
+    return _los("nusw", tx, rx, wavelength)
 
 
-def los_usw_channel(tx: ArrayGeometry, rx: ArrayGeometry,
-                    carrier: CarrierConfig) -> np.ndarray:
+def los_usw_channel(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float) -> np.ndarray:
     """Uniform spherical-wave channel: exact spherical phases, all amplitudes
     pinned to the center-to-center distance.
 
@@ -128,11 +132,11 @@ def los_usw_channel(tx: ArrayGeometry, rx: ArrayGeometry,
     times the aperture extents; nothing here gates model choice, callers pick
     the model explicitly.
     """
-    return _los("usw", tx, rx, carrier)
+    return _los("usw", tx, rx, wavelength)
 
 
 def facing_ula_column(model: str, n: int, aperture: float, distance: float,
-                      carrier: CarrierConfig) -> np.ndarray:
+                      wavelength: float) -> np.ndarray:
     """The first column f of the ``model`` ("nusw" or "usw") channel of two
     equal, parallel ``n``-element ULAs of ``aperture`` m whose centres face
     each other ``distance`` apart: H_ij = f[|i - j|], symmetric Toeplitz,
@@ -145,19 +149,18 @@ def facing_ula_column(model: str, n: int, aperture: float, distance: float,
     """
     if n < 2 or not aperture > 0:
         raise ValueError(f"need n >= 2 elements and a positive aperture, got {n}, {aperture}")
-    lam = carrier.wavelength
     d = np.square(np.arange(n) * (aperture / (n - 1)))
     d += distance * distance
     if not np.sqrt(d, out=d).all():
         raise SingularGeometryError("transmit and receive points coincide (d = 0)")
     f = np.empty(n, dtype=complex)
-    _wave(f, d, lam, _amplitude(model, lam, lambda: abs(distance)))
+    _wave(f, d, wavelength, _amplitude(model, wavelength, lambda: abs(distance)))
     f.setflags(write=False)
     return f
 
 
 def farfield_planar_channel(tx: ArrayGeometry, rx: ArrayGeometry,
-                            carrier: CarrierConfig) -> np.ndarray:
+                            wavelength: float) -> np.ndarray:
     """Far-field planar-wave channel.
 
     Phases are first order in the element offsets along the boresight unit
@@ -171,7 +174,7 @@ def farfield_planar_channel(tx: ArrayGeometry, rx: ArrayGeometry,
     tx_pts, rx_pts = _discrete_pair(tx, rx)
     c_t, c_r = tx.center, rx.center
     d_ref = _center_distance(tx, rx)
-    lam = carrier.wavelength
+    lam = _positive_finite(wavelength)
     u = (c_r - c_t) / d_ref
     rx_phase = np.exp(-2j * np.pi * ((rx_pts - c_r) @ u) / lam)
     tx_phase = np.exp(+2j * np.pi * ((tx_pts - c_t) @ u) / lam)

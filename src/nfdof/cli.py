@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    nfdof run <config.json> [--out DIR] [--seed U64] [--threads N]
+    nfdof run <config.json> [--out DIR] [--threads N]
     nfdof validate <config.json>
     nfdof version
 
@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an experiment config")
     run.add_argument("config", help="path to the experiment JSON document")
     run.add_argument("--out", default=".", help="output directory (default: .)")
-    run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--threads", type=int, default=1,
                      help="worker threads for grid evaluation (output-invariant)")
 
@@ -72,8 +71,7 @@ def main(argv=None) -> int:
             spec = validate_config(cfg)
             print(f"{args.config}: valid {spec.experiment} experiment")
             return EXIT_OK
-        tables = run_experiment(cfg, out_dir=args.out, seed=args.seed,
-                                threads=args.threads)
+        tables = run_experiment(cfg, out_dir=args.out, threads=args.threads)
         for table in tables:
             print(f"wrote {table.name}.csv ({len(table.rows)} rows)")
         return EXIT_OK

@@ -2,12 +2,13 @@
 
 Each experiment is described by a single JSON document, which only
 :func:`validate_config` reads: it returns the :class:`ExperimentSpec` that the
-experiment's runner reads instead.  Physical parameters (carrier and geometry)
-are always explicit; unknown keys are rejected.  Given
-the same config and seed, outputs are byte-identical across runs and across
-thread counts: grid points are pure functions collected in grid order, floats
-are serialized canonically, and the provenance timestamp is taken from
-SOURCE_DATE_EPOCH (fixed epoch when unset) rather than the wall clock.
+experiment's runner reads instead.  Physical parameters (the carrier
+wavelength and the geometry) are always explicit; unknown keys are rejected.
+The config is the whole input, seed included: given the same config, outputs
+are byte-identical across runs and across thread counts.  Grid points are
+pure functions collected in grid order, floats are serialized canonically,
+and the provenance timestamp is taken from SOURCE_DATE_EPOCH (fixed epoch
+when unset) rather than the wall clock.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from . import __version__
 from .channel import (facing_ula_column, frobenius_normalized, los_nusw_channel,
                       los_usw_channel)
 from .errors import ConfigError
-from .geometry import (SPEED_OF_LIGHT, CarrierConfig, build_ula, continuous_aperture,
-                       rayleigh_distance)
+from .geometry import build_ula, continuous_aperture, rayleigh_distance
 from .kernel import LADDER_FLOOR, cap_edof1, cap_edof2, converge_spectrum
 from .linksim import TransmissionConfig, run_link, save_link_report
 from .metrics import (dof, edof1, edof1_limit_linear, edof2, edof3_auto,
@@ -87,7 +87,7 @@ class ExperimentSpec:
     """
 
     experiment: str
-    carrier: CarrierConfig
+    wavelength: float
     seed: int
     names: tuple
     timestamp: str
@@ -174,20 +174,10 @@ count.  It lies above every size the toolkit is run at (2048-element arrays,
 allocation; a size below it can still exceed the memory of the machine."""
 
 
-def _parse_carrier(cfg: dict) -> CarrierConfig:
+def _parse_wavelength(cfg: dict) -> float:
     car = _object(cfg, "carrier")
-    _check_keys(car, {"frequency_hz", "wavelength_m"}, set(), "carrier")
-    if not car:
-        raise ConfigError("carrier needs frequency_hz or wavelength_m")
-    freq, lam = (_number(car[k], f"carrier.{k}", positive=True) if k in car else None
-                 for k in ("frequency_hz", "wavelength_m"))
-    try:  # the missing one is c over the given one
-        carrier = CarrierConfig(frequency=freq or SPEED_OF_LIGHT / lam,
-                                wavelength=lam or SPEED_OF_LIGHT / freq)
-    except ValueError as exc:
-        raise ConfigError(f"invalid carrier: {exc}") from exc
-    _number(carrier.wavelength, "carrier wavelength (m)", **_LENGTH)
-    return carrier
+    _check_keys(car, {"wavelength_m"}, {"wavelength_m"}, "carrier")
+    return _number(car["wavelength_m"], "carrier.wavelength_m", **_LENGTH)
 
 
 def _grid(obj, key, where, **rules) -> tuple:
@@ -333,14 +323,12 @@ def _parse_link_sim(cfg: dict, geo: dict) -> dict:
             "names": (f"link_sim_n{n}_d{_slug(d)}",)}
 
 
-def validate_config(cfg, seed: int | None = None) -> ExperimentSpec:
+def validate_config(cfg) -> ExperimentSpec:
     """Parse an experiment config document into the spec its runner reads.
 
-    ``seed`` overrides the config seed and obeys the same rule (a
-    non-negative integer).  Raises :class:`ConfigError` on any unknown key,
-    missing parameter, out-of-range value, pair of output tables that would
-    share a file name or malformed SOURCE_DATE_EPOCH, before any computation
-    starts.
+    Raises :class:`ConfigError` on any unknown key, missing parameter,
+    out-of-range value, pair of output tables that would share a file name
+    or malformed SOURCE_DATE_EPOCH, before any computation starts.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -348,9 +336,8 @@ def validate_config(cfg, seed: int | None = None) -> ExperimentSpec:
     if not isinstance(kind, str) or kind not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {kind!r}, expected one of {tuple(EXPERIMENTS)}")
     fields = EXPERIMENTS[kind][0](cfg, _object(cfg, "geometry"))
-    seed = cfg.get("seed", 0) if seed is None else seed
-    spec = ExperimentSpec(experiment=kind, carrier=_parse_carrier(cfg),
-                          seed=_number(seed, "seed", integer=True, minimum=0),
+    spec = ExperimentSpec(experiment=kind, wavelength=_parse_wavelength(cfg),
+                          seed=_number(cfg.get("seed", 0), "seed", integer=True, minimum=0),
                           timestamp=_timestamp(), **fields)
     shared = sorted({name for name in spec.names if spec.names.count(name) > 1})
     if shared:
@@ -467,13 +454,13 @@ def _spd_channel(spec: ExperimentSpec, n: int, aperture: float, distance: float)
     tx = build_ula(n, aperture, center=(0.0, 0.0, 0.0))
     rx = build_ula(n, aperture, center=(0.0, distance, 0.0))
     build = los_nusw_channel if spec.model == "nusw" else los_usw_channel
-    return build(tx, rx, spec.carrier)
+    return build(tx, rx, spec.wavelength)
 
 
 def _converge(spec: ExperimentSpec, aperture: float, distance: float):
     tx = continuous_aperture((0.0, 0.0, -aperture / 2), (0.0, 0.0, aperture / 2))
     rx = continuous_aperture((0.0, distance, -aperture / 2), (0.0, distance, aperture / 2))
-    return converge_spectrum(tx, rx, spec.carrier, tol=spec.tol, max_nodes=spec.max_nodes)
+    return converge_spectrum(tx, rx, spec.wavelength, tol=spec.tol, max_nodes=spec.max_nodes)
 
 
 def _run_spectrum(spec, prov, threads):
@@ -481,7 +468,7 @@ def _run_spectrum(spec, prov, threads):
 
     def one(item):
         name, (n, a, d) = item
-        s = toeplitz_spectrum(facing_ula_column(spec.model, n, a, d, spec.carrier)).values
+        s = toeplitz_spectrum(facing_ula_column(spec.model, n, a, d, spec.wavelength)).values
         rows = [[i, v, r] for i, v, r in zip(range(1, s.size + 1), s.tolist(),
                                              (s / s[0]).tolist())]
         return ResultTable(name=name, columns=["mode_index", "sigma", "sigma_over_sigma1"],
@@ -495,10 +482,10 @@ def _run_edof_vs_n(spec, prov, threads):
         name, d = item
         rows = []
         for n, a in spec.sizes:
-            s = toeplitz_spectrum(facing_ula_column(spec.model, n, a, d, spec.carrier))
+            s = toeplitz_spectrum(facing_ula_column(spec.model, n, a, d, spec.wavelength))
             rows.append([n, a, dof(s),
                          edof1(s, dominance=spec.dominance),
-                         edof1_limit_linear(a, a, spec.carrier.wavelength, d), edof2(s)])
+                         edof1_limit_linear(a, a, spec.wavelength, d), edof2(s)])
         return ResultTable(name=name,
                            columns=["n_elements", "aperture_m", "dof", "edof1",
                                     "edof1_limit", "edof2"],
@@ -508,20 +495,14 @@ def _run_edof_vs_n(spec, prov, threads):
 
 
 def _run_edof2_vs_n(spec, prov, threads):
-    # one converged reference per (aperture, d), computed sequentially in grid
-    # order for determinism before the grid is mapped
-    cap_ref = {}
-    for d in spec.distances:
-        for _, a in spec.sizes:
-            if (a, d) not in cap_ref:
-                cap_ref[a, d] = cap_edof2(_converge(spec, a, d))
-
     def one(item):
         name, d = item
+        cap_ref = {a: cap_edof2(_converge(spec, a, d))
+                   for a in dict.fromkeys(a for _, a in spec.sizes)}
         rows = []
         for n, a in spec.sizes:
-            s = toeplitz_spectrum(facing_ula_column(spec.model, n, a, d, spec.carrier))
-            rows.append([n, a, edof2(s), cap_ref[a, d]])
+            s = toeplitz_spectrum(facing_ula_column(spec.model, n, a, d, spec.wavelength))
+            rows.append([n, a, edof2(s), cap_ref[a]])
         return ResultTable(name=name,
                            columns=["n_elements", "aperture_m", "edof2_spd", "edof2_cap"],
                            rows=rows, provenance=prov)
@@ -555,7 +536,7 @@ def _run_edof3_vs_snr(spec, prov, threads):
 def _run_cap_edof_vs_distance(spec, prov, threads):
     def one(item):
         name, aperture = item
-        rd = rayleigh_distance(aperture, spec.carrier.wavelength)
+        rd = rayleigh_distance(aperture, spec.wavelength)
         rows = []
         for d in spec.distances:
             s = _converge(spec, aperture, d)
@@ -617,16 +598,14 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(cfg: dict, out_dir=".", seed: int | None = None,
-                   threads: int = 1) -> list:
+def run_experiment(cfg: dict, out_dir=".", threads: int = 1) -> list:
     """Validate ``cfg``, run it, and write one CSV per curve plus a JSON
     summary under ``out_dir``.  Returns the result tables.  A NaN or infinite
     output value raises FloatingPointError before any file is written.
 
-    ``seed`` overrides the config seed; ``threads`` parallelizes grid points
-    without changing any output byte.
+    ``threads`` parallelizes grid points without changing any output byte.
     """
-    spec = validate_config(cfg, seed)
+    spec = validate_config(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     prov = _provenance(cfg, spec)

@@ -11,29 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SPEED_OF_LIGHT = 299_792_458.0
-"Speed of light in m/s."
-
 UNIT_TOL = 1e-12
 "Largest accepted deviation of an array axis from unit norm."
-
-
-@dataclass(frozen=True)
-class CarrierConfig:
-    """Carrier frequency (Hz) and wavelength (m), kept mutually consistent."""
-
-    frequency: float
-    wavelength: float
-
-    def __post_init__(self):
-        if not self.frequency > 0:
-            raise ValueError(f"frequency must be positive, got {self.frequency}")
-        expected = SPEED_OF_LIGHT / self.frequency
-        if abs(self.wavelength - expected) > 1e-12 * expected:
-            raise ValueError(
-                f"wavelength {self.wavelength} inconsistent with frequency "
-                f"{self.frequency} (expected {expected})"
-            )
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

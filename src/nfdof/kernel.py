@@ -22,9 +22,9 @@ import threading
 
 import numpy as np
 
-from .channel import spherical_wave_matrix
+from .channel import _positive_finite, spherical_wave_matrix
 from .errors import ConvergenceError, SingularGeometryError
-from .geometry import ArrayGeometry, CarrierConfig
+from .geometry import ArrayGeometry
 from .metrics import edof1, edof2
 from .modes import SingularSpectrum, _block_values, fold_parity
 
@@ -126,8 +126,7 @@ def _require_continuous(arr: ArrayGeometry, name: str) -> np.ndarray:
     return arr.segment
 
 
-def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
-                 m_nodes: int):
+def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float, m_nodes: int):
     """The weighted response H = W_r^(1/2) G W_s^(1/2), with
     G_ij = g(r_i, s_j) on Gauss-Legendre rules of ``m_nodes`` points on both
     segments, read-only, for :func:`cap_spectrum`.
@@ -153,7 +152,7 @@ def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
         h *= r_root[:len(h), None]
         h *= s_root
 
-    h = spherical_wave_matrix(r_nodes, s_nodes, carrier.wavelength, amplitude, top=True)
+    h = spherical_wave_matrix(r_nodes, s_nodes, wavelength, amplitude, top=True)
     blocks = fold_parity(h) if h.shape[0] < m_nodes else (h,)
     for b in blocks:
         b.setflags(write=False)
@@ -199,7 +198,7 @@ def _rung(k: int) -> int:
     return round(LADDER_FLOOR * 2 ** (k / 2))
 
 
-def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConfig,
+def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float,
                       tol: float = 1e-6, max_nodes: int = 4096) -> SingularSpectrum:
     """Raise the quadrature node count by sqrt(2) per rung until the top 20
     eigenvalues sigma_n**2 of two successive rungs agree to ``tol`` relative
@@ -220,17 +219,17 @@ def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, carrier: CarrierConf
     if not max_nodes > LADDER_FLOOR:
         raise ValueError(f"max_nodes must exceed {LADDER_FLOOR}, got {max_nodes}")
     spread = _path_spread(_require_continuous(tx, "tx"), _require_continuous(rx, "rx"))
-    cliff = math.pi * spread / carrier.wavelength
+    cliff = math.pi * spread / _positive_finite(wavelength)
     k = 0
     while _rung(k) < cliff and _rung(k + 1) <= max_nodes / 2:
         k += 1
     m = _rung(k)
-    lam = cap_spectrum(build_kernel(tx, rx, carrier, m)).values ** 2
+    lam = cap_spectrum(build_kernel(tx, rx, wavelength, m)).values ** 2
     last_change = np.inf
     while m < max_nodes:
         k += 1
         m = min(_rung(k), max_nodes)
-        spec = cap_spectrum(build_kernel(tx, rx, carrier, m))
+        spec = cap_spectrum(build_kernel(tx, rx, wavelength, m))
         nxt = spec.values ** 2
         n = min(_N_TRACK, lam.size, nxt.size)
         last_change = float(np.max(np.abs(nxt[:n] - lam[:n])) / nxt[0])

@@ -208,8 +208,11 @@ def edof3(spectrum, snr: float, delta_step: float = 0.01) -> float:
     return min((c_hi - c_lo) / (2.0 * delta_step), float(k_lo))
 
 
-def edof3_auto(spectrum, snr: float, delta_step: float = 0.01,
-               min_step: float = 1e-6) -> float:
+_MIN_STEP = 1e-6
+"Step floor of :func:`edof3_auto`."
+
+
+def edof3_auto(spectrum, snr: float, delta_step: float = 0.01) -> float:
     """Finite-difference edof3 with automatic step shrinking.
 
     Halves the step whenever the stencil straddles an active-set change and
@@ -217,7 +220,7 @@ def edof3_auto(spectrum, snr: float, delta_step: float = 0.01,
     (only possible within a vanishing neighborhood of a transition SNR).
     """
     step = delta_step
-    while step >= min_step:
+    while step >= _MIN_STEP:
         try:
             return edof3(spectrum, snr, delta_step=step)
         except ActiveSetChangeError:

@@ -15,14 +15,13 @@ import numpy as np
 
 import nfdof.channel
 from nfdof.channel import los_nusw_channel
-from nfdof.geometry import SPEED_OF_LIGHT, CarrierConfig, build_ula, continuous_aperture
+from nfdof.geometry import build_ula, continuous_aperture
 from nfdof.kernel import converge_spectrum, gauss_legendre_segment
 from nfdof.linksim import LinkReport, combine, mode_coupling, precode, qpsk_symbols
 from nfdof.modes import decompose, parity_blocks
 
 WAVELENGTH = 0.01
 APERTURE = 1.37
-CARRIER = CarrierConfig(frequency=SPEED_OF_LIGHT / WAVELENGTH, wavelength=WAVELENGTH)
 Z_AXIS = (0.0, 0.0, 1.0)
 
 
@@ -49,7 +48,7 @@ def tilted_pair(d, angle, aperture=APERTURE):
 @lru_cache(maxsize=None)
 def nusw_channel(n, d, aperture=APERTURE):
     tx, rx = ula_pair(n, d, aperture)
-    return los_nusw_channel(tx, rx, CARRIER)
+    return los_nusw_channel(tx, rx, WAVELENGTH)
 
 
 @lru_cache(maxsize=None)
@@ -65,7 +64,7 @@ def nusw_spectrum(n, d, aperture=APERTURE):
 @lru_cache(maxsize=None)
 def cap_converged(d, aperture=APERTURE, tol=1e-6):
     tx, rx = segment_pair(d, aperture)
-    return converge_spectrum(tx, rx, CARRIER, tol=tol)
+    return converge_spectrum(tx, rx, WAVELENGTH, tol=tol)
 
 
 def waterfill_bruteforce(values, budget, noise):

@@ -8,7 +8,7 @@ cached in conftest, so the whole gate stays well under the runtime budget.
 import numpy as np
 import pytest
 
-from conftest import (CARRIER, WAVELENGTH, cap_converged, nusw_spectrum,
+from conftest import (WAVELENGTH, cap_converged, nusw_spectrum,
                       random_spectrum, sampled_kernel, segment_pair, ula_pair,
                       waterfill_bruteforce)
 from nfdof.channel import (farfield_planar_channel, frobenius_normalized,
@@ -38,8 +38,8 @@ def test_c01_far_field_collapse():
     for tx_n, rx_n in ((16, 16), (5, 12)):
         tx = build_ula(tx_n, 1.37, center=(0, 0, 0), axis=(0, 0, 1))
         rx = build_ula(rx_n, 1.37, center=(0, 400.0, 0), axis=(0, 0, 1))
-        for h in (farfield_planar_channel(tx, rx, CARRIER),
-                  frobenius_normalized(farfield_planar_channel(tx, rx, CARRIER))):
+        for h in (farfield_planar_channel(tx, rx, WAVELENGTH),
+                  frobenius_normalized(farfield_planar_channel(tx, rx, WAVELENGTH))):
             s = decompose(h).spectrum
             ok &= dof(s) == 1
             ok &= edof1(s) == 1
@@ -142,7 +142,7 @@ def test_c05_capacity_slope_oracle():
 
 def test_c06_high_snr_ordering():
     s = decompose(frobenius_normalized(
-        los_nusw_channel(*ula_pair(256, 15.0), CARRIER))).spectrum
+        los_nusw_channel(*ula_pair(256, 15.0), WAVELENGTH))).spectrum
     e1 = edof1(s)
     e2 = edof2(s)
     crossing = None
@@ -183,7 +183,7 @@ def test_c08_high_snr_slope():
 
 
 def test_c09_link_fidelity():
-    h = los_nusw_channel(*ula_pair(64, 15.0), CARRIER)
+    h = los_nusw_channel(*ula_pair(64, 15.0), WAVELENGTH)
     modes = decompose(h)
     k = 8
     powers = np.linspace(1.5, 0.5, k)
@@ -215,7 +215,7 @@ def test_c10_kernel_convergence():
         w = np.sqrt(w)
         eig = np.linalg.eigvalsh(w[:, None] * k * w[None, :])
         ok &= eig.min() > -1e-10 * eig.max()
-        spectra[m] = cap_spectrum(build_kernel(tx, rx, CARRIER, m)).values ** 2
+        spectra[m] = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, m)).values ** 2
     change = float(np.max(np.abs(spectra[512][:20] - spectra[256][:20]))
                    / spectra[512][0])
     ok &= change < 1e-6

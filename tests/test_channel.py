@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (CARRIER, WAVELENGTH, channel_entries, direct_response, mirror_verdicts,
+from conftest import (WAVELENGTH, channel_entries, direct_response, mirror_verdicts,
                       segment_pair, tilted_pair, ula_pair)
-from nfdof.channel import (farfield_planar_channel, frobenius_normalized, los_nusw_channel,
-                           los_usw_channel)
+from nfdof.channel import (facing_ula_column, farfield_planar_channel, frobenius_normalized,
+                           los_nusw_channel, los_usw_channel)
 from nfdof.errors import SingularGeometryError
 from nfdof.geometry import ArrayGeometry, build_ula, continuous_aperture, rayleigh_distance
-from nfdof.kernel import build_kernel, cap_spectrum
+from nfdof.kernel import build_kernel, cap_spectrum, converge_spectrum
 from nfdof.modes import decompose, parity_blocks
 
 BUILDERS = {"nusw": los_nusw_channel, "usw": los_usw_channel}
@@ -25,20 +25,20 @@ def siso_pair(distance):
 class TestNusw:
     def test_full_wavelength_distance(self):
         tx, rx = siso_pair(WAVELENGTH)
-        h = los_nusw_channel(tx, rx, CARRIER)[0, 0]
+        h = los_nusw_channel(tx, rx, WAVELENGTH)[0, 0]
         assert h == pytest.approx(1.0 / (4.0 * np.pi), abs=1e-15)
 
     def test_half_wavelength_phase_inversion(self):
         # amplitude lam/(4 pi d) at d = lam/2 is 1/(2 pi); phase exp(-1j pi) = -1
         tx, rx = siso_pair(WAVELENGTH / 2)
-        h = los_nusw_channel(tx, rx, CARRIER)[0, 0]
+        h = los_nusw_channel(tx, rx, WAVELENGTH)[0, 0]
         assert h == pytest.approx(-1.0 / (2.0 * np.pi), abs=1e-15)
 
     def test_amplitudes_follow_distances(self):
         # 2x2 parallel ULAs: the two aligned paths are shorter than the two
         # cross paths, so NUSW amplitudes split into two distinct levels
         tx, rx = ula_pair(2, 15.0)
-        h = los_nusw_channel(tx, rx, CARRIER)
+        h = los_nusw_channel(tx, rx, WAVELENGTH)
         d_aligned = 15.0
         d_cross = np.hypot(15.0, 1.37)
         assert abs(h[0, 0]) == pytest.approx(WAVELENGTH / (4 * np.pi * d_aligned), rel=1e-12)
@@ -48,40 +48,40 @@ class TestNusw:
 
     def test_amplitude_invariant(self):
         tx, rx = ula_pair(7, 9.0)
-        h = los_nusw_channel(tx, rx, CARRIER)
+        h = los_nusw_channel(tx, rx, WAVELENGTH)
         diff = rx.elements[:, None, :] - tx.elements[None, :, :]
         d = np.linalg.norm(diff, axis=-1)
         assert np.max(np.abs(np.abs(h) * (4 * np.pi * d) / WAVELENGTH - 1.0)) < 1e-12
 
     def test_reciprocity(self):
         tx, rx = ula_pair(5, 11.0)
-        fwd = los_nusw_channel(tx, rx, CARRIER)
-        bwd = los_nusw_channel(rx, tx, CARRIER)
+        fwd = los_nusw_channel(tx, rx, WAVELENGTH)
+        bwd = los_nusw_channel(rx, tx, WAVELENGTH)
         assert np.max(np.abs(fwd - bwd.T)) < 1e-12 * np.max(np.abs(fwd))
 
     def test_coincident_elements_rejected(self):
         tx = build_ula(2, 1.0)
         with pytest.raises(SingularGeometryError):
-            los_nusw_channel(tx, tx, CARRIER)
+            los_nusw_channel(tx, tx, WAVELENGTH)
 
 
 class TestUsw:
     def test_uniform_amplitudes(self):
         tx, rx = ula_pair(6, 15.0)
-        h = los_usw_channel(tx, rx, CARRIER)
+        h = los_usw_channel(tx, rx, WAVELENGTH)
         expected = WAVELENGTH / (4 * np.pi * 15.0)
         assert np.max(np.abs(np.abs(h) - expected)) < 1e-15
 
     def test_siso_equals_nusw(self):
         tx, rx = siso_pair(3 * WAVELENGTH)
-        hu = los_usw_channel(tx, rx, CARRIER)[0, 0]
-        hn = los_nusw_channel(tx, rx, CARRIER)[0, 0]
+        hu = los_usw_channel(tx, rx, WAVELENGTH)[0, 0]
+        hn = los_nusw_channel(tx, rx, WAVELENGTH)[0, 0]
         assert hu == pytest.approx(hn, rel=1e-15)
 
     def test_differs_from_nusw_entrywise(self):
         tx, rx = ula_pair(64, 15.0)
-        hu = los_usw_channel(tx, rx, CARRIER)
-        hn = los_nusw_channel(tx, rx, CARRIER)
+        hu = los_usw_channel(tx, rx, WAVELENGTH)
+        hn = los_nusw_channel(tx, rx, WAVELENGTH)
         assert np.max(np.abs(hn - hu)) > 0.0
 
     def test_nusw_converges_to_usw_with_distance(self):
@@ -89,8 +89,8 @@ class TestUsw:
         diffs = []
         for d in np.geomspace(5.0, 5000.0, 10):
             rx = build_ula(8, 1.37, center=(0, d, 0))
-            hn = los_nusw_channel(tx, rx, CARRIER)
-            hu = los_usw_channel(tx, rx, CARRIER)
+            hn = los_nusw_channel(tx, rx, WAVELENGTH)
+            hu = los_usw_channel(tx, rx, WAVELENGTH)
             diffs.append(np.max(np.abs(hn - hu) / np.abs(hu)))
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
         assert diffs[-1] < 1e-7
@@ -99,25 +99,25 @@ class TestUsw:
 class TestPlanar:
     def test_rank_one(self):
         tx, rx = ula_pair(16, 50.0)
-        s = decompose(farfield_planar_channel(tx, rx, CARRIER)).singular_values
+        s = decompose(farfield_planar_channel(tx, rx, WAVELENGTH)).singular_values
         assert s[1] / s[0] < 1e-12
 
     def test_principal_gain(self):
         tx, rx = ula_pair(16, 50.0)
-        s = decompose(farfield_planar_channel(tx, rx, CARRIER)).singular_values
+        s = decompose(farfield_planar_channel(tx, rx, WAVELENGTH)).singular_values
         assert s[0] == pytest.approx(16 * WAVELENGTH / (4 * np.pi * 50.0), rel=1e-12)
 
     def test_siso_equals_nusw(self):
         tx, rx = siso_pair(5.0)
-        hp = farfield_planar_channel(tx, rx, CARRIER)[0, 0]
-        hn = los_nusw_channel(tx, rx, CARRIER)[0, 0]
+        hp = farfield_planar_channel(tx, rx, WAVELENGTH)[0, 0]
+        hn = los_nusw_channel(tx, rx, WAVELENGTH)[0, 0]
         assert hp == pytest.approx(hn, rel=1e-12)
 
     def test_usw_aligns_with_planar_far_out(self):
         d = 100.0 * rayleigh_distance(1.37, WAVELENGTH)
         tx, rx = ula_pair(16, d)
-        mu = decompose(los_usw_channel(tx, rx, CARRIER))
-        mp = decompose(farfield_planar_channel(tx, rx, CARRIER))
+        mu = decompose(los_usw_channel(tx, rx, WAVELENGTH))
+        mp = decompose(farfield_planar_channel(tx, rx, WAVELENGTH))
         left = abs(np.vdot(mu.left_vectors[:, 0], mp.left_vectors[:, 0]))
         right = abs(np.vdot(mu.right_vectors[:, 0], mp.right_vectors[:, 0]))
         assert left > 0.999 and right > 0.999
@@ -126,8 +126,29 @@ class TestPlanar:
 class TestNormalization:
     def test_frobenius_target(self):
         tx, rx = ula_pair(16, 15.0)
-        h = frobenius_normalized(los_nusw_channel(tx, rx, CARRIER))
+        h = frobenius_normalized(los_nusw_channel(tx, rx, WAVELENGTH))
         assert np.linalg.norm(h) ** 2 == pytest.approx(16 * 16, rel=1e-12)
+
+
+# every public builder of a channel, a channel column or an aperture response,
+# called at one wavelength
+WAVELENGTH_BUILDERS = {
+    "los_nusw_channel": lambda lam: los_nusw_channel(*ula_pair(4, 15.0), lam),
+    "los_usw_channel": lambda lam: los_usw_channel(*ula_pair(4, 15.0), lam),
+    "farfield_planar_channel": lambda lam: farfield_planar_channel(*ula_pair(4, 15.0), lam),
+    "facing_ula_column": lambda lam: facing_ula_column("usw", 4, 1.37, 15.0, lam),
+    "build_kernel": lambda lam: build_kernel(*segment_pair(15.0), lam, 8),
+    "converge_spectrum": lambda lam: converge_spectrum(*segment_pair(15.0), lam),
+}
+
+
+class TestWavelengthRule:
+    @pytest.mark.parametrize("lam", [0.0, -0.01, float("nan"), float("inf")])
+    @pytest.mark.parametrize("builder", sorted(WAVELENGTH_BUILDERS))
+    def test_builder_rejects_a_wavelength_that_is_not_positive_and_finite(self, builder,
+                                                                           lam):
+        with pytest.raises(ValueError, match="wavelength must be positive and finite"):
+            WAVELENGTH_BUILDERS[builder](lam)
 
 
 class TestSharedAssembly:
@@ -140,7 +161,7 @@ class TestSharedAssembly:
         tx = build_ula(n_t, 1.37)
         rx = build_ula(n_r, 1.37, center=(0.0, 15.0, 0.0))
         with mirror_verdicts() as verdicts:
-            h = BUILDERS[model](tx, rx, CARRIER)
+            h = BUILDERS[model](tx, rx, WAVELENGTH)
         assert verdicts == [True]
         assert h.shape == (n_r, n_t)
         assert np.array_equal(h, h[::-1, ::-1])
@@ -149,7 +170,7 @@ class TestSharedAssembly:
     def test_builders_return_read_only_arrays(self):
         tx, rx = ula_pair(6, 15.0)
         for build in (los_nusw_channel, los_usw_channel, farfield_planar_channel):
-            h = build(tx, rx, CARRIER)
+            h = build(tx, rx, WAVELENGTH)
             assert type(h) is np.ndarray and h.dtype == complex
             with pytest.raises(ValueError):
                 h[0, 0] = 0.0
@@ -173,7 +194,7 @@ class TestSharedAssembly:
                                              (0.0, d, shift + ap_t / 2))
                 elif layout == "tilted":
                     tx, rx = tilted_pair(d, angle, ap_t)
-                h = build_kernel(tx, rx, CARRIER, m)
+                h = build_kernel(tx, rx, WAVELENGTH, m)
                 full = direct_response(tx, rx, m)
                 inputs = (tx.segment, rx.segment)
             else:
@@ -182,7 +203,7 @@ class TestSharedAssembly:
                 center = (0.0, d, shift if layout == "offset" else 0.0)
                 tx = build_ula(n_t, ap_t)
                 rx = build_ula(n_r, ap_r, center=center, axis=axis)
-                h = BUILDERS[kind](tx, rx, CARRIER)
+                h = BUILDERS[kind](tx, rx, WAVELENGTH)
                 full = channel_entries(kind, tx, rx)
                 inputs = (tx.elements, rx.elements)
         # a mirror kernel comes back as the parity blocks of the response
@@ -212,14 +233,14 @@ class TestSharedAssembly:
             bound = 0.85
 
             def run():
-                cap_spectrum(build_kernel(tx, rx, CARRIER, n))
+                cap_spectrum(build_kernel(tx, rx, WAVELENGTH, n))
         else:
             tx = build_ula(n, 1.37)
             rx = build_ula(n, 1.37, center=(0.0, 15.0, 0.3 if layout == "offset" else 0.0))
             bound = 1.6
 
             def run():
-                build(tx, rx, CARRIER)
+                build(tx, rx, WAVELENGTH)
         run()
         tracemalloc.start()
         try:

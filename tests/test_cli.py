@@ -233,12 +233,25 @@ class TestExtremeInputs:
 
 
 class TestSeedAndThreads:
-    def test_seed_flag_reaches_provenance(self, tmp_path):
-        cfg_path = write_config(tmp_path / "cfg.json", spectrum_config())
+    def test_config_seed_reaches_provenance(self, tmp_path):
+        cfg_path = write_config(tmp_path / "cfg.json", {**spectrum_config(), "seed": 77})
         out = tmp_path / "out"
-        assert main(["run", cfg_path, "--out", str(out), "--seed", "77"]) == EXIT_OK
+        assert main(["run", cfg_path, "--out", str(out)]) == EXIT_OK
         header = (out / "spectrum_n16_d15.csv").read_text().splitlines()
         assert "# seed=77" in header
+
+    def test_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        # the seed comes only from the config, so the config a summary
+        # echoes reproduces its run
+        cfg_path = write_config(tmp_path / "cfg.json", spectrum_config())
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", cfg_path, "--out", str(out), "--seed", "1"])
+        assert exit_.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: nfdof ")
+        assert "unrecognized arguments: --seed 1" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("epoch, stamp", [("0", "1970-01-01T00:00:00Z"),
                                               ("86400", "1970-01-02T00:00:00Z"),
@@ -274,7 +287,7 @@ SMALL_CONFIGS = {
         "model": "nusw", "seed": 0,
     },
     "edof-vs-n": {
-        "experiment": "edof-vs-n", "carrier": {"frequency_hz": 3e10},
+        "experiment": "edof-vs-n", "carrier": {"wavelength_m": 0.01},
         "geometry": {"element_spacing_m": 0.05, "n_elements": [4, 6],
                      "distances_m": [15.0, 50.0]},
         "metrics": {"dominance": 0.01}, "model": "usw",
@@ -393,6 +406,10 @@ BAD_CONFIGS = {
                                                 ("kernel", "start_nodes"), 64),
     "removed key link.dump_symbols": with_leaf(small_config("link-sim"),
                                                ("link", "dump_symbols"), False),
+    "removed key carrier.frequency_hz": small_config("edof-vs-n",
+                                                     carrier={"frequency_hz": 3e10}),
+    "removed key carrier.frequency_hz beside wavelength_m": small_config(
+        "spectrum", carrier={"frequency_hz": 299_792_458.0 / 0.01, "wavelength_m": 0.01}),
     # lengths outside [1e-15, 1e15] m
     "distance 1e200": with_leaf(small_config("spectrum"), ("geometry", "distances_m"), [1e200]),
     "distance 1e150": with_leaf(small_config("edof-vs-n"), ("geometry", "distances_m"), [1e150]),
@@ -443,13 +460,6 @@ class TestBadConfigs:
         cfg_path = write_config(tmp_path / "cfg.json",
                                 with_leaf(small_config(kind), leaf, MAX_COUNT))
         assert main(["validate", cfg_path]) == EXIT_OK
-
-    def test_negative_seed_flag_is_2_before_any_output(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path / "cfg.json", small_config("link-sim"))
-        out = tmp_path / "out"
-        assert main(["run", cfg_path, "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
-        assert not out.exists()
-        assert "seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", sorted(SMALL_CONFIGS))

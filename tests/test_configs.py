@@ -1,4 +1,4 @@
-"""The shipped config documents must validate as-is."""
+"""The shipped and benchmark config documents must validate as-is."""
 
 import json
 from pathlib import Path
@@ -7,12 +7,22 @@ import pytest
 
 from nfdof.experiments import EXPERIMENTS, validate_config
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
+BENCH_CONFIG_DIR = ROOT / "nfbench" / "configs"
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
                          ids=lambda p: p.name)
 def test_shipped_config_is_valid(path):
+    validate_config(json.loads(path.read_text()))
+
+
+# read only: a parse change that rejects a benchmark workload fails here
+# rather than in the benchmark run
+@pytest.mark.parametrize("path", sorted(BENCH_CONFIG_DIR.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_benchmark_config_is_valid(path):
     validate_config(json.loads(path.read_text()))
 
 

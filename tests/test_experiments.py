@@ -39,9 +39,9 @@ class TestValidation:
         validate_config(spectrum_config())
 
     def test_spec_holds_defaults_and_seed_override(self):
-        spec = validate_config(spectrum_config(), seed=5)
-        assert (spec.experiment, spec.seed, spec.model) == ("spectrum", 5, "nusw")
-        assert spec.carrier.wavelength == 0.01
+        spec = validate_config(spectrum_config())
+        assert (spec.experiment, spec.seed, spec.model) == ("spectrum", 1, "nusw")
+        assert spec.wavelength == 0.01
         assert spec.sizes == ((32, 1.37),) and spec.distances == (15.0,)
         assert spec.names == ("spectrum_n32_d15",)
         assert (spec.dominance, spec.delta_step) == (0.01, 0.01)
@@ -65,7 +65,7 @@ class TestValidation:
 
     def test_inconsistent_carrier_rejected(self):
         cfg = spectrum_config(carrier={"frequency_hz": 28e9, "wavelength_m": 0.01})
-        with pytest.raises(ConfigError, match="carrier"):
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['frequency_hz'\] in carrier"):
             validate_config(cfg)
 
     def test_unknown_experiment_rejected(self):
@@ -287,7 +287,9 @@ class TestLinkSimExperiment:
         predicted = np.array(report["predicted_mode_snr"])
         assert np.max(np.abs(measured / predicted - 1.0)) < 0.1
 
-    def test_seed_override_changes_output(self, tmp_path):
+    def test_seed_comes_from_the_config(self, tmp_path):
+        # the config the summary echoes reproduces every file of the run, and
+        # another config seed changes the draws
         cfg = {
             "experiment": "link-sim",
             "carrier": {"wavelength_m": 0.01},
@@ -296,9 +298,15 @@ class TestLinkSimExperiment:
             "seed": 42,
         }
         run_experiment(cfg, out_dir=tmp_path / "a")
-        run_experiment(cfg, out_dir=tmp_path / "b", seed=43)
+        echo = json.loads((tmp_path / "a" / "link_sim_summary.json").read_text())["config_echo"]
+        run_experiment(echo, out_dir=tmp_path / "b")
+        run_experiment({**cfg, "seed": 43}, out_dir=tmp_path / "c")
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         assert (tmp_path / "a" / "link_report.json").read_bytes() != \
-            (tmp_path / "b" / "link_report.json").read_bytes()
+            (tmp_path / "c" / "link_report.json").read_bytes()
 
 
 class TestEmit:

@@ -1,18 +1,7 @@
 import numpy as np
 import pytest
 
-from nfdof.geometry import (SPEED_OF_LIGHT, CarrierConfig, build_ula, continuous_aperture,
-                            rayleigh_distance)
-
-
-class TestCarrierConfig:
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ValueError):
-            CarrierConfig(frequency=28e9, wavelength=0.01)
-
-    def test_nonpositive_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            CarrierConfig(frequency=0.0, wavelength=1.0)
+from nfdof.geometry import build_ula, continuous_aperture, rayleigh_distance
 
 
 class TestBuildUla:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import nfdof.channel
 import nfdof.kernel
 import nfdof.modes
-from conftest import (CARRIER, WAVELENGTH, cap_converged, cap_eigenvalues_direct,
+from conftest import (WAVELENGTH, cap_converged, cap_eigenvalues_direct,
                       direct_response, mirror_verdicts, parity_split_values, prolate_eigenvalues,
                       sampled_kernel, segment_pair, tilted_pair)
 from nfdof.errors import ConvergenceError, SingularGeometryError
@@ -87,7 +87,7 @@ def full_g_response(monkeypatch, tx, rx, m):
     """``build_kernel`` with the half-row assembly switched off."""
     with monkeypatch.context() as patch:
         patch.setattr(nfdof.channel, "_mirror_points", lambda rx_pts, tx_pts: False)
-        return build_kernel(tx, rx, CARRIER, m)
+        return build_kernel(tx, rx, WAVELENGTH, m)
 
 
 class TestBuildKernel:
@@ -121,7 +121,7 @@ class TestBuildKernel:
     @pytest.mark.parametrize("m", [33, 64])
     def test_mirror_segments_give_centrosymmetric_kernel(self, m):
         tx, rx = segment_pair(25.0)
-        even, odd = build_kernel(tx, rx, CARRIER, m)
+        even, odd = build_kernel(tx, rx, WAVELENGTH, m)
         assert not even.flags.writeable and not odd.flags.writeable
         assert (even.shape, odd.shape) == (((m + 1) // 2,) * 2, (m // 2,) * 2)
         h = direct_response(tx, rx, m)
@@ -131,7 +131,7 @@ class TestBuildKernel:
     def test_offset_segments_take_the_full_assembly(self, mirror_tests):
         tx, _ = segment_pair(25.0)
         rx = continuous_aperture((0.0, 25.0, -0.5), (0.0, 25.0, 1.0))
-        h = build_kernel(tx, rx, CARRIER, 32)
+        h = build_kernel(tx, rx, WAVELENGTH, 32)
         assert mirror_tests == [False]
         assert not np.array_equal(h, h[::-1, ::-1])
         assert np.array_equal(h, direct_response(tx, rx, 32))
@@ -140,7 +140,7 @@ class TestBuildKernel:
     def test_half_row_build_equals_the_full_build(self, m, monkeypatch, mirror_tests):
         # the blocks folded from the top rows are those of the full build
         tx, rx = segment_pair(8.0, 5.0)
-        blocks = build_kernel(tx, rx, CARRIER, m)
+        blocks = build_kernel(tx, rx, WAVELENGTH, m)
         assert mirror_tests == [True]
         assert_blocks_equal(blocks, parity_blocks(full_g_response(monkeypatch, tx, rx, m)))
 
@@ -153,7 +153,7 @@ class TestBuildKernel:
             self, layout, half, odd, d, aperture, shift, angle):
         m = 2 * half + odd
         tx, rx = layout_pair(layout, d, aperture, shift, angle)
-        built = build_kernel(tx, rx, CARRIER, m)
+        built = build_kernel(tx, rx, WAVELENGTH, m)
         h = direct_response(tx, rx, m)
         if layout == "mirror":
             assert_blocks_equal(built, parity_blocks(h))
@@ -164,7 +164,7 @@ class TestBuildKernel:
 
     def test_tilted_segments_take_the_full_assembly(self, mirror_tests):
         tx, rx = tilted_pair(8.0, 0.3)
-        h = build_kernel(tx, rx, CARRIER, 64)
+        h = build_kernel(tx, rx, WAVELENGTH, 64)
         assert mirror_tests == [False]
         assert np.array_equal(h, direct_response(tx, rx, 64))
 
@@ -184,13 +184,13 @@ class TestBuildKernel:
     def test_too_few_nodes_rejected(self):
         tx, rx = segment_pair(25.0)
         with pytest.raises(ValueError):
-            build_kernel(tx, rx, CARRIER, 4)
+            build_kernel(tx, rx, WAVELENGTH, 4)
 
     def test_overlapping_segments_rejected(self):
         tx = continuous_aperture((0, 0, -1), (0, 0, 1))
         crossing = continuous_aperture((0, -1, 0), (0, 1, 0))
         with pytest.raises(SingularGeometryError):
-            build_kernel(tx, crossing, CARRIER, 16)
+            build_kernel(tx, crossing, WAVELENGTH, 16)
 
 
 class TestCapSpectrum:
@@ -198,7 +198,7 @@ class TestCapSpectrum:
         aperture = 0.1
         d = 10.0 * rayleigh_distance(aperture, WAVELENGTH)
         tx, rx = segment_pair(d, aperture)
-        lam = cap_spectrum(build_kernel(tx, rx, CARRIER, 64)).values ** 2
+        lam = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, 64)).values ** 2
         assert lam[1] / lam[0] < 1e-3
 
     def test_canonical_dominant_count(self):
@@ -208,7 +208,7 @@ class TestCapSpectrum:
     def test_odd_node_count_matches_the_full_eigensolve(self):
         tx, rx = segment_pair(15.0)
         _, k, w = sampled_kernel(tx, rx, 33)
-        lam = cap_spectrum(build_kernel(tx, rx, CARRIER, 33)).values ** 2
+        lam = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, 33)).values ** 2
         w = np.sqrt(w)
         full = np.linalg.eigvalsh(w[:, None] * k * w[None, :])[::-1]
         assert lam.size == full.size == 33
@@ -216,13 +216,13 @@ class TestCapSpectrum:
 
     def test_all_nonnegative(self):
         tx, rx = segment_pair(15.0)
-        lam = cap_spectrum(build_kernel(tx, rx, CARRIER, 96)).values ** 2
+        lam = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, 96)).values ** 2
         assert np.all(lam >= 0.0)
 
     def test_eigenvalue_sum_matches_weighted_trace(self):
         tx, rx = segment_pair(35.0)
         _, k, w = sampled_kernel(tx, rx, 128)
-        lam = cap_spectrum(build_kernel(tx, rx, CARRIER, 128)).values ** 2
+        lam = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, 128)).values ** 2
         trace = float(np.sum(w * np.diag(k).real))
         assert abs(lam.sum() - trace) < 1e-10 * trace
 
@@ -230,7 +230,7 @@ class TestCapSpectrum:
     def test_every_value_is_solved(self, d):
         # no rank estimate reaches a kernel: each parity block takes the SVD
         tx, rx = segment_pair(d, 5.0)
-        spec = cap_spectrum(build_kernel(tx, rx, CARRIER, 256))
+        spec = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, 256))
         assert spec.shape == (256, 256)
         assert np.array_equal(spec.values, parity_split_values(direct_response(tx, rx, 256)))
 
@@ -243,7 +243,7 @@ class TestCapSpectrum:
             self, layout, half, odd, d, aperture, shift, angle):
         m = 2 * half + odd
         tx, rx = layout_pair(layout, d, aperture, shift, angle)
-        lam = cap_spectrum(build_kernel(tx, rx, CARRIER, m)).values ** 2
+        lam = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, m)).values ** 2
         ref = cap_eigenvalues_direct(tx, rx, m)
         assert lam.size == ref.size == m
         assert np.max(np.abs(lam - ref)) <= 1e-13 * ref[0]
@@ -275,29 +275,29 @@ class TestCapMetrics:
 class TestConvergeSpectrum:
     def test_converges_quickly_mid_range(self, rung_calls):
         tx, rx = segment_pair(50.0)
-        spec = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
+        spec = converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6)
         m = spec.shape[0]
         assert m == rung_calls[-1] <= 512
         lam = spec.values[:20] ** 2
-        below = cap_spectrum(build_kernel(tx, rx, CARRIER, rung_calls[-2])).values[:20] ** 2
+        below = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, rung_calls[-2])).values[:20] ** 2
         assert np.max(np.abs(lam - below)) / lam[0] < 1e-6
 
     def test_infinite_tol_returns_first_iterate(self, rung_calls):
         # 1.37 m segments at 50 m put the cliff below the floor of 64
         tx, rx = segment_pair(50.0)
-        converge_spectrum(tx, rx, CARRIER, tol=1e-6)
+        converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6)
         assert rung_calls[0] == 64
 
     def test_deterministic(self):
         tx, rx = segment_pair(50.0)
-        a = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
-        b = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
+        a = converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6)
+        b = converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6)
         assert np.array_equal(a.values, b.values)
 
     def test_nonconvergence_raises(self):
         tx, rx = segment_pair(15.0)
         with pytest.raises(ConvergenceError) as err:
-            converge_spectrum(tx, rx, CARRIER, tol=1e-18, max_nodes=91)
+            converge_spectrum(tx, rx, WAVELENGTH, tol=1e-18, max_nodes=91)
         assert err.value.nodes == 91
         assert err.value.last_change > 1e-18
 
@@ -305,7 +305,7 @@ class TestConvergeSpectrum:
         # 5 m segments at 20 m: path spread sqrt(20**2 + 5**2) - 20 = 61.6
         # wavelengths, so the cliff estimate pi * 61.6 = 193 nodes
         tx, rx = segment_pair(20.0, 5.0)
-        spec = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
+        spec = converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6)
         assert rung_calls == [256, 362]
         assert spec.shape[0] == 362
 
@@ -313,14 +313,14 @@ class TestConvergeSpectrum:
     def test_rungs_never_exceed_max_nodes(self, cap, rung_calls):
         tx, rx = segment_pair(15.0)
         with pytest.raises(ConvergenceError) as err:
-            converge_spectrum(tx, rx, CARRIER, tol=1e-300, max_nodes=cap)
+            converge_spectrum(tx, rx, WAVELENGTH, tol=1e-300, max_nodes=cap)
         assert max(rung_calls) == rung_calls[-1] == cap == err.value.nodes
         assert rung_calls == sorted(set(rung_calls))
 
     def test_max_nodes_must_exceed_the_floor(self, rung_calls):
         tx, rx = segment_pair(15.0)
         with pytest.raises(ValueError, match="max_nodes"):
-            converge_spectrum(tx, rx, CARRIER, max_nodes=64)
+            converge_spectrum(tx, rx, WAVELENGTH, max_nodes=64)
         assert rung_calls == []
 
     @pytest.mark.parametrize("d, aperture, cap, first", [
@@ -335,7 +335,7 @@ class TestConvergeSpectrum:
         # converges under the cap
         tx, rx = segment_pair(d, aperture)
         with contextlib.suppress(ConvergenceError):
-            converge_spectrum(tx, rx, CARRIER, tol=1e-6, max_nodes=cap)
+            converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6, max_nodes=cap)
         assert rung_calls[0] == first
 
     # every final rung here is at most 362 nodes
@@ -347,15 +347,15 @@ class TestConvergeSpectrum:
         # the same rung with the same values
         tol = 1e-6
         tx, rx = segment_pair(d, aperture)
-        spec = converge_spectrum(tx, rx, CARRIER, tol=tol)
+        spec = converge_spectrum(tx, rx, WAVELENGTH, tol=tol)
         rung = nfdof.kernel._rung
         k = [rung(j) for j in range(20)].index(rung_calls[0])
         cliff = np.pi * nfdof.kernel._path_spread(tx.segment, rx.segment) / WAVELENGTH
         assert 1 <= k and rung(k - 1) <= cliff <= rung(k)
         # the old rule: climb from rung k - 1 until two rungs agree
-        climb = [cap_spectrum(build_kernel(tx, rx, CARRIER, rung(k - 1)))]
+        climb = [cap_spectrum(build_kernel(tx, rx, WAVELENGTH, rung(k - 1)))]
         while True:
-            nxt = cap_spectrum(build_kernel(tx, rx, CARRIER, rung(k - 1 + len(climb))))
+            nxt = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, rung(k - 1 + len(climb))))
             lam, new = climb[-1].values[:20] ** 2, nxt.values[:20] ** 2
             change = float(np.max(np.abs(new - lam)) / new[0])
             climb.append(nxt)
@@ -376,7 +376,7 @@ class TestConvergeSpectrum:
                             lambda tx, rx, carrier, m: calls.append(m) or np.empty((m, 0)))
         monkeypatch.setattr(nfdof.kernel, "_block_values", lambda blocks: np.ones(1))
         tx, rx = segment_pair(d, 5.0)
-        converge_spectrum(tx, rx, CARRIER, max_nodes=cap)
+        converge_spectrum(tx, rx, WAVELENGTH, max_nodes=cap)
         m = calls[0]
         assert 64 <= m <= max(64, cap / 2)
         assert m in {round(64 * 2 ** (k / 2)) for k in range(40)}
@@ -391,8 +391,8 @@ WHOLE_SPECTRUM_CASES = [(a, d) for a in (0.5, 1.37, 5.0) for d in (3.0, 6.0, 8.0
 @pytest.mark.parametrize("aperture, d", WHOLE_SPECTRUM_CASES)
 def test_converged_rung_resolves_the_whole_spectrum(aperture, d):
     tx, rx = segment_pair(d, aperture)
-    spec = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
-    fine = cap_spectrum(build_kernel(tx, rx, CARRIER, 2 * spec.shape[0]))
+    spec = converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6)
+    fine = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, 2 * spec.shape[0]))
     for dominance in (0.01, 0.5):
         assert cap_edof1(spec, dominance) == cap_edof1(fine, dominance)
     assert cap_edof2(spec) == pytest.approx(cap_edof2(fine), rel=1e-12, abs=0)
@@ -412,7 +412,7 @@ class TestProlateOracle:
         lambda_0, and their largest difference over the modes above 1e-12."""
         tx = continuous_aperture((0.0, 0.0, -l_t / 2), (0.0, 0.0, l_t / 2))
         rx = continuous_aperture((0.0, d, -l_r / 2), (0.0, d, l_r / 2))
-        spec = converge_spectrum(tx, rx, CARRIER, tol=1e-10)
+        spec = converge_spectrum(tx, rx, WAVELENGTH, tol=1e-10)
         ratio = spec.values ** 2 / spec.values[0] ** 2
         lam = prolate_eigenvalues(np.pi * l_t * l_r / (2 * WAVELENGTH * d))
         n = min(int(np.count_nonzero(ratio > 1e-12)), lam.size)
@@ -536,14 +536,14 @@ class TestGaussLegendreRules:
 
     def test_one_rule_per_kernel(self, rule_calls):
         tx, rx = segment_pair(25.0)
-        build_kernel(tx, rx, CARRIER, 32)
+        build_kernel(tx, rx, WAVELENGTH, 32)
         assert rule_calls == {32: 1}
 
     def test_shared_table_gives_identical_spectra(self, rule_calls):
         tx, rx = segment_pair(50.0)
-        cold = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
+        cold = converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6)
         for _ in range(2):
-            warm = converge_spectrum(tx, rx, CARRIER, tol=1e-6)
+            warm = converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6)
             assert np.array_equal(warm.values, cold.values)
             assert warm.shape == cold.shape
         assert rule_calls and set(rule_calls.values()) == {1}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CARRIER, nusw_channel, nusw_modes, run_link_loop
+from conftest import WAVELENGTH, nusw_channel, nusw_modes, run_link_loop
 from nfdof.experiments import MAX_COUNT
 from nfdof.linksim import (LinkReport, TransmissionConfig, combine, mode_coupling,
                            precode, qpsk_symbols, run_link, save_link_report,
@@ -154,7 +154,7 @@ class TestRunLink:
     def test_single_mode_far_field(self):
         from conftest import ula_pair
         from nfdof.channel import farfield_planar_channel
-        h = farfield_planar_channel(*ula_pair(16, 400.0), CARRIER)
+        h = farfield_planar_channel(*ula_pair(16, 400.0), WAVELENGTH)
         sigma1 = np.linalg.svd(h, compute_uv=False)[0]
         noise = (sigma1 ** 2) / 100.0
         cfg = TransmissionConfig(active_modes=1, mode_powers=[1.0], noise_power=noise,

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (cap_converged, nusw_spectrum, random_spectrum, ula_pair,
-                      waterfill_bruteforce, waterfill_loop, CARRIER)
+                      waterfill_bruteforce, waterfill_loop, WAVELENGTH)
 from nfdof.channel import farfield_planar_channel, frobenius_normalized, los_nusw_channel
 from nfdof.errors import ActiveSetChangeError
 from nfdof.kernel import cap_edof1
@@ -14,7 +14,7 @@ from nfdof.modes import decompose
 
 def planar_spectrum(n=12, d=40.0):
     tx, rx = ula_pair(n, d)
-    return decompose(farfield_planar_channel(tx, rx, CARRIER)).spectrum
+    return decompose(farfield_planar_channel(tx, rx, WAVELENGTH)).spectrum
 
 
 class TestDof:
@@ -254,7 +254,7 @@ class TestEdof3:
         # bit/s/Hz, whose central difference carries about C * eps / delta_step
         # of round-off and read 1.0000000000005116 before the clamp
         tx, rx = ula_pair(16, 1e9)
-        s = decompose(frobenius_normalized(los_nusw_channel(tx, rx, CARRIER)), vectors=False)
+        s = decompose(frobenius_normalized(los_nusw_channel(tx, rx, WAVELENGTH)), vectors=False)
         assert dof(s) == 1
         assert edof3(s, 1e40) == 1.0
         assert edof3_auto(s, 1e40) == 1.0
@@ -321,8 +321,8 @@ class TestSummaries:
 
 class TestChannelComparisons:
     def test_near_field_beats_far_field(self):
-        near = frobenius_normalized(los_nusw_channel(*ula_pair(256, 15.0), CARRIER))
-        far = frobenius_normalized(los_nusw_channel(*ula_pair(256, 300.0), CARRIER))
+        near = frobenius_normalized(los_nusw_channel(*ula_pair(256, 15.0), WAVELENGTH))
+        far = frobenius_normalized(los_nusw_channel(*ula_pair(256, 300.0), WAVELENGTH))
         sn = decompose(near).spectrum
         sf = decompose(far).spectrum
         snr = 100.0
@@ -333,7 +333,7 @@ class TestChannelComparisons:
 
     def test_edof3_can_exceed_edof1_and_edof2(self):
         s = decompose(frobenius_normalized(
-            los_nusw_channel(*ula_pair(256, 15.0), CARRIER))).spectrum
+            los_nusw_channel(*ula_pair(256, 15.0), WAVELENGTH))).spectrum
         e1, e2 = edof1(s), edof2(s)
         exceeded = any(edof3_envelope(s, 10.0 ** (db / 10.0)) > max(e1, e2)
                        for db in range(0, 41, 5))

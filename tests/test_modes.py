@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nfdof.modes
-from conftest import (APERTURE, CARRIER, WAVELENGTH, cap_converged, nusw_channel,
+from conftest import (APERTURE, WAVELENGTH, cap_converged, nusw_channel,
                       nusw_spectrum, parity_split_values, segment_pair, ula_pair)
 from nfdof.channel import (facing_ula_column, farfield_planar_channel, los_nusw_channel,
                            los_usw_channel)
@@ -39,7 +39,7 @@ class TestDecompose:
 
     def test_planar_rank_one(self):
         tx, rx = ula_pair(12, 40.0)
-        md = decompose(farfield_planar_channel(tx, rx, CARRIER))
+        md = decompose(farfield_planar_channel(tx, rx, WAVELENGTH))
         assert md.singular_values[0] == pytest.approx(
             12 * WAVELENGTH / (4 * np.pi * 40.0), rel=1e-12)
         assert md.singular_values[1] < 1e-12 * md.singular_values[0]
@@ -154,15 +154,15 @@ class TestParitySplit:
     def test_facing_ulas_give_exactly_centrosymmetric_channels(self, n):
         for d in (15.0, 50.0, 150.0):
             tx, rx = ula_pair(n, d)
-            for h in (los_nusw_channel(tx, rx, CARRIER),
-                      los_usw_channel(tx, rx, CARRIER)):
+            for h in (los_nusw_channel(tx, rx, WAVELENGTH),
+                      los_usw_channel(tx, rx, WAVELENGTH)):
                 assert np.array_equal(h, h[::-1, ::-1]), (n, d)
 
     def test_axis_along_the_link_takes_the_full_svd(self):
         axis = (0.0, 1.0, 0.0)
         tx = build_ula(64, 1.37, center=(0.0, 0.0, 0.0), axis=axis)
         rx = build_ula(64, 1.37, center=(0.0, 15.0, 0.0), axis=axis)
-        h = los_nusw_channel(tx, rx, CARRIER)
+        h = los_nusw_channel(tx, rx, WAVELENGTH)
         assert parity_blocks(h) is None
         assert np.array_equal(decompose(h, vectors=False).values, svd_values(h))
 
@@ -242,7 +242,7 @@ class TestRankRevealing:
         monkeypatch.setattr(nfdof.modes, "_leading_values",
                             lambda product, adjoint, n, k: calls.append((n, k))
                             or _leading_values(product, adjoint, n, k))
-        column = facing_ula_column("nusw", n, APERTURE, d, CARRIER)
+        column = facing_ula_column("nusw", n, APERTURE, d, WAVELENGTH)
         m = gathered(column)
         assert parity_blocks(m) is not None
         dense = parity_split_values(m)
@@ -269,11 +269,11 @@ class TestRankRevealing:
                     lambda y: calls.append(("adjoint", y.shape[1])) or adjoint(y))
 
         monkeypatch.setattr(nfdof.modes, "_toeplitz_products", counting)
-        toeplitz_spectrum(facing_ula_column("nusw", 1024, aperture, d, CARRIER))
+        toeplitz_spectrum(facing_ula_column("nusw", 1024, aperture, d, WAVELENGTH))
         assert calls == [(kind, k) for k in widths for kind in ("product", "adjoint")]
 
     def test_values_left_out_read_zero(self):
-        column = facing_ula_column("nusw", 1024, APERTURE, 150.0, CARRIER)
+        column = facing_ula_column("nusw", 1024, APERTURE, 150.0, WAVELENGTH)
         values = toeplitz_spectrum(column).values
         assert values.shape == (1024,)
         assert np.count_nonzero(values) < 1024 and values[-1] == 0.0
@@ -284,7 +284,7 @@ class TestRankRevealing:
         # 1024 elements at 15 m: the column's estimate is 19.6
         h = nusw_channel(1024, 15.0)
         full = SingularSpectrum(parity_split_values(h), shape=h.shape)
-        fast = toeplitz_spectrum(facing_ula_column("nusw", 1024, APERTURE, 15.0, CARRIER))
+        fast = toeplitz_spectrum(facing_ula_column("nusw", 1024, APERTURE, 15.0, WAVELENGTH))
         assert dof(fast) == dof(full) == 25
         assert np.count_nonzero(fast.values) < 1024 // 4
         assert np.max(np.abs(fast.values[:25] - full.values[:25])) <= 1e-13 * full.values[0]
@@ -313,8 +313,8 @@ class TestToeplitzSpectrum:
     @example(n=2048, d=150.0, model="usw")
     def test_same_metrics_as_the_coordinate_build(self, n, d, model):
         tx, rx = ula_pair(n, d)
-        h = self.CHANNELS[model](tx, rx, CARRIER)
-        column = facing_ula_column(model, n, APERTURE, d, CARRIER)
+        h = self.CHANNELS[model](tx, rx, WAVELENGTH)
+        column = facing_ula_column(model, n, APERTURE, d, WAVELENGTH)
         assert not column.flags.writeable
         # the column differs from the entries of the rounded coordinates by
         # round-off in the distance, a phase error of a few 1e-12
@@ -343,8 +343,8 @@ class TestToeplitzSpectrum:
         # products of one column against Gauss-Legendre Nystrom, two paths
         # that share no node, weight or solver
         cap = edof2(cap_converged(15.0))
-        gaps = [edof2(toeplitz_spectrum(facing_ula_column("nusw", n, APERTURE, 15.0, CARRIER)))
-                - cap
+        gaps = [edof2(toeplitz_spectrum(facing_ula_column("nusw", n, APERTURE, 15.0,
+                                                          WAVELENGTH))) - cap
                 for n in (1024, 2048, 4096)]
         assert all(g > 0 for g in gaps)
         assert gaps[0] > gaps[1] > gaps[2]
@@ -359,7 +359,7 @@ class TestToeplitzSpectrum:
     def test_half_phase_excursion_is_the_path_spread(self, n, d, aperture, model):
         # the column's half phase excursion against pi * (path spread) /
         # wavelength of the two segments, computed from their endpoints
-        estimate = _half_phase_excursion(facing_ula_column(model, n, aperture, d, CARRIER))
+        estimate = _half_phase_excursion(facing_ula_column(model, n, aperture, d, WAVELENGTH))
         oracle = spread_estimate(d, aperture)
         bound = 1e-11 * oracle + 1e-9
         # the path changes per element by at most pitch * aperture / hypot(aperture, d)
@@ -371,13 +371,13 @@ class TestToeplitzSpectrum:
 
     def test_bad_columns_are_rejected(self):
         with pytest.raises(SingularGeometryError):
-            facing_ula_column("nusw", 8, APERTURE, 0.0, CARRIER)
+            facing_ula_column("nusw", 8, APERTURE, 0.0, WAVELENGTH)
         with pytest.raises(ValueError, match="unknown channel model"):
-            facing_ula_column("planar", 8, APERTURE, 15.0, CARRIER)
+            facing_ula_column("planar", 8, APERTURE, 15.0, WAVELENGTH)
         for n, aperture in ((1, APERTURE), (8, 0.0)):
             with pytest.raises(ValueError, match="n >= 2"):
-                facing_ula_column("nusw", n, aperture, 15.0, CARRIER)
-        column = np.array(facing_ula_column("nusw", 8, APERTURE, 15.0, CARRIER))
+                facing_ula_column("nusw", n, aperture, 15.0, WAVELENGTH)
+        column = np.array(facing_ula_column("nusw", 8, APERTURE, 15.0, WAVELENGTH))
         column[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
             toeplitz_spectrum(column)
