@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularGeometryError
-from .geometry import ArrayGeometry
+from .geometry import ArrayGeometry, _positive_finite
 
 
 def _mirror_points(rx_pts: np.ndarray, tx_pts: np.ndarray) -> bool:
@@ -31,12 +31,6 @@ def _mirror_points(rx_pts: np.ndarray, tx_pts: np.ndarray) -> bool:
         if not (constant or (np.array_equal(a[::-1], -a) and np.array_equal(b[::-1], -b))):
             return False
     return True
-
-
-def _positive_finite(wavelength: float) -> float:
-    if not 0.0 < wavelength < np.inf:
-        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
-    return wavelength
 
 
 def _wave(h: np.ndarray, d: np.ndarray, wavelength: float, amplitude):

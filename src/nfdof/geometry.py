@@ -15,6 +15,12 @@ UNIT_TOL = 1e-12
 "Largest accepted deviation of an array axis from unit norm."
 
 
+def _positive_finite(wavelength: float) -> float:
+    if not 0.0 < wavelength < np.inf:
+        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
+    return wavelength
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float, copy=True)
     a.setflags(write=False)
@@ -102,8 +108,6 @@ def build_ula(n_elements: int, aperture: float, center=(0.0, 0.0, 0.0),
 def rayleigh_distance(aperture: float, wavelength: float) -> float:
     """Boundary distance 2 * aperture**2 / wavelength between the radiating
     near field and the far field."""
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
     if aperture < 0:
         raise ValueError(f"aperture must be non-negative, got {aperture}")
-    return 2.0 * aperture * aperture / wavelength
+    return 2.0 * aperture * aperture / _positive_finite(wavelength)

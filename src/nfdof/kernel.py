@@ -22,9 +22,9 @@ import threading
 
 import numpy as np
 
-from .channel import _positive_finite, spherical_wave_matrix
+from .channel import spherical_wave_matrix
 from .errors import ConvergenceError, SingularGeometryError
-from .geometry import ArrayGeometry
+from .geometry import ArrayGeometry, _positive_finite
 from .metrics import edof1, edof2
 from .modes import SingularSpectrum, _block_values, fold_parity
 
@@ -68,18 +68,30 @@ def gauss_legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-x[:h], x[::-1]]), np.concatenate([w[:h], w[::-1]])
 
 
+_MAP_ALPHA = 0.96
+"The alpha of the node map x -> arcsin(alpha x) / arcsin(alpha)."
+
 _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _RULES_LOCK = threading.Lock()
 
 
 def gauss_legendre_segment(start, end, m: int):
-    """Gauss-Legendre nodes (m, 3) and weights (m,) on a 3D segment; the
-    weights carry the physical length measure in meters.  The [-1, 1] rule
-    is computed once per node count for the whole process and kept
+    """Gauss-Legendre nodes (m, 3) and weights (m,) on a 3D segment, spread by
+    the Kosloff-Tal-Ezer map x -> arcsin(alpha x) / arcsin(alpha) (J. Comput.
+    Phys. 104(2), 1993), each weight times the map's derivative
+    alpha / (arcsin(alpha) sqrt(1 - (alpha x)**2)): the middle of the segment
+    gets a uniform node density, not 2/pi of it.  The map is odd and the upper
+    half of the nodes is mirrored, so they stay exact mirror images.  The
+    weights carry the physical length measure in meters.  The mapped [-1, 1]
+    rule is computed once per node count for the whole process and kept
     read-only; lookups are safe from several threads."""
     with _RULES_LOCK:
         if m not in _RULES:
             x, w = gauss_legendre_rule(m)
+            ax, scale = _MAP_ALPHA * x, math.asin(_MAP_ALPHA)
+            w = w * (_MAP_ALPHA / scale) / np.sqrt((1.0 - ax) * (1.0 + ax))
+            upper = np.arcsin(ax[m // 2:]) / scale
+            x = np.concatenate([-upper[::-1][:m // 2], upper])
             x.setflags(write=False)
             w.setflags(write=False)
             _RULES[m] = (x, w)
@@ -192,25 +204,29 @@ _N_TRACK = 20
 "Number of leading eigenvalues the ladder compares between rungs."
 
 
+_START = 0.76
+"Fraction of the quadrature cliff at or above which the ladder starts."
+
+
 def _rung(k: int) -> int:
-    """Node count of rung ``k`` on the sqrt(2) grid from :data:`LADDER_FLOOR`;
-    every second rung is ``LADDER_FLOOR * 2**j`` exactly."""
-    return round(LADDER_FLOOR * 2 ** (k / 2))
+    """Node count of rung ``k`` on the 2**(1/4) grid from :data:`LADDER_FLOOR`;
+    every fourth rung is ``LADDER_FLOOR * 2**j`` exactly."""
+    return round(LADDER_FLOOR * 2 ** (k / 4))
 
 
 def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float,
                       tol: float = 1e-6, max_nodes: int = 4096) -> SingularSpectrum:
-    """Raise the quadrature node count by sqrt(2) per rung until the top 20
+    """Raise the quadrature node count by 2**(1/4) per rung until the top 20
     eigenvalues sigma_n**2 of two successive rungs agree to ``tol`` relative
     to the largest.
 
-    The rungs are ``round(64 * 2**(k/2))`` (64, 91, 128, 181, ...).
-    Gauss-Legendre convergence of the kernel is a cliff near
+    The rungs are ``round(64 * 2**(k/4))`` (64, 76, 91, 108, 128, ...).
+    Convergence of the mapped Gauss-Legendre rules is a cliff just below
     pi * (path spread) / wavelength nodes (:func:`_path_spread`), so the
-    ladder starts at the smallest rung at or above that count, or the largest
-    at or below ``max_nodes / 2`` if that is lower, and never below 64.
-    ``max_nodes`` must exceed 64 and is a hard cap: the last rung is clamped
-    to it.  Non-convergence raises
+    ladder starts at the smallest rung at or above :data:`_START` times that
+    count, or the largest at or below ``max_nodes / 2`` if that is lower,
+    and never below 64.  ``max_nodes`` must exceed 64 and is a hard cap: the
+    last rung is clamped to it.  Non-convergence raises
     :class:`ConvergenceError` with the last observed change and the largest
     rung built attached.  The node count of the returned spectrum is ``shape[0]``.
     """
@@ -219,9 +235,9 @@ def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float,
     if not max_nodes > LADDER_FLOOR:
         raise ValueError(f"max_nodes must exceed {LADDER_FLOOR}, got {max_nodes}")
     spread = _path_spread(_require_continuous(tx, "tx"), _require_continuous(rx, "rx"))
-    cliff = math.pi * spread / _positive_finite(wavelength)
+    start = _START * math.pi * spread / _positive_finite(wavelength)
     k = 0
-    while _rung(k) < cliff and _rung(k + 1) <= max_nodes / 2:
+    while _rung(k) < start and _rung(k + 1) <= max_nodes / 2:
         k += 1
     m = _rung(k)
     lam = cap_spectrum(build_kernel(tx, rx, wavelength, m)).values ** 2

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ActiveSetChangeError
+from .geometry import _positive_finite
 from .modes import SingularSpectrum, spectrum_values
 
 LN2 = math.log(2.0)
@@ -80,11 +81,10 @@ def edof1_limit_linear(l_t: float, l_r: float, wavelength: float,
     Valid in the paraxial regime distance >> apertures (documented, not
     enforced).
     """
-    for name, val in (("l_t", l_t), ("l_r", l_r),
-                      ("wavelength", wavelength), ("distance", distance)):
+    for name, val in (("l_t", l_t), ("l_r", l_r), ("distance", distance)):
         if val <= 0:
             raise ValueError(f"{name} must be positive, got {val}")
-    return l_t * l_r / (wavelength * distance)
+    return l_t * l_r / (_positive_finite(wavelength) * distance)
 
 
 def edof2(spectrum) -> float:

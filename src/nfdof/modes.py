@@ -188,8 +188,8 @@ def toeplitz_spectrum(column) -> SingularSpectrum:
     """The values-only spectrum of the n x n symmetric Toeplitz matrix
     H_ij = column[|i - j|].
 
-    With k = max(32, ceil(:func:`_half_phase_excursion`)) and 10 k <= n,
-    below which the dense solve is faster, :func:`_leading_values` runs on
+    With k = max(32, ceil(:func:`_half_phase_excursion`)) and 6 k <= n,
+    near which the dense solve stops being faster, :func:`_leading_values` runs on
     FFT products with H in O(n k) memory; its doubling covers a low
     estimate, and the values it leaves out are round-off by the rank
     tolerance of every metric and read 0.0.  Otherwise, or when the finder
@@ -202,7 +202,7 @@ def toeplitz_spectrum(column) -> SingularSpectrum:
     _require_solvable(column)
     n = column.size
     k = max(32, math.ceil(_half_phase_excursion(column)))
-    if 10 * k <= n:
+    if 6 * k <= n:
         leading = _leading_values(*_toeplitz_products(column), n, k)
         if leading is not None:
             values = np.zeros(n)

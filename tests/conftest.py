@@ -8,15 +8,17 @@ per parameter set for the whole session.
 
 from contextlib import contextmanager
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count
 from unittest import mock
 
 import numpy as np
 
 import nfdof.channel
+import nfdof.kernel
 from nfdof.channel import los_nusw_channel
 from nfdof.geometry import build_ula, continuous_aperture
-from nfdof.kernel import converge_spectrum, gauss_legendre_segment
+from nfdof.kernel import (build_kernel, cap_spectrum, converge_spectrum, gauss_legendre_rule,
+                          gauss_legendre_segment)
 from nfdof.linksim import LinkReport, combine, mode_coupling, precode, qpsk_symbols
 from nfdof.modes import decompose, parity_blocks
 
@@ -269,3 +271,51 @@ def prolate_eigenvalues(c):
         mu = (c * np.sqrt(2 / 3) if parity else np.sqrt(2)) * beta[0] / at_zero
         lam.append(c * mu * mu / (2 * np.pi))
     return np.sort(np.concatenate(lam))[::-1]
+
+
+def mapped_rule(m, alpha):
+    """The ``m``-point Gauss-Legendre rule on [-1, 1] under the map
+    x -> arcsin(alpha x) / arcsin(alpha), from the formulas as written: the
+    nodes mapped, the weights times the map's derivative
+    alpha / (arcsin(alpha) sqrt(1 - alpha**2 x**2))."""
+    x, w = gauss_legendre_rule(m)
+    scale = np.arcsin(alpha)
+    return np.arcsin(alpha * x) / scale, w * alpha / (scale * np.sqrt(1.0 - (alpha * x) ** 2))
+
+
+def facing_sum_rule(aperture, d):
+    """Sum of the squared singular values of two equal segments of length
+    ``aperture`` facing each other at ``d``: the double integral of |g|**2,
+    int int dx dy / (16 pi**2 (d**2 + (x - y)**2)) =
+    (2 q arctan q - ln(1 + q**2)) / (16 pi**2) with q = aperture / d, the
+    same at every wavelength."""
+    q = aperture / d
+    return (2.0 * q * np.arctan(q) - np.log1p(q * q)) / (16.0 * np.pi ** 2)
+
+
+def sqrt2_ladder(tx, rx, tol=1e-6):
+    """The kernel ladder on unmapped Gauss-Legendre rules
+    (``gauss_legendre_rule``, uncached) and the sqrt(2) grid round(64 * 2**(k/2)),
+    started at the first rung at or above the cliff pi * (path spread) /
+    lambda and climbed until the top 20 eigenvalues of two successive rungs
+    agree to ``tol``; the spectrum of the last rung.  For equal segments
+    facing each other at d, as from :func:`segment_pair`, the path spread is
+    hypot(d, aperture) - d."""
+    d = float(np.linalg.norm(rx.center - tx.center))
+    cliff = np.pi * (np.hypot(d, tx.aperture) - d) / WAVELENGTH
+    rungs = (round(64 * 2 ** (k / 2)) for k in count())
+    m = next(r for r in rungs if r >= cliff)
+
+    def plain_segment(start, end, m):
+        x, w = gauss_legendre_rule(m)
+        mid, half = 0.5 * (start + end), 0.5 * (end - start)
+        return mid + x[:, None] * half, w * np.linalg.norm(half)
+
+    with mock.patch.object(nfdof.kernel, "gauss_legendre_segment", plain_segment):
+        lam = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, m)).values[:20] ** 2
+        for m in rungs:
+            spec = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, m))
+            new = spec.values[:20] ** 2
+            if np.max(np.abs(new - lam)) / new[0] < tol:
+                return spec
+            lam = new

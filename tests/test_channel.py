@@ -11,6 +11,7 @@ from nfdof.channel import (facing_ula_column, farfield_planar_channel, frobenius
 from nfdof.errors import SingularGeometryError
 from nfdof.geometry import ArrayGeometry, build_ula, continuous_aperture, rayleigh_distance
 from nfdof.kernel import build_kernel, cap_spectrum, converge_spectrum
+from nfdof.metrics import edof1_limit_linear
 from nfdof.modes import decompose, parity_blocks
 
 BUILDERS = {"nusw": los_nusw_channel, "usw": los_usw_channel}
@@ -131,8 +132,10 @@ class TestNormalization:
 
 
 # every public builder of a channel, a channel column or an aperture response,
-# called at one wavelength
+# and every closed-form length that takes a wavelength, called at one wavelength
 WAVELENGTH_BUILDERS = {
+    "rayleigh_distance": lambda lam: rayleigh_distance(1.37, lam),
+    "edof1_limit_linear": lambda lam: edof1_limit_linear(1.37, 1.37, lam, 15.0),
     "los_nusw_channel": lambda lam: los_nusw_channel(*ula_pair(4, 15.0), lam),
     "los_usw_channel": lambda lam: los_usw_channel(*ula_pair(4, 15.0), lam),
     "farfield_planar_channel": lambda lam: farfield_planar_channel(*ula_pair(4, 15.0), lam),

@@ -12,9 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 import nfdof.channel
 import nfdof.kernel
 import nfdof.modes
-from conftest import (WAVELENGTH, cap_converged, cap_eigenvalues_direct,
-                      direct_response, mirror_verdicts, parity_split_values, prolate_eigenvalues,
-                      sampled_kernel, segment_pair, tilted_pair)
+from conftest import (WAVELENGTH, cap_converged, cap_eigenvalues_direct, direct_response,
+                      facing_sum_rule, mapped_rule, mirror_verdicts, parity_split_values,
+                      prolate_eigenvalues, sampled_kernel, segment_pair, sqrt2_ladder,
+                      tilted_pair)
 from nfdof.errors import ConvergenceError, SingularGeometryError
 from nfdof.experiments import run_experiment
 from nfdof.geometry import continuous_aperture, rayleigh_distance
@@ -301,13 +302,14 @@ class TestConvergeSpectrum:
         assert err.value.nodes == 91
         assert err.value.last_change > 1e-18
 
-    def test_ladder_starts_at_the_cliff_and_climbs_by_sqrt2(self, rung_calls):
+    def test_ladder_starts_below_the_cliff_and_climbs_by_a_fourth_root_of_2(self, rung_calls):
         # 5 m segments at 20 m: path spread sqrt(20**2 + 5**2) - 20 = 61.6
-        # wavelengths, so the cliff estimate pi * 61.6 = 193 nodes
+        # wavelengths, so the cliff estimate pi * 61.6 = 193 nodes, and the
+        # ladder starts at the first rung at or above 0.76 * 193 = 147
         tx, rx = segment_pair(20.0, 5.0)
         spec = converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6)
-        assert rung_calls == [256, 362]
-        assert spec.shape[0] == 362
+        assert rung_calls == [152, 181]
+        assert spec.shape[0] == 181
 
     @pytest.mark.parametrize("cap", [65, 100, 1000])
     def test_rungs_never_exceed_max_nodes(self, cap, rung_calls):
@@ -324,11 +326,11 @@ class TestConvergeSpectrum:
         assert rung_calls == []
 
     @pytest.mark.parametrize("d, aperture, cap, first", [
-        (8.0, 5.0, 4096, 512),    # cliff pi * 143 = 450 nodes
+        (8.0, 5.0, 4096, 362),    # cliff pi * 143 = 450 nodes, 0.76 of it 342
         (8.0, 5.0, 600, 256),     # capped at max_nodes / 2
         (8.0, 5.0, 100, 64),      # max_nodes / 2 below the floor of 64
         (150.0, 0.5, 4096, 64),   # cliff at 0.3 nodes
-        (20.0, 5.0, 4096, 256),   # cliff 193: rungs 64, 91, 128, 181, 256
+        (20.0, 5.0, 4096, 152),   # 0.76 * 193 = 147: rungs 64, 76, 91, 108, 128, 152
     ])
     def test_infinite_tol_returns_the_start_rung(self, d, aperture, cap, first, rung_calls):
         # the first rung a finite-tol ladder builds, whether or not it
@@ -338,20 +340,21 @@ class TestConvergeSpectrum:
             converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6, max_nodes=cap)
         assert rung_calls[0] == first
 
-    # every final rung here is at most 362 nodes
-    @pytest.mark.parametrize("aperture, d", [(5.0, 20.0), (5.0, 30.0), (5.0, 50.0),
-                                             (1.37, 2.0), (1.37, 3.0), (2.0, 4.0), (2.0, 8.0)])
-    def test_starting_past_the_cliff_changes_no_result(self, aperture, d, rung_calls):
-        # the rung one sqrt(2) step below the start, the largest at or below
-        # the cliff, never agrees with the start, so a climb from it ends at
-        # the same rung with the same values
+    # every final rung here is at most 304 nodes, and every start is above
+    # the floor of 64
+    @pytest.mark.parametrize("aperture, d", [(5.0, 20.0), (5.0, 30.0), (5.0, 12.0),
+                                             (1.37, 2.0), (1.37, 3.0), (2.0, 4.0), (2.0, 6.0)])
+    def test_starting_one_rung_lower_changes_no_result(self, aperture, d, rung_calls):
+        # the rung one 2**(1/4) step below the start, the largest below 0.76
+        # times the cliff, never agrees with the start, so a climb from it
+        # ends at the same rung with the same values
         tol = 1e-6
         tx, rx = segment_pair(d, aperture)
         spec = converge_spectrum(tx, rx, WAVELENGTH, tol=tol)
         rung = nfdof.kernel._rung
-        k = [rung(j) for j in range(20)].index(rung_calls[0])
+        k = [rung(j) for j in range(40)].index(rung_calls[0])
         cliff = np.pi * nfdof.kernel._path_spread(tx.segment, rx.segment) / WAVELENGTH
-        assert 1 <= k and rung(k - 1) <= cliff <= rung(k)
+        assert 1 <= k and rung(k - 1) < nfdof.kernel._START * cliff <= rung(k)
         # the old rule: climb from rung k - 1 until two rungs agree
         climb = [cap_spectrum(build_kernel(tx, rx, WAVELENGTH, rung(k - 1)))]
         while True:
@@ -379,7 +382,7 @@ class TestConvergeSpectrum:
         converge_spectrum(tx, rx, WAVELENGTH, max_nodes=cap)
         m = calls[0]
         assert 64 <= m <= max(64, cap / 2)
-        assert m in {round(64 * 2 ** (k / 2)) for k in range(40)}
+        assert m in {round(64 * 2 ** (k / 4)) for k in range(80)}
 
 
 # (aperture, distance) pairs; 5 m at 3 m and 6 m need 2048-4096 nodes for
@@ -396,6 +399,30 @@ def test_converged_rung_resolves_the_whole_spectrum(aperture, d):
     for dominance in (0.01, 0.5):
         assert cap_edof1(spec, dominance) == cap_edof1(fine, dominance)
     assert cap_edof2(spec) == pytest.approx(cap_edof2(fine), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("aperture, d", [(5.0, 3.0), (5.0, 8.0), (1.37, 2.0), (1.37, 15.0),
+                                         (0.5, 500.0)])
+def test_converged_spectrum_meets_the_sum_rule(aperture, d):
+    # |g|**2 does not oscillate, so this tests the mapped weights, not the cliff
+    values = cap_converged(d, aperture).values
+    assert np.sum(values ** 2) == pytest.approx(facing_sum_rule(aperture, d), rel=1e-13, abs=0)
+
+
+# 1.37-5 m apertures at 1-50 m, with d above the distance where the path
+# spread reaches 2.5 m: that keeps the cliff below 800 nodes, and the sqrt(2)
+# ladder, which converges by 1.26 times the cliff, at or below 1448 nodes
+@settings(max_examples=8, deadline=None)
+@given(aperture=st.floats(1.37, 5.0), position=st.floats(0.0, 1.0))
+@example(aperture=5.0, position=0.0)
+def test_mapped_ladder_matches_the_sqrt2_ladder(aperture, position):
+    near = max(1.0, (aperture ** 2 - 2.5 ** 2) / 5.0)
+    d = near * (50.0 / near) ** position
+    tx, rx = segment_pair(d, aperture)
+    old, new = sqrt2_ladder(tx, rx), converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6)
+    for dominance in (0.01, 0.5):
+        assert cap_edof1(new, dominance) == cap_edof1(old, dominance)
+    assert cap_edof2(new) == pytest.approx(cap_edof2(old), rel=1e-12, abs=0)
 
 
 class TestProlateOracle:
@@ -463,13 +490,20 @@ TRAFFIC_CONFIGS = sorted(REPO.glob("configs/*.json")) + sorted(
     REPO.glob("nfbench/configs/*.json"))
 
 
+# the element counts of the points that run the finder, in run order
+FINDER_POINTS = {"array_large.json": [1024] * 3, "spectrum.json": [256] * 3,
+                 **{name: [275] * 3 for name in ("edof_vs_n.json", "edof2_vs_n.json",
+                                                 "edof2_vs_n_growing.json")}}
+
+
 @pytest.mark.parametrize("path", TRAFFIC_CONFIGS, ids=lambda p: p.name)
 def test_every_shipped_ladder_takes_the_half_row_build(path, tmp_path, monkeypatch,
                                                         rung_calls, mirror_tests):
     # every channel and kernel assembly builds half its rows, and every
     # values-only spectrum of a matrix is solved as two parity blocks; only
-    # the N = 1024 points of array_large.json run the finder on the
-    # Toeplitz operator of the facing ULAs, and form no matrix and no blocks
+    # the facing-ULA points with N >= 6 k (k = 32 for 1.37 m at 15-150 m:
+    # N = 256, 275 and 1024) run the finder on the Toeplitz operator, and
+    # form no matrix and no blocks
     splits, operators = [], []
     original = nfdof.modes._block_values
     finder = nfdof.modes._leading_values
@@ -490,7 +524,7 @@ def test_every_shipped_ladder_takes_the_half_row_build(path, tmp_path, monkeypat
     assert mirror_tests == [True] * len(mirror_tests)
     assert splits == [True] * len(splits)
     assert splits or operators
-    assert operators == ([1024, 1024, 1024] if path.name == "array_large.json" else [])
+    assert operators == FINDER_POINTS.get(path.name, [])
     if cfg["experiment"] in ("cap-edof-vs-distance", "edof2-vs-n"):
         # the SPD side of edof2-vs-n builds a column per grid point, no matrix
         assert rung_calls and len(mirror_tests) == len(rung_calls)
@@ -507,13 +541,28 @@ class TestGaussLegendreRules:
         nodes, weights = gauss_legendre_segment((0.0, 0.0, -1.0), (0.0, 0.0, 1.0), 16)
         gauss_legendre_segment((0.0, 0.0, 0.0), (2.0, 0.0, 0.0), 16)
         assert rule_calls == {16: 1}
-        ref_x, ref_w = gauss_legendre_rule(16)
-        assert np.array_equal(nodes[:, 2], ref_x) and np.array_equal(weights, ref_w)
         x, w = nfdof.kernel._RULES[16]
-        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        assert np.array_equal(nodes[:, 2], x) and np.array_equal(weights, w)
+        ref_x, ref_w = mapped_rule(16, nfdof.kernel._MAP_ALPHA)
+        assert np.allclose(x, ref_x, rtol=0, atol=4e-16)
+        assert np.allclose(w, ref_w, rtol=4e-16, atol=0)
         for arr in (x, w):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    @pytest.mark.parametrize("m", [8, 9, 64, 65, 512, 1024])
+    def test_segment_rule_is_the_mapped_rule_and_mirror_exact(self, m):
+        nodes, w = gauss_legendre_segment((0.0, 0.0, -1.0), (0.0, 0.0, 1.0), m)
+        x = nodes[:, 2]
+        ref_x, ref_w = mapped_rule(m, nfdof.kernel._MAP_ALPHA)
+        assert np.max(np.abs(x - ref_x)) <= 4e-16
+        assert np.max(np.abs(w / ref_w - 1)) <= 4e-16 * np.sqrt(m)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0)
+        # the map takes [-1, 1] onto itself, so the weights sum to 2, to
+        # within rho**(-2 m): the map's poles at +-1/alpha put rho at 1.33,
+        # which the ladder floor of 64 nodes takes below 1e-15
+        assert abs(w.sum() - 2.0) <= (1e-14 if m >= 64 else 2e-2)
 
     @pytest.mark.parametrize("m", [8, 9, 64, 65, 512, 1024])
     def test_rule_matches_leggauss_and_is_mirror_exact(self, m):
