@@ -6,7 +6,7 @@
 
 Outputs go to --out, the working directory by default.  Exit codes:
 0 success, 2 invalid config, 3 numerical failure or out of memory, 4 I/O
-failure.
+failure.  ``validate`` and ``version`` run without importing numpy.
 """
 
 from __future__ import annotations
@@ -15,19 +15,15 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import (ActiveSetChangeError, ConfigError, ConvergenceError,
                      SingularGeometryError)
+from .spec import validate_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-_NUMERICAL_ERRORS = (ConvergenceError, ActiveSetChangeError, SingularGeometryError,
-                     FloatingPointError, np.linalg.LinAlgError)
 
 
 def _load_config(path: str) -> dict:
@@ -63,14 +59,17 @@ def main(argv=None) -> int:
     if args.command == "version":
         print(__version__)
         return EXIT_OK
-    # imported lazily so `nfdof version` stays instant
-    from .experiments import run_experiment, validate_config
+    numerical = (ConvergenceError, ActiveSetChangeError, SingularGeometryError, FloatingPointError)
     try:
         cfg = _load_config(args.config)
         if args.command == "validate":
             spec = validate_config(cfg)
             print(f"{args.config}: valid {spec.experiment} experiment")
             return EXIT_OK
+        # numpy loads here, on the run path only
+        from numpy.linalg import LinAlgError
+        from .experiments import run_experiment
+        numerical += (LinAlgError,)
         tables = run_experiment(cfg, out_dir=args.out, threads=args.threads)
         for table in tables:
             print(f"wrote {table.name}.csv ({len(table.rows)} rows)")
@@ -78,7 +77,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
+    except numerical as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as exc:

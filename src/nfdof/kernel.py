@@ -27,6 +27,7 @@ from .errors import ConvergenceError, SingularGeometryError
 from .geometry import ArrayGeometry, _positive_finite
 from .metrics import edof1, edof2
 from .modes import SingularSpectrum, _block_values, fold_parity
+from .spec import LADDER_FLOOR
 
 _NEWTON_STEPS = 20
 "Cap on the Newton steps for the Gauss-Legendre roots; 3-4 suffice up to m = 4096."
@@ -196,9 +197,6 @@ def _path_spread(tx_seg: np.ndarray, rx_seg: np.ndarray) -> float:
             spread = max(spread, far - _segment_min_distance(p, p, other[0], other[1]))
     return spread
 
-
-LADDER_FLOOR = 64
-"Node count of the lowest rung of every kernel ladder."
 
 _N_TRACK = 20
 "Number of leading eigenvalues the ladder compares between rungs."

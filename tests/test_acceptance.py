@@ -11,16 +11,14 @@ import pytest
 from conftest import (WAVELENGTH, cap_converged, nusw_spectrum,
                       random_spectrum, sampled_kernel, segment_pair, ula_pair,
                       waterfill_bruteforce)
-from nfdof.channel import (farfield_planar_channel, frobenius_normalized,
-                           los_nusw_channel)
-from nfdof.errors import ActiveSetChangeError
+# the criteria read the package's public names, as a user of the library would
+from nfdof import (ActiveSetChangeError, TransmissionConfig, build_kernel, build_ula,
+                   cap_edof1, cap_edof2, cap_spectrum, capacity, combine, decompose, dof,
+                   edof1, edof1_limit_linear, edof2, edof3, edof3_auto, edof3_envelope,
+                   farfield_planar_channel, frobenius_normalized, los_nusw_channel, precode,
+                   run_link, transmit_awgn, waterfill)
 from nfdof.experiments import run_experiment
-from nfdof.geometry import build_ula
-from nfdof.kernel import build_kernel, cap_edof1, cap_edof2, cap_spectrum
-from nfdof.linksim import TransmissionConfig, combine, precode, qpsk_symbols, run_link, transmit_awgn
-from nfdof.metrics import (capacity, dof, edof1, edof1_limit_linear, edof2, edof3,
-                           edof3_auto, edof3_envelope, waterfill)
-from nfdof.modes import decompose
+from nfdof.linksim import qpsk_symbols
 
 
 def _criterion(cid, description, ok, detail=""):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -65,6 +66,25 @@ class TestCommands:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.strip() == __version__
+
+    def test_validate_and_version_load_no_numpy(self):
+        root = Path(__file__).resolve().parents[1]
+        configs = sorted(root.glob("configs/*.json")) + sorted(root.glob("nfbench/configs/*.json"))
+        assert len(configs) == 9
+        code = ("import contextlib, io, json, sys\n"
+                "from nfdof import cli\n"
+                "seen = []\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        seen.append((argv, cli.main(argv), 'numpy' in sys.modules))\n"
+                "print(json.dumps(seen))\n")
+        argvs = [["validate", str(p)] for p in configs] + [["version"]]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[argv, EXIT_OK, False] for argv in argvs]
 
     @pytest.mark.skipif(shutil.which("nfdof") is None,
                         reason="the nfdof executable is not on PATH")
@@ -124,6 +144,15 @@ class TestExitCodes:
         }
         cfg_path = write_config(tmp_path / "hard.json", cfg)
         assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+
+    def test_linalg_error_is_3_without_traceback(self, tmp_path, monkeypatch, capsys):
+        def diverged(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("nfdof.experiments.toeplitz_spectrum", diverged)
+        cfg_path = write_config(tmp_path / "cfg.json", spectrum_config())
+        assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "error: numerical failure: SVD did not converge\n"
 
     @pytest.mark.parametrize("message", [
         "Unable to allocate 149. GiB for an array with shape (100000, 100000) and data "
@@ -376,6 +405,10 @@ BAD_CONFIGS = {
     "negative seed": small_config("link-sim", seed=-1),
     "NaN snr_db": with_leaf(small_config("edof3-vs-snr"), ("metrics", "snr_db"),
                             [0.0, float("nan")]),
+    "log grid from 0 dB": with_leaf(small_config("edof3-vs-snr"), ("metrics", "snr_db", "spacing"),
+                                    "log"),
+    "grid spacing unknown": with_leaf(small_config("edof3-vs-snr"),
+                                      ("metrics", "snr_db", "spacing"), "cubic"),
     "normalize string": small_config("edof3-vs-snr", normalize="no"),
     "duplicate distances": with_leaf(small_config("spectrum"), ("geometry", "distances_m"),
                                      [15.0, 15.0]),

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from nfdof.experiments import EXPERIMENTS, validate_config
+from nfdof.spec import PARSERS
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -30,3 +31,5 @@ def test_all_experiment_kinds_covered():
     kinds = {json.loads(p.read_text())["experiment"]
              for p in CONFIG_DIR.glob("*.json")}
     assert kinds == EXPERIMENTS.keys()
+    # every experiment the parse accepts has a runner
+    assert list(PARSERS) == list(EXPERIMENTS)

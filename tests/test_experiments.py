@@ -4,13 +4,15 @@ import math
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import nfdof.experiments
 import nfdof.modes
+import nfdof.spec
 from nfdof.errors import ConfigError
 from nfdof.experiments import (ResultTable, _summary_text, config_hash, emit_plot_data,
                                run_experiment, validate_config)
@@ -92,6 +94,69 @@ class TestValidation:
         with pytest.raises(ConfigError):
             run_experiment(spectrum_config(extra=1), out_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+
+# experiment: (where its grid sits, the range rule of the grid's values, a config)
+GRID_CONFIGS = {
+    "cap-edof-vs-distance": (
+        ("geometry", "distances_m"), nfdof.spec._LENGTH,
+        {"experiment": "cap-edof-vs-distance", "carrier": {"wavelength_m": 0.01},
+         "geometry": {"apertures_m": [1.0]}}),
+    "edof3-vs-snr": (
+        ("metrics", "snr_db"), nfdof.spec._SNR_DB_LIMIT,
+        {"experiment": "edof3-vs-snr", "carrier": {"wavelength_m": 0.01},
+         "geometry": {"aperture_m": 1.0, "n_elements": 4, "distances_m": [15.0]},
+         "metrics": {}}),
+}
+
+
+@st.composite
+def accepted_grids(draw):
+    """An experiment and a {start, stop, count, spacing} grid that
+    validate_config accepts in its config."""
+    kind = draw(st.sampled_from(sorted(GRID_CONFIGS)))
+    rule = GRID_CONFIGS[kind][1]
+    spacing = draw(st.sampled_from(["log", "linear"]))
+    # log spacing needs positive endpoints
+    low = max(5e-324, rule["minimum"]) if spacing == "log" else rule["minimum"]
+    values = st.floats(min_value=low, max_value=rule["maximum"])
+    return kind, {"start": draw(values), "stop": draw(values),
+                  "count": draw(st.integers(2, 3000)), "spacing": spacing}
+
+
+class TestGridExpansion:
+    @settings(max_examples=200, deadline=None)
+    @given(case=accepted_grids())
+    # np.geomspace gives 3000.000000000001 in the middle, past the SNR limit
+    @example(case=("edof3-vs-snr", {"start": 3000.0, "stop": 3000.0, "count": 3,
+                                    "spacing": "log"}))
+    def test_runner_reads_numpy_grid_bit_for_bit(self, case):
+        kind, grid = case
+        (section, key), rule, base = GRID_CONFIGS[kind]
+        cfg = json.loads(json.dumps(base))
+        cfg[section][key] = grid
+        spec = validate_config(cfg)
+        seen = []
+
+        def record(spec, prov, threads):
+            seen.append(spec)
+            return [], {}
+
+        with mock.patch.dict(nfdof.experiments.EXPERIMENTS, {kind: record}):
+            with tempfile.TemporaryDirectory() as out:
+                run_experiment(cfg, out_dir=out)
+        field = "distances" if kind == "cap-edof-vs-distance" else "snr_db"
+        assert isinstance(getattr(spec, field), nfdof.spec.Grid)
+        space = np.geomspace if grid["spacing"] == "log" else np.linspace
+        # numpy's values, but one rounded past an endpoint reads that endpoint
+        lo, hi = sorted((grid["start"], grid["stop"]))
+        want = tuple(lo if x < lo else hi if x > hi else float(x)
+                     for x in space(grid["start"], grid["stop"], grid["count"]))
+        got = getattr(seen[0], field)
+        assert type(got) is tuple and list(map(float.hex, got)) == list(map(float.hex, want))
+        # validate checks only the endpoints: every value between them obeys their rule
+        for i, value in enumerate(got):
+            nfdof.spec._number(value, f"value {i}", **rule)
 
 
 class TestSpectrumExperiment:
@@ -423,7 +488,7 @@ class TestRender:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_cell_fails_the_run_without_file(self, value, tmp_path, monkeypatch):
-        parse, run = nfdof.experiments.EXPERIMENTS["spectrum"]
+        run = nfdof.experiments.EXPERIMENTS["spectrum"]
 
         def poisoned(spec, prov, threads):
             tables, extra = run(spec, prov, threads)
@@ -431,7 +496,7 @@ class TestRender:
             rows[-1][-1] = value
             return tables[:-1] + [dataclasses.replace(tables[-1], rows=rows)], extra
 
-        monkeypatch.setitem(nfdof.experiments.EXPERIMENTS, "spectrum", (parse, poisoned))
+        monkeypatch.setitem(nfdof.experiments.EXPERIMENTS, "spectrum", poisoned)
         cfg = spectrum_config()
         cfg["geometry"]["distances_m"] = [15.0, 50.0]
         with pytest.raises(FloatingPointError, match="non-finite"):

@@ -1,6 +1,28 @@
+import importlib
+
+import pytest
+
 import nfdof
 
 
 def test_every_exported_name_resolves():
     assert [name for name in nfdof.__all__ if not hasattr(nfdof, name)] == []
     assert len(set(nfdof.__all__)) == len(nfdof.__all__)
+
+
+def test_exports_are_the_defining_modules_objects():
+    for name, module in nfdof._MODULE_OF.items():
+        assert getattr(nfdof, name) is getattr(importlib.import_module(f"nfdof.{module}"), name)
+    assert nfdof.__all__ == ["__version__", *nfdof._MODULE_OF]
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from nfdof import *", namespace)
+    assert all(namespace[name] is getattr(nfdof, name) for name in nfdof.__all__)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        nfdof.no_such_name
+    assert not hasattr(nfdof, "ExperimentSpec")
