@@ -59,11 +59,11 @@ class ResultTable:
         float, computed once: the summary JSON and the CSV are both joined
         from it.  NaN and infinity raise FloatingPointError, so no output
         file holds one."""
-        cells = [[repr(float(x)) for x in row] for row in self.rows]
+        cells = [list(map(repr, map(float, row))) for row in self.rows]
         for row in cells:
-            for text in row:
-                if text in _NON_FINITE:
-                    raise FloatingPointError(f"cannot write the non-finite value {text}")
+            if not _NON_FINITE.isdisjoint(row):
+                text = next(t for t in row if t in _NON_FINITE)
+                raise FloatingPointError(f"cannot write the non-finite value {text}")
         return cells
 
 
@@ -85,29 +85,24 @@ def _provenance(cfg: dict, spec: ExperimentSpec) -> dict:
     }
 
 
-def _fmt(text: str) -> str:
-    """The CSV form of a cell's ``float.__repr__`` text: an integral value
-    below 1e16, which repr writes with a trailing .0, loses it (-0.0 reads
-    0), and every cell round-trips bit-exactly through float()."""
-    if text.endswith(".0"):
-        return "0" if text == "-0.0" else text[:-2]
-    return text
-
-
 def emit_plot_data(table: ResultTable, out_dir) -> Path:
     """Write one table as ``<name>.csv`` under ``out_dir``: '#'-prefixed
-    provenance lines, a header row, '.' decimals, '\\n' line endings.  Empty
-    tables are rejected before any file is created.
+    provenance lines, a header row, '.' decimals, '\\n' line endings, and
+    each cell's ``float.__repr__`` text less an integral value's .0 (-0.0
+    reads 0), which round-trips bit-exactly through float().  Empty tables
+    are rejected before any file is created.
     """
     if not table.rows:
         raise ValueError(f"table {table.name!r} has no rows; nothing to write")
     lines = [f"# {k}={table.provenance[k]}" for k in sorted(table.provenance)]
     lines.append(",".join(table.columns))
-    lines += [",".join(map(_fmt, row)) for row in table.cells]
+    # in repr text, '.0' ends a cell only when integral, and '-0' only as -0.0
+    body = ("\n".join(map(",".join, table.cells)) + "\n").replace(".0,", ",")
+    body = body.replace(".0\n", "\n").replace("-0,", "0,").replace("-0\n", "0\n")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{table.name}.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n" + body)
     return path
 
 
@@ -117,13 +112,17 @@ def _dumps(value, depth: int) -> str:
     return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + "  " * depth)
 
 
+def _layout(open_: str, close: str, depth: int) -> tuple:
+    """What json.dumps(indent=2) puts around and between the items of a container."""
+    pad = "\n" + "  " * (depth + 1)
+    return open_ + pad, "," + pad, "\n" + "  " * depth + close
+
+
 def _joined(open_: str, items: list, close: str, depth: int) -> str:
     """The rendered ``items`` between ``open_`` and ``close``, laid out as
     ``json.dumps(..., indent=2)`` lays out a container ``depth`` levels deep."""
-    if not items:
-        return open_ + close
-    pad = "\n" + "  " * (depth + 1)
-    return open_ + pad + ("," + pad).join(items) + "\n" + "  " * depth + close
+    head, sep, tail = _layout(open_, close, depth)
+    return head + sep.join(items) + tail if items else open_ + close
 
 
 def _summary_text(summary: dict) -> str:
@@ -132,8 +131,10 @@ def _summary_text(summary: dict) -> str:
     ``{"name", "columns", "rows"}`` objects whose rows hold each cell as a
     float: the rows are joined from :attr:`ResultTable.cells`, and every
     other value goes through json.dumps."""
+    head, sep, tail = _layout("[", "]", 4)  # a row, in "rows" of a table in "tables"
+
     def table(t):
-        rows = [_joined("[", row, "]", 4) for row in t.cells]
+        rows = [head + sep.join(row) + tail for row in t.cells]
         return _joined("{", [f'"name": {json.dumps(t.name)}',
                              f'"columns": {_dumps(t.columns, 3)}',
                              f'"rows": {_joined("[", rows, "]", 3)}'], "}", 2)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -135,46 +136,58 @@ _FINDER_STOP = 1e-13
 rank tolerance every metric clips at."""
 
 
-def _leading_values(product, adjoint, n: int, k: int) -> np.ndarray | None:
+def _leading_values(sketch, adjoint, n: int, k: int) -> np.ndarray | None:
     """The leading singular values of an n x n operator H down to the first
-    one below :data:`_FINDER_STOP` * n * sigma_1, from its products
-    ``product(x)`` = H x and ``adjoint(y)`` = H^H y on (n, k) blocks, by a
-    randomized range finder with no power iteration (Halko, Martinsson &
-    Tropp, SIAM Rev. 53(2), 2011, Algorithm 4.1): Q from the QR of H times k
-    Gaussian probes, then the SVD of H^H Q.  The spectra it serves fall by
-    orders of magnitude per index past their knee, so one product captures
-    the range (ibid., sections 4.5 and 10.2).  k, below n / 2 on entry,
-    doubles until the smallest value passes the stop; None once 2k reaches
-    n."""
-    rng = np.random.default_rng(0)  # the same probes on every call
+    one below :data:`_FINDER_STOP` * n * sigma_1, from ``sketch(k)`` = H
+    times k Gaussian probes, drawn afresh at each k, and ``adjoint(y)`` =
+    H^H y on (n, k) blocks, by a randomized range finder with no power
+    iteration (Halko, Martinsson & Tropp, SIAM Rev. 53(2), 2011, Alg. 4.1):
+    Q from the QR of the sketch, then the SVD of H^H Q.  The spectra it serves
+    fall by orders of magnitude per index past their knee, so one product
+    captures the range (ibid., sections 4.5 and 10.2).  k, with 6 k <= n on
+    entry, doubles until the smallest value passes the stop; None once 6 k >
+    n, where the dense solve is faster."""
     while True:
-        omega = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-        q = np.linalg.qr(product(omega))[0]
+        q = np.linalg.qr(sketch(k))[0]
         s = np.linalg.svd(adjoint(q), compute_uv=False)
         if s[-1] < _FINDER_STOP * n * s[0]:
             return s
         k *= 2
-        if 2 * k >= n:
+        if 6 * k > n:
             return None
 
 
-def _toeplitz_products(column: np.ndarray):
-    """H x and H^H y for the symmetric Toeplitz H_ij = column[|i - j|] of
-    size n, by its embedding in the circulant of size 2n whose first column
-    is c = [column, 0, column[:0:-1]]: H x is the top n rows of
-    ifft(fft(c) * fft(x, 2n)), and H^T = H gives H^H y = conj(H conj(y))."""
-    n = column.size
-    eig = np.fft.fft(np.concatenate([column, [0.0], column[:0:-1]]))[:, None]
+@lru_cache(maxsize=1)
+def _probe_transform(n: int, k: int) -> np.ndarray:
+    """The read-only FFT of k complex Gaussian probes of length n, the same
+    on every call, as the rows of a (k, 2n) block zero-padded to 2n: 32 n k
+    bytes.  The sketch keeps the latest where 2^15 <= n k <= 2^18 (1 to 8
+    MiB): kept smaller ones raised the shipped configs' peak memory by more
+    than their size, and larger ones would hold too much for good."""
+    rng = np.random.default_rng(0)
+    f = np.fft.fft((rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))).T, 2 * n)
+    f.setflags(write=False)
+    return f
 
-    def product(x):
-        f = np.fft.fft(x, 2 * n, axis=0)
-        f *= eig
-        return np.fft.ifft(f, axis=0)[:n]
+
+def _toeplitz_products(column: np.ndarray):
+    """``sketch(k)`` = H times the k probes of :func:`_probe_transform` and
+    ``adjoint(y)`` = H^H y, as (n, k) transposed views, for the symmetric
+    Toeplitz H_ij = column[|i - j|] of size n, embedded in the circulant of
+    size 2n with first column c = [column, 0, column[:0:-1]]: H x is the top
+    n entries of ifft(fft(c) * fft(x, 2n)), run along the contiguous rows of
+    the (k, 2n) transpose, and H^T = H gives H^H y = conj(H conj(y))."""
+    n = column.size
+    eig = np.fft.fft(np.concatenate([column, [0.0], column[:0:-1]]))
+
+    def sketch(k):
+        probes = _probe_transform if 1 << 15 <= n * k <= 1 << 18 else _probe_transform.__wrapped__
+        return np.fft.ifft(probes(n, k) * eig)[:, :n].T
 
     def adjoint(y):
-        return product(y.conj()).conj()
+        return np.fft.ifft(np.fft.fft(np.conj(y.T, order="C"), 2 * n) * eig)[:, :n].conj().T
 
-    return product, adjoint
+    return sketch, adjoint
 
 
 def _half_phase_excursion(column: np.ndarray) -> float:
@@ -189,12 +202,13 @@ def toeplitz_spectrum(column) -> SingularSpectrum:
     H_ij = column[|i - j|].
 
     With k = max(32, ceil(:func:`_half_phase_excursion`)) and 6 k <= n,
-    near which the dense solve stops being faster, :func:`_leading_values` runs on
-    FFT products with H in O(n k) memory; its doubling covers a low
-    estimate, and the values it leaves out are round-off by the rank
-    tolerance of every metric and read 0.0.  Otherwise, or when the finder
-    reaches n / 2, :func:`decompose` solves H gathered from the column as a
-    read-only view, which is exactly centrosymmetric, by its parity blocks.
+    near which the dense solve stops being faster, :func:`_leading_values`
+    runs on FFT products with H along the rows of (k, 2n) blocks in O(n k)
+    memory, the probes' transform kept for the latest (n, k); its doubling
+    covers a low estimate, and the values it leaves out are round-off by the
+    rank tolerance of every metric and read 0.0.  Otherwise, or once a
+    doubling passes 6 k > n, :func:`decompose` solves H gathered from the
+    column as a read-only view, exactly centrosymmetric, by its parity blocks.
     """
     column = np.asarray(column, dtype=complex)
     if column.ndim != 1 or column.size < 2:

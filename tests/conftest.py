@@ -27,6 +27,15 @@ APERTURE = 1.37
 Z_AXIS = (0.0, 0.0, 1.0)
 
 
+def csv_fmt(text: str) -> str:
+    """The CSV form of a cell's ``float.__repr__`` text, one cell at a
+    time: an integral value below 1e16, which repr writes with a trailing
+    .0, loses it (-0.0 reads 0)."""
+    if text.endswith(".0"):
+        return "0" if text == "-0.0" else text[:-2]
+    return text
+
+
 def ula_pair(n, d, aperture=APERTURE):
     tx = build_ula(n, aperture, center=(0.0, 0.0, 0.0), axis=Z_AXIS)
     rx = build_ula(n, aperture, center=(0.0, d, 0.0), axis=Z_AXIS)

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import nfdof.experiments
 import nfdof.modes
 import nfdof.spec
+from conftest import csv_fmt
 from nfdof.errors import ConfigError
 from nfdof.experiments import (ResultTable, _summary_text, config_hash, emit_plot_data,
                                run_experiment, validate_config)
@@ -204,6 +205,25 @@ class TestSpectrumExperiment:
         # the values the finder leaves out are written as 0.0, one row per element
         assert [r[0] for r in rows] == list(range(1, 1025))
         assert rows[-1][1:] == [0.0, 0.0] and rows[25][1] > 0.0
+
+    def test_cold_and_warm_probe_tables_give_the_same_bytes(self, tmp_path):
+        # k = 32 at both sizes: the table keeps n = 1024's transform, which
+        # the threads of a cold run compute concurrently, and n = 512's is
+        # drawn afresh on every call
+        cfg = spectrum_config(geometry={"aperture_m": 1.37, "n_elements": [512, 1024],
+                                        "distances_m": [15.0, 150.0]})
+        runs = (("cold_t1", 1), ("warm_t1", 1), ("cold_t4", 4), ("warm_t4", 4))
+        for label, threads in runs:
+            if label.startswith("cold"):
+                nfdof.modes._probe_transform.cache_clear()
+            run_experiment(cfg, out_dir=tmp_path / label, threads=threads)
+        names = sorted(p.name for p in (tmp_path / "cold_t1").iterdir())
+        assert len(names) == 5
+        for label, _ in runs:
+            assert sorted(p.name for p in (tmp_path / label).iterdir()) == names
+            for name in names:
+                assert (tmp_path / label / name).read_bytes() == \
+                    (tmp_path / "cold_t1" / name).read_bytes()
 
     def test_small_blocks_go_straight_to_the_svd(self, tmp_path, monkeypatch):
         # 64 elements at 50 m: the estimate is 6.5, but 10 * 32 probes do
@@ -442,9 +462,36 @@ def result_tables(draw):
                        provenance={"config_hash": "abc"})
 
 
+PROVENANCE = {"config_hash": "abc", "version": "0.1.0", "cells": "-0.0,1.0\n-0"}
+SIGNED_ZEROS = ResultTable(name="zeros", columns=["a", "b", "c"],
+                           rows=[[-0.0, -0.0, -0.0], [-0.0, 1.0, -3.0], [2.5, -0.0, 0.0]],
+                           provenance=PROVENANCE)
+ONE_COLUMN = ResultTable(name="one", columns=["a"],
+                         rows=[[-0.0], [9.999999999999998e15], [1e16], [5e-324],
+                               [2.2250738585072e-308], [-7.0], [-10.0], [-0.0]],
+                         provenance=PROVENANCE)
+
+
 class TestRender:
     """The summary and CSV text joined from each table's cells, against
     ``json.dumps`` of the whole summary and the per-number CSV format."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 4).flatmap(lambda width: st.lists(
+        st.lists(st.one_of(st.sampled_from(EDGE_FLOATS + [2.2250738585072e-308, -1.0, -16.0]),
+                           st.floats(allow_nan=False, allow_infinity=False),
+                           st.integers(-2**60, 2**60).map(float)),
+                 min_size=width, max_size=width), min_size=1, max_size=6)))
+    @example(rows=SIGNED_ZEROS.rows)
+    @example(rows=ONE_COLUMN.rows)
+    def test_csv_body_is_the_per_cell_format(self, rows):
+        table = ResultTable(name="t", columns=[f"c{j}" for j in range(len(rows[0]))],
+                            rows=rows, provenance=PROVENANCE)
+        with tempfile.TemporaryDirectory() as out:
+            text = emit_plot_data(table, out).read_text()
+        head = [f"# {k}={PROVENANCE[k]}" for k in sorted(PROVENANCE)] + [",".join(table.columns)]
+        body = "".join(",".join(csv_fmt(repr(float(x))) for x in row) + "\n" for row in rows)
+        assert text == "\n".join(head) + "\n" + body
 
     @settings(max_examples=200, deadline=None)
     @given(tables=st.lists(result_tables(), max_size=3), config=st.dictionaries(TEXT, JSON),
@@ -452,6 +499,8 @@ class TestRender:
            extra=st.dictionaries(TEXT.filter(lambda k: k not in {
                "experiment", "provenance", "config_echo", "tables", "metric_reports"}),
                JSON, max_size=2))
+    @example(tables=[dataclasses.replace(t, provenance={"config_hash": "abc"})
+                     for t in (SIGNED_ZEROS, ONE_COLUMN)], config={}, reports={}, extra={})
     def test_text_equals_json_dumps_and_csv_cells(self, tables, config, reports, extra):
         head = {"experiment": "spectrum", "provenance": {"seed": 0, "version": "0.1.0"},
                 "config_echo": config}

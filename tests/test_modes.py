@@ -14,7 +14,8 @@ from nfdof.geometry import build_ula
 from nfdof.kernel import _path_spread
 from nfdof.metrics import dof, edof1, edof2
 from nfdof.modes import (ModeDecomposition, SingularSpectrum, _half_phase_excursion,
-                         _leading_values, decompose, parity_blocks, toeplitz_spectrum)
+                         _leading_values, _probe_transform, _toeplitz_products, decompose,
+                         parity_blocks, toeplitz_spectrum)
 
 
 def svd_values(m):
@@ -181,15 +182,22 @@ def ranked_matrix(seed, n, rank, tail, centro):
     return (m + m[::-1, ::-1]) / 2 if centro else m
 
 
+def probes(n, k):
+    """k complex Gaussian probes of length n from ``default_rng(0)``, as the
+    finder draws them."""
+    rng = np.random.default_rng(0)
+    return rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+
+
 def finder_values(m, estimate):
     """The range finder on the dense square ``m`` through its matrix
     products, from k = max(32, ceil(estimate)) probes, padded with 0.0 to
-    the size of ``m``; every value by SVD where it does not run or reaches
-    half the size."""
+    the size of ``m``; every value by SVD where 6 k > n, as in
+    ``toeplitz_spectrum``, or a doubling passes it."""
     n = m.shape[0]
     k = max(32, math.ceil(estimate))
-    found = (_leading_values(lambda x: m @ x, lambda y: m.conj().T @ y, n, k)
-             if 2 * k < n else None)
+    found = (_leading_values(lambda k: m @ probes(n, k), lambda y: m.conj().T @ y, n, k)
+             if 6 * k <= n else None)
     if found is None:
         return svd_values(m)
     values = np.zeros(n)
@@ -215,15 +223,16 @@ class TestRankRevealing:
     value."""
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(130, 260), seed=st.integers(0, 2**32 - 4),
+    @given(n=st.integers(192, 320), seed=st.integers(0, 2**32 - 4),
            rank=st.integers(1, 60), tail=st.sampled_from([1e-6, 1e-4, 0.5, 0.9, 1.1, 2.0]),
-           centro=st.booleans(), estimate=st.sampled_from([1.0, 10.0, 32.0, "n/4"]))
+           centro=st.booleans(), estimate=st.sampled_from([1.0, 10.0, 32.0, "n/6"]))
     @example(n=200, seed=0, rank=50, tail=1e-6, centro=False, estimate=1.0)
     @example(n=201, seed=0, rank=40, tail=1e-6, centro=True, estimate=1.0)
     def test_same_metrics_as_the_full_solve(self, n, seed, rank, tail, centro, estimate):
         m = ranked_matrix(seed, n, rank, tail, centro)
         full = SingularSpectrum(parity_split_values(m), shape=m.shape)
-        estimate = n / 4 if estimate == "n/4" else estimate
+        # from n = 192 every draw enters the finder; n // 6 is the widest k it lets in
+        estimate = n // 6 if estimate == "n/6" else estimate
         fast = SingularSpectrum(finder_values(m, estimate), shape=m.shape)
         assert fast.values.shape == (n,)
         assert dof(fast) == dof(full)
@@ -264,13 +273,79 @@ class TestRankRevealing:
         products = nfdof.modes._toeplitz_products
 
         def counting(column):
-            product, adjoint = products(column)
-            return (lambda x: calls.append(("product", x.shape[1])) or product(x),
+            sketch, adjoint = products(column)
+            return (lambda k: calls.append(("product", k)) or sketch(k),
                     lambda y: calls.append(("adjoint", y.shape[1])) or adjoint(y))
 
         monkeypatch.setattr(nfdof.modes, "_toeplitz_products", counting)
         toeplitz_spectrum(facing_ula_column("nusw", 1024, aperture, d, WAVELENGTH))
         assert calls == [(kind, k) for k in widths for kind in ("product", "adjoint")]
+
+    def test_a_doubling_past_six_times_its_probes_takes_the_dense_solve(self, monkeypatch):
+        # 256 elements of 0.5 m at 1 m: the estimate is 37.1, so k = 38
+        # enters (6 k = 228), and its doubling to 76 goes to the dense solve
+        calls = []
+        products = nfdof.modes._toeplitz_products
+
+        def counting(column):
+            sketch, adjoint = products(column)
+            return lambda k: calls.append(k) or sketch(k), adjoint
+
+        monkeypatch.setattr(nfdof.modes, "_toeplitz_products", counting)
+        column = facing_ula_column("nusw", 256, 0.5, 1.0, WAVELENGTH)
+        values = toeplitz_spectrum(column).values
+        assert calls == [38]
+        assert np.array_equal(values, parity_split_values(gathered(column)))
+
+    @pytest.mark.parametrize("n", [7, 8, 255, 256])
+    @pytest.mark.parametrize("k", [1, 3, 32])
+    def test_row_products_match_the_gathered_matrix(self, n, k):
+        rng = np.random.default_rng(n + k)
+        for column in (facing_ula_column("nusw", n, APERTURE, 3.0, WAVELENGTH),
+                       rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            m = gathered(column)
+            sketch, adjoint = _toeplitz_products(column)
+            y = random_matrix(n * k, (n, k))
+            for fast, dense in ((sketch(k), m @ probes(n, k)), (adjoint(y), m.conj().T @ y)):
+                assert fast.shape == (n, k)
+                np.testing.assert_allclose(fast, dense, rtol=1e-12,
+                                           atol=1e-12 * np.max(np.abs(dense)))
+
+    def test_probe_transform_is_read_only_and_reused(self):
+        column = facing_ula_column("nusw", 1024, APERTURE, 15.0, WAVELENGTH)
+        _probe_transform.cache_clear()
+        toeplitz_spectrum(column)
+        table = _probe_transform(1024, 32)
+        assert not table.flags.writeable
+        assert np.array_equal(table, np.fft.fft(probes(1024, 32).T, 2048))
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+        toeplitz_spectrum(column)
+        assert _probe_transform.cache_info()[:2] == (2, 1)  # hits, misses
+        assert _probe_transform(1024, 32) is table
+        # only the latest transform is kept
+        _toeplitz_products(np.ones(2048, dtype=complex))[0](32)
+        assert _probe_transform.cache_info().currsize == 1
+        assert _probe_transform(1024, 32) is not table
+
+    @pytest.mark.parametrize("n, k, kept", [(256, 32, False), (512, 63, False),
+                                            (512, 64, True), (8192, 32, True),
+                                            (8192, 33, False), (16384, 32, False)])
+    def test_only_one_transform_of_1_to_8_mib_is_kept(self, n, k, kept):
+        sketch = _toeplitz_products(np.ones(n, dtype=complex))[0]
+        _probe_transform.cache_clear()
+        sketch(k)
+        assert _probe_transform.cache_info().currsize == kept
+        sketch(k)
+        assert _probe_transform.cache_info().hits == kept
+        _probe_transform.cache_clear()
+
+    def test_cold_and_warm_tables_give_the_same_bytes(self):
+        column = facing_ula_column("nusw", 1024, APERTURE, 50.0, WAVELENGTH)
+        _probe_transform.cache_clear()
+        cold = toeplitz_spectrum(column).values.tobytes()
+        assert _probe_transform.cache_info().currsize == 1
+        assert toeplitz_spectrum(column).values.tobytes() == cold
 
     def test_values_left_out_read_zero(self):
         column = facing_ula_column("nusw", 1024, APERTURE, 150.0, WAVELENGTH)
