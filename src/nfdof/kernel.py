@@ -69,8 +69,13 @@ def gauss_legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-x[:h], x[::-1]]), np.concatenate([w[:h], w[::-1]])
 
 
-_MAP_ALPHA = 0.96
-"The alpha of the node map x -> arcsin(alpha x) / arcsin(alpha)."
+def _map_alpha(m: int) -> float:
+    """The alpha of the map x -> arcsin(alpha x) / arcsin(alpha) for ``m``
+    nodes, 2 rho / (rho**2 + 1) with rho = (4/3)**(64/m): the map's error
+    rho**(-2 m) is (3/4)**128 = 1e-16 at every m, and alpha(64) = 0.96."""
+    rho = (4.0 / 3.0) ** (LADDER_FLOOR / m)
+    return 2.0 * rho / (rho * rho + 1.0)
+
 
 _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _RULES_LOCK = threading.Lock()
@@ -80,17 +85,21 @@ def gauss_legendre_segment(start, end, m: int):
     """Gauss-Legendre nodes (m, 3) and weights (m,) on a 3D segment, spread by
     the Kosloff-Tal-Ezer map x -> arcsin(alpha x) / arcsin(alpha) (J. Comput.
     Phys. 104(2), 1993), each weight times the map's derivative
-    alpha / (arcsin(alpha) sqrt(1 - (alpha x)**2)): the middle of the segment
-    gets a uniform node density, not 2/pi of it.  The map is odd and the upper
-    half of the nodes is mirrored, so they stay exact mirror images.  The
-    weights carry the physical length measure in meters.  The mapped [-1, 1]
-    rule is computed once per node count for the whole process and kept
-    read-only; lookups are safe from several threads."""
+    alpha / (arcsin(alpha) sqrt(1 - (alpha x)**2)), alpha chosen from the
+    node count as Hale & Trefethen do (SIAM J. Numer. Anal. 46(2), 2008;
+    :func:`_map_alpha`): 0.96 at 64 nodes, 0.9987 at 362, 0.2 at 8, where
+    the rule is nearly plain Gauss-Legendre.  Larger rules give the middle
+    of the segment a nearly uniform node density, not 2/pi of it.  The
+    map is odd and the upper half of the nodes is mirrored, so they stay exact
+    mirror images.  The weights carry the physical length measure in meters.
+    The mapped [-1, 1] rule is computed once per node count for the whole
+    process and kept read-only; lookups are safe from several threads."""
     with _RULES_LOCK:
         if m not in _RULES:
             x, w = gauss_legendre_rule(m)
-            ax, scale = _MAP_ALPHA * x, math.asin(_MAP_ALPHA)
-            w = w * (_MAP_ALPHA / scale) / np.sqrt((1.0 - ax) * (1.0 + ax))
+            alpha = _map_alpha(m)
+            ax, scale = alpha * x, math.asin(alpha)
+            w = w * (alpha / scale) / np.sqrt((1.0 - ax) * (1.0 + ax))
             upper = np.arcsin(ax[m // 2:]) / scale
             x = np.concatenate([-upper[::-1][:m // 2], upper])
             x.setflags(write=False)
@@ -202,23 +211,24 @@ _N_TRACK = 20
 "Number of leading eigenvalues the ladder compares between rungs."
 
 
-_START = 0.76
-"Fraction of the quadrature cliff at or above which the ladder starts."
+_START = 0.70
+"""Fraction of the quadrature cliff at or above which the ladder starts: 3 %
+under the lowest first agreeing rung, 0.722, of ``tools/ladder_sweep.py``."""
 
 
 def _rung(k: int) -> int:
-    """Node count of rung ``k`` on the 2**(1/4) grid from :data:`LADDER_FLOOR`;
-    every fourth rung is ``LADDER_FLOOR * 2**j`` exactly."""
-    return round(LADDER_FLOOR * 2 ** (k / 4))
+    """Node count of rung ``k`` on the 2**(1/8) grid from :data:`LADDER_FLOOR`;
+    every eighth rung is ``LADDER_FLOOR * 2**j`` exactly."""
+    return round(LADDER_FLOOR * 2 ** (k / 8))
 
 
 def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float,
                       tol: float = 1e-6, max_nodes: int = 4096) -> SingularSpectrum:
-    """Raise the quadrature node count by 2**(1/4) per rung until the top 20
+    """Raise the quadrature node count by 2**(1/8) per rung until the top 20
     eigenvalues sigma_n**2 of two successive rungs agree to ``tol`` relative
     to the largest.
 
-    The rungs are ``round(64 * 2**(k/4))`` (64, 76, 91, 108, 128, ...).
+    The rungs are ``round(64 * 2**(k/8))`` (64, 70, 76, 83, 91, 99, 108, ...).
     Convergence of the mapped Gauss-Legendre rules is a cliff just below
     pi * (path spread) / wavelength nodes (:func:`_path_spread`), so the
     ladder starts at the smallest rung at or above :data:`_START` times that

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import sys
 import threading
 from collections import Counter
@@ -14,8 +15,8 @@ import nfdof.kernel
 import nfdof.modes
 from conftest import (WAVELENGTH, cap_converged, cap_eigenvalues_direct, direct_response,
                       facing_sum_rule, mapped_rule, mirror_verdicts, parity_split_values,
-                      prolate_eigenvalues, sampled_kernel, segment_pair, sqrt2_ladder,
-                      tilted_pair)
+                      prolate_eigenvalues, quarter_ladder, sampled_kernel, segment_pair,
+                      sqrt2_ladder, tilted_pair)
 from nfdof.errors import ConvergenceError, SingularGeometryError
 from nfdof.experiments import run_experiment
 from nfdof.geometry import continuous_aperture, rayleigh_distance
@@ -302,14 +303,21 @@ class TestConvergeSpectrum:
         assert err.value.nodes == 91
         assert err.value.last_change > 1e-18
 
-    def test_ladder_starts_below_the_cliff_and_climbs_by_a_fourth_root_of_2(self, rung_calls):
+    def test_ladder_starts_below_the_cliff_and_climbs_by_an_eighth_root_of_2(self, rung_calls):
         # 5 m segments at 20 m: path spread sqrt(20**2 + 5**2) - 20 = 61.6
         # wavelengths, so the cliff estimate pi * 61.6 = 193 nodes, and the
-        # ladder starts at the first rung at or above 0.76 * 193 = 147
+        # ladder starts at the first rung at or above 0.70 * 193 = 135:
+        # round(64 * 2**(17/8)) = 140, then round(64 * 2**(18/8)) = 152
         tx, rx = segment_pair(20.0, 5.0)
         spec = converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6)
-        assert rung_calls == [152, 181]
-        assert spec.shape[0] == 181
+        assert rung_calls == [140, 152]
+        assert spec.shape[0] == 152
+
+    def test_grid_holds_every_rung_of_the_fourth_root_grid(self):
+        rungs = [nfdof.kernel._rung(k) for k in range(120)]
+        assert {round(64 * 2 ** (k / 4)) for k in range(60)} <= set(rungs)
+        assert rungs[:8] == [64, 70, 76, 83, 91, 99, 108, 117]
+        assert rungs[::8] == [64 * 2 ** j for j in range(15)]
 
     @pytest.mark.parametrize("cap", [65, 100, 1000])
     def test_rungs_never_exceed_max_nodes(self, cap, rung_calls):
@@ -326,11 +334,11 @@ class TestConvergeSpectrum:
         assert rung_calls == []
 
     @pytest.mark.parametrize("d, aperture, cap, first", [
-        (8.0, 5.0, 4096, 362),    # cliff pi * 143 = 450 nodes, 0.76 of it 342
-        (8.0, 5.0, 600, 256),     # capped at max_nodes / 2
+        (8.0, 5.0, 4096, 332),    # cliff pi * 143 = 450 nodes, 0.70 of it 315: 304, 332
+        (8.0, 5.0, 600, 279),     # the last rung at or below max_nodes / 2 = 300
         (8.0, 5.0, 100, 64),      # max_nodes / 2 below the floor of 64
         (150.0, 0.5, 4096, 64),   # cliff at 0.3 nodes
-        (20.0, 5.0, 4096, 152),   # 0.76 * 193 = 147: rungs 64, 76, 91, 108, 128, 152
+        (20.0, 5.0, 4096, 140),   # 0.70 * 193 = 135: rungs 64, 70, 76, ..., 128, 140
     ])
     def test_infinite_tol_returns_the_start_rung(self, d, aperture, cap, first, rung_calls):
         # the first rung a finite-tol ladder builds, whether or not it
@@ -340,12 +348,12 @@ class TestConvergeSpectrum:
             converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6, max_nodes=cap)
         assert rung_calls[0] == first
 
-    # every final rung here is at most 304 nodes, and every start is above
+    # every final rung here is at most 256 nodes, and every start is above
     # the floor of 64
     @pytest.mark.parametrize("aperture, d", [(5.0, 20.0), (5.0, 30.0), (5.0, 12.0),
                                              (1.37, 2.0), (1.37, 3.0), (2.0, 4.0), (2.0, 6.0)])
     def test_starting_one_rung_lower_changes_no_result(self, aperture, d, rung_calls):
-        # the rung one 2**(1/4) step below the start, the largest below 0.76
+        # the rung one 2**(1/8) step below the start, the largest below 0.70
         # times the cliff, never agrees with the start, so a climb from it
         # ends at the same rung with the same values
         tol = 1e-6
@@ -382,7 +390,7 @@ class TestConvergeSpectrum:
         converge_spectrum(tx, rx, WAVELENGTH, max_nodes=cap)
         m = calls[0]
         assert 64 <= m <= max(64, cap / 2)
-        assert m in {round(64 * 2 ** (k / 4)) for k in range(80)}
+        assert m in {round(64 * 2 ** (k / 8)) for k in range(160)}
 
 
 # (aperture, distance) pairs; 5 m at 3 m and 6 m need 2048-4096 nodes for
@@ -401,8 +409,8 @@ def test_converged_rung_resolves_the_whole_spectrum(aperture, d):
     assert cap_edof2(spec) == pytest.approx(cap_edof2(fine), rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("aperture, d", [(5.0, 3.0), (5.0, 8.0), (1.37, 2.0), (1.37, 15.0),
-                                         (0.5, 500.0)])
+@pytest.mark.parametrize("aperture, d", [(5.0, 1.0), (5.0, 3.0), (5.0, 8.0), (1.37, 2.0),
+                                         (1.37, 15.0), (0.5, 500.0)])
 def test_converged_spectrum_meets_the_sum_rule(aperture, d):
     # |g|**2 does not oscillate, so this tests the mapped weights, not the cliff
     values = cap_converged(d, aperture).values
@@ -420,6 +428,21 @@ def test_mapped_ladder_matches_the_sqrt2_ladder(aperture, position):
     d = near * (50.0 / near) ** position
     tx, rx = segment_pair(d, aperture)
     old, new = sqrt2_ladder(tx, rx), converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6)
+    for dominance in (0.01, 0.5):
+        assert cap_edof1(new, dominance) == cap_edof1(old, dominance)
+    assert cap_edof2(new) == pytest.approx(cap_edof2(old), rel=1e-12, abs=0)
+
+
+# 1.37-5 m apertures at 1-50 m: the quarter ladder stops at or below 1448
+# nodes, at 5 m at 1 m
+@settings(max_examples=8, deadline=None)
+@given(aperture=st.floats(1.37, 5.0), position=st.floats(0.0, 1.0))
+@example(aperture=5.0, position=0.0)
+@example(aperture=5.0, position=np.log(8.0) / np.log(50.0))
+def test_mapped_ladder_matches_the_quarter_ladder(aperture, position):
+    d = 50.0 ** position
+    tx, rx = segment_pair(d, aperture)
+    old, new = quarter_ladder(tx, rx), converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6)
     for dominance in (0.01, 0.5):
         assert cap_edof1(new, dominance) == cap_edof1(old, dominance)
     assert cap_edof2(new) == pytest.approx(cap_edof2(old), rel=1e-12, abs=0)
@@ -543,7 +566,7 @@ class TestGaussLegendreRules:
         assert rule_calls == {16: 1}
         x, w = nfdof.kernel._RULES[16]
         assert np.array_equal(nodes[:, 2], x) and np.array_equal(weights, w)
-        ref_x, ref_w = mapped_rule(16, nfdof.kernel._MAP_ALPHA)
+        ref_x, ref_w = mapped_rule(16, nfdof.kernel._map_alpha(16))
         assert np.allclose(x, ref_x, rtol=0, atol=4e-16)
         assert np.allclose(w, ref_w, rtol=4e-16, atol=0)
         for arr in (x, w):
@@ -554,15 +577,31 @@ class TestGaussLegendreRules:
     def test_segment_rule_is_the_mapped_rule_and_mirror_exact(self, m):
         nodes, w = gauss_legendre_segment((0.0, 0.0, -1.0), (0.0, 0.0, 1.0), m)
         x = nodes[:, 2]
-        ref_x, ref_w = mapped_rule(m, nfdof.kernel._MAP_ALPHA)
+        ref_x, ref_w = mapped_rule(m, nfdof.kernel._map_alpha(m))
         assert np.max(np.abs(x - ref_x)) <= 4e-16
         assert np.max(np.abs(w / ref_w - 1)) <= 4e-16 * np.sqrt(m)
         assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
         assert np.all(np.diff(x) > 0)
         # the map takes [-1, 1] onto itself, so the weights sum to 2, to
-        # within rho**(-2 m): the map's poles at +-1/alpha put rho at 1.33,
-        # which the ladder floor of 64 nodes takes below 1e-15
-        assert abs(w.sum() - 2.0) <= (1e-14 if m >= 64 else 2e-2)
+        # within rho**(-2 m), which alpha(m) holds at (3/4)**128 = 1e-16
+        assert abs(w.sum() - 2.0) <= 1e-14
+
+    @pytest.mark.parametrize("m", [8, 9, 16, 64, 65, 70, 128, 181, 256, 362, 1024, 4096])
+    def test_map_error_is_that_of_the_64_node_map_at_every_m(self, m):
+        # the poles of arcsin(alpha x) at +-1/alpha lie on the Bernstein
+        # ellipse of rho = (1 + sqrt(1 - alpha**2)) / alpha, so the map's
+        # error is rho**(-2 m); read back from alpha, which is rounded to
+        # 2**-53, rho**(2 m) is only good to about m**2 2**-52 / 9 past 256
+        alpha = nfdof.kernel._map_alpha(m)
+        rho = (1.0 + np.sqrt((1.0 - alpha) * (1.0 + alpha))) / alpha
+        bound = max(1e-12, m * m * 2.0 ** -52 / 9)
+        assert rho ** (2 * m) == pytest.approx((4 / 3) ** 128, rel=bound, abs=0)
+
+    def test_alpha_rises_with_m_below_1_from_0_96_at_the_floor(self):
+        assert abs(nfdof.kernel._map_alpha(64) - 0.96) <= math.ulp(0.96)
+        alpha = np.array([nfdof.kernel._map_alpha(m) for m in range(8, 4097)])
+        assert np.all(np.diff(alpha) > 0) and alpha[-1] < 1.0
+        assert alpha[0] == pytest.approx(0.2, abs=2e-3)
 
     @pytest.mark.parametrize("m", [8, 9, 64, 65, 512, 1024])
     def test_rule_matches_leggauss_and_is_mirror_exact(self, m):
