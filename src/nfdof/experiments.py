@@ -259,7 +259,7 @@ def _run_cap_edof_vs_distance(spec, prov, threads):
 # predicted 1e25 (N = 16 at 15 m, 2 modes at equal SNR, 4000 symbols: 2.6e-5
 # at seed 1, 7.6e-5 at worst over seeds 1-10), then round-off bends it: 2.5e-4
 # off at 1e26, 5e-4 at 9e26, 3 % at 9e28.  Low SNRs are measured well until the
-# summed error powers, about n_symbols / SNR, near the float64 maximum: outputs
+# error Gram's diagonal, about n_symbols / SNR, nears the float64 maximum: outputs
 # stay finite down to 1e-304 at 4000 symbols and 1e-302 at MAX_COUNT symbols,
 # and turn to inf or nan one decade lower.  1e-300 keeps a factor of 100 at
 # MAX_COUNT.
@@ -280,7 +280,7 @@ def _run_link_sim(spec, prov, threads):
     if not _LINK_SNR_RANGE[0] <= snr.min() <= snr.max() <= _LINK_SNR_RANGE[1]:
         raise FloatingPointError(f"predicted per-mode SNRs {snr.min():.3g} to {snr.max():.3g}"
                                  f" leave {list(_LINK_SNR_RANGE)}, the range link-sim measures")
-    config = TransmissionConfig(active_modes=k, mode_powers=powers, noise_power=1.0,
+    config = TransmissionConfig(mode_powers=powers, noise_power=1.0,
                                 n_symbols=spec.n_symbols, seed=spec.seed)
     report = run_link(h, config)
     rows = [[m + 1, float(powers[m]), float(report.predicted_mode_snr[m]),

@@ -32,14 +32,11 @@ class ArrayGeometry:
     """A transmit or receive aperture.
 
     ``kind`` is "discrete" (``elements`` holds an (n, 3) point list) or
-    "continuous" (``segment`` holds the two (3,) endpoints).  ``aperture`` is
-    the largest pairwise element distance for discrete arrays and the segment
-    length for continuous ones.  Instances are immutable; the coordinate
-    arrays are marked read-only.
+    "continuous" (``segment`` holds the two (3,) endpoints).  Instances are
+    immutable; the coordinate arrays are marked read-only.
     """
 
     kind: str
-    aperture: float
     elements: np.ndarray | None = None
     segment: np.ndarray | None = None
 
@@ -55,10 +52,9 @@ def continuous_aperture(start, end) -> ArrayGeometry:
     seg = np.asarray([start, end], dtype=float)
     if seg.shape != (2, 3):
         raise ValueError(f"endpoints must be two 3D points, got shape {seg.shape}")
-    length = float(np.linalg.norm(seg[1] - seg[0]))
-    if length == 0.0:
+    if np.linalg.norm(seg[1] - seg[0]) == 0.0:
         raise ValueError("continuous aperture endpoints must be distinct")
-    return ArrayGeometry(kind="continuous", aperture=length, segment=_readonly(seg))
+    return ArrayGeometry(kind="continuous", segment=_readonly(seg))
 
 
 def build_ula(n_elements: int, aperture: float, center=(0.0, 0.0, 0.0),
@@ -96,13 +92,11 @@ def build_ula(n_elements: int, aperture: float, center=(0.0, 0.0, 0.0),
     if not np.all(np.isfinite(pts)):
         raise ValueError("element coordinates must be finite")
     # Rounding is monotone along the axis, so elements that collapse onto one
-    # point are neighbours, and the end pair spans the array.
+    # point are neighbours.
     steps = pts[1:] - pts[:-1]
     if np.any(np.sqrt(np.sum(steps * steps, axis=-1)) == 0.0):
         raise ValueError("discrete array elements must be pairwise distinct")
-    end = pts[-1] - pts[0]
-    return ArrayGeometry(kind="discrete", aperture=float(np.sqrt(np.sum(end * end))),
-                         elements=_readonly(pts))
+    return ArrayGeometry(kind="discrete", elements=_readonly(pts))
 
 
 def rayleigh_distance(aperture: float, wavelength: float) -> float:

@@ -7,14 +7,15 @@ p_k * sigma_k**2 / N0 with zero cross-mode leakage.
 
 Monte-Carlo runs use unit-power QPSK and one seed per run; symbol chunks draw
 from independently spawned child generators keyed by chunk index, so the
-aggregate statistics do not depend on execution order.  A run works in the
-mode domain: only U_K^H (H x + n) reaches the estimates, so no chunk forms
-the N_r x n receive block.  With W = U_K^H / (sqrt(p) sigma), the symbols go
-through the K x K matrix W H V_K diag(sqrt(p)), and each of the two real
-noise fills of shape (N_r, n) is projected by one real GEMM with
-sqrt(N0/2) [Re W; Im W].  The draws are those of precoding each chunk,
-sending it through H and combining: only the association of the products
-differs, a round-off change.
+aggregate statistics do not depend on execution order.  Every measured
+output is read from one K x K matrix, the error Gram G = sum_t e_t e_t^H of
+the estimate errors: the per-mode MSE is Re diag G / n, the measured SNR
+its inverse (QPSK has unit power) and the error correlation
+|G_ij| / sqrt(G_ii G_jj).  ``transmit_awgn`` takes a receive matrix W and
+returns W (H x + n), so a run works in the mode domain with
+W = U_K^H / (sqrt(p) sigma) and no chunk forms the N_r x n receive block;
+the draws are those of precoding each chunk, sending it through H and
+combining, up to the association of the products.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class TransmissionConfig:
-    """Parameters of one simulated link run."""
+    """Parameters of one simulated link run; one mode is active per entry
+    of ``mode_powers``."""
 
-    active_modes: int
     mode_powers: np.ndarray
     noise_power: float
     n_symbols: int
@@ -44,10 +45,8 @@ class TransmissionConfig:
 
     def __post_init__(self):
         p = np.asarray(self.mode_powers, dtype=float)
-        if self.active_modes < 1:
+        if p.size < 1:
             raise ValueError("need at least one active mode")
-        if p.size != self.active_modes:
-            raise ValueError(f"expected {self.active_modes} mode powers, got {p.size}")
         if np.any(p < 0):
             raise ValueError("mode powers must be non-negative")
         if self.noise_power < 0:
@@ -96,51 +95,38 @@ def precode(symbols: np.ndarray, modes: ModeDecomposition, powers) -> np.ndarray
     return modes.right_vectors[:, :k] @ (np.sqrt(p)[:, None] * s)
 
 
-def transmit_awgn(h, x: np.ndarray, noise_power: float, rng,
-                  receive=None) -> np.ndarray:
-    """y = H x + n with circularly-symmetric noise, E|n_i|**2 = ``noise_power``
-    (deterministic for a given generator state), or W (H x + n) for a
-    ``receive`` matrix W.
+def transmit_awgn(h, x: np.ndarray, noise_power: float, rng, receive) -> np.ndarray:
+    """W (H x + n) for a ``receive`` matrix W, with circularly-symmetric noise
+    n, E|n_i|**2 = ``noise_power`` (deterministic for a given generator state).
 
     The real parts of n are one ``standard_normal`` fill of one real buffer
-    the size of (H x).real and the imaginary parts the next.  Without
-    ``receive`` each fill is scaled by sqrt(noise_power / 2) and added in
-    place.  With it, y = (W H) x + W n, and each fill is projected by one real
-    GEMM with sqrt(noise_power / 2) [Re W; Im W], so the result has W's rows.
+    the size of (H x).real and the imaginary parts the next.  The result is
+    (W H) x + W n, and each fill is projected by one real GEMM with
+    sqrt(noise_power / 2) [Re W; Im W], so the result has W's rows.
     """
     m = np.asarray(h)
     if m.shape[1] != x.shape[0]:
         raise ValueError(f"channel expects {m.shape[1]} transmit dims, got {x.shape[0]}")
     if noise_power < 0:
         raise ValueError("noise power must be non-negative")
-    if receive is None:
-        y = m @ x
-    else:
-        w = np.asarray(receive)
-        if w.ndim != 2 or w.shape[1] != m.shape[0]:
-            raise ValueError(f"receive matrix must have {m.shape[0]} columns, "
-                             f"got shape {w.shape}")
-        y = (w @ m) @ x
+    w = np.asarray(receive)
+    if w.ndim != 2 or w.shape[1] != m.shape[0]:
+        raise ValueError(f"receive matrix must have {m.shape[0]} columns, "
+                         f"got shape {w.shape}")
+    y = (w @ m) @ x
     if noise_power > 0:
         y = np.asarray(y, dtype=complex)
-        scale = np.sqrt(noise_power / 2.0)
+        k = w.shape[0]
+        r = np.sqrt(noise_power / 2.0) * np.concatenate([w.real, w.imag])
         buf = np.empty(m.shape[:1] + x.shape[1:])
-        if receive is None:
-            for part in (y.real, y.imag):
-                rng.standard_normal(out=buf)
-                buf *= scale
-                part += buf
-        else:
-            k = w.shape[0]
-            r = scale * np.concatenate([w.real, w.imag])
-            rng.standard_normal(out=buf)
-            q = r @ buf  # W a, stacked as [Re; Im]
-            y.real += q[:k]
-            y.imag += q[k:]
-            rng.standard_normal(out=buf)
-            np.matmul(r, buf, out=q)  # W b, added as 1j W b
-            y.real -= q[k:]
-            y.imag += q[:k]
+        rng.standard_normal(out=buf)
+        q = r @ buf  # W a, stacked as [Re; Im]
+        y.real += q[:k]
+        y.imag += q[k:]
+        rng.standard_normal(out=buf)
+        np.matmul(r, buf, out=q)  # W b, added as 1j W b
+        y.real -= q[k:]
+        y.imag += q[:k]
     return y
 
 
@@ -166,36 +152,25 @@ def mode_coupling(h, modes: ModeDecomposition, powers) -> np.ndarray:
     return scale_out[:, None] * eq * np.sqrt(p)[None, :]
 
 
-def _chunk_stats(h_eff: np.ndarray, receive: np.ndarray, noise_power: float, n: int,
-                 rng):
-    """Error power, symbol power and error cross-products of one chunk of
-    ``n`` symbols sent through the effective channel ``h_eff`` and projected
-    by ``receive``; every array of the chunk is freed on return."""
-    s = qpsk_symbols(h_eff.shape[1], n, rng)
-    e = transmit_awgn(h_eff, s, noise_power, rng, receive=receive)
-    e -= s
-    return (np.sum(np.abs(e) ** 2, axis=1), np.sum(np.abs(s) ** 2, axis=1),
-            e @ e.conj().T)
-
-
 def run_link(h, config: TransmissionConfig) -> LinkReport:
     """Run precode -> AWGN channel -> combine over ``config.n_symbols`` QPSK
-    symbols and aggregate per-mode statistics.
+    symbols and read the per-mode statistics from the error Gram.
 
     The run works in the mode domain.  The precoder is folded into the
     effective channel H V_K diag(sqrt(p)) and the combiner into the receive
     matrix W = U_K^H / (sqrt(p) sigma), both formed once, and each chunk gets
-    its estimates from ``transmit_awgn(..., receive=W)``.  A chunk of n
-    symbols holds one real (N_r, n) noise buffer and K-row blocks, and no
-    complex N_r x n or N_t x n array.  The draws per chunk are the same as
-    precoding the chunk, sending it through H and combining;
-    ``mode_coupling`` and the leakage still read the physical H.
+    its estimates from ``transmit_awgn(..., receive=W)`` and adds its errors'
+    K x K Gram to the sum.  A chunk of n symbols holds one real (N_r, n)
+    noise buffer and K-row blocks, and no complex N_r x n or N_t x n array.
+    The draws per chunk are the same as precoding the chunk, sending it
+    through H and combining; ``mode_coupling`` and the leakage still read
+    the physical H.
     """
     modes = decompose(h)
-    k = config.active_modes
+    p = config.mode_powers
+    k = p.size
     if k > modes.n_modes:
         raise ValueError(f"{k} active modes exceed the {modes.n_modes} available")
-    p = config.mode_powers
     sig = modes.singular_values[:k]
     if np.any(p <= 0) or np.any(sig <= 0):
         raise ValueError("active modes need positive power and positive gain")
@@ -204,29 +179,29 @@ def run_link(h, config: TransmissionConfig) -> LinkReport:
     off = coupling - np.diag(np.diag(coupling))
     leakage = float(np.max(np.abs(off) ** 2)) if k > 1 else 0.0
 
-    err_power = np.zeros(k)
-    sym_power = np.zeros(k)
-    err_cross = np.zeros((k, k), dtype=complex)
+    gram = np.zeros((k, k), dtype=complex)
     total = config.n_symbols
     h_eff = np.asarray(h) @ precode(np.eye(k), modes, p)
     receive = modes.left_vectors[:, :k].conj().T / (np.sqrt(p) * sig)[:, None]
     seeds = np.random.SeedSequence(config.seed).spawn((total + _CHUNK - 1) // _CHUNK)
     for i, chunk_seed in enumerate(seeds):
-        n = min(_CHUNK, total - i * _CHUNK)
-        e_pow, s_pow, e_cross = _chunk_stats(h_eff, receive, config.noise_power, n,
-                                             np.random.default_rng(chunk_seed))
-        err_power += e_pow
-        sym_power += s_pow
-        err_cross += e_cross
+        rng = np.random.default_rng(chunk_seed)
+        s = qpsk_symbols(k, min(_CHUNK, total - i * _CHUNK), rng)
+        e = transmit_awgn(h_eff, s, config.noise_power, rng, receive=receive)
+        e -= s
+        gram += e @ e.conj().T
+        del s, e  # freed before the next chunk draws, which holds peak memory down
 
+    err_power = gram.real.diagonal()
     mse = err_power / total
     with np.errstate(divide="ignore"):
-        measured = np.where(mse > 0, (sym_power / total) / mse, np.inf)
+        measured = np.where(mse > 0, 1.0 / mse, np.inf)
         predicted = (p * sig ** 2 / config.noise_power if config.noise_power > 0
                      else np.full(k, np.inf))
+    # the outer product of the roots: the one of the powers overflows near
+    # the low end of the SNR range the runner accepts
     denom = np.outer(np.sqrt(err_power), np.sqrt(err_power))
-    corr = np.abs(np.divide(err_cross, denom, out=np.zeros_like(err_cross),
-                            where=denom > 0))
+    corr = np.divide(np.abs(gram), denom, out=np.zeros((k, k)), where=denom > 0)
     return LinkReport(measured_mode_snr=measured, predicted_mode_snr=predicted,
                       cross_mode_leakage=leakage, mode_mse=mse,
                       error_correlation=corr, n_symbols=total)

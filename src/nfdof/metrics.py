@@ -27,14 +27,15 @@ import numpy as np
 
 from .errors import ActiveSetChangeError
 from .geometry import _positive_finite
-from .modes import SingularSpectrum, spectrum_values
+from .modes import RANK_TOL, SingularSpectrum, spectrum_values
 
 LN2 = math.log(2.0)
 
 
 def _clipped(spectrum) -> np.ndarray:
     """The singular values with every sigma_n below the rank tolerance,
-    1e-10 times the larger matrix dimension times sigma_1, set to zero.
+    :data:`~nfdof.modes.RANK_TOL` times the larger matrix dimension times
+    sigma_1, set to zero.
 
     The dimension comes from the spectrum's shape metadata when available,
     otherwise from the spectrum length.
@@ -46,7 +47,7 @@ def _clipped(spectrum) -> np.ndarray:
         dim = max(spectrum.shape)
     else:
         dim = v.size
-    return np.where(v >= 1e-10 * dim * v[0], v, 0.0)
+    return np.where(v >= RANK_TOL * dim * v[0], v, 0.0)
 
 
 def dof(spectrum) -> int:

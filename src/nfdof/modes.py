@@ -18,6 +18,10 @@ import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
 
+RANK_TOL = 1e-10
+"""Singular values below RANK_TOL times the larger matrix dimension times
+sigma_1 are round-off: every metric clips them to zero."""
+
 
 @dataclass(frozen=True)
 class SingularSpectrum:
@@ -131,9 +135,9 @@ def decompose(h, vectors: bool = True) -> ModeDecomposition | SingularSpectrum:
                              singular_values=s)
 
 
-_FINDER_STOP = 1e-13
+_FINDER_STOP = RANK_TOL / 1000
 """The finder stops once sigma_k < _FINDER_STOP * n * sigma_1, 1e-3 of the
-rank tolerance every metric clips at."""
+rank tolerance."""
 
 
 def _leading_values(sketch, adjoint, n: int, k: int) -> np.ndarray | None:

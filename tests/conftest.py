@@ -141,7 +141,8 @@ def run_link_loop(h, config, chunk=8192):
     ``standard_normal`` calls -> combine, over the same spawned chunk seeds
     as ``run_link``.  Returns a ``LinkReport``."""
     modes = decompose(h)
-    p, k, total = config.mode_powers, config.active_modes, config.n_symbols
+    p, total = config.mode_powers, config.n_symbols
+    k = p.size
     sig = modes.singular_values[:k]
     coupling = mode_coupling(h, modes, p)
     off = coupling - np.diag(np.diag(coupling))
@@ -314,7 +315,8 @@ def sqrt2_ladder(tx, rx, tol=1e-6):
     facing each other at d, as from :func:`segment_pair`, the path spread is
     hypot(d, aperture) - d."""
     d = float(np.linalg.norm(rx.center - tx.center))
-    cliff = np.pi * (np.hypot(d, tx.aperture) - d) / WAVELENGTH
+    aperture = np.linalg.norm(tx.segment[1] - tx.segment[0])
+    cliff = np.pi * (np.hypot(d, aperture) - d) / WAVELENGTH
     rungs = (round(64 * 2 ** (k / 2)) for k in count())
     m = next(r for r in rungs if r >= cliff)
 

@@ -16,7 +16,7 @@ from nfdof import (ActiveSetChangeError, TransmissionConfig, build_kernel, build
                    cap_edof1, cap_edof2, cap_spectrum, capacity, combine, decompose, dof,
                    edof1, edof1_limit_linear, edof2, edof3, edof3_auto, edof3_envelope,
                    farfield_planar_channel, frobenius_normalized, los_nusw_channel, precode,
-                   run_link, transmit_awgn, waterfill)
+                   run_link, waterfill)
 from nfdof.experiments import run_experiment
 from nfdof.linksim import qpsk_symbols
 
@@ -187,11 +187,11 @@ def test_c09_link_fidelity():
     powers = np.linspace(1.5, 0.5, k)
     rng = np.random.default_rng(90)
     symbols = qpsk_symbols(k, 2000, rng)
-    received = transmit_awgn(h, precode(symbols, modes, powers), 0.0, rng)
+    received = h @ precode(symbols, modes, powers)
     noiseless_err = float(np.max(np.abs(combine(received, modes, powers) - symbols)))
 
     noise = float(modes.singular_values[k - 1] ** 2) / 50.0
-    cfg = TransmissionConfig(active_modes=k, mode_powers=powers, noise_power=noise,
+    cfg = TransmissionConfig(mode_powers=powers, noise_power=noise,
                              n_symbols=100_000, seed=91)
     report = run_link(h, cfg)
     snr_dev = float(np.max(np.abs(report.measured_mode_snr

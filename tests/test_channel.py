@@ -19,7 +19,7 @@ BUILDERS = {"nusw": los_nusw_channel, "usw": los_usw_channel}
 
 def siso_pair(distance):
     def antenna(y):
-        return ArrayGeometry(kind="discrete", aperture=0.0, elements=np.array([[0.0, y, 0.0]]))
+        return ArrayGeometry(kind="discrete", elements=np.array([[0.0, y, 0.0]]))
     return antenna(0.0), antenna(distance)
 
 

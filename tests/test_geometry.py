@@ -8,20 +8,18 @@ class TestBuildUla:
     def test_two_element_endpoints(self):
         ula = build_ula(2, 1.0, center=(0, 0, 0), axis=(0, 0, 1))
         assert np.allclose(ula.elements, [[0, 0, -0.5], [0, 0, 0.5]])
-        assert ula.aperture == pytest.approx(1.0, rel=1e-15)
 
     def test_half_wavelength_spacing(self):
         ula = build_ula(275, 1.37, center=(0, 0, 0), axis=(0, 0, 1))
         spacing = np.linalg.norm(ula.elements[1] - ula.elements[0])
         assert spacing == pytest.approx(0.005, rel=1e-12)
-        assert spacing == pytest.approx(ula.aperture / 274, rel=1e-12)
 
     def test_symmetry_about_center(self):
         center = np.array([1.0, -2.0, 3.0])
         axis = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
         ula = build_ula(11, 2.5, center=center, axis=axis)
         residual = np.linalg.norm(np.sum(ula.elements - center, axis=0))
-        assert residual < 1e-12 * ula.aperture
+        assert residual < 1e-12 * 2.5
 
     @pytest.mark.parametrize("n", [2, 3, 16, 275, 1024])
     def test_same_array_as_the_pairwise_check(self, n):
@@ -32,7 +30,7 @@ class TestBuildUla:
             diff = ula.elements[:, None, :] - ula.elements[None, :, :]
             dist = np.sqrt(np.sum(diff * diff, axis=-1))
             assert np.all(dist[~np.eye(n, dtype=bool)] > 0.0)
-            assert ula.aperture == dist.max()
+            assert dist[0, -1] == dist.max()  # the end pair spans the array
         mirrored = build_ula(n, 2.5, axis=axis).elements
         assert np.array_equal(mirrored, -mirrored[::-1])
 
@@ -83,7 +81,7 @@ class TestRayleighDistance:
 class TestArrayConstruction:
     def test_continuous_aperture_length(self):
         seg = continuous_aperture((0, 0, -0.5), (0, 0, 0.5))
-        assert seg.aperture == pytest.approx(1.0, rel=1e-15)
+        assert np.linalg.norm(seg.segment[1] - seg.segment[0]) == pytest.approx(1.0, rel=1e-15)
         assert np.allclose(seg.center, [0, 0, 0])
 
     def test_degenerate_segment_rejected(self):

@@ -49,40 +49,45 @@ class TestPrecode:
 
 
 class TestTransmitAwgn:
-    def test_noiseless_is_exact(self):
+    def test_noiseless_identity_receive_is_exact(self):
         h, modes = small_link()
         x = np.ones((32, 3), dtype=complex)
-        y = transmit_awgn(h, x, 0.0, np.random.default_rng(0))
+        y = transmit_awgn(h, x, 0.0, np.random.default_rng(0), receive=np.eye(32))
         assert np.array_equal(y, h @ x)
 
-    def test_noise_variance(self):
+    def test_noise_variance_under_a_unitary_receive(self):
+        # W n is CN(0, N0 I) when W is unitary
+        g = np.random.default_rng(3)
+        q, _ = np.linalg.qr(g.standard_normal((10, 10)) + 1j * g.standard_normal((10, 10)))
         h = np.zeros((10, 1), dtype=complex)
         h[0, 0] = 1.0
         x = np.zeros((1, 100_000), dtype=complex)
-        y = transmit_awgn(h, x, 0.25, np.random.default_rng(5))
+        y = transmit_awgn(h, x, 0.25, np.random.default_rng(5), receive=q.conj().T)
         assert np.mean(np.abs(y) ** 2) == pytest.approx(0.25, rel=0.005)
 
     def test_seeded_determinism(self):
         h, modes = small_link()
         x = np.ones((32, 8), dtype=complex)
-        y1 = transmit_awgn(h, x, 1.0, np.random.default_rng(9))
-        y2 = transmit_awgn(h, x, 1.0, np.random.default_rng(9))
+        w = modes.left_vectors[:, :4].conj().T
+        y1 = transmit_awgn(h, x, 1.0, np.random.default_rng(9), receive=w)
+        y2 = transmit_awgn(h, x, 1.0, np.random.default_rng(9), receive=w)
         assert np.array_equal(y1, y2)
 
     def test_dimension_mismatch_rejected(self):
         h, modes = small_link()
         with pytest.raises(ValueError):
             transmit_awgn(h, np.ones((31, 2), dtype=complex), 0.0,
-                          np.random.default_rng(0))
+                          np.random.default_rng(0), receive=np.eye(32))
 
     @pytest.mark.parametrize("unit", [1j, 0.0], ids=["complex", "real"])
     def test_draws_are_two_standard_normal_calls(self, unit):
         # the recorded link-sim outputs hold these draws: the real parts of the
-        # noise are one standard_normal(y.shape) call, the imaginary parts the next
+        # noise are one standard_normal(y.shape) call, the imaginary parts the
+        # next; an identity receive matrix projects them exactly
         g = np.random.default_rng(21)
         h = g.standard_normal((12, 5)) + unit * g.standard_normal((12, 5))
         x = g.standard_normal((5, 37)) + unit * g.standard_normal((5, 37))
-        y = transmit_awgn(h, x, 0.3, np.random.default_rng(4))
+        y = transmit_awgn(h, x, 0.3, np.random.default_rng(4), receive=np.eye(12))
         ref_rng = np.random.default_rng(4)
         ref = h @ x + np.sqrt(0.3 / 2.0) * (ref_rng.standard_normal((12, 37))
                                            + 1j * ref_rng.standard_normal((12, 37)))
@@ -101,7 +106,11 @@ class TestTransmitAwgn:
                    for shape in ((n_r, n_t), (n_t, n_symbols), (k, n_r)))
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         got = transmit_awgn(h, x, noise_power, rng_a, receive=w)
-        y = transmit_awgn(h, x, noise_power, rng_b)
+        y = h @ x
+        if noise_power > 0:
+            a = rng_b.standard_normal(y.shape)
+            b = rng_b.standard_normal(y.shape)
+            y = y + np.sqrt(noise_power / 2.0) * (a + 1j * b)
         ref = w @ y
         assert got.shape == ref.shape == (k, n_symbols)
         # relative to the magnitudes the products sum, so cancellation in W H x
@@ -128,8 +137,7 @@ class TestCombine:
         k = 6
         powers = np.linspace(2.0, 0.5, k)
         s = qpsk_symbols(k, 500, rng)
-        y = transmit_awgn(h, precode(s, modes, powers), 0.0, rng)
-        s_hat = combine(y, modes, powers)
+        s_hat = combine(h @ precode(s, modes, powers), modes, powers)
         assert np.max(np.abs(s_hat - s)) < 1e-10
 
     def test_zero_power_rejected(self):
@@ -157,7 +165,7 @@ class TestRunLink:
         h = farfield_planar_channel(*ula_pair(16, 400.0), WAVELENGTH)
         sigma1 = np.linalg.svd(h, compute_uv=False)[0]
         noise = (sigma1 ** 2) / 100.0
-        cfg = TransmissionConfig(active_modes=1, mode_powers=[1.0], noise_power=noise,
+        cfg = TransmissionConfig(mode_powers=[1.0], noise_power=noise,
                                  n_symbols=100_000, seed=3)
         report = run_link(h, cfg)
         assert report.predicted_mode_snr[0] == pytest.approx(100.0, rel=1e-12)
@@ -168,7 +176,7 @@ class TestRunLink:
         s = nusw_modes(64, 15.0).singular_values
         noise = (s[7] ** 2) / 50.0
         powers = np.linspace(1.5, 0.5, 8)
-        cfg = TransmissionConfig(active_modes=8, mode_powers=powers, noise_power=noise,
+        cfg = TransmissionConfig(mode_powers=powers, noise_power=noise,
                                  n_symbols=100_000, seed=4)
         report = run_link(h, cfg)
         predicted = powers * s[:8] ** 2 / noise
@@ -178,7 +186,7 @@ class TestRunLink:
     def test_error_correlation_diagonal(self):
         h = nusw_channel(64, 15.0)
         s = nusw_modes(64, 15.0).singular_values
-        cfg = TransmissionConfig(active_modes=8, mode_powers=np.ones(8),
+        cfg = TransmissionConfig(mode_powers=np.ones(8),
                                  noise_power=s[7] ** 2, n_symbols=100_000, seed=5)
         report = run_link(h, cfg)
         off = report.error_correlation - np.diag(np.diag(report.error_correlation))
@@ -188,7 +196,7 @@ class TestRunLink:
         # error powers near 1e203, whose products overflow float64
         h = nusw_channel(16, 15.0)
         s = nusw_modes(16, 15.0).singular_values
-        cfg = TransmissionConfig(active_modes=2, mode_powers=1e-200 / s[:2] ** 2,
+        cfg = TransmissionConfig(mode_powers=1e-200 / s[:2] ** 2,
                                  noise_power=1.0, n_symbols=4000, seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -200,7 +208,7 @@ class TestRunLink:
         # summed error powers near MAX_COUNT / SNR = 1e306 stay finite
         h = nusw_channel(16, 15.0)
         s = nusw_modes(16, 15.0).singular_values
-        cfg = TransmissionConfig(active_modes=2, mode_powers=1e-300 / s[:2] ** 2,
+        cfg = TransmissionConfig(mode_powers=1e-300 / s[:2] ** 2,
                                  noise_power=1.0, n_symbols=MAX_COUNT, seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -213,7 +221,7 @@ class TestRunLink:
 
     def test_single_noiseless_symbol(self):
         h = nusw_channel(16, 15.0)
-        cfg = TransmissionConfig(active_modes=2, mode_powers=[1.0, 1.0],
+        cfg = TransmissionConfig(mode_powers=[1.0, 1.0],
                                  noise_power=0.0, n_symbols=1, seed=6)
         report = run_link(h, cfg)
         assert np.max(report.mode_mse) < 1e-20
@@ -229,7 +237,7 @@ class TestRunLink:
             noise = spectrum[0] ** 2
             alloc = waterfill(spectrum, budget=snr * noise, noise=noise)
             k = alloc.n_active
-            cfg = TransmissionConfig(active_modes=k, mode_powers=alloc.powers[:k],
+            cfg = TransmissionConfig(mode_powers=alloc.powers[:k],
                                      noise_power=noise, n_symbols=100_000, seed=7)
             report = run_link(h, cfg)
             throughput = float(np.sum(np.log2(1.0 + report.measured_mode_snr)))
@@ -238,7 +246,7 @@ class TestRunLink:
 
     def test_deterministic_per_seed(self):
         h = nusw_channel(16, 15.0)
-        cfg = TransmissionConfig(active_modes=2, mode_powers=[1.0, 0.5],
+        cfg = TransmissionConfig(mode_powers=[1.0, 0.5],
                                  noise_power=1e-6, n_symbols=10_000, seed=8)
         a = run_link(h, cfg)
         b = run_link(h, cfg)
@@ -248,7 +256,7 @@ class TestRunLink:
     def test_noiseless_report_is_not_written(self, tmp_path):
         # its SNRs are +inf, which no output file may hold
         h = nusw_channel(16, 15.0)
-        cfg = TransmissionConfig(active_modes=2, mode_powers=[1.0, 1.0],
+        cfg = TransmissionConfig(mode_powers=[1.0, 1.0],
                                  noise_power=0.0, n_symbols=4, seed=6)
         report = run_link(h, cfg)
         with pytest.raises(FloatingPointError, match="report.json"):
@@ -257,7 +265,7 @@ class TestRunLink:
 
     def test_report_serialization(self, tmp_path):
         h = nusw_channel(16, 15.0)
-        cfg = TransmissionConfig(active_modes=2, mode_powers=[1.0, 0.5],
+        cfg = TransmissionConfig(mode_powers=[1.0, 0.5],
                                  noise_power=1e-6, n_symbols=1000, seed=9)
         report = run_link(h, cfg)
         path = save_link_report(report, tmp_path / "report.json")
@@ -288,7 +296,7 @@ class TestChunkPipeline:
         k = data.draw(st.integers(1, n_t), label="k")
         powers = data.draw(st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k),
                            label="powers")
-        cfg = TransmissionConfig(active_modes=k, mode_powers=powers,
+        cfg = TransmissionConfig(mode_powers=powers,
                                  noise_power=noise_power, n_symbols=n_symbols, seed=seed)
         got, ref = run_link(h, cfg), run_link_loop(h, cfg)
         assert got.predicted_mode_snr.tobytes() == ref.predicted_mode_snr.tobytes()
@@ -306,7 +314,7 @@ class TestChunkPipeline:
         # blocks, 7.5 MB in all; the bound is 1.25 times that, so a chunk that
         # also held the 8.4 MB N_r x n complex receive block would fail it
         h = nusw_channel(64, 15.0)
-        cfg = TransmissionConfig(active_modes=8, mode_powers=np.ones(8), noise_power=1.0,
+        cfg = TransmissionConfig(mode_powers=np.ones(8), noise_power=1.0,
                                  n_symbols=3 * 8192, seed=2)
         run_link(h, cfg)
         tracemalloc.start()
@@ -319,12 +327,11 @@ class TestChunkPipeline:
 
 
 class TestConfigValidation:
-    def test_power_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            TransmissionConfig(active_modes=3, mode_powers=[1.0], noise_power=1.0,
-                               n_symbols=10, seed=0)
+    def test_no_mode_power_rejected(self):
+        with pytest.raises(ValueError, match="at least one active mode"):
+            TransmissionConfig(mode_powers=[], noise_power=1.0, n_symbols=10, seed=0)
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            TransmissionConfig(active_modes=1, mode_powers=[-1.0], noise_power=1.0,
+            TransmissionConfig(mode_powers=[-1.0], noise_power=1.0,
                                n_symbols=10, seed=0)

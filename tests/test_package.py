@@ -1,5 +1,9 @@
 import importlib
+import re
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nfdof
@@ -26,3 +30,14 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         nfdof.no_such_name
     assert not hasattr(nfdof, "ExperimentSpec")
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
+def test_declared_numpy_floor_has_the_running_major_version():
+    import tomllib
+    project = tomllib.loads((Path(__file__).resolve().parent.parent
+                             / "pyproject.toml").read_text())["project"]
+    (floor,) = [re.fullmatch(r"numpy>=(\d+)(\.\d+)*", dep)
+                for dep in project["dependencies"] if dep.startswith("numpy")]
+    assert floor is not None, project["dependencies"]
+    assert int(floor.group(1)) == int(np.__version__.split(".")[0])

@@ -9,11 +9,18 @@ change first.  Pair i of workload w runs ``nfbench/run.py --workload W
 --seconds S --trace 0 --seed 700 + 20 w + i`` in both copies, S being the
 ``run_seconds`` of ``BENCHMARK.json``, the parent first on even i and the
 change first on odd i, with ``OPENBLAS_NUM_THREADS=1`` and no
-``PYTHONPATH``.  ``--traced`` adds one ``--trace 1`` run per side and
-workload, the parent first.  Every run is kept; each end-to-end metric of
+``PYTHONPATH``.  Every run is kept; each end-to-end metric of
 ``BENCHMARK.json`` gets its median and quartiles per side
 (``statistics.quantiles``, inclusive), the pairs the change wins, and the
 gap between the medians.  The JSON goes to ``--out``, or to standard output.
+
+``--traced`` then adds, per workload, 5 ``--trace 1`` pairs, the parent
+first in traced pairs 0, 2 and 4 and the change first in 1 and 3, since
+the second run of a pair can read slower in every layer.  Under
+``traced.<workload>.layers`` each per-layer metric gets each side's
+quartiles, minimum and maximum, the gap between the medians (change minus
+parent), its spread (the wider of the two sides' ranges) and whether the gap
+lies within that spread.  Run on a commit against itself, every layer should.
 Nothing is written into either copy's ``nfbench/`` but what ``run.py``
 itself leaves there.
 """
@@ -33,6 +40,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 SEED = 700
+TRACED_PAIRS = 5
 
 
 def git(*args, **kwargs) -> bytes:
@@ -94,13 +102,34 @@ def compare(pairs: list, end_to_end: list) -> dict:
     return out
 
 
+def layers(pairs: list) -> dict:
+    """Per-layer metric of the traced pairs: each side's quartiles, minimum
+    and maximum, the gap between the medians (change minus parent), its
+    spread (the wider of the two sides' ranges) and whether the gap lies
+    within it."""
+    out = {}
+    for name in pairs[0]["parent"]["metrics"]:
+        runs = {side: [pair[side]["metrics"][name] for pair in pairs
+                       if name in pair[side]["metrics"]] for side in SIDES}
+        if min(map(len, runs.values())) < 2:
+            continue
+        stats = {side: {**quartiles(runs[side]), "min": min(runs[side]),
+                        "max": max(runs[side])} for side in SIDES}
+        gap = stats["change"]["median"] - stats["parent"]["median"]
+        spread = max(s["max"] - s["min"] for s in stats.values())
+        out[name] = {**stats, "median_gap": gap, "spread": spread,
+                     "within_spread": abs(gap) <= spread}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="the parent commit")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--traced", action="store_true",
-                        help="one --trace 1 run per side and workload after the pairs")
+                        help=f"{TRACED_PAIRS} --trace 1 pairs per workload after the "
+                             "pairs, alternating which side runs first")
     parser.add_argument("--what", default="", help="what the change is")
     parser.add_argument("--claim", default="", help="the metric the change claims to improve")
     parser.add_argument("--out", type=Path, help="the JSON file (default: standard output)")
@@ -136,9 +165,16 @@ def main(argv=None) -> int:
                               for side in SIDES},
                 "exit_codes_nonzero": sum(p[side]["code"] != 0 for p in pairs for side in SIDES)}
         if args.traced:
-            seed = SEED + 20 * len(args.workload)
-            traced = {workload: {side: record(side, workload, seed, seconds, 1)["metrics"]
-                                 for side in SIDES} for workload in args.workload}
+            seeds = [SEED + 20 * len(args.workload) + i for i in range(TRACED_PAIRS)]
+            for workload in args.workload:
+                pairs = []
+                for i, seed in enumerate(seeds):
+                    order = SIDES if i % 2 == 0 else SIDES[::-1]
+                    pairs.append({side: record(side, workload, seed, seconds, 1)
+                                  for side in order})
+                traced[workload] = {"seeds": seeds,
+                                    "first": [SIDES[i % 2] for i in range(TRACED_PAIRS)],
+                                    "layers": layers(pairs)}
         report = {
             "what": args.what, "claim": args.claim,
             "method": (f"Alternating pairs per workload (even pairs run the parent first, odd "
@@ -146,8 +182,10 @@ def main(argv=None) -> int:
                        f"--seconds {seconds:g} --trace 0 --seed S` from a git archive copy "
                        f"of each side (parent {refs['parent']}, change {refs['change']}), with "
                        f"OPENBLAS_NUM_THREADS=1 and no PYTHONPATH, by tools/bench_pairs.py"
-                       + (", then one traced run per side and workload (`--trace 1`, parent "
-                          "first)" if args.traced else "")
+                       + (f", then {TRACED_PAIRS} traced pairs per workload (`--trace 1`, "
+                          "the parent first in even pairs and the change first in odd "
+                          "ones; per-layer quartiles under traced.<workload>.layers)"
+                          if args.traced else "")
                        + ". Every run made is listed. Quartiles are "
                        "statistics.quantiles(method='inclusive')."),
             "machine": {"cpus_usable": len(os.sched_getaffinity(0)), "nproc": os.cpu_count(),
