@@ -5,8 +5,9 @@
     nfdof version
 
 Outputs go to --out, the working directory by default.  Exit codes:
-0 success, 2 invalid config, 3 numerical failure or out of memory, 4 I/O
-failure.  ``validate`` and ``version`` run without importing numpy.
+0 success, 2 invalid config or arguments, 3 numerical failure or out of
+memory, 4 I/O failure.  ``validate`` and ``version`` run without importing
+numpy.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+MAX_THREADS = 64  # each --threads worker is an operating-system thread
 
 
 def _load_config(path: str) -> dict:
@@ -45,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="path to the experiment JSON document")
     run.add_argument("--out", default=".", help="output directory (default: .)")
     run.add_argument("--threads", type=int, default=1,
-                     help="worker threads for grid evaluation (output-invariant)")
+                     help=f"worker threads for grid evaluation, 1 to {MAX_THREADS}"
+                          " (output-invariant)")
 
     val = sub.add_parser("validate", help="validate a config without running it")
     val.add_argument("config", help="path to the experiment JSON document")
@@ -55,7 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and not 1 <= args.threads <= MAX_THREADS:
+        parser.error(f"argument --threads: must lie in [1, {MAX_THREADS}], got {args.threads}")
     if args.command == "version":
         print(__version__)
         return EXIT_OK

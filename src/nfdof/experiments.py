@@ -19,15 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import (facing_ula_column, frobenius_normalized, los_nusw_channel,
+# the benchmark probes build_ula, los_*_channel and validate_config by name in this module
+from .channel import (facing_ula_column, frobenius_normalized, los_nusw_channel,  # noqa: F401
                       los_usw_channel)
-from .geometry import build_ula, continuous_aperture, rayleigh_distance
+from .geometry import build_ula, continuous_aperture, rayleigh_distance  # noqa: F401
 from .kernel import cap_edof1, cap_edof2, converge_spectrum
 from .linksim import TransmissionConfig, run_link, save_link_report
 from .metrics import (dof, edof1, edof1_limit_linear, edof2, edof3_auto,
                       metrics_report, waterfill)
-from .modes import decompose, toeplitz_spectrum
-# validate_config is called, and probed by the benchmark, under this module
+from .modes import decompose, toeplitz_matrix, toeplitz_spectrum
 from .spec import MAX_COUNT, ExperimentSpec, Grid, _slug, validate_config  # noqa: F401
 
 
@@ -155,12 +155,15 @@ def _map_ordered(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def _spd_channel(spec: ExperimentSpec, n: int, aperture: float, distance: float):
-    """The channel matrix of the facing ULAs at ``distance``."""
-    tx = build_ula(n, aperture, center=(0.0, 0.0, 0.0))
-    rx = build_ula(n, aperture, center=(0.0, distance, 0.0))
-    build = los_nusw_channel if spec.model == "nusw" else los_usw_channel
-    return build(tx, rx, spec.wavelength)
+def _ula_column(spec: ExperimentSpec, n: int, aperture: float, distance: float):
+    """The first column of the channel of the facing ULAs at ``distance``."""
+    return facing_ula_column(spec.model, n, aperture, distance, spec.wavelength)
+
+
+def _ula_matrix(spec: ExperimentSpec, n: int, aperture: float, distance: float):
+    """The channel of the facing ULAs, gathered from its column, normalized if asked."""
+    h = toeplitz_matrix(_ula_column(spec, n, aperture, distance))
+    return frobenius_normalized(h) if spec.normalize else h
 
 
 def _converge(spec: ExperimentSpec, aperture: float, distance: float):
@@ -174,7 +177,7 @@ def _run_spectrum(spec, prov, threads):
 
     def one(item):
         name, (n, a, d) = item
-        s = toeplitz_spectrum(facing_ula_column(spec.model, n, a, d, spec.wavelength)).values
+        s = toeplitz_spectrum(_ula_column(spec, n, a, d)).values
         rows = [[i, v, r] for i, v, r in zip(range(1, s.size + 1), s.tolist(),
                                              (s / s[0]).tolist())]
         return ResultTable(name=name, columns=["mode_index", "sigma", "sigma_over_sigma1"],
@@ -188,7 +191,7 @@ def _run_edof_vs_n(spec, prov, threads):
         name, d = item
         rows = []
         for n, a in spec.sizes:
-            s = toeplitz_spectrum(facing_ula_column(spec.model, n, a, d, spec.wavelength))
+            s = toeplitz_spectrum(_ula_column(spec, n, a, d))
             rows.append([n, a, dof(s),
                          edof1(s, dominance=spec.dominance),
                          edof1_limit_linear(a, a, spec.wavelength, d), edof2(s)])
@@ -207,7 +210,7 @@ def _run_edof2_vs_n(spec, prov, threads):
                    for a in dict.fromkeys(a for _, a in spec.sizes)}
         rows = []
         for n, a in spec.sizes:
-            s = toeplitz_spectrum(facing_ula_column(spec.model, n, a, d, spec.wavelength))
+            s = toeplitz_spectrum(_ula_column(spec, n, a, d))
             rows.append([n, a, edof2(s), cap_ref[a]])
         return ResultTable(name=name,
                            columns=["n_elements", "aperture_m", "edof2_spd", "edof2_cap"],
@@ -222,10 +225,7 @@ def _run_edof3_vs_snr(spec, prov, threads):
 
     def one(item):
         name, d = item
-        h = _spd_channel(spec, n, a, d)
-        if spec.normalize:
-            h = frobenius_normalized(h)
-        s = decompose(h, vectors=False)
+        s = decompose(_ula_matrix(spec, n, a, d), vectors=False)
         echo = {"distance_m": d, "n_elements": n, "aperture_m": a,
                 "normalize": spec.normalize, "config_hash": prov["config_hash"]}
         values = [edof3_auto(s, snr, delta_step=spec.delta_step) for snr in snrs]
@@ -268,15 +268,15 @@ _LINK_SNR_RANGE = (1e-300, 1e25)
 
 def _run_link_sim(spec, prov, threads):
     ((n, a),), (d,), (snr_db,) = spec.sizes, spec.distances, spec.snr_db
-    h = _spd_channel(spec, n, a, d)
-    if spec.normalize:
-        h = frobenius_normalized(h)
-    s = decompose(h, vectors=False).values
-    alloc = waterfill(s[:spec.active_modes], budget=10.0 ** (snr_db / 10.0), noise=1.0)
+    h = _ula_matrix(spec, n, a, d)
+    s = decompose(h, vectors=False)
+    # the requested modes, clipped at the rank tolerance of the whole channel as dof is
+    alloc = waterfill(replace(s, values=s.values[:spec.active_modes]),
+                      budget=10.0 ** (snr_db / 10.0), noise=1.0)
     # water-filling drops the weakest requested modes at this SNR
     powers = alloc.powers[alloc.powers > 0]
     k = powers.size
-    snr = powers * s[:k] ** 2
+    snr = powers * s.values[:k] ** 2
     if not _LINK_SNR_RANGE[0] <= snr.min() <= snr.max() <= _LINK_SNR_RANGE[1]:
         raise FloatingPointError(f"predicted per-mode SNRs {snr.min():.3g} to {snr.max():.3g}"
                                  f" leave {list(_LINK_SNR_RANGE)}, the range link-sim measures")

@@ -60,10 +60,11 @@ class TransmissionConfig:
 class LinkReport:
     """Per-mode measurement summary of a simulated run.
 
-    SNR entries are +inf for a noiseless run; every other field is finite.
-    ``error_correlation`` holds magnitudes of the normalized error
-    cross-correlation, so mode independence shows up as a near-identity
-    matrix.
+    ``predicted_mode_snr`` is +inf for a noiseless run, whose
+    ``measured_mode_snr`` = 1 / ``mode_mse`` reads round-off: large but finite
+    unless every estimate is exact.  ``error_correlation`` holds magnitudes of
+    the normalized error cross-correlation, so mode independence shows up as
+    a near-identity matrix.
     """
 
     measured_mode_snr: np.ndarray

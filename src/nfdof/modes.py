@@ -202,17 +202,15 @@ def _half_phase_excursion(column: np.ndarray) -> float:
 
 
 def toeplitz_spectrum(column) -> SingularSpectrum:
-    """The values-only spectrum of the n x n symmetric Toeplitz matrix
-    H_ij = column[|i - j|].
+    """The values-only spectrum of :func:`toeplitz_matrix` of ``column``.
 
-    With k = max(32, ceil(:func:`_half_phase_excursion`)) and 6 k <= n,
-    near which the dense solve stops being faster, :func:`_leading_values`
-    runs on FFT products with H along the rows of (k, 2n) blocks in O(n k)
-    memory, the probes' transform kept for the latest (n, k); its doubling
-    covers a low estimate, and the values it leaves out are round-off by the
-    rank tolerance of every metric and read 0.0.  Otherwise, or once a
-    doubling passes 6 k > n, :func:`decompose` solves H gathered from the
-    column as a read-only view, exactly centrosymmetric, by its parity blocks.
+    With k = max(32, ceil(:func:`_half_phase_excursion`)) and 6 k <= n, near
+    which the dense solve stops being faster, :func:`_leading_values` runs on
+    FFT products with H along the rows of (k, 2n) blocks in O(n k) memory, the
+    probes' transform kept for the latest (n, k); its doubling covers a low
+    estimate, and the values it leaves out are round-off by the rank tolerance
+    of every metric and read 0.0.  Otherwise, or once a doubling passes 6 k > n,
+    :func:`decompose` solves the matrix by its parity blocks.
     """
     column = np.asarray(column, dtype=complex)
     if column.ndim != 1 or column.size < 2:
@@ -226,9 +224,13 @@ def toeplitz_spectrum(column) -> SingularSpectrum:
             values = np.zeros(n)
             values[:leading.size] = leading
             return SingularSpectrum(values=values, shape=(n, n))
-    # row i of the reversed windows of [column[:0:-1], column] is column[|i - j|]
+    return decompose(toeplitz_matrix(column), vectors=False)
+
+
+def toeplitz_matrix(column) -> np.ndarray:
+    """Read-only H_ij = column[|i - j|]: the reversed n-windows of [column[:0:-1], column]."""
     full = np.concatenate([column[:0:-1], column])
-    return decompose(np.lib.stride_tricks.sliding_window_view(full, n)[::-1], vectors=False)
+    return np.lib.stride_tricks.sliding_window_view(full, len(column))[::-1]
 
 
 def spectrum_values(spectrum) -> np.ndarray:

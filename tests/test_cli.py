@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nfdof import __version__, experiments
-from nfdof.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
+from nfdof.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, MAX_THREADS,
+                       build_parser, main)
 from nfdof.experiments import MAX_COUNT
 
 
@@ -292,6 +293,28 @@ class TestSeedAndThreads:
         assert main(["run", cfg_path, "--out", str(out)]) == EXIT_OK
         header = (out / "spectrum_n16_d15.csv").read_text().splitlines()
         assert f"# timestamp={stamp}" in header
+
+    @pytest.mark.parametrize("threads", ["0", "-1", str(MAX_THREADS + 1), "1000000000", "two"])
+    def test_threads_out_of_range_is_a_usage_error(self, threads, tmp_path, monkeypatch,
+                                                   capsys):
+        # rejected before the config is read (this path does not exist) and
+        # before any worker starts
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o"),
+                  "--threads", threads])
+        assert exit_.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: nfdof ") and "argument --threads: " in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+    def test_threads_from_1_to_the_bound_parse(self):
+        parse = build_parser().parse_args
+        assert [parse(["run", "cfg.json", "--threads", t]).threads
+                for t in ("1", str(MAX_THREADS))] == [1, MAX_THREADS]
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         cfg = spectrum_config()

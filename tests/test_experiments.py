@@ -13,10 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 import nfdof.experiments
 import nfdof.modes
 import nfdof.spec
-from conftest import csv_fmt
+from conftest import WAVELENGTH, csv_fmt, ula_pair
+from nfdof.channel import frobenius_normalized, los_nusw_channel, los_usw_channel
 from nfdof.errors import ConfigError
 from nfdof.experiments import (ResultTable, _summary_text, config_hash, emit_plot_data,
                                run_experiment, validate_config)
+from nfdof.metrics import dof, edof3_auto
+from nfdof.modes import decompose
 
 
 def spectrum_config(**overrides):
@@ -254,12 +257,30 @@ class TestSpectrumExperiment:
             tracemalloc.stop()
         assert peak <= 0.3 * n * n * np.dtype(complex).itemsize
 
-    def test_usw_model(self, tmp_path):
-        cfg = spectrum_config(model="usw")
+    @pytest.mark.parametrize("experiment", ["spectrum", "edof3-vs-snr"])
+    def test_usw_model(self, experiment, tmp_path):
+        # the runners that take a model key; link-sim rejects it
+        cfg = spectrum_config(experiment=experiment, model="usw")
+        if experiment == "edof3-vs-snr":
+            cfg["geometry"]["n_elements"] = 32
+            cfg["metrics"] = {"snr_db": [0.0, 20.0]}
         tables = run_experiment(cfg, out_dir=tmp_path)
-        assert tables[0].rows[0][2] == 1.0
-        summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
-        assert summary["config_echo"]["model"] == "usw"
+        tx, rx = ula_pair(32, 15.0)
+        expected = {}
+        for model, build in (("usw", los_usw_channel), ("nusw", los_nusw_channel)):
+            h = build(tx, rx, WAVELENGTH)
+            if experiment == "spectrum":
+                s = decompose(h, vectors=False).values
+                expected[model] = list(s / s[0])
+            else:  # normalized by default
+                s = decompose(frobenius_normalized(h), vectors=False)
+                expected[model] = [edof3_auto(s, snr) for snr in (1.0, 100.0)]
+        got = [row[2] for row in tables[0].rows]
+        assert experiment != "spectrum" or got[0] == 1.0
+        assert got == pytest.approx(expected["usw"], rel=1e-9, abs=1e-12)
+        assert got != pytest.approx(expected["nusw"], rel=1e-9, abs=1e-12)
+        summary_path = tmp_path / f"{experiment.replace('-', '_')}_summary.json"
+        assert json.loads(summary_path.read_text())["config_echo"]["model"] == "usw"
 
 
 class TestEdof2VsNExperiment:
@@ -354,6 +375,34 @@ class TestLinkSimExperiment:
         assert np.all(np.isfinite(rows))
         for name in ("link_report.json", "link_sim_summary.json"):
             assert_finite_json(tmp_path / name)
+
+    def test_water_fills_only_the_modes_dof_counts(self, tmp_path):
+        # sigma_10 / sigma_1 = 9.6e-9 at N = 128 and 150 m lies under the
+        # rank tolerance of the 128 x 128 channel (1.28e-8), not under that
+        # of 10 values (1e-9): dof counts 9 modes, and 9 get power
+        cfg = {
+            "experiment": "link-sim",
+            "carrier": {"wavelength_m": 0.01},
+            "geometry": {"aperture_m": 1.37, "n_elements": 128, "distance_m": 150.0},
+            "link": {"active_modes": 10, "snr_db": 200.0, "n_symbols": 4000},
+            "seed": 1,
+        }
+        (table,) = run_experiment(cfg, out_dir=tmp_path)
+        assert len(read_csv_rows(tmp_path / f"{table.name}.csv")) == 9
+        s = decompose(frobenius_normalized(los_nusw_channel(*ula_pair(128, 150.0),
+                                                            WAVELENGTH)), vectors=False)
+        assert dof(s) == 9 and 1e-9 < s.values[9] / s.values[0] < 1.28e-8
+
+    def test_model_key_rejected(self):
+        cfg = {
+            "experiment": "link-sim",
+            "carrier": {"wavelength_m": 0.01},
+            "geometry": {"aperture_m": 1.37, "n_elements": 16, "distance_m": 15.0},
+            "link": {"active_modes": 2, "snr_db": 10.0, "n_symbols": 2000},
+            "model": "usw",
+        }
+        with pytest.raises(ConfigError, match="model"):
+            validate_config(cfg)
 
     def test_report_and_determinism(self, tmp_path):
         cfg = {

@@ -522,9 +522,10 @@ FINDER_POINTS = {"array_large.json": [1024] * 3, "spectrum.json": [256] * 3,
 @pytest.mark.parametrize("path", TRAFFIC_CONFIGS, ids=lambda p: p.name)
 def test_every_shipped_ladder_takes_the_half_row_build(path, tmp_path, monkeypatch,
                                                         rung_calls, mirror_tests):
-    # every channel and kernel assembly builds half its rows, and every
-    # values-only spectrum of a matrix is solved as two parity blocks; only
-    # the facing-ULA points with N >= 6 k (k = 32 for 1.37 m at 15-150 m:
+    # every kernel assembly builds half its rows, every facing-ULA channel
+    # is gathered from its column with no assembly, and every values-only
+    # spectrum of a matrix is solved as two parity blocks; only the spectra
+    # of facing-ULA points with N >= 6 k (k = 32 for 1.37 m at 15-150 m:
     # N = 256, 275 and 1024) run the finder on the Toeplitz operator, and
     # form no matrix and no blocks
     splits, operators = [], []
@@ -551,10 +552,11 @@ def test_every_shipped_ladder_takes_the_half_row_build(path, tmp_path, monkeypat
     if cfg["experiment"] in ("cap-edof-vs-distance", "edof2-vs-n"):
         # the SPD side of edof2-vs-n builds a column per grid point, no matrix
         assert rung_calls and len(mirror_tests) == len(rung_calls)
-    elif cfg["experiment"] in ("spectrum", "edof-vs-n"):
-        assert mirror_tests == []
     else:
-        assert mirror_tests
+        assert mirror_tests == []
+        if cfg["experiment"] in ("edof3-vs-snr", "link-sim"):
+            # the gathered matrix, solved as its parity blocks
+            assert splits
 
 
 class TestGaussLegendreRules:

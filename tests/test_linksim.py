@@ -254,11 +254,15 @@ class TestRunLink:
         assert np.array_equal(a.error_correlation, b.error_correlation)
 
     def test_noiseless_report_is_not_written(self, tmp_path):
-        # its SNRs are +inf, which no output file may hold
+        # its predicted SNRs are +inf, which no output file may hold; the
+        # measured ones are 1 / mse of round-off, large but finite
         h = nusw_channel(16, 15.0)
         cfg = TransmissionConfig(mode_powers=[1.0, 1.0],
                                  noise_power=0.0, n_symbols=4, seed=6)
         report = run_link(h, cfg)
+        assert np.all(np.isposinf(report.predicted_mode_snr))
+        assert np.all(np.isfinite(report.measured_mode_snr))
+        assert np.array_equal(report.measured_mode_snr, 1.0 / report.mode_mse)
         with pytest.raises(FloatingPointError, match="report.json"):
             save_link_report(report, tmp_path / "report.json")
         assert list(tmp_path.iterdir()) == []

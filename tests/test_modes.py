@@ -15,7 +15,7 @@ from nfdof.kernel import _path_spread
 from nfdof.metrics import dof, edof1, edof2
 from nfdof.modes import (ModeDecomposition, SingularSpectrum, _half_phase_excursion,
                          _leading_values, _probe_transform, _toeplitz_products, decompose,
-                         parity_blocks, toeplitz_spectrum)
+                         parity_blocks, toeplitz_matrix, toeplitz_spectrum)
 
 
 def svd_values(m):
@@ -412,6 +412,25 @@ class TestToeplitzSpectrum:
         assert np.max(gap[:dof(full)]) <= 1e-13 * exact[0]
         floor = np.finfo(float).eps * 2 * np.pi * np.hypot(d, APERTURE) / WAVELENGTH
         assert np.max(gap) <= 1e-13 * n * exact[0] + floor * np.linalg.norm(h)
+
+    @pytest.mark.parametrize("model", sorted(CHANNELS))
+    @pytest.mark.parametrize("n, d", [(64, 15.0), (256, 15.0), (256, 50.0), (256, 150.0)])
+    def test_gathered_matrix_is_the_coordinate_build_at_the_shipped_points(self, n, d,
+                                                                          model):
+        # edof3-vs-snr and link-sim gather their channel from the column, so
+        # at every point a shipped config runs it is the coordinate build
+        # bit for bit, and their outputs keep their bytes
+        tx = build_ula(n, APERTURE, center=(0.0, 0.0, 0.0))
+        rx = build_ula(n, APERTURE, center=(0.0, d, 0.0))
+        gathered = toeplitz_matrix(facing_ula_column(model, n, APERTURE, d, WAVELENGTH))
+        assert not gathered.flags.writeable
+        assert np.array_equal(gathered, self.CHANNELS[model](tx, rx, WAVELENGTH))
+
+    def test_toeplitz_matrix_reads_the_column_at_the_index_gap(self):
+        column = np.arange(5) + 1j * np.arange(5, 0, -1)
+        gathered = toeplitz_matrix(column)
+        i, j = np.indices((5, 5))
+        assert np.array_equal(gathered, column[np.abs(i - j)])
 
     def test_spd_edof2_tends_to_the_cap_edof2(self):
         # SPD -> CAP as the array at a fixed aperture gets denser: FFT

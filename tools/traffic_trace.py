@@ -1,13 +1,16 @@
 """Print the statements of ``src/nfdof`` that the traffic never reaches,
-then every function or method none of whose statements it reaches, and
-last the line total of ``src/nfdof/*.py`` as ``wc -l`` counts it.
+then every function or method none of whose statements it reaches, then
+every one that only the acceptance gate reaches, and last the line total
+of ``src/nfdof/*.py`` as ``wc -l`` counts it.
 
 The traffic is ``nfdof run`` on the seven ``configs/*.json`` and the two
 ``nfbench/configs/*.json``, plus ``pytest tests/test_acceptance.py``.  Both
 run in this process under a ``sys.settrace`` line trace, started before
 ``nfdof`` is imported so that import-time statements count too.  A whole
 definition that is never reached is tagged when ``nfbench/spans.py`` probes
-its name, because the benchmark then needs it to exist.  Run from anywhere
+its name, because the benchmark then needs it to exist.  A definition that
+the acceptance gate reaches and the nine ``nfdof run`` calls do not serves
+no CLI run.  Run from anywhere
 with
 
     python tools/traffic_trace.py
@@ -71,7 +74,9 @@ def probed_names() -> set:
 
 
 def main() -> int:
-    reached = set()
+    # (file, line) pairs the nfdof runs reach, then those the acceptance gate does
+    by_cli, by_gate = set(), set()
+    reached = by_cli
     prefix = str(PACKAGE)
 
     def local(frame, event, arg):
@@ -93,6 +98,7 @@ def main() -> int:
                                               str(Path(out) / config.stem)])
                      for config in configs}
         print(f"nfdof run exit codes: {codes}")
+        reached = by_gate
         import pytest
         pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(REPO),
                      str(REPO / "tests" / "test_acceptance.py")])
@@ -100,6 +106,7 @@ def main() -> int:
         sys.settrace(None)
         threading.settrace(None)
 
+    reached = by_cli | by_gate
     for path in sorted(PACKAGE.glob("*.py")):
         statements = statement_lines(path)
         missed = sorted(n for n in statements if (str(path), n) not in reached)
@@ -108,14 +115,17 @@ def main() -> int:
             print(f"  {n:4d}  {statements[n]}")
 
     probed = probed_names()
-    print("definitions with no reached statement:")
+    unreached, gate_only = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         statements = statement_lines(path)
         for line, name, body in definitions(path):
-            body &= statements.keys()
-            if body and not any((str(path), n) in reached for n in body):
+            keys = {(str(path), n) for n in body & statements.keys()}
+            if keys and not keys & by_cli:
                 tag = "  (probed by nfbench/spans.py)" if name in probed else ""
-                print(f"  {path.name}:{line}  {name}{tag}")
+                (gate_only if keys & by_gate else unreached).append(
+                    f"  {path.name}:{line}  {name}{tag}")
+    print("definitions with no reached statement:", *unreached, sep="\n")
+    print("definitions reached only by the acceptance gate:", *gate_only, sep="\n")
     # wc -l counts newline characters
     total = sum(path.read_bytes().count(b"\n") for path in PACKAGE.glob("*.py"))
     print(f"src/nfdof/*.py: {total} lines")
