@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-# the benchmark probes build_ula, los_*_channel and validate_config by name in this module
+# the benchmark probes build_ula, los_*_channel, decompose and validate_config here by name
 from .channel import (facing_ula_column, frobenius_normalized, los_nusw_channel,  # noqa: F401
                       los_usw_channel)
 from .geometry import build_ula, continuous_aperture, rayleigh_distance  # noqa: F401
@@ -27,7 +27,7 @@ from .kernel import cap_edof1, cap_edof2, converge_spectrum
 from .linksim import TransmissionConfig, run_link, save_link_report
 from .metrics import (dof, edof1, edof1_limit_linear, edof2, edof3_auto,
                       metrics_report, waterfill)
-from .modes import decompose, toeplitz_matrix, toeplitz_spectrum
+from .modes import decompose, toeplitz_matrix, toeplitz_spectrum  # noqa: F401
 from .spec import MAX_COUNT, ExperimentSpec, Grid, _slug, validate_config  # noqa: F401
 
 
@@ -225,7 +225,7 @@ def _run_edof3_vs_snr(spec, prov, threads):
 
     def one(item):
         name, d = item
-        s = decompose(_ula_matrix(spec, n, a, d), vectors=False)
+        s = toeplitz_spectrum(_ula_matrix(spec, n, a, d)[:, 0])
         echo = {"distance_m": d, "n_elements": n, "aperture_m": a,
                 "normalize": spec.normalize, "config_hash": prov["config_hash"]}
         values = [edof3_auto(s, snr, delta_step=spec.delta_step) for snr in snrs]
@@ -269,7 +269,7 @@ _LINK_SNR_RANGE = (1e-300, 1e25)
 def _run_link_sim(spec, prov, threads):
     ((n, a),), (d,), (snr_db,) = spec.sizes, spec.distances, spec.snr_db
     h = _ula_matrix(spec, n, a, d)
-    s = decompose(h, vectors=False)
+    s = toeplitz_spectrum(h[:, 0])
     # the requested modes, clipped at the rank tolerance of the whole channel as dof is
     alloc = waterfill(replace(s, values=s.values[:spec.active_modes]),
                       budget=10.0 ** (snr_db / 10.0), noise=1.0)

@@ -157,7 +157,7 @@ def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float, m_node
     nodes are exact mirror images, H is exactly centrosymmetric, and only its
     top ``(m_nodes + 1) // 2`` rows are computed, then folded in place into
     its even and odd parity blocks (:func:`~nfdof.modes.fold_parity`),
-    returned as a pair, so no m x m array is formed.  Else H is returned.
+    returned as ``(even, odd)``, so no m x m array is formed; else as ``(H,)``.
     """
     if m_nodes < 8:
         raise ValueError(f"m_nodes must be >= 8, got {m_nodes}")
@@ -178,14 +178,13 @@ def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float, m_node
     blocks = fold_parity(h) if h.shape[0] < m_nodes else (h,)
     for b in blocks:
         b.setflags(write=False)
-    return blocks if len(blocks) == 2 else h
+    return blocks
 
 
 def cap_spectrum(blocks) -> SingularSpectrum:
     """Singular values sigma_n, as an (m, m) spectrum, of what
     :func:`build_kernel` returns: two parity blocks or one response.
     sigma_n**2 are the eigenvalues of the discretized kernel."""
-    blocks = (blocks,) if isinstance(blocks, np.ndarray) else blocks
     m = sum(len(b) for b in blocks)
     return SingularSpectrum(values=_block_values(blocks), shape=(m, m))
 

@@ -1,9 +1,9 @@
 """SVD decomposition of a channel into orthogonal communication modes.
 
 A square matrix M is centrosymmetric when J M J = M, J being the exchange
-matrix that reverses the index order.  The channel of two mirror-placed
-arrays, and the weighted response of two mirror-placed apertures, facing
-each other are centrosymmetric, and then the orthogonal change of basis to
+matrix that reverses the index order.  The symmetric Toeplitz channel of two
+facing ULAs, and the weighted response of two mirror-placed facing apertures,
+are centrosymmetric by construction, and then the orthogonal change of basis to
 even and odd vectors splits M into two half-size blocks (Cantoni & Butler,
 Linear Algebra Appl. 13, 1976) whose singular values together are those of M.
 """
@@ -90,21 +90,6 @@ def fold_parity(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
-def parity_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The :func:`fold_parity` blocks of a square matrix with J m J == m
-    exactly, or None when ``m`` is not square of size >= 2 or not exactly
-    centrosymmetric."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
-        return None
-    n = m.shape[0]
-    p = n // 2
-    # J m J == m: the bottom p rows mirror the top p; an odd middle row mirrors itself
-    if not (np.array_equal(m[n - p:], m[:p][::-1, ::-1])
-            and (n % 2 == 0 or np.array_equal(m[p], m[p, ::-1]))):
-        return None
-    return fold_parity(m[:n - p].copy())
-
-
 def _block_values(blocks) -> np.ndarray:
     """The singular values of all ``blocks``, by SVD, in descending order."""
     return np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks]))[::-1]
@@ -117,19 +102,12 @@ def _require_solvable(m: np.ndarray):
         raise ValueError("cannot decompose an all-zero channel matrix")
 
 
-def decompose(h, vectors: bool = True) -> ModeDecomposition | SingularSpectrum:
-    """SVD of a complex channel matrix, truncated to min(N_r, N_t) modes.
-
-    With ``vectors=False`` only the singular values are computed, returned
-    as a :class:`SingularSpectrum` that keeps the matrix shape (N_r, N_t);
-    a centrosymmetric matrix is then solved as its two parity blocks.
-    """
+def decompose(h) -> ModeDecomposition:
+    """SVD of a complex channel matrix, truncated to min(N_r, N_t) modes."""
     m = np.asarray(h, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2D matrix, got shape {m.shape}")
     _require_solvable(m)
-    if not vectors:
-        return SingularSpectrum(values=_block_values(parity_blocks(m) or (m,)), shape=m.shape)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     return ModeDecomposition(left_vectors=u, right_vectors=vh.conj().T,
                              singular_values=s)
@@ -210,7 +188,8 @@ def toeplitz_spectrum(column) -> SingularSpectrum:
     probes' transform kept for the latest (n, k); its doubling covers a low
     estimate, and the values it leaves out are round-off by the rank tolerance
     of every metric and read 0.0.  Otherwise, or once a doubling passes 6 k > n,
-    :func:`decompose` solves the matrix by its parity blocks.
+    the top ``(n + 1) // 2`` rows of the matrix, gathered from the column, are
+    folded into its parity blocks (:func:`fold_parity`) and solved by SVD.
     """
     column = np.asarray(column, dtype=complex)
     if column.ndim != 1 or column.size < 2:
@@ -224,7 +203,8 @@ def toeplitz_spectrum(column) -> SingularSpectrum:
             values = np.zeros(n)
             values[:leading.size] = leading
             return SingularSpectrum(values=values, shape=(n, n))
-    return decompose(toeplitz_matrix(column), vectors=False)
+    blocks = fold_parity(np.array(toeplitz_matrix(column)[:(n + 1) // 2]))
+    return SingularSpectrum(values=_block_values(blocks), shape=(n, n))
 
 
 def toeplitz_matrix(column) -> np.ndarray:

@@ -20,7 +20,7 @@ from nfdof.geometry import build_ula, continuous_aperture
 from nfdof.kernel import (build_kernel, cap_spectrum, converge_spectrum, gauss_legendre_rule,
                           gauss_legendre_segment)
 from nfdof.linksim import LinkReport, combine, mode_coupling, precode, qpsk_symbols
-from nfdof.modes import decompose, parity_blocks
+from nfdof.modes import decompose, fold_parity
 
 WAVELENGTH = 0.01
 APERTURE = 1.37
@@ -232,6 +232,21 @@ def sampled_kernel(tx, rx, m):
     _, w = gauss_legendre_segment(tx.segment[0], tx.segment[1], m)
     inv = 1.0 / np.sqrt(w)
     return h, inv[:, None] * (h.conj().T @ h) * inv[None, :], w
+
+
+def parity_blocks(m):
+    """The :func:`~nfdof.modes.fold_parity` blocks of a square matrix with
+    J m J == m exactly, found by comparing its entries, or None when ``m`` is
+    not square of size >= 2 or not exactly centrosymmetric."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
+        return None
+    n = m.shape[0]
+    p = n // 2
+    # J m J == m: the bottom p rows mirror the top p; an odd middle row mirrors itself
+    if not (np.array_equal(m[n - p:], m[:p][::-1, ::-1])
+            and (n % 2 == 0 or np.array_equal(m[p], m[p, ::-1]))):
+        return None
+    return fold_parity(m[:n - p].copy())
 
 
 def parity_split_values(m):

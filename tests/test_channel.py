@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (WAVELENGTH, channel_entries, direct_response, mirror_verdicts,
-                      segment_pair, tilted_pair, ula_pair)
+                      parity_blocks, segment_pair, tilted_pair, ula_pair)
 from nfdof.channel import (facing_ula_column, farfield_planar_channel, frobenius_normalized,
                            los_nusw_channel, los_usw_channel)
 from nfdof.errors import SingularGeometryError
 from nfdof.geometry import ArrayGeometry, build_ula, continuous_aperture, rayleigh_distance
 from nfdof.kernel import build_kernel, cap_spectrum, converge_spectrum
 from nfdof.metrics import edof1_limit_linear
-from nfdof.modes import decompose, parity_blocks
+from nfdof.modes import decompose
 
 BUILDERS = {"nusw": los_nusw_channel, "usw": los_usw_channel}
 
@@ -197,7 +197,7 @@ class TestSharedAssembly:
                                              (0.0, d, shift + ap_t / 2))
                 elif layout == "tilted":
                     tx, rx = tilted_pair(d, angle, ap_t)
-                h = build_kernel(tx, rx, WAVELENGTH, m)
+                built = build_kernel(tx, rx, WAVELENGTH, m)
                 full = direct_response(tx, rx, m)
                 inputs = (tx.segment, rx.segment)
             else:
@@ -206,11 +206,11 @@ class TestSharedAssembly:
                 center = (0.0, d, shift if layout == "offset" else 0.0)
                 tx = build_ula(n_t, ap_t)
                 rx = build_ula(n_r, ap_r, center=center, axis=axis)
-                h = BUILDERS[kind](tx, rx, WAVELENGTH)
+                built = (BUILDERS[kind](tx, rx, WAVELENGTH),)
                 full = channel_entries(kind, tx, rx)
                 inputs = (tx.elements, rx.elements)
         # a mirror kernel comes back as the parity blocks of the response
-        built, expected = (h, parity_blocks(full)) if isinstance(h, tuple) else ((h,), (full,))
+        expected = parity_blocks(full) if len(built) == 2 else (full,)
         assert verdicts == [layout == "mirror"]
         for b, ref in zip(built, expected, strict=True):
             assert np.array_equal(b, ref)

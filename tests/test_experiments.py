@@ -13,13 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 import nfdof.experiments
 import nfdof.modes
 import nfdof.spec
-from conftest import WAVELENGTH, csv_fmt, ula_pair
+from conftest import WAVELENGTH, csv_fmt, nusw_channel, ula_pair
 from nfdof.channel import frobenius_normalized, los_nusw_channel, los_usw_channel
 from nfdof.errors import ConfigError
 from nfdof.experiments import (ResultTable, _summary_text, config_hash, emit_plot_data,
                                run_experiment, validate_config)
-from nfdof.metrics import dof, edof3_auto
-from nfdof.modes import decompose
+from nfdof.metrics import dof, edof3_auto, metrics_report
+from nfdof.modes import SingularSpectrum, decompose
 
 
 def spectrum_config(**overrides):
@@ -270,10 +270,10 @@ class TestSpectrumExperiment:
         for model, build in (("usw", los_usw_channel), ("nusw", los_nusw_channel)):
             h = build(tx, rx, WAVELENGTH)
             if experiment == "spectrum":
-                s = decompose(h, vectors=False).values
+                s = decompose(h).singular_values
                 expected[model] = list(s / s[0])
             else:  # normalized by default
-                s = decompose(frobenius_normalized(h), vectors=False)
+                s = decompose(frobenius_normalized(h)).spectrum
                 expected[model] = [edof3_auto(s, snr) for snr in (1.0, 100.0)]
         got = [row[2] for row in tables[0].rows]
         assert experiment != "spectrum" or got[0] == 1.0
@@ -353,6 +353,28 @@ class TestEdof3Experiment:
         report = summary["metric_reports"]["d15"]["edof3_by_snr"]
         assert [[r[1], r[2]] for r in csv_rows] == report
 
+    def test_shipped_points_match_the_dense_svd(self, tmp_path):
+        # configs/edof3_vs_snr.json: N = 256 of 1.37 m at 15, 50 and 150 m,
+        # where the spectrum comes from the finder on the channel's column
+        cfg = json.loads((Path(__file__).resolve().parent.parent
+                          / "configs" / "edof3_vs_snr.json").read_text())
+        assert (cfg["geometry"]["n_elements"], cfg["geometry"]["aperture_m"]) == (256, 1.37)
+        run_experiment(cfg, out_dir=tmp_path)
+        reports = json.loads((tmp_path / "edof3_vs_snr_summary.json").read_text())[
+            "metric_reports"]
+        assert list(reports) == ["d15", "d50", "d150"]
+        for d, report in zip((15.0, 50.0, 150.0), reports.values()):
+            h = frobenius_normalized(nusw_channel(256, d))
+            dense = SingularSpectrum(np.linalg.svd(h, compute_uv=False), shape=h.shape)
+            snrs = [snr for snr, _ in report["edof3_by_snr"]]
+            step = cfg["metrics"]["delta_step"]
+            oracle = metrics_report(dense, snrs, dominance=0.01, edof3_values=[
+                edof3_auto(dense, snr, delta_step=step) for snr in snrs])
+            assert (report["dof"], report["edof1"]) == (oracle["dof"], oracle["edof1"])
+            assert report["edof2"] == pytest.approx(oracle["edof2"], rel=1e-9)
+            for key in ("edof3_by_snr", "capacity_by_snr"):
+                assert np.array(report[key]) == pytest.approx(np.array(oracle[key]), rel=1e-9)
+
 
 def assert_finite_json(path):
     def reject(token):
@@ -390,7 +412,7 @@ class TestLinkSimExperiment:
         (table,) = run_experiment(cfg, out_dir=tmp_path)
         assert len(read_csv_rows(tmp_path / f"{table.name}.csv")) == 9
         s = decompose(frobenius_normalized(los_nusw_channel(*ula_pair(128, 150.0),
-                                                            WAVELENGTH)), vectors=False)
+                                                            WAVELENGTH))).spectrum
         assert dof(s) == 9 and 1e-9 < s.values[9] / s.values[0] < 1.28e-8
 
     def test_model_key_rejected(self):

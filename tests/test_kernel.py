@@ -14,15 +14,15 @@ import nfdof.channel
 import nfdof.kernel
 import nfdof.modes
 from conftest import (WAVELENGTH, cap_converged, cap_eigenvalues_direct, direct_response,
-                      facing_sum_rule, mapped_rule, mirror_verdicts, parity_split_values,
-                      prolate_eigenvalues, quarter_ladder, sampled_kernel, segment_pair,
-                      sqrt2_ladder, tilted_pair)
+                      facing_sum_rule, mapped_rule, mirror_verdicts, parity_blocks,
+                      parity_split_values, prolate_eigenvalues, quarter_ladder,
+                      sampled_kernel, segment_pair, sqrt2_ladder, tilted_pair)
 from nfdof.errors import ConvergenceError, SingularGeometryError
 from nfdof.experiments import run_experiment
 from nfdof.geometry import continuous_aperture, rayleigh_distance
 from nfdof.kernel import (build_kernel, cap_edof1, cap_edof2, cap_spectrum,
                           converge_spectrum, gauss_legendre_rule, gauss_legendre_segment)
-from nfdof.modes import SingularSpectrum, parity_blocks
+from nfdof.modes import SingularSpectrum
 
 
 @pytest.fixture
@@ -89,7 +89,8 @@ def full_g_response(monkeypatch, tx, rx, m):
     """``build_kernel`` with the half-row assembly switched off."""
     with monkeypatch.context() as patch:
         patch.setattr(nfdof.channel, "_mirror_points", lambda rx_pts, tx_pts: False)
-        return build_kernel(tx, rx, WAVELENGTH, m)
+        (h,) = build_kernel(tx, rx, WAVELENGTH, m)
+        return h
 
 
 class TestBuildKernel:
@@ -133,7 +134,7 @@ class TestBuildKernel:
     def test_offset_segments_take_the_full_assembly(self, mirror_tests):
         tx, _ = segment_pair(25.0)
         rx = continuous_aperture((0.0, 25.0, -0.5), (0.0, 25.0, 1.0))
-        h = build_kernel(tx, rx, WAVELENGTH, 32)
+        (h,) = build_kernel(tx, rx, WAVELENGTH, 32)
         assert mirror_tests == [False]
         assert not np.array_equal(h, h[::-1, ::-1])
         assert np.array_equal(h, direct_response(tx, rx, 32))
@@ -161,12 +162,13 @@ class TestBuildKernel:
             assert_blocks_equal(built, parity_blocks(h))
             assert not any(b.flags.writeable for b in built)
         else:
-            assert isinstance(built, np.ndarray) and not built.flags.writeable
-            assert np.array_equal(built, h)
+            (response,) = built
+            assert not response.flags.writeable
+            assert np.array_equal(response, h)
 
     def test_tilted_segments_take_the_full_assembly(self, mirror_tests):
         tx, rx = tilted_pair(8.0, 0.3)
-        h = build_kernel(tx, rx, WAVELENGTH, 64)
+        (h,) = build_kernel(tx, rx, WAVELENGTH, 64)
         assert mirror_tests == [False]
         assert np.array_equal(h, direct_response(tx, rx, 64))
 
@@ -384,7 +386,7 @@ class TestConvergeSpectrum:
         # the ladder at its second rung
         calls = []
         monkeypatch.setattr(nfdof.kernel, "build_kernel",
-                            lambda tx, rx, carrier, m: calls.append(m) or np.empty((m, 0)))
+                            lambda tx, rx, carrier, m: calls.append(m) or (np.empty((m, 0)),))
         monkeypatch.setattr(nfdof.kernel, "_block_values", lambda blocks: np.ones(1))
         tx, rx = segment_pair(d, 5.0)
         converge_spectrum(tx, rx, WAVELENGTH, max_nodes=cap)
@@ -515,6 +517,7 @@ TRAFFIC_CONFIGS = sorted(REPO.glob("configs/*.json")) + sorted(
 
 # the element counts of the points that run the finder, in run order
 FINDER_POINTS = {"array_large.json": [1024] * 3, "spectrum.json": [256] * 3,
+                 "edof3_vs_snr.json": [256] * 3,
                  **{name: [275] * 3 for name in ("edof_vs_n.json", "edof2_vs_n.json",
                                                  "edof2_vs_n_growing.json")}}
 
@@ -523,11 +526,10 @@ FINDER_POINTS = {"array_large.json": [1024] * 3, "spectrum.json": [256] * 3,
 def test_every_shipped_ladder_takes_the_half_row_build(path, tmp_path, monkeypatch,
                                                         rung_calls, mirror_tests):
     # every kernel assembly builds half its rows, every facing-ULA channel
-    # is gathered from its column with no assembly, and every values-only
-    # spectrum of a matrix is solved as two parity blocks; only the spectra
-    # of facing-ULA points with N >= 6 k (k = 32 for 1.37 m at 15-150 m:
-    # N = 256, 275 and 1024) run the finder on the Toeplitz operator, and
-    # form no matrix and no blocks
+    # is gathered from its column with no assembly, and every dense
+    # values-only solve is of two parity blocks; the spectra of facing-ULA
+    # points with N >= 6 k (k = 32 for 1.37 m at 15-150 m: N = 256, 275 and
+    # 1024) run the finder on the Toeplitz operator, and form no blocks
     splits, operators = [], []
     original = nfdof.modes._block_values
     finder = nfdof.modes._leading_values
@@ -554,9 +556,12 @@ def test_every_shipped_ladder_takes_the_half_row_build(path, tmp_path, monkeypat
         assert rung_calls and len(mirror_tests) == len(rung_calls)
     else:
         assert mirror_tests == []
-        if cfg["experiment"] in ("edof3-vs-snr", "link-sim"):
-            # the gathered matrix, solved as its parity blocks
+        if cfg["experiment"] == "link-sim":
+            # N = 64: the top rows of the gathered matrix, solved as its parity blocks
             assert splits
+        elif cfg["experiment"] == "edof3-vs-snr":
+            # N = 256: the finder on the column of the normalized channel
+            assert splits == []
 
 
 class TestGaussLegendreRules:

@@ -254,7 +254,7 @@ class TestEdof3:
         # bit/s/Hz, whose central difference carries about C * eps / delta_step
         # of round-off and read 1.0000000000005116 before the clamp
         tx, rx = ula_pair(16, 1e9)
-        s = decompose(frobenius_normalized(los_nusw_channel(tx, rx, WAVELENGTH)), vectors=False)
+        s = decompose(frobenius_normalized(los_nusw_channel(tx, rx, WAVELENGTH))).spectrum
         assert dof(s) == 1
         assert edof3(s, 1e40) == 1.0
         assert edof3_auto(s, 1e40) == 1.0

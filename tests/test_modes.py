@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nfdof.modes
-from conftest import (APERTURE, WAVELENGTH, cap_converged, nusw_channel,
-                      nusw_spectrum, parity_split_values, segment_pair, ula_pair)
+from conftest import (APERTURE, WAVELENGTH, cap_converged, nusw_channel, nusw_spectrum,
+                      parity_blocks, parity_split_values, segment_pair, ula_pair)
 from nfdof.channel import (facing_ula_column, farfield_planar_channel, los_nusw_channel,
                            los_usw_channel)
 from nfdof.errors import SingularGeometryError
@@ -15,7 +15,7 @@ from nfdof.kernel import _path_spread
 from nfdof.metrics import dof, edof1, edof2
 from nfdof.modes import (ModeDecomposition, SingularSpectrum, _half_phase_excursion,
                          _leading_values, _probe_transform, _toeplitz_products, decompose,
-                         parity_blocks, toeplitz_matrix, toeplitz_spectrum)
+                         toeplitz_matrix, toeplitz_spectrum)
 
 
 def svd_values(m):
@@ -79,8 +79,8 @@ class TestDecompose:
             rng = np.random.default_rng(3)
             h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         full = decompose(h)
-        values = decompose(h, vectors=False)
-        assert isinstance(values, SingularSpectrum)
+        assert isinstance(full, ModeDecomposition)
+        values = SingularSpectrum(parity_split_values(h), shape=h.shape)
         assert values.shape == full.spectrum.shape == shape
         assert values.values.shape == full.singular_values.shape
         assert np.max(np.abs(values.values - full.singular_values)) \
@@ -97,10 +97,13 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(h)
         with pytest.raises(ValueError):
-            decompose(h, vectors=False)
+            toeplitz_spectrum(h[:, 0])
 
 
 class TestParitySplit:
+    """``fold_parity`` through the ``parity_blocks`` oracle, which finds the
+    symmetry by comparing entries, against the SVD of every value."""
+
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), hermitian=st.booleans())
     def test_split_values_match_the_full_solve(self, n, seed, hermitian):
@@ -108,7 +111,7 @@ class TestParitySplit:
         even, odd = parity_blocks(m)
         assert even.shape == ((n + 1) // 2,) * 2 and odd.shape == (n // 2,) * 2
         full = svd_values(m)
-        split = decompose(m, vectors=False).values
+        split = parity_split_values(m)
         assert np.max(np.abs(split - full)) <= 1e-13 * full[0]
         if hermitian:
             assert np.array_equal(even, even.conj().T) and np.array_equal(odd, odd.conj().T)
@@ -122,7 +125,7 @@ class TestParitySplit:
         else:
             m = random_matrix(seed, (n, n))
         assert parity_blocks(m) is None
-        assert np.array_equal(decompose(m, vectors=False).values, svd_values(m))
+        assert np.array_equal(parity_split_values(m), svd_values(m))
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(2, 41), seed=st.integers(0, 2**32 - 1), hermitian=st.booleans(),
@@ -165,7 +168,7 @@ class TestParitySplit:
         rx = build_ula(64, 1.37, center=(0.0, 15.0, 0.0), axis=axis)
         h = los_nusw_channel(tx, rx, WAVELENGTH)
         assert parity_blocks(h) is None
-        assert np.array_equal(decompose(h, vectors=False).values, svd_values(h))
+        assert np.array_equal(parity_split_values(h), svd_values(h))
 
 
 def ranked_matrix(seed, n, rank, tail, centro):
@@ -255,7 +258,6 @@ class TestRankRevealing:
         m = gathered(column)
         assert parity_blocks(m) is not None
         dense = parity_split_values(m)
-        assert np.array_equal(decompose(m, vectors=False).values, dense)
         values = toeplitz_spectrum(column).values
         if finder:
             # the finder leaves values out
@@ -425,6 +427,18 @@ class TestToeplitzSpectrum:
         gathered = toeplitz_matrix(facing_ula_column(model, n, APERTURE, d, WAVELENGTH))
         assert not gathered.flags.writeable
         assert np.array_equal(gathered, self.CHANNELS[model](tx, rx, WAVELENGTH))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 191), seed=st.integers(0, 2**32 - 1))
+    @example(n=2, seed=0)
+    @example(n=3, seed=0)
+    @example(n=191, seed=0)
+    def test_dense_solve_is_the_parity_split_of_the_gathered_matrix(self, n, seed):
+        # k >= 32 probes, so 6 k > n below 192 elements and every column
+        # takes the dense solve: the top rows folded with no entry compared
+        column = random_matrix(seed, (n,))
+        values = toeplitz_spectrum(column).values
+        assert np.array_equal(values, parity_split_values(toeplitz_matrix(column)))
 
     def test_toeplitz_matrix_reads_the_column_at_the_index_gap(self):
         column = np.arange(5) + 1j * np.arange(5, 0, -1)

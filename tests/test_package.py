@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nfdof
+import nfdof.cli
 
 
 def test_every_exported_name_resolves():
@@ -41,3 +42,17 @@ def test_declared_numpy_floor_has_the_running_major_version():
                 for dep in project["dependencies"] if dep.startswith("numpy")]
     assert floor is not None, project["dependencies"]
     assert int(floor.group(1)) == int(np.__version__.split(".")[0])
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
+def test_console_script_names_the_cli_main(capsys):
+    # what an installed nfdof executable would run, with no install needed
+    import tomllib
+    scripts = tomllib.loads((Path(__file__).resolve().parent.parent
+                             / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"nfdof": "nfdof.cli:main"}
+    module, _, name = scripts["nfdof"].partition(":")
+    main = getattr(importlib.import_module(module), name)
+    assert main is nfdof.cli.main
+    assert main(["version"]) == nfdof.cli.EXIT_OK
+    assert capsys.readouterr().out.strip() == nfdof.__version__
