@@ -155,15 +155,17 @@ def _map_ordered(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def _ula_column(spec: ExperimentSpec, n: int, aperture: float, distance: float):
-    """The first column of the channel of the facing ULAs at ``distance``."""
-    return facing_ula_column(spec.model, n, aperture, distance, spec.wavelength)
-
-
-def _ula_matrix(spec: ExperimentSpec, n: int, aperture: float, distance: float):
-    """The channel of the facing ULAs, gathered from its column, normalized if asked."""
-    h = toeplitz_matrix(_ula_column(spec, n, aperture, distance))
-    return frobenius_normalized(h) if spec.normalize else h
+def _ula_column(spec: ExperimentSpec, n: int, aperture: float, distance: float, normalize=False):
+    """The first column c of the channel H of the facing ULAs at ``distance``; if asked
+    times n / ||H||_F, with ||H||_F**2 = n |c_0|**2 + 2 sum_k>0 (n - k) |c_k|**2."""
+    c = facing_ula_column(spec.model, n, aperture, distance, spec.wavelength)
+    if not normalize:
+        return c
+    p = np.square(np.abs(c))
+    norm = np.sqrt(n * p[0] + 2.0 * (np.arange(n - 1, 0, -1) @ p[1:]))
+    if norm == 0.0:
+        raise ValueError("cannot normalize an all-zero channel")
+    return c * (n / norm)
 
 
 def _converge(spec: ExperimentSpec, aperture: float, distance: float):
@@ -225,7 +227,7 @@ def _run_edof3_vs_snr(spec, prov, threads):
 
     def one(item):
         name, d = item
-        s = toeplitz_spectrum(_ula_matrix(spec, n, a, d)[:, 0])
+        s = toeplitz_spectrum(_ula_column(spec, n, a, d, spec.normalize))
         echo = {"distance_m": d, "n_elements": n, "aperture_m": a,
                 "normalize": spec.normalize, "config_hash": prov["config_hash"]}
         values = [edof3_auto(s, snr, delta_step=spec.delta_step) for snr in snrs]
@@ -268,7 +270,8 @@ _LINK_SNR_RANGE = (1e-300, 1e25)
 
 def _run_link_sim(spec, prov, threads):
     ((n, a),), (d,), (snr_db,) = spec.sizes, spec.distances, spec.snr_db
-    h = _ula_matrix(spec, n, a, d)
+    h = toeplitz_matrix(_ula_column(spec, n, a, d))
+    h = frobenius_normalized(h) if spec.normalize else h
     s = toeplitz_spectrum(h[:, 0])
     # the requested modes, clipped at the rank tolerance of the whole channel as dof is
     alloc = waterfill(replace(s, values=s.values[:spec.active_modes]),

@@ -31,6 +31,7 @@ from .spec import LADDER_FLOOR
 
 _NEWTON_STEPS = 20
 "Cap on the Newton steps for the Gauss-Legendre roots; 3-4 suffice up to m = 4096."
+_MAP_NODES = 64  # the node count whose mapped rule has alpha 0.96; not the ladder floor
 
 
 def _legendre(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -70,10 +71,10 @@ def gauss_legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _map_alpha(m: int) -> float:
-    """The alpha of the map x -> arcsin(alpha x) / arcsin(alpha) for ``m``
-    nodes, 2 rho / (rho**2 + 1) with rho = (4/3)**(64/m): the map's error
-    rho**(-2 m) is (3/4)**128 = 1e-16 at every m, and alpha(64) = 0.96."""
-    rho = (4.0 / 3.0) ** (LADDER_FLOOR / m)
+    """The alpha of the map x -> arcsin(alpha x) / arcsin(alpha) for ``m`` nodes,
+    2 rho / (rho**2 + 1), rho = (4/3)**(:data:`_MAP_NODES` / m): its error rho**(-2 m)
+    is (3/4)**128 = 1e-16 at every m, and alpha(64) = 0.96, alpha(16) = 0.58."""
+    rho = (4.0 / 3.0) ** (_MAP_NODES / m)
     return 2.0 * rho / (rho * rho + 1.0)
 
 
@@ -87,10 +88,10 @@ def gauss_legendre_segment(start, end, m: int):
     Phys. 104(2), 1993), each weight times the map's derivative
     alpha / (arcsin(alpha) sqrt(1 - (alpha x)**2)), alpha chosen from the
     node count as Hale & Trefethen do (SIAM J. Numer. Anal. 46(2), 2008;
-    :func:`_map_alpha`): 0.96 at 64 nodes, 0.9987 at 362, 0.2 at 8, where
-    the rule is nearly plain Gauss-Legendre.  Larger rules give the middle
-    of the segment a nearly uniform node density, not 2/pi of it.  The
-    map is odd and the upper half of the nodes is mirrored, so they stay exact
+    :func:`_map_alpha`): 0.96 at 64 nodes, 0.9987 at 362, 0.58 at 16, 0.2
+    at 8, where the rule is nearly plain Gauss-Legendre.  Larger rules give
+    the middle of the segment a nearly uniform node density, not 2/pi of it.
+    The map is odd and the upper half of the nodes is mirrored, so they stay exact
     mirror images.  The weights carry the physical length measure in meters.
     The mapped [-1, 1] rule is computed once per node count for the whole
     process and kept read-only; lookups are safe from several threads."""
@@ -212,12 +213,13 @@ _N_TRACK = 20
 
 _START = 0.70
 """Fraction of the quadrature cliff at or above which the ladder starts: 3 %
-under the lowest first agreeing rung, 0.722, of ``tools/ladder_sweep.py``."""
+under the lowest first agreeing rung, 0.722, of ``tools/ladder_sweep.py`` at the
+floor of 16; margins 6.8e-5 to the rung below the start, 1.8e-2 below that."""
 
 
 def _rung(k: int) -> int:
-    """Node count of rung ``k`` on the 2**(1/8) grid from :data:`LADDER_FLOOR`;
-    every eighth rung is ``LADDER_FLOOR * 2**j`` exactly."""
+    """Node count of rung ``k`` on the 2**(1/8) grid from :data:`LADDER_FLOOR`, 16:
+    every eighth rung is ``16 * 2**j`` exactly, and rung k + 16 is ``round(64 * 2**(k/8))``."""
     return round(LADDER_FLOOR * 2 ** (k / 8))
 
 
@@ -227,12 +229,12 @@ def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float,
     eigenvalues sigma_n**2 of two successive rungs agree to ``tol`` relative
     to the largest.
 
-    The rungs are ``round(64 * 2**(k/8))`` (64, 70, 76, 83, 91, 99, 108, ...).
-    Convergence of the mapped Gauss-Legendre rules is a cliff just below
+    The rungs are ``round(16 * 2**(k/8))`` (16, 17, 19, 21, ..., 59, 64, 70,
+    ...).  Convergence of the mapped Gauss-Legendre rules is a cliff just below
     pi * (path spread) / wavelength nodes (:func:`_path_spread`), so the
     ladder starts at the smallest rung at or above :data:`_START` times that
     count, or the largest at or below ``max_nodes / 2`` if that is lower,
-    and never below 64.  ``max_nodes`` must exceed 64 and is a hard cap: the
+    and never below 16.  ``max_nodes`` must exceed 16 and is a hard cap: the
     last rung is clamped to it.  Non-convergence raises
     :class:`ConvergenceError` with the last observed change and the largest
     rung built attached.  The node count of the returned spectrum is ``shape[0]``.

@@ -124,7 +124,7 @@ count.  It lies above every size the toolkit is run at (2048-element arrays,
 4096-node kernels, 10**5 link symbols) and rejects absurd sizes before any
 allocation; a size below it can still exceed the memory of the machine."""
 
-LADDER_FLOOR = 64
+LADDER_FLOOR = 16
 "Node count of the lowest rung of every kernel ladder."
 
 

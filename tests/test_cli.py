@@ -18,6 +18,7 @@ from nfdof import __version__, experiments
 from nfdof.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, MAX_THREADS,
                        build_parser, main)
 from nfdof.experiments import MAX_COUNT
+from nfdof.spec import LADDER_FLOOR
 
 
 def write_config(path, cfg):
@@ -442,7 +443,7 @@ BAD_CONFIGS = {
     "start_nodes above max_nodes": with_leaf(small_config("cap-edof-vs-distance"),
                                              ("kernel", "start_nodes"), 128),
     "max_nodes at the ladder floor": with_leaf(small_config("cap-edof-vs-distance"),
-                                               ("kernel", "max_nodes"), 64),
+                                               ("kernel", "max_nodes"), LADDER_FLOOR),
     "active_modes above n_elements": with_leaf(small_config("link-sim"),
                                                ("link", "active_modes"), 5),
     "metrics in edof2-vs-n": small_config("edof2-vs-n", metrics={"dominance": 0.5}),
@@ -510,6 +511,18 @@ class TestBadConfigs:
         assert list(work.iterdir()) == []
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("error: invalid config") == 2
+
+    @pytest.mark.parametrize("kind", ["edof2-vs-n", "cap-edof-vs-distance"])
+    def test_max_nodes_one_above_the_floor_validates_and_runs(self, kind, tmp_path):
+        # max_nodes = 16 + 1: the ladder builds 16 nodes, then 17, the cap;
+        # 0.2-0.3 m apertures at 10-50 m put the cliff below 1 node, so they agree
+        cfg = with_leaf(small_config(kind), ("kernel", "max_nodes"), LADDER_FLOOR + 1)
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "out"
+        assert main(["validate", cfg_path]) == EXIT_OK
+        assert main(["run", cfg_path, "--out", str(out)]) == EXIT_OK
+        assert_finite_outputs(out)
+        assert sorted(p.suffix for p in out.iterdir()) == [".csv", ".csv", ".json"]
 
     @pytest.mark.parametrize("kind, leaf", SIZE_LEAVES)
     def test_size_limit_itself_validates(self, kind, leaf, tmp_path):

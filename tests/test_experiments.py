@@ -19,7 +19,7 @@ from nfdof.errors import ConfigError
 from nfdof.experiments import (ResultTable, _summary_text, config_hash, emit_plot_data,
                                run_experiment, validate_config)
 from nfdof.metrics import dof, edof3_auto, metrics_report
-from nfdof.modes import SingularSpectrum, decompose
+from nfdof.modes import SingularSpectrum, decompose, toeplitz_matrix
 
 
 def spectrum_config(**overrides):
@@ -374,6 +374,30 @@ class TestEdof3Experiment:
             assert report["edof2"] == pytest.approx(oracle["edof2"], rel=1e-9)
             for key in ("edof3_by_snr", "capacity_by_snr"):
                 assert np.array(report[key]) == pytest.approx(np.array(oracle[key]), rel=1e-9)
+
+
+    EDOF3_SPEC = validate_config({
+        "experiment": "edof3-vs-snr", "carrier": {"wavelength_m": 0.01},
+        "geometry": {"aperture_m": 1.37, "n_elements": 4, "distances_m": [15.0]},
+        "metrics": {"snr_db": [0.0]}})
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 600), aperture=st.floats(0.01, 5.0), d=st.floats(0.5, 1e4))
+    @example(n=256, aperture=1.37, d=50.0)
+    def test_normalized_column_is_that_of_the_normalized_channel(self, n, aperture, d):
+        # n |c_0|**2 + 2 sum_k (n - k) |c_k|**2 sums the squares np.linalg.norm
+        # sums over the gathered channel in another order, each sum of n
+        # weighted or n**2 terms good to about n rounding units
+        column = nfdof.experiments._ula_column(self.EDOF3_SPEC, n, aperture, d, normalize=True)
+        raw = nfdof.experiments._ula_column(self.EDOF3_SPEC, n, aperture, d)
+        ref = frobenius_normalized(toeplitz_matrix(raw))[:, 0]
+        assert np.max(np.abs(column / ref - 1)) <= max(n, 8) * 2.0 ** -52
+
+    def test_normalizing_an_all_zero_channel_raises(self, monkeypatch):
+        monkeypatch.setattr(nfdof.experiments, "facing_ula_column",
+                            lambda *args: np.zeros(4, dtype=complex))
+        with pytest.raises(ValueError, match="all-zero"):
+            nfdof.experiments._ula_column(self.EDOF3_SPEC, 4, 1.37, 15.0, normalize=True)
 
 
 def assert_finite_json(path):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import nfdof.channel
 import nfdof.kernel
@@ -23,6 +23,7 @@ from nfdof.geometry import continuous_aperture, rayleigh_distance
 from nfdof.kernel import (build_kernel, cap_edof1, cap_edof2, cap_spectrum,
                           converge_spectrum, gauss_legendre_rule, gauss_legendre_segment)
 from nfdof.modes import SingularSpectrum
+from nfdof.spec import LADDER_FLOOR
 
 
 @pytest.fixture
@@ -278,19 +279,25 @@ class TestCapMetrics:
 
 class TestConvergeSpectrum:
     def test_converges_quickly_mid_range(self, rung_calls):
+        # 1.37 m segments at 50 m: path spread sqrt(50**2 + 1.37**2) - 50 =
+        # 1.88 wavelengths, a cliff of pi * 1.88 = 5.9 nodes, so the ladder
+        # starts on the floor of 16, and rungs 16 and 17 agree
         tx, rx = segment_pair(50.0)
         spec = converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6)
         m = spec.shape[0]
         assert m == rung_calls[-1] <= 512
-        lam = spec.values[:20] ** 2
-        below = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, rung_calls[-2])).values[:20] ** 2
+        assert rung_calls == [16, 17]
+        # the ladder compares min(20, 16, 17) = 16 values
+        n = min(20, rung_calls[-2])
+        lam = spec.values[:n] ** 2
+        below = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, rung_calls[-2])).values[:n] ** 2
         assert np.max(np.abs(lam - below)) / lam[0] < 1e-6
 
     def test_infinite_tol_returns_first_iterate(self, rung_calls):
-        # 1.37 m segments at 50 m put the cliff below the floor of 64
+        # 1.37 m segments at 50 m put the cliff, 5.9 nodes, below the floor of 16
         tx, rx = segment_pair(50.0)
         converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6)
-        assert rung_calls[0] == 64
+        assert rung_calls[0] == 16
 
     def test_deterministic(self):
         tx, rx = segment_pair(50.0)
@@ -309,19 +316,24 @@ class TestConvergeSpectrum:
         # 5 m segments at 20 m: path spread sqrt(20**2 + 5**2) - 20 = 61.6
         # wavelengths, so the cliff estimate pi * 61.6 = 193 nodes, and the
         # ladder starts at the first rung at or above 0.70 * 193 = 135:
-        # round(64 * 2**(17/8)) = 140, then round(64 * 2**(18/8)) = 152
+        # round(16 * 2**(33/8)) = round(64 * 2**(17/8)) = 140, then 152
         tx, rx = segment_pair(20.0, 5.0)
         spec = converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6)
         assert rung_calls == [140, 152]
         assert spec.shape[0] == 152
 
     def test_grid_holds_every_rung_of_the_fourth_root_grid(self):
-        rungs = [nfdof.kernel._rung(k) for k in range(120)]
+        # 16 * 2**((k + 16)/8) = 64 * 2**(k/8): from rung 16 on, the grid is the
+        # 2**(1/8) grid from 64, so every ladder above 64 nodes keeps its rungs
+        rungs = [nfdof.kernel._rung(k) for k in range(136)]
         assert {round(64 * 2 ** (k / 4)) for k in range(60)} <= set(rungs)
-        assert rungs[:8] == [64, 70, 76, 83, 91, 99, 108, 117]
-        assert rungs[::8] == [64 * 2 ** j for j in range(15)]
+        assert {round(16 * 2 ** (k / 4)) for k in range(68)} <= set(rungs)
+        assert rungs[16:] == [round(64 * 2 ** (k / 8)) for k in range(120)]
+        assert rungs[:8] == [16, 17, 19, 21, 23, 25, 27, 29]
+        assert rungs[16:24] == [64, 70, 76, 83, 91, 99, 108, 117]
+        assert rungs[::8] == [16 * 2 ** j for j in range(17)]
 
-    @pytest.mark.parametrize("cap", [65, 100, 1000])
+    @pytest.mark.parametrize("cap", [17, 65, 100, 1000])
     def test_rungs_never_exceed_max_nodes(self, cap, rung_calls):
         tx, rx = segment_pair(15.0)
         with pytest.raises(ConvergenceError) as err:
@@ -332,15 +344,16 @@ class TestConvergeSpectrum:
     def test_max_nodes_must_exceed_the_floor(self, rung_calls):
         tx, rx = segment_pair(15.0)
         with pytest.raises(ValueError, match="max_nodes"):
-            converge_spectrum(tx, rx, WAVELENGTH, max_nodes=64)
-        assert rung_calls == []
+            converge_spectrum(tx, rx, WAVELENGTH, max_nodes=LADDER_FLOOR)
+        assert LADDER_FLOOR == 16 and rung_calls == []
 
     @pytest.mark.parametrize("d, aperture, cap, first", [
         (8.0, 5.0, 4096, 332),    # cliff pi * 143 = 450 nodes, 0.70 of it 315: 304, 332
         (8.0, 5.0, 600, 279),     # the last rung at or below max_nodes / 2 = 300
-        (8.0, 5.0, 100, 64),      # max_nodes / 2 below the floor of 64
-        (150.0, 0.5, 4096, 64),   # cliff at 0.3 nodes
-        (20.0, 5.0, 4096, 140),   # 0.70 * 193 = 135: rungs 64, 70, 76, ..., 128, 140
+        (8.0, 5.0, 100, 49),      # the last rung at or below max_nodes / 2 = 50: 45, 49, 54
+        (8.0, 5.0, 20, 16),       # max_nodes / 2 = 10 below the floor of 16
+        (150.0, 0.5, 4096, 16),   # cliff at 0.3 nodes
+        (20.0, 5.0, 4096, 140),   # 0.70 * 193 = 135: rungs 16, 17, 19, ..., 128, 140
     ])
     def test_infinite_tol_returns_the_start_rung(self, d, aperture, cap, first, rung_calls):
         # the first rung a finite-tol ladder builds, whether or not it
@@ -351,7 +364,7 @@ class TestConvergeSpectrum:
         assert rung_calls[0] == first
 
     # every final rung here is at most 256 nodes, and every start is above
-    # the floor of 64
+    # the floor of 16
     @pytest.mark.parametrize("aperture, d", [(5.0, 20.0), (5.0, 30.0), (5.0, 12.0),
                                              (1.37, 2.0), (1.37, 3.0), (2.0, 4.0), (2.0, 6.0)])
     def test_starting_one_rung_lower_changes_no_result(self, aperture, d, rung_calls):
@@ -379,8 +392,23 @@ class TestConvergeSpectrum:
         assert climb[-1].shape == spec.shape == (rung_calls[-1],) * 2
         assert np.array_equal(climb[-1].values, spec.values)
 
+    @settings(max_examples=60, deadline=None)
+    @given(aperture=st.floats(0.1, 1.5), d=st.floats(10.0, 1000.0))
+    def test_short_ladders_agree_with_a_fixed_256_node_reference(self, aperture, d):
+        # a ladder that stops below 35 nodes compares all min(20, m) values it
+        # returns only with the rung below; hold them to a fine rule instead
+        tol = 1e-6
+        tx, rx = segment_pair(d, aperture)
+        spec = converge_spectrum(tx, rx, WAVELENGTH, tol=tol)
+        m = spec.shape[0]
+        assume(m < 35)
+        n = min(nfdof.kernel._N_TRACK, m)
+        lam = spec.values[:n] ** 2
+        ref = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, 256)).values[:n] ** 2
+        assert np.max(np.abs(lam - ref)) <= 10 * tol * ref[0]
+
     @pytest.mark.parametrize("d", [0.2, 1.0, 3.0, 50.0, 1e9])
-    @pytest.mark.parametrize("cap", [65, 100, 101, 4096])
+    @pytest.mark.parametrize("cap", [17, 65, 100, 101, 4096])
     def test_start_rung_within_floor_and_half_cap(self, d, cap, monkeypatch):
         # the first rung, read with no kernel built: equal stub spectra stop
         # the ladder at its second rung
@@ -390,9 +418,10 @@ class TestConvergeSpectrum:
         monkeypatch.setattr(nfdof.kernel, "_block_values", lambda blocks: np.ones(1))
         tx, rx = segment_pair(d, 5.0)
         converge_spectrum(tx, rx, WAVELENGTH, max_nodes=cap)
+        # the floor is 16, and rung k is round(16 * 2**(k/8))
         m = calls[0]
-        assert 64 <= m <= max(64, cap / 2)
-        assert m in {round(64 * 2 ** (k / 8)) for k in range(160)}
+        assert 16 <= m <= max(16, cap / 2)
+        assert m in {round(16 * 2 ** (k / 8)) for k in range(176)}
 
 
 # (aperture, distance) pairs; 5 m at 3 m and 6 m need 2048-4096 nodes for
@@ -604,7 +633,9 @@ class TestGaussLegendreRules:
         bound = max(1e-12, m * m * 2.0 ** -52 / 9)
         assert rho ** (2 * m) == pytest.approx((4 / 3) ** 128, rel=bound, abs=0)
 
-    def test_alpha_rises_with_m_below_1_from_0_96_at_the_floor(self):
+    def test_alpha_rises_with_m_below_1_from_0_96_at_64_nodes(self):
+        # 0.96 at the map's own 64 nodes, which the ladder floor of 16 no longer sets
+        assert nfdof.kernel._MAP_NODES == 64 != LADDER_FLOOR
         assert abs(nfdof.kernel._map_alpha(64) - 0.96) <= math.ulp(0.96)
         alpha = np.array([nfdof.kernel._map_alpha(m) for m in range(8, 4097)])
         assert np.all(np.diff(alpha) > 0) and alpha[-1] < 1.0
