@@ -118,58 +118,73 @@ _FINDER_STOP = RANK_TOL / 1000
 rank tolerance."""
 
 
-def _leading_values(sketch, adjoint, n: int, k: int) -> np.ndarray | None:
-    """The leading singular values of an n x n operator H down to the first
-    one below :data:`_FINDER_STOP` * n * sigma_1, from ``sketch(k)`` = H
-    times k Gaussian probes, drawn afresh at each k, and ``adjoint(y)`` =
-    H^H y on (n, k) blocks, by a randomized range finder with no power
-    iteration (Halko, Martinsson & Tropp, SIAM Rev. 53(2), 2011, Alg. 4.1):
-    Q from the QR of the sketch, then the SVD of H^H Q.  The spectra it serves
-    fall by orders of magnitude per index past their knee, so one product
-    captures the range (ibid., sections 4.5 and 10.2).  k, with 6 k <= n on
-    entry, doubles until the smallest value passes the stop; None once 6 k >
-    n, where the dense solve is faster."""
+def _leading_values(blocks, n: int, k: int) -> np.ndarray | None:
+    """The leading singular values, descending, of an n x n operator, the
+    direct sum of ``blocks``, down to the first of each below
+    :data:`_FINDER_STOP` * n * sigma_1: per block, Q from the QR of
+    ``sketch(k)``, the block times k Gaussian probes, then the SVD of
+    ``adjoint(Q)`` (Halko, Martinsson & Tropp, SIAM Rev. 53(2), 2011, Alg.
+    4.1, with no power iteration: the spectra it serves fall by orders of
+    magnitude per index past their knee, so one product captures the range,
+    ibid., sections 4.5 and 10.2).  k, with 6 k len(blocks) <= n on entry,
+    doubles until every block's smallest value passes the stop; None once
+    6 k len(blocks) > n, where the dense solve is faster."""
     while True:
-        q = np.linalg.qr(sketch(k))[0]
-        s = np.linalg.svd(adjoint(q), compute_uv=False)
-        if s[-1] < _FINDER_STOP * n * s[0]:
-            return s
+        found = [np.linalg.svd(adjoint(np.linalg.qr(sketch(k))[0]), compute_uv=False)
+                 for sketch, adjoint in blocks]
+        top = max(s[0] for s in found)
+        if all(s[-1] < _FINDER_STOP * n * top for s in found):
+            return np.sort(np.concatenate(found))[::-1]
         k *= 2
-        if 6 * k > n:
+        if 6 * len(blocks) * k > n:
             return None
 
 
-@lru_cache(maxsize=1)
-def _probe_transform(n: int, k: int) -> np.ndarray:
-    """The read-only FFT of k complex Gaussian probes of length n, the same
-    on every call, as the rows of a (k, 2n) block zero-padded to 2n: 32 n k
-    bytes.  The sketch keeps the latest where 2^15 <= n k <= 2^18 (1 to 8
-    MiB): kept smaller ones raised the shipped configs' peak memory by more
-    than their size, and larger ones would hold too much for good."""
+@lru_cache(maxsize=2)
+def _probe_transform(n: int, k: int, sign: int) -> np.ndarray:
+    """The read-only FFT to length 2n of k probes w + sign J w of parity
+    ``sign`` (1 even, -1 odd), w being complex Gaussian and J the exchange,
+    the same on every call, as the rows of a (k, 2n) block: 32 n k bytes.
+    The sketch keeps the latest of each parity where 2^15 <= 2 n k <= 2^18,
+    1 to 8 MiB for both: kept smaller ones raised the shipped configs' peak
+    memory by more than their size, and larger ones would hold too much."""
     rng = np.random.default_rng(0)
-    f = np.fft.fft((rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))).T, 2 * n)
+    w = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    f = np.fft.fft(w + sign * w[:, ::-1], 2 * n)
     f.setflags(write=False)
     return f
 
 
-def _toeplitz_products(column: np.ndarray):
-    """``sketch(k)`` = H times the k probes of :func:`_probe_transform` and
-    ``adjoint(y)`` = H^H y, as (n, k) transposed views, for the symmetric
-    Toeplitz H_ij = column[|i - j|] of size n, embedded in the circulant of
-    size 2n with first column c = [column, 0, column[:0:-1]]: H x is the top
-    n entries of ifft(fft(c) * fft(x, 2n)), run along the contiguous rows of
-    the (k, 2n) transpose, and H^T = H gives H^H y = conj(H conj(y))."""
-    n = column.size
+def _parity_products(column: np.ndarray) -> list:
+    """``(sketch, adjoint)`` of the even, then the odd :func:`fold_parity`
+    block of H_ij = column[|i - j|], of size n, on (m, k) views for a block of
+    size m: H times x's n-vector of the block's parity, the top m entries of
+    ifft(fft(c) * fft(., 2n)) for the circulant c = [column, 0, column[:0:-1]]
+    of size 2n, on the rows of (k, 2n) blocks, its odd-n middle one divided by
+    sqrt(2).  A block is symmetric as H is: its adjoint is conj(block conj(.))."""
+    n, p = column.size, column.size // 2
     eig = np.fft.fft(np.concatenate([column, [0.0], column[:0:-1]]))
 
-    def sketch(k):
-        probes = _probe_transform if 1 << 15 <= n * k <= 1 << 18 else _probe_transform.__wrapped__
-        return np.fft.ifft(probes(n, k) * eig)[:, :n].T
+    def products(sign, m):
+        def block(spectra):
+            rows = np.fft.ifft(spectra * eig)[:, :m]
+            rows[:, p:] /= _SQRT2
+            return rows
 
-    def adjoint(y):
-        return np.fft.ifft(np.fft.fft(np.conj(y.T, order="C"), 2 * n) * eig)[:, :n].conj().T
+        def sketch(k):
+            kept = 1 << 15 <= 2 * n * k <= 1 << 18
+            probes = (_probe_transform if kept else _probe_transform.__wrapped__)(n, k, sign)
+            return block(probes).T
 
-    return sketch, adjoint
+        def adjoint(y):
+            u = np.zeros((y.shape[1], n), dtype=complex)
+            u[:, :m] = np.conj(y.T)
+            u[:, p:m] /= _SQRT2
+            return block(np.fft.fft(u + sign * u[:, ::-1], 2 * n)).conj().T
+
+        return sketch, adjoint
+
+    return [products(1, n - p), products(-1, p)]
 
 
 def _half_phase_excursion(column: np.ndarray) -> float:
@@ -182,23 +197,23 @@ def _half_phase_excursion(column: np.ndarray) -> float:
 def toeplitz_spectrum(column) -> SingularSpectrum:
     """The values-only spectrum of :func:`toeplitz_matrix` of ``column``.
 
-    With k = max(32, ceil(:func:`_half_phase_excursion`)) and 6 k <= n, near
-    which the dense solve stops being faster, :func:`_leading_values` runs on
-    FFT products with H along the rows of (k, 2n) blocks in O(n k) memory, the
-    probes' transform kept for the latest (n, k); its doubling covers a low
-    estimate, and the values it leaves out are round-off by the rank tolerance
-    of every metric and read 0.0.  Otherwise, or once a doubling passes 6 k > n,
-    the top ``(n + 1) // 2`` rows of the matrix, gathered from the column, are
-    folded into its parity blocks (:func:`fold_parity`) and solved by SVD.
+    With k = max(16, ceil(:func:`_half_phase_excursion` / 2)) probes per
+    parity block and 6 (2 k) <= n, near which the dense solve stops being
+    faster, :func:`_leading_values` runs on :func:`_parity_products` in
+    O(n k) memory; its doubling covers a low estimate, and the values it
+    leaves out are round-off by the rank tolerance of every metric and read
+    0.0.  Otherwise, or once a doubling passes 6 (2 k) > n, the top
+    ``(n + 1) // 2`` rows gathered from the column are folded into the parity
+    blocks (:func:`fold_parity`) and solved by SVD.
     """
     column = np.asarray(column, dtype=complex)
     if column.ndim != 1 or column.size < 2:
         raise ValueError(f"expected a column of at least 2 entries, got shape {column.shape}")
     _require_solvable(column)
     n = column.size
-    k = max(32, math.ceil(_half_phase_excursion(column)))
-    if 6 * k <= n:
-        leading = _leading_values(*_toeplitz_products(column), n, k)
+    k = max(16, math.ceil(_half_phase_excursion(column) / 2))
+    if 12 * k <= n:
+        leading = _leading_values(_parity_products(column), n, k)
         if leading is not None:
             values = np.zeros(n)
             values[:leading.size] = leading

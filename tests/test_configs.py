@@ -11,6 +11,7 @@ from nfdof.spec import PARSERS
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 BENCH_CONFIG_DIR = ROOT / "nfbench" / "configs"
+STRESS_CONFIG_DIR = ROOT / "tools" / "stress"
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
@@ -24,6 +25,13 @@ def test_shipped_config_is_valid(path):
 @pytest.mark.parametrize("path", sorted(BENCH_CONFIG_DIR.glob("*.json")),
                          ids=lambda p: p.name)
 def test_benchmark_config_is_valid(path):
+    validate_config(json.loads(path.read_text()))
+
+
+# validated, never run: the stress configs are sized for tools/bench_pairs.py --stress
+@pytest.mark.parametrize("path", sorted(STRESS_CONFIG_DIR.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_stress_config_is_valid(path):
     validate_config(json.loads(path.read_text()))
 
 

@@ -187,19 +187,19 @@ class TestSpectrumExperiment:
 
     def test_finder_outputs_are_byte_identical(self, tmp_path, monkeypatch):
         # 1024 elements: the column's estimate is 19.6 at 15 m and 2.0 at
-        # 150 m, so 10 * 32 probes fit below N and each point runs the finder
-        # once on the whole Toeplitz operator
+        # 150 m, so 16 probes per parity block, and 6 * 32 <= N: each point
+        # runs the finder once, on the two parity blocks of the Toeplitz operator
         calls = []
         finder = nfdof.modes._leading_values
         monkeypatch.setattr(nfdof.modes, "_leading_values",
-                            lambda product, adjoint, n, k: calls.append((n, k))
-                            or finder(product, adjoint, n, k))
+                            lambda blocks, n, k: calls.append((len(blocks), n, k))
+                            or finder(blocks, n, k))
         cfg = spectrum_config(geometry={"aperture_m": 1.37, "n_elements": [1024],
                                         "distances_m": [15.0, 150.0]})
         runs = (("r1_t1", 1), ("r2_t1", 1), ("r3_t4", 4))
         for label, threads in runs:
             run_experiment(cfg, out_dir=tmp_path / label, threads=threads)
-        assert calls == [(1024, 32)] * (2 * len(runs))
+        assert calls == [(2, 1024, 16)] * (2 * len(runs))
         for name in ("spectrum_n1024_d15.csv", "spectrum_n1024_d150.csv",
                      "spectrum_summary.json"):
             first = (tmp_path / "r1_t1" / name).read_bytes()
@@ -210,9 +210,9 @@ class TestSpectrumExperiment:
         assert rows[-1][1:] == [0.0, 0.0] and rows[25][1] > 0.0
 
     def test_cold_and_warm_probe_tables_give_the_same_bytes(self, tmp_path):
-        # k = 32 at both sizes: the table keeps n = 1024's transform, which
-        # the threads of a cold run compute concurrently, and n = 512's is
-        # drawn afresh on every call
+        # 16 probes per parity block at both sizes: the table keeps n = 1024's
+        # two transforms, which the threads of a cold run compute
+        # concurrently, and n = 512's are drawn afresh on every call
         cfg = spectrum_config(geometry={"aperture_m": 1.37, "n_elements": [512, 1024],
                                         "distances_m": [15.0, 150.0]})
         runs = (("cold_t1", 1), ("warm_t1", 1), ("cold_t4", 4), ("warm_t4", 4))
@@ -229,12 +229,13 @@ class TestSpectrumExperiment:
                     (tmp_path / "cold_t1" / name).read_bytes()
 
     def test_small_blocks_go_straight_to_the_svd(self, tmp_path, monkeypatch):
-        # 64 elements at 50 m: the estimate is 6.5, but 10 * 32 probes do
-        # not fit below the 64 columns of the operator, so the finder is
-        # never entered and the gathered channel is solved by SVD
+        # 64 elements at 50 m: the estimate is 6.5, but 6 times the 2 * 16
+        # probes of the two parity blocks do not fit below the 64 columns of
+        # the operator, so the finder is never entered and the gathered
+        # channel is solved by SVD
         calls = []
         monkeypatch.setattr(nfdof.modes, "_leading_values",
-                            lambda product, adjoint, n, k: calls.append(k))
+                            lambda blocks, n, k: calls.append(k))
         cfg = spectrum_config(geometry={"aperture_m": 1.37, "n_elements": [64],
                                         "distances_m": [50.0]})
         tables = run_experiment(cfg, out_dir=tmp_path)
@@ -242,8 +243,8 @@ class TestSpectrumExperiment:
         assert all(row[1] > 0.0 for row in tables[0].rows)
 
     def test_peak_memory_of_one_solve(self, tmp_path):
-        # the finder holds the channel's one column and a few (2N, 32)
-        # blocks of FFT products, about 0.22 x the channel with the written
+        # the finder holds the channel's one column and a few (2N, 16)
+        # blocks of FFT products per parity block, about 0.22 x the channel with the written
         # tables; any build of half the channel's rows would hold 0.5 x
         n = 1024
         cfg = spectrum_config(geometry={"aperture_m": 1.37, "n_elements": [n],

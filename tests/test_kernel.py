@@ -557,8 +557,9 @@ def test_every_shipped_ladder_takes_the_half_row_build(path, tmp_path, monkeypat
     # every kernel assembly builds half its rows, every facing-ULA channel
     # is gathered from its column with no assembly, and every dense
     # values-only solve is of two parity blocks; the spectra of facing-ULA
-    # points with N >= 6 k (k = 32 for 1.37 m at 15-150 m: N = 256, 275 and
-    # 1024) run the finder on the Toeplitz operator, and form no blocks
+    # points with N >= 6 (2 k) (k = 16 per parity block for 1.37 m at 15-150
+    # m: N = 256, 275 and 1024) run the finder on the parity blocks of the
+    # Toeplitz operator, and fold no matrix
     splits, operators = [], []
     original = nfdof.modes._block_values
     finder = nfdof.modes._leading_values
@@ -567,9 +568,9 @@ def test_every_shipped_ladder_takes_the_half_row_build(path, tmp_path, monkeypat
         splits.append(len(blocks) == 2)
         return original(blocks)
 
-    def operator_finder(product, adjoint, n, k):
+    def operator_finder(blocks, n, k):
         operators.append(n)
-        return finder(product, adjoint, n, k)
+        return finder(blocks, n, k)
 
     for module in (nfdof.modes, nfdof.kernel):
         monkeypatch.setattr(module, "_block_values", recording)

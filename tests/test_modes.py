@@ -14,7 +14,7 @@ from nfdof.geometry import build_ula
 from nfdof.kernel import _path_spread
 from nfdof.metrics import dof, edof1, edof2
 from nfdof.modes import (ModeDecomposition, SingularSpectrum, _half_phase_excursion,
-                         _leading_values, _probe_transform, _toeplitz_products, decompose,
+                         _leading_values, _parity_products, _probe_transform, decompose,
                          toeplitz_matrix, toeplitz_spectrum)
 
 
@@ -187,25 +187,53 @@ def ranked_matrix(seed, n, rank, tail, centro):
 
 def probes(n, k):
     """k complex Gaussian probes of length n from ``default_rng(0)``, as the
-    finder draws them."""
+    finder draws them, as the columns of an (n, k) block."""
     rng = np.random.default_rng(0)
-    return rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    return (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))).T
+
+
+def parity_probes(n, k, sign):
+    """The probes w + sign J w of the even (``sign`` 1) or odd (-1) parity
+    block of an n x n centrosymmetric matrix, w being :func:`probes`, in the
+    block's orthonormal basis: their top n - n // 2 or n // 2 entries, the
+    odd-n middle entry divided by sqrt(2)."""
+    w = probes(n, k)
+    x = (w + sign * w[::-1])[:n - n // 2 if sign > 0 else n // 2]
+    x[n // 2:] /= np.sqrt(2)
+    return x
 
 
 def finder_values(m, estimate):
-    """The range finder on the dense square ``m`` through its matrix
-    products, from k = max(32, ceil(estimate)) probes, padded with 0.0 to
-    the size of ``m``; every value by SVD where 6 k > n, as in
-    ``toeplitz_spectrum``, or a doubling passes it."""
+    """The range finder on the dense square ``m`` as one block through its
+    matrix products, from k = max(32, ceil(estimate)) probes, padded with
+    0.0 to the size of ``m``; every value by SVD where 6 k > n, or a doubling
+    passes it."""
     n = m.shape[0]
     k = max(32, math.ceil(estimate))
-    found = (_leading_values(lambda k: m @ probes(n, k), lambda y: m.conj().T @ y, n, k)
+    found = (_leading_values([(lambda k: m @ probes(n, k), lambda y: m.conj().T @ y)], n, k)
              if 6 * k <= n else None)
-    if found is None:
-        return svd_values(m)
-    values = np.zeros(n)
-    values[:found.size] = found
-    return values
+    return padded(found, n) if found is not None else svd_values(m)
+
+
+def block_finder_values(m, estimate):
+    """The range finder on the two parity blocks of the dense centrosymmetric
+    ``m`` through their matrix products, from k = max(16, ceil(estimate / 2))
+    probes per block, as ``toeplitz_spectrum`` runs it, padded with 0.0 to the
+    size of ``m``; every value by SVD where 6 (2 k) > n, or a doubling passes
+    it."""
+    n = m.shape[0]
+    k = max(16, math.ceil(estimate / 2))
+    products = [(lambda k, b=b, sign=sign: b @ parity_probes(n, k, sign),
+                 lambda y, b=b: b.conj().T @ y)
+                for b, sign in zip(parity_blocks(m), (1, -1))]
+    found = _leading_values(products, n, k) if 12 * k <= n else None
+    return padded(found, n) if found is not None else parity_split_values(m)
+
+
+def padded(values, n):
+    out = np.zeros(n)
+    out[:values.size] = values
+    return out
 
 
 def spread_estimate(d, aperture=APERTURE):
@@ -221,9 +249,9 @@ def gathered(column):
 
 
 class TestRankRevealing:
-    """The randomized range finder, on dense matrices through their products
-    and on the Toeplitz operator of facing ULAs, against the SVD of every
-    value."""
+    """The randomized range finder, on dense matrices through their products,
+    as one block or as two parity blocks, and on the parity blocks of the
+    Toeplitz operator of facing ULAs, against the SVD of every value."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(192, 320), seed=st.integers(0, 2**32 - 4),
@@ -245,15 +273,49 @@ class TestRankRevealing:
         k = dof(full)
         assert np.max(np.abs(fast.values[:k] - full.values[:k])) <= 1e-13 * full.values[0]
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(192, 320), seed=st.integers(0, 2**32 - 4),
+           rank=st.integers(1, 60), tail=st.sampled_from([1e-6, 1e-4, 0.5, 0.9, 1.1, 2.0]),
+           estimate=st.sampled_from([1.0, 10.0, 32.0, "n/6"]),
+           distance=st.sampled_from([None, 15.0, 50.0, 150.0]))
+    @example(n=200, seed=0, rank=50, tail=1e-6, estimate=1.0, distance=None)
+    @example(n=201, seed=0, rank=40, tail=1e-6, estimate=1.0, distance=None)
+    # a finder that skips the sqrt(2) of the even block's middle entry moves
+    # edof2 here from 1.782004 to 1.782405
+    @example(n=275, seed=0, rank=1, tail=1e-6, estimate=1.0, distance=150.0)
+    def test_per_block_finder_has_the_metrics_of_the_full_solve(self, n, seed, rank, tail,
+                                                               estimate, distance):
+        # a centrosymmetric ranked matrix through its dense parity blocks, or,
+        # for a drawn distance, the facing ULAs' Toeplitz operator through
+        # toeplitz_spectrum, with N of both parities
+        if distance is None:
+            m = ranked_matrix(seed, n, rank, tail, centro=True)
+            # n // 6 is the widest total k that enters, n // 12 per block
+            fast = block_finder_values(m, n // 6 if estimate == "n/6" else estimate)
+        else:
+            column = facing_ula_column("nusw", n, APERTURE, distance, WAVELENGTH)
+            m = gathered(column)
+            fast = toeplitz_spectrum(column).values
+        full = SingularSpectrum(parity_split_values(m), shape=m.shape)
+        fast = SingularSpectrum(fast, shape=m.shape)
+        assert fast.values.shape == (n,)
+        assert dof(fast) == dof(full)
+        for dominance in (0.01, 0.5):
+            assert edof1(fast, dominance=dominance) == edof1(full, dominance=dominance)
+        k = dof(full)
+        assert np.max(np.abs(fast.values[:k] - full.values[:k])) <= 1e-13 * full.values[0]
+        assert edof2(fast) == pytest.approx(edof2(full), rel=1e-12)
+
     @pytest.mark.parametrize("n, d, finder", [(191, 15.0, False), (192, 15.0, True),
                                               (400, 3.0, False)])
     def test_the_finder_runs_from_six_times_its_probes(self, n, d, finder, monkeypatch):
-        # the column's estimate is 19.6 at 15 m, so k = 32 and the finder
-        # runs from n = 192; it is 93.6 at 3 m, so k = 94 waits for n = 564
+        # the column's estimate is 19.6 at 15 m, so 16 probes per parity
+        # block and the finder runs from n = 6 * 32 = 192; it is 93.6 at 3 m,
+        # so 47 per block wait for n = 564
         calls = []
         monkeypatch.setattr(nfdof.modes, "_leading_values",
-                            lambda product, adjoint, n, k: calls.append((n, k))
-                            or _leading_values(product, adjoint, n, k))
+                            lambda blocks, n, k: calls.append((len(blocks), n, k))
+                            or _leading_values(blocks, n, k))
         column = facing_ula_column("nusw", n, APERTURE, d, WAVELENGTH)
         m = gathered(column)
         assert parity_blocks(m) is not None
@@ -261,92 +323,112 @@ class TestRankRevealing:
         values = toeplitz_spectrum(column).values
         if finder:
             # the finder leaves values out
-            assert calls == [(n, 32)]
+            assert calls == [(2, n, 16)]
             assert values[-1] == 0.0 and not np.array_equal(values, dense)
         else:
             assert calls == []
             assert np.array_equal(values, dense)
 
-    @pytest.mark.parametrize("aperture, d, widths", [(APERTURE, 15.0, [32]), (0.5, 1.0, [38, 76])])
+    @staticmethod
+    def counting_products(monkeypatch, calls):
+        """Record each ``sketch(k)`` as ("product", parity, k) and each
+        ``adjoint(y)`` as ("adjoint", parity, y.shape[1])."""
+        products = nfdof.modes._parity_products
+
+        def counting(column):
+            return [(lambda k, s=sketch, b=parity: calls.append(("product", b, k)) or s(k),
+                     lambda y, a=adjoint, b=parity: calls.append(("adjoint", b, y.shape[1]))
+                     or a(y))
+                    for (sketch, adjoint), parity in zip(products(column), ("even", "odd"))]
+
+        monkeypatch.setattr(nfdof.modes, "_parity_products", counting)
+
+    @pytest.mark.parametrize("aperture, d, widths", [(APERTURE, 15.0, [16]), (0.5, 1.0, [19, 38])])
     def test_one_product_and_one_adjoint_per_attempt(self, aperture, d, widths, monkeypatch):
         # 1024 elements: the estimate is 19.6 for 1.37 m at 15 m, so one
-        # attempt at k = 32; it is 37.1 for 0.5 m at 1 m, and k = 38 doubles once
+        # attempt at 16 probes per block; it is 37.1 for 0.5 m at 1 m, and 19
+        # per block double once, together
         calls = []
-        products = nfdof.modes._toeplitz_products
-
-        def counting(column):
-            sketch, adjoint = products(column)
-            return (lambda k: calls.append(("product", k)) or sketch(k),
-                    lambda y: calls.append(("adjoint", y.shape[1])) or adjoint(y))
-
-        monkeypatch.setattr(nfdof.modes, "_toeplitz_products", counting)
+        self.counting_products(monkeypatch, calls)
         toeplitz_spectrum(facing_ula_column("nusw", 1024, aperture, d, WAVELENGTH))
-        assert calls == [(kind, k) for k in widths for kind in ("product", "adjoint")]
+        assert calls == [(kind, parity, k) for k in widths for parity in ("even", "odd")
+                         for kind in ("product", "adjoint")]
 
     def test_a_doubling_past_six_times_its_probes_takes_the_dense_solve(self, monkeypatch):
-        # 256 elements of 0.5 m at 1 m: the estimate is 37.1, so k = 38
-        # enters (6 k = 228), and its doubling to 76 goes to the dense solve
+        # 256 elements of 0.5 m at 1 m: the estimate is 37.1, so 19 probes
+        # per block enter (6 * 38 = 228), and their doubling to 38 goes to
+        # the dense solve
         calls = []
-        products = nfdof.modes._toeplitz_products
-
-        def counting(column):
-            sketch, adjoint = products(column)
-            return lambda k: calls.append(k) or sketch(k), adjoint
-
-        monkeypatch.setattr(nfdof.modes, "_toeplitz_products", counting)
+        self.counting_products(monkeypatch, calls)
         column = facing_ula_column("nusw", 256, 0.5, 1.0, WAVELENGTH)
         values = toeplitz_spectrum(column).values
-        assert calls == [38]
+        assert [c for c in calls if c[0] == "product"] == [("product", "even", 19),
+                                                           ("product", "odd", 19)]
         assert np.array_equal(values, parity_split_values(gathered(column)))
 
-    @pytest.mark.parametrize("n", [7, 8, 255, 256])
-    @pytest.mark.parametrize("k", [1, 3, 32])
-    def test_row_products_match_the_gathered_matrix(self, n, k):
+    @pytest.mark.parametrize("n", [7, 8, 255, 256, 275])
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_block_products_match_the_folded_blocks(self, n, k):
+        # the blocks of fold_parity on the gathered top rows, with the odd-n
+        # middle row and column of the even block scaled by sqrt(2)
         rng = np.random.default_rng(n + k)
         for column in (facing_ula_column("nusw", n, APERTURE, 3.0, WAVELENGTH),
                        rng.standard_normal(n) + 1j * rng.standard_normal(n)):
-            m = gathered(column)
-            sketch, adjoint = _toeplitz_products(column)
-            y = random_matrix(n * k, (n, k))
-            for fast, dense in ((sketch(k), m @ probes(n, k)), (adjoint(y), m.conj().T @ y)):
-                assert fast.shape == (n, k)
-                np.testing.assert_allclose(fast, dense, rtol=1e-12,
-                                           atol=1e-12 * np.max(np.abs(dense)))
+            blocks = parity_blocks(gathered(column))
+            assert [b.shape[0] for b in blocks] == [n - n // 2, n // 2]
+            for block, (sketch, adjoint), sign in zip(blocks, _parity_products(column),
+                                                      (1, -1)):
+                m = block.shape[0]
+                y = random_matrix(n * k + m, (m, k))
+                for fast, dense in ((sketch(k), block @ parity_probes(n, k, sign)),
+                                    (adjoint(y), block.conj().T @ y)):
+                    assert fast.shape == (m, k)
+                    np.testing.assert_allclose(fast, dense, rtol=1e-12,
+                                               atol=1e-12 * np.max(np.abs(dense)))
 
     def test_probe_transform_is_read_only_and_reused(self):
         column = facing_ula_column("nusw", 1024, APERTURE, 15.0, WAVELENGTH)
         _probe_transform.cache_clear()
         toeplitz_spectrum(column)
-        table = _probe_transform(1024, 32)
+        assert _probe_transform.cache_info()[:2] == (0, 2)  # hits, misses
+        table = _probe_transform(1024, 16, 1)
         assert not table.flags.writeable
-        assert np.array_equal(table, np.fft.fft(probes(1024, 32).T, 2048))
+        w = probes(1024, 16).T
+        assert np.array_equal(table, np.fft.fft(w + w[:, ::-1], 2048))
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.0
         toeplitz_spectrum(column)
-        assert _probe_transform.cache_info()[:2] == (2, 1)  # hits, misses
-        assert _probe_transform(1024, 32) is table
-        # only the latest transform is kept
-        _toeplitz_products(np.ones(2048, dtype=complex))[0](32)
-        assert _probe_transform.cache_info().currsize == 1
-        assert _probe_transform(1024, 32) is not table
+        assert _probe_transform.cache_info()[:2] == (3, 2)
+        assert _probe_transform(1024, 16, 1) is table
+        # only the latest transform of each parity is kept
+        for sketch, _ in _parity_products(np.ones(2048, dtype=complex)):
+            sketch(16)
+        assert _probe_transform.cache_info().currsize == 2
+        assert _probe_transform(1024, 16, 1) is not table
 
-    @pytest.mark.parametrize("n, k, kept", [(256, 32, False), (512, 63, False),
-                                            (512, 64, True), (8192, 32, True),
-                                            (8192, 33, False), (16384, 32, False)])
-    def test_only_one_transform_of_1_to_8_mib_is_kept(self, n, k, kept):
-        sketch = _toeplitz_products(np.ones(n, dtype=complex))[0]
+    @pytest.mark.parametrize("n, k, kept", [(256, 16, False), (512, 31, False),
+                                            (512, 32, True), (8192, 16, True),
+                                            (8192, 17, False), (16384, 16, False)])
+    def test_one_pair_of_transforms_of_1_to_8_mib_is_kept(self, n, k, kept):
+        # kept where 2 n k, counted over both blocks, is 2^15 to 2^18
+        products = _parity_products(np.ones(n, dtype=complex))
         _probe_transform.cache_clear()
-        sketch(k)
-        assert _probe_transform.cache_info().currsize == kept
-        sketch(k)
-        assert _probe_transform.cache_info().hits == kept
+        for sketch, _ in products:
+            sketch(k)
+        assert _probe_transform.cache_info().currsize == 2 * kept
+        for sketch, _ in products:
+            sketch(k)
+        assert _probe_transform.cache_info().hits == 2 * kept
+        if kept:
+            size = sum(_probe_transform(n, k, sign).nbytes for sign in (1, -1))
+            assert 1 << 20 <= size <= 1 << 23
         _probe_transform.cache_clear()
 
     def test_cold_and_warm_tables_give_the_same_bytes(self):
         column = facing_ula_column("nusw", 1024, APERTURE, 50.0, WAVELENGTH)
         _probe_transform.cache_clear()
         cold = toeplitz_spectrum(column).values.tobytes()
-        assert _probe_transform.cache_info().currsize == 1
+        assert _probe_transform.cache_info().currsize == 2
         assert toeplitz_spectrum(column).values.tobytes() == cold
 
     def test_values_left_out_read_zero(self):

@@ -1,7 +1,8 @@
 """Time a change against a parent commit on the benchmark, in alternating pairs.
 
     python tools/bench_pairs.py PARENT_REF --workload W [--workload W ...] --pairs N
-                                [--traced] [--what TEXT] [--claim TEXT] [--out FILE]
+                                [--traced] [--stress] [--what TEXT] [--claim TEXT]
+                                [--out FILE]
 
 Both sides are ``git archive`` copies in a temporary directory: PARENT_REF,
 and the change, which is the staged tree (``git write-tree``), so stage the
@@ -23,9 +24,23 @@ parent), its spread (the wider of the two sides' ranges) and whether the gap
 lies within that spread.  Run on a commit against itself, every layer should.
 Nothing is written into either copy's ``nfbench/`` but what ``run.py``
 itself leaves there.
+
+``--stress`` then runs each config of ``tools/stress/`` (the change's copy,
+on both sides) in N alternating pairs, the parent first in even pairs.  A
+run is a fresh interpreter in the side's copy that imports ``nfdof`` from
+its ``src/`` and calls ``nfdof.cli.main`` on the config twice: ``run_s`` is
+the wall time of the second call, and ``peak_rss_mb`` the peak resident
+memory of the process.  Under ``stress.metrics.<config>`` they get the same
+statistics as the workloads' end-to-end metrics.  The two sides' outputs are
+then compared by ``tools/traffic_outputs.py``'s check, with the parent's as
+the reference, and a failing file, like a run that exits non-zero, makes the
+exit status non-zero.  The stress configs are sized for the solvers (N up to
+16384), not for the test suite, which never runs them.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -37,10 +52,26 @@ import tempfile
 from importlib import metadata
 from pathlib import Path
 
+from traffic_outputs import compare_trees
+
 REPO = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 SEED = 700
 TRACED_PAIRS = 5
+# one stress run: an untimed call of the CLI, then a timed one, in one interpreter
+STRESS_RUN = """
+import contextlib, io, json, resource, sys, time
+sys.path.insert(0, "src")
+from nfdof.cli import main
+argv = ["run", sys.argv[1], "--out", sys.argv[2]]
+with contextlib.redirect_stdout(io.StringIO()):
+    main(argv)
+    start = time.perf_counter()
+    code = main(argv)
+    run_s = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"code": code, "run_s": run_s, "peak_rss_mb": peak}))
+"""
 
 
 def git(*args, **kwargs) -> bytes:
@@ -73,6 +104,20 @@ def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> d
     return {"workload": workload, "seed": seed, "trace": trace, "code": proc.returncode,
             "metrics": {k: m["value"] for k, m in result.get("metrics", {}).items()},
             "failed": result.get("failed"), "attempted": result.get("attempted")}
+
+
+def stress(tree: Path, config: Path, out: Path) -> dict:
+    """One run of a stress config in ``tree`` (:data:`STRESS_RUN`), its
+    outputs written under ``out``, as a record of the JSON layout."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run([sys.executable, "-c", STRESS_RUN, str(config), str(out)],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else {}
+    code = proc.returncode or result.get("code", 1)
+    return {"config": config.name, "code": code,
+            "metrics": {k: result[k] for k in ("run_s", "peak_rss_mb") if not code}}
 
 
 def quartiles(values: list) -> dict:
@@ -125,17 +170,22 @@ def layers(pairs: list) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="the parent commit")
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--workload", action="append", default=[])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--traced", action="store_true",
                         help=f"{TRACED_PAIRS} --trace 1 pairs per workload after the "
                              "pairs, alternating which side runs first")
+    parser.add_argument("--stress", action="store_true",
+                        help="then the tools/stress configs in --pairs alternating pairs, "
+                             "and their outputs compared")
     parser.add_argument("--what", default="", help="what the change is")
     parser.add_argument("--claim", default="", help="the metric the change claims to improve")
     parser.add_argument("--out", type=Path, help="the JSON file (default: standard output)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    if not (args.workload or args.stress):
+        parser.error("give a --workload, --stress or both")
 
     refs = {"parent": git("rev-parse", "--verify", args.parent + "^{commit}").decode().strip(),
             "change": git("write-tree").decode().strip()}
@@ -175,6 +225,30 @@ def main(argv=None) -> int:
                 traced[workload] = {"seeds": seeds,
                                     "first": [SIDES[i % 2] for i in range(TRACED_PAIRS)],
                                     "layers": layers(pairs)}
+        stressed = {}
+        if args.stress:
+            configs = sorted((trees["change"] / "tools" / "stress").glob("*.json"))
+            outs = {side: work / "stress" / side for side in SIDES}
+            metrics, nonzero = {}, 0
+            for config in configs:
+                pairs = []
+                for i in range(args.pairs):
+                    order = SIDES if i % 2 == 0 else SIDES[::-1]
+                    pairs.append({})
+                    for side in order:
+                        print(f"{side} stress {config.name}", file=sys.stderr)
+                        runs.append({"side": side,
+                                     **stress(trees[side], config, outs[side] / config.stem)})
+                        pairs[-1][side] = runs[-1]
+                metrics[config.name] = compare(pairs, end_to_end)
+                nonzero += sum(p[side]["code"] != 0 for p in pairs for side in SIDES)
+            check = io.StringIO()
+            with contextlib.redirect_stdout(check):
+                passed = compare_trees(outs["change"], outs["parent"])
+            sys.stderr.write(check.getvalue())
+            stressed = {"configs": [c.name for c in configs], "pairs": args.pairs,
+                        "metrics": metrics, "exit_codes_nonzero": nonzero,
+                        "outputs_pass": passed, "outputs": check.getvalue().splitlines()}
         report = {
             "what": args.what, "claim": args.claim,
             "method": (f"Alternating pairs per workload (even pairs run the parent first, odd "
@@ -186,12 +260,16 @@ def main(argv=None) -> int:
                           "the parent first in even pairs and the change first in odd "
                           "ones; per-layer quartiles under traced.<workload>.layers)"
                           if args.traced else "")
+                       + (", then the tools/stress configs in the same number of alternating "
+                          "pairs, each run a fresh interpreter calling nfdof.cli.main on the "
+                          "config twice, the second call timed (under stress)"
+                          if args.stress else "")
                        + ". Every run made is listed. Quartiles are "
                        "statistics.quantiles(method='inclusive')."),
             "machine": {"cpus_usable": len(os.sched_getaffinity(0)), "nproc": os.cpu_count(),
                         "numpy": metadata.version("numpy"), "python": platform.python_version(),
                         "blas_threads": 1},
-            "workloads": workloads, "traced": traced,
+            "workloads": workloads, "traced": traced, "stress": stressed,
             "src_lines": {"what": "wc -l src/nfdof/*.py",
                           **{side: source_lines(trees[side]) for side in SIDES}},
             "runs": runs}
@@ -202,7 +280,9 @@ def main(argv=None) -> int:
         args.out.write_text(text)
     else:
         sys.stdout.write(text)
-    return 1 if any(w["exit_codes_nonzero"] for w in workloads.values()) else 0
+    failed = any(w["exit_codes_nonzero"] for w in workloads.values())
+    return 1 if failed or stressed.get("exit_codes_nonzero") or \
+        stressed.get("outputs_pass") is False else 0
 
 
 if __name__ == "__main__":
