@@ -9,7 +9,8 @@ planar        far-field plane wave, rank-1 outer product by construction
 
 Rows index receive elements, columns index transmit elements.  The phase sign
 convention exp(-1j*2*pi*d/lambda) is fixed so written outputs are stable.
-Every builder returns a read-only complex ndarray: N_r x N_t, or one column.
+Every builder but the shared assembly returns a read-only complex ndarray:
+N_r x N_t, or one column.
 """
 
 from __future__ import annotations
@@ -18,19 +19,6 @@ import numpy as np
 
 from .errors import SingularGeometryError
 from .geometry import ArrayGeometry, _positive_finite
-
-
-def _mirror_points(rx_pts: np.ndarray, tx_pts: np.ndarray) -> bool:
-    """True when, in every coordinate, both point sets are constant or both
-    are exactly antisymmetric (``c[::-1] == -c``).  Then |r_i - t_j| equals
-    |r_(n_r-1-i) - t_(n_t-1-j)| bitwise, since (-a) - (-b) rounds to
-    -(a - b), and every matrix built from the distances is exactly
-    centrosymmetric."""
-    for a, b in zip(rx_pts.T, tx_pts.T):
-        constant = np.all(a == a[0]) and np.all(b == b[0])
-        if not (constant or (np.array_equal(a[::-1], -a) and np.array_equal(b[::-1], -b))):
-            return False
-    return True
 
 
 def _wave(h: np.ndarray, d: np.ndarray, wavelength: float, amplitude):
@@ -43,36 +31,27 @@ def _wave(h: np.ndarray, d: np.ndarray, wavelength: float, amplitude):
 
 
 def spherical_wave_matrix(rx_pts: np.ndarray, tx_pts: np.ndarray, wavelength: float,
-                          amplitude, top: bool = False) -> np.ndarray:
-    """The read-only N_r x N_t matrix a(d) * exp(-1j*2*pi*d/lambda) over the
+                          amplitude) -> np.ndarray:
+    """The writable N_r x N_t matrix a(d) * exp(-1j*2*pi*d/lambda) over the
     distances d_ij = |r_i - t_j| between receive points ``rx_pts`` (N_r, 3)
     and transmit points ``tx_pts`` (N_t, 3).
 
-    ``amplitude(h, d)`` multiplies a(d) in place into ``h``, the computed
-    top rows of the result holding their phases, and may overwrite ``d``,
-    the distances of those rows.  When the point sets pass
-    :func:`_mirror_points`, only the top ``(N_r + 1) // 2`` rows are
-    computed and the rest are their mirror image, bitwise equal to the full
-    build; with ``top``, the computed rows alone are returned, writable.
-    The squared distances are summed one coordinate at a time, so the build
-    holds at most the result and one float per computed entry.  A zero
-    distance raises :class:`SingularGeometryError`.
+    ``amplitude(h, d)`` multiplies a(d) in place into ``h``, the result
+    holding its phases, and may overwrite ``d``, the distances.  Every row
+    is computed for the points given; a caller that needs only some rows
+    passes only their points.  The squared distances are summed one
+    coordinate at a time, so the build holds at most the result and one
+    float per entry.  A zero distance raises :class:`SingularGeometryError`.
     """
-    n_r = rx_pts.shape[0]
-    rows = (n_r + 1) // 2 if _mirror_points(rx_pts, tx_pts) else n_r
-    d = np.zeros((rows, tx_pts.shape[0]))
+    d = np.zeros((rx_pts.shape[0], tx_pts.shape[0]))
     part = np.empty_like(d)
-    for a, b in zip(rx_pts[:rows].T, tx_pts.T):
+    for a, b in zip(rx_pts.T, tx_pts.T):
         d += np.square(np.subtract.outer(a, b, out=part), out=part)
     del part
     if not np.sqrt(d, out=d).all():
         raise SingularGeometryError("transmit and receive points coincide (d = 0)")
-    h = np.empty((rows if top else n_r, tx_pts.shape[0]), dtype=complex)
-    _wave(h[:rows], d, wavelength, amplitude)
-    if top:
-        return h
-    h[rows:] = h[:n_r - rows][::-1, ::-1]
-    h.setflags(write=False)
+    h = np.empty(d.shape, dtype=complex)
+    _wave(h, d, wavelength, amplitude)
     return h
 
 
@@ -108,8 +87,10 @@ def _amplitude(model: str, wavelength: float, center_distance):
 
 def _los(model: str, tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float) -> np.ndarray:
     tx_pts, rx_pts = _discrete_pair(tx, rx)
-    return spherical_wave_matrix(rx_pts, tx_pts, wavelength,
-                                 _amplitude(model, wavelength, lambda: _center_distance(tx, rx)))
+    h = spherical_wave_matrix(rx_pts, tx_pts, wavelength,
+                              _amplitude(model, wavelength, lambda: _center_distance(tx, rx)))
+    h.setflags(write=False)
+    return h
 
 
 def los_nusw_channel(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float) -> np.ndarray:

@@ -271,6 +271,7 @@ _LINK_SNR_RANGE = (1e-300, 1e25)
 def _run_link_sim(spec, prov, threads):
     ((n, a),), (d,), (snr_db,) = spec.sizes, spec.distances, spec.snr_db
     h = toeplitz_matrix(_ula_column(spec, n, a, d))
+    # scaling the column instead moves the round-off cross_mode_leakage the references hold
     h = frobenius_normalized(h) if spec.normalize else h
     s = toeplitz_spectrum(h[:, 0])
     # the requested modes, clipped at the rank tolerance of the whole channel as dof is

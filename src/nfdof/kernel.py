@@ -149,16 +149,30 @@ def _require_continuous(arr: ArrayGeometry, name: str) -> np.ndarray:
     return arr.segment
 
 
+def _mirror_points(rx_pts: np.ndarray, tx_pts: np.ndarray) -> bool:
+    """True when, in every coordinate, both point sets are constant or both
+    are exactly antisymmetric (``c[::-1] == -c``).  Then |r_i - t_j| equals
+    |r_(n_r-1-i) - t_(n_t-1-j)| bitwise, since (-a) - (-b) rounds to
+    -(a - b), and every matrix built from the distances is exactly
+    centrosymmetric."""
+    for a, b in zip(rx_pts.T, tx_pts.T):
+        constant = np.all(a == a[0]) and np.all(b == b[0])
+        if not (constant or (np.array_equal(a[::-1], -a) and np.array_equal(b[::-1], -b))):
+            return False
+    return True
+
+
 def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float, m_nodes: int):
     """The weighted response H = W_r^(1/2) G W_s^(1/2), with
     G_ij = g(r_i, s_j) on Gauss-Legendre rules of ``m_nodes`` points on both
     segments, read-only, for :func:`cap_spectrum`.
 
     The assembly is :func:`~nfdof.channel.spherical_wave_matrix`: when the
-    nodes are exact mirror images, H is exactly centrosymmetric, and only its
-    top ``(m_nodes + 1) // 2`` rows are computed, then folded in place into
-    its even and odd parity blocks (:func:`~nfdof.modes.fold_parity`),
-    returned as ``(even, odd)``, so no m x m array is formed; else as ``(H,)``.
+    nodes are exact mirror images (:func:`_mirror_points`), H is exactly
+    centrosymmetric, and only its top ``(m_nodes + 1) // 2`` rows are
+    assembled, then folded in place into its even and odd parity blocks
+    (:func:`~nfdof.modes.fold_parity`), returned as ``(even, odd)``, so no
+    m x m array is formed; else as ``(H,)``.
     """
     if m_nodes < 8:
         raise ValueError(f"m_nodes must be >= 8, got {m_nodes}")
@@ -175,8 +189,9 @@ def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float, m_node
         h *= r_root[:len(h), None]
         h *= s_root
 
-    h = spherical_wave_matrix(r_nodes, s_nodes, wavelength, amplitude, top=True)
-    blocks = fold_parity(h) if h.shape[0] < m_nodes else (h,)
+    rows = (m_nodes + 1) // 2 if _mirror_points(r_nodes, s_nodes) else m_nodes
+    h = spherical_wave_matrix(r_nodes[:rows], s_nodes, wavelength, amplitude)
+    blocks = fold_parity(h) if rows < m_nodes else (h,)
     for b in blocks:
         b.setflags(write=False)
     return blocks

@@ -126,18 +126,17 @@ def _leading_values(blocks, n: int, k: int) -> np.ndarray | None:
     ``adjoint(Q)`` (Halko, Martinsson & Tropp, SIAM Rev. 53(2), 2011, Alg.
     4.1, with no power iteration: the spectra it serves fall by orders of
     magnitude per index past their knee, so one product captures the range,
-    ibid., sections 4.5 and 10.2).  k, with 6 k len(blocks) <= n on entry,
-    doubles until every block's smallest value passes the stop; None once
-    6 k len(blocks) > n, where the dense solve is faster."""
-    while True:
+    ibid., sections 4.5 and 10.2).  k doubles until every block's smallest
+    value passes the stop; None once 6 k len(blocks) > n, on entry or after
+    a doubling, where the dense solve is faster."""
+    while 6 * len(blocks) * k <= n:
         found = [np.linalg.svd(adjoint(np.linalg.qr(sketch(k))[0]), compute_uv=False)
                  for sketch, adjoint in blocks]
         top = max(s[0] for s in found)
         if all(s[-1] < _FINDER_STOP * n * top for s in found):
             return np.sort(np.concatenate(found))[::-1]
         k *= 2
-        if 6 * len(blocks) * k > n:
-            return None
+    return None
 
 
 @lru_cache(maxsize=2)
@@ -197,14 +196,14 @@ def _half_phase_excursion(column: np.ndarray) -> float:
 def toeplitz_spectrum(column) -> SingularSpectrum:
     """The values-only spectrum of :func:`toeplitz_matrix` of ``column``.
 
-    With k = max(16, ceil(:func:`_half_phase_excursion` / 2)) probes per
-    parity block and 6 (2 k) <= n, near which the dense solve stops being
-    faster, :func:`_leading_values` runs on :func:`_parity_products` in
-    O(n k) memory; its doubling covers a low estimate, and the values it
+    From k = max(16, ceil(:func:`_half_phase_excursion` / 2)) probes per
+    parity block, :func:`_leading_values` runs on :func:`_parity_products`
+    in O(n k) memory while 6 (2 k) <= n, near which the dense solve stops
+    being faster; its doubling covers a low estimate, and the values it
     leaves out are round-off by the rank tolerance of every metric and read
-    0.0.  Otherwise, or once a doubling passes 6 (2 k) > n, the top
-    ``(n + 1) // 2`` rows gathered from the column are folded into the parity
-    blocks (:func:`fold_parity`) and solved by SVD.
+    0.0.  Where it returns None, the top ``(n + 1) // 2`` rows gathered from
+    the column are folded into the parity blocks (:func:`fold_parity`) and
+    solved by SVD.
     """
     column = np.asarray(column, dtype=complex)
     if column.ndim != 1 or column.size < 2:
@@ -212,12 +211,11 @@ def toeplitz_spectrum(column) -> SingularSpectrum:
     _require_solvable(column)
     n = column.size
     k = max(16, math.ceil(_half_phase_excursion(column) / 2))
-    if 12 * k <= n:
-        leading = _leading_values(_parity_products(column), n, k)
-        if leading is not None:
-            values = np.zeros(n)
-            values[:leading.size] = leading
-            return SingularSpectrum(values=values, shape=(n, n))
+    leading = _leading_values(_parity_products(column), n, k)
+    if leading is not None:
+        values = np.zeros(n)
+        values[:leading.size] = leading
+        return SingularSpectrum(values=values, shape=(n, n))
     blocks = fold_parity(np.array(toeplitz_matrix(column)[:(n + 1) // 2]))
     return SingularSpectrum(values=_block_values(blocks), shape=(n, n))
 

@@ -13,7 +13,6 @@ from unittest import mock
 
 import numpy as np
 
-import nfdof.channel
 import nfdof.kernel
 from nfdof.channel import los_nusw_channel
 from nfdof.geometry import build_ula, continuous_aperture
@@ -177,16 +176,16 @@ def run_link_loop(h, config, chunk=8192):
 
 @contextmanager
 def mirror_verdicts():
-    """Records the verdict of every point-mirror test the shared
-    spherical-wave assembly makes inside the block."""
+    """Records the verdict of every point-mirror test ``build_kernel`` makes
+    inside the block."""
     verdicts = []
-    original = nfdof.channel._mirror_points
+    original = nfdof.kernel._mirror_points
 
     def recording(rx_pts, tx_pts):
         verdicts.append(original(rx_pts, tx_pts))
         return verdicts[-1]
 
-    with mock.patch.object(nfdof.channel, "_mirror_points", recording):
+    with mock.patch.object(nfdof.kernel, "_mirror_points", recording):
         yield verdicts
 
 

@@ -155,17 +155,20 @@ class TestWavelengthRule:
 
 
 class TestSharedAssembly:
-    """Channels and kernel responses come from one spherical-wave assembly,
-    which builds only the top half of the rows for exact mirror pairs."""
+    """Channels and kernel responses come from one spherical-wave assembly;
+    only ``build_kernel`` builds the top half of the rows, for exact mirror
+    nodes, and folds them."""
 
     @pytest.mark.parametrize("model", sorted(BUILDERS))
     @pytest.mark.parametrize("n_r, n_t", [(5, 12), (12, 5), (7, 7), (64, 64)])
-    def test_mirror_ulas_take_the_half_row_build(self, model, n_r, n_t):
+    def test_mirror_ula_channels_build_every_row(self, model, n_r, n_t):
+        # no mirror test is made, and the full build is still bitwise
+        # centrosymmetric for mirror points
         tx = build_ula(n_t, 1.37)
         rx = build_ula(n_r, 1.37, center=(0.0, 15.0, 0.0))
         with mirror_verdicts() as verdicts:
             h = BUILDERS[model](tx, rx, WAVELENGTH)
-        assert verdicts == [True]
+        assert verdicts == []
         assert h.shape == (n_r, n_t)
         assert np.array_equal(h, h[::-1, ::-1])
         assert np.array_equal(h, channel_entries(model, tx, rx))
@@ -211,7 +214,7 @@ class TestSharedAssembly:
                 inputs = (tx.elements, rx.elements)
         # a mirror kernel comes back as the parity blocks of the response
         expected = parity_blocks(full) if len(built) == 2 else (full,)
-        assert verdicts == [layout == "mirror"]
+        assert verdicts == ([layout == "mirror"] if kind == "kernel" else [])
         for b, ref in zip(built, expected, strict=True):
             assert np.array_equal(b, ref)
             assert not b.flags.writeable
@@ -228,9 +231,10 @@ class TestSharedAssembly:
         # the old assembly held a (rows, N_t, 3) difference tensor, its square
         # and the complex temporaries of the entry formula beside the result:
         # 2.5 x the result on a mirror pair, 4.5 x on an offset pair.  A
-        # kernel is measured with its solve: its top rows, folded into the
-        # parity blocks, hold 0.80 x one n x n response, where forming the
-        # response and then its blocks held 1.52 x
+        # channel, mirror pair or not, now holds its result and one float
+        # distance per entry, 1.5 x.  A kernel is measured with its solve:
+        # its top rows, folded into the parity blocks, hold 0.80 x one n x n
+        # response, where forming the response and then its blocks held 1.52 x
         if build is build_kernel:
             tx, rx = segment_pair(8.0, 5.0)
             bound = 0.85

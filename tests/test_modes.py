@@ -210,8 +210,7 @@ def finder_values(m, estimate):
     passes it."""
     n = m.shape[0]
     k = max(32, math.ceil(estimate))
-    found = (_leading_values([(lambda k: m @ probes(n, k), lambda y: m.conj().T @ y)], n, k)
-             if 6 * k <= n else None)
+    found = _leading_values([(lambda k: m @ probes(n, k), lambda y: m.conj().T @ y)], n, k)
     return padded(found, n) if found is not None else svd_values(m)
 
 
@@ -226,7 +225,7 @@ def block_finder_values(m, estimate):
     products = [(lambda k, b=b, sign=sign: b @ parity_probes(n, k, sign),
                  lambda y, b=b: b.conj().T @ y)
                 for b, sign in zip(parity_blocks(m), (1, -1))]
-    found = _leading_values(products, n, k) if 12 * k <= n else None
+    found = _leading_values(products, n, k)
     return padded(found, n) if found is not None else parity_split_values(m)
 
 
@@ -311,11 +310,9 @@ class TestRankRevealing:
     def test_the_finder_runs_from_six_times_its_probes(self, n, d, finder, monkeypatch):
         # the column's estimate is 19.6 at 15 m, so 16 probes per parity
         # block and the finder runs from n = 6 * 32 = 192; it is 93.6 at 3 m,
-        # so 47 per block wait for n = 564
+        # so 47 per block wait for n = 564.  Below that no block product is formed
         calls = []
-        monkeypatch.setattr(nfdof.modes, "_leading_values",
-                            lambda blocks, n, k: calls.append((len(blocks), n, k))
-                            or _leading_values(blocks, n, k))
+        self.counting_products(monkeypatch, calls)
         column = facing_ula_column("nusw", n, APERTURE, d, WAVELENGTH)
         m = gathered(column)
         assert parity_blocks(m) is not None
@@ -323,7 +320,8 @@ class TestRankRevealing:
         values = toeplitz_spectrum(column).values
         if finder:
             # the finder leaves values out
-            assert calls == [(2, n, 16)]
+            assert calls == [(kind, parity, 16) for parity in ("even", "odd")
+                             for kind in ("product", "adjoint")]
             assert values[-1] == 0.0 and not np.array_equal(values, dense)
         else:
             assert calls == []

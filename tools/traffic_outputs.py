@@ -13,8 +13,9 @@ With ``--against DIR`` every written file is then compared with the file of
 the same name under DIR (say, the outputs of a parent commit) by the
 benchmark's own output check (``compare_csv`` and ``compare_json`` of
 ``nfbench/check.py``), and printed as identical, within tolerance (with
-each moved column and its largest relative change) or failing; a failing
-or missing file makes the exit status non-zero:
+each moved column's largest change relative to its cells, and apart from
+it the largest change of the round-off tail relative to the column scale)
+or failing; a failing or missing file makes the exit status non-zero:
 
     python tools/traffic_outputs.py /tmp/after --against /tmp/before
 
@@ -32,7 +33,7 @@ from pathlib import Path
 from traffic_trace import REPO, traffic_configs
 
 sys.path.insert(0, str(REPO / "nfbench"))
-from check import _parse_csv, compare_csv, compare_json  # noqa: E402
+from check import ATOL, _parse_csv, compare_csv, compare_json  # noqa: E402
 
 
 def numbers(path: Path, text: str) -> dict:
@@ -67,17 +68,33 @@ def numbers(path: Path, text: str) -> dict:
 
 
 def moved_columns(path: Path, text: str, ref_text: str) -> dict:
-    """Label -> largest |value - ref| / |ref| over the cells that changed; a
-    zero ref is taken relative to the largest |ref| of its column."""
+    """Label -> ``(cell, tail)`` for every column with a changed cell, the
+    column scale being its largest |ref|: ``cell`` is the largest
+    |value - ref| / |ref| over the changed cells with |ref| at or above
+    ``ATOL`` (1e-9) times the scale, and ``tail`` the largest
+    |value - ref| / scale over the other changed cells, the round-off tail
+    that the check holds to ``ATOL`` times the scale; None where no cell of
+    that kind changed."""
     new, ref = numbers(path, text), numbers(path, ref_text)
     moved = {}
     for label, refs in ref.items():
         scale = max(abs(r) for r in refs)
-        changes = [abs(v - r) / (abs(r) or scale)
-                   for v, r in zip(new.get(label, []), refs) if v != r]
-        if changes:
-            moved[label] = max(changes)
+        cell, tail = [], []
+        for v, r in zip(new.get(label, []), refs):
+            if v != r:
+                if abs(r) >= ATOL * scale:
+                    cell.append(abs(v - r) / abs(r))
+                else:
+                    tail.append(abs(v - r) / scale)
+        if cell or tail:
+            moved[label] = (max(cell, default=None), max(tail, default=None))
     return moved
+
+
+def describe_move(label: str, cell, tail) -> str:
+    """``label cell (tail T of scale)``, each part only where it moved."""
+    text = label if cell is None else f"{label} {cell:.2g}"
+    return text if tail is None else f"{text} (tail {tail:.2g} of scale)"
 
 
 def compare_trees(out: Path, against: Path) -> bool:
@@ -102,7 +119,7 @@ def compare_trees(out: Path, against: Path) -> bool:
                 verdict, detail = "failing", "; ".join(problems[:5])
             else:
                 verdict = "within tolerance"
-                detail = ", ".join(f"{label} {change:.2g}" for label, change
+                detail = ", ".join(describe_move(label, *change) for label, change
                                    in moved_columns(name, text, ref_text).items())
         tally[verdict] += 1
         print(f"{verdict:16s}  {name}" + (f": {detail}" if detail else ""))
