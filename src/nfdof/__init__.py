@@ -16,8 +16,8 @@ _EXPORTS = {
     "kernel": ("build_kernel", "cap_edof1", "cap_edof2", "cap_spectrum", "converge_spectrum"),
     "linksim": ("LinkReport", "TransmissionConfig", "combine", "precode", "run_link",
                 "transmit_awgn"),
-    "metrics": ("PowerAllocation", "capacity", "dof", "edof1", "edof1_limit_linear", "edof2",
-                "edof3", "edof3_auto", "edof3_envelope", "metrics_report", "waterfill"),
+    "metrics": ("capacity", "dof", "edof1", "edof1_limit_linear", "edof2", "edof3",
+                "edof3_auto", "edof3_envelope", "metrics_report", "waterfill"),
     "modes": ("ModeDecomposition", "SingularSpectrum", "decompose"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -14,24 +14,13 @@ class SingularGeometryError(NfdofError, ValueError):
 
 
 class ConvergenceError(NfdofError):
-    """An iterative refinement stopped before reaching its tolerance."""
-
-    def __init__(self, message, *, nodes=None, last_change=None, tol=None):
-        super().__init__(message)
-        self.nodes = nodes
-        self.last_change = last_change
-        self.tol = tol
+    """An iterative refinement stopped before reaching its tolerance.  The
+    message states the node count reached, the last change and the tolerance."""
 
 
 class ActiveSetChangeError(NfdofError):
     """The derivative stencil straddles a water-filling active-set change.
 
-    Callers may retry with a smaller step; the offending SNR and the active-mode
-    counts on both sides of the stencil are attached for diagnostics.
+    Callers may retry with a smaller step.  The message states the offending
+    SNR and the active-mode counts on both sides of the stencil.
     """
-
-    def __init__(self, message, *, snr=None, active_low=None, active_high=None):
-        super().__init__(message)
-        self.snr = snr
-        self.active_low = active_low
-        self.active_high = active_high

@@ -19,13 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-# the benchmark probes build_ula, los_*_channel, decompose and validate_config here by name
+# the benchmark probes build_ula, los_*_channel, decompose, edof3_auto and
+# validate_config here by name
 from .channel import (facing_ula_column, frobenius_normalized, los_nusw_channel,  # noqa: F401
                       los_usw_channel)
 from .geometry import build_ula, continuous_aperture, rayleigh_distance  # noqa: F401
 from .kernel import cap_edof1, cap_edof2, converge_spectrum
 from .linksim import TransmissionConfig, run_link, save_link_report
-from .metrics import (dof, edof1, edof1_limit_linear, edof2, edof3_auto,
+from .metrics import (dof, edof1, edof1_limit_linear, edof2, edof3_auto,  # noqa: F401
                       metrics_report, waterfill)
 from .modes import decompose, toeplitz_matrix, toeplitz_spectrum  # noqa: F401
 from .spec import MAX_COUNT, ExperimentSpec, Grid, _slug, validate_config  # noqa: F401
@@ -230,10 +231,9 @@ def _run_edof3_vs_snr(spec, prov, threads):
         s = toeplitz_spectrum(_ula_column(spec, n, a, d, spec.normalize))
         echo = {"distance_m": d, "n_elements": n, "aperture_m": a,
                 "normalize": spec.normalize, "config_hash": prov["config_hash"]}
-        values = [edof3_auto(s, snr, delta_step=spec.delta_step) for snr in snrs]
-        rows = [[db, snr, value] for db, snr, value in zip(spec.snr_db, snrs, values)]
         report = metrics_report(s, snrs, config_echo=echo, dominance=spec.dominance,
-                                edof3_values=values)
+                                delta_step=spec.delta_step)
+        rows = [[db, *pair] for db, pair in zip(spec.snr_db, report["edof3_by_snr"])]
         return (ResultTable(name=name, columns=["snr_db", "snr", "edof3"],
                             rows=rows, provenance=prov), f"d{_slug(d)}", report)
 
@@ -275,10 +275,10 @@ def _run_link_sim(spec, prov, threads):
     h = frobenius_normalized(h) if spec.normalize else h
     s = toeplitz_spectrum(h[:, 0])
     # the requested modes, clipped at the rank tolerance of the whole channel as dof is
-    alloc = waterfill(replace(s, values=s.values[:spec.active_modes]),
-                      budget=10.0 ** (snr_db / 10.0), noise=1.0)
+    powers = waterfill(replace(s, values=s.values[:spec.active_modes]),
+                       budget=10.0 ** (snr_db / 10.0), noise=1.0)
     # water-filling drops the weakest requested modes at this SNR
-    powers = alloc.powers[alloc.powers > 0]
+    powers = powers[powers > 0]
     k = powers.size
     snr = powers * s.values[:k] ** 2
     if not _LINK_SNR_RANGE[0] <= snr.min() <= snr.max() <= _LINK_SNR_RANGE[1]:

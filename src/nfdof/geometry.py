@@ -52,6 +52,8 @@ def continuous_aperture(start, end) -> ArrayGeometry:
     seg = np.asarray([start, end], dtype=float)
     if seg.shape != (2, 3):
         raise ValueError(f"endpoints must be two 3D points, got shape {seg.shape}")
+    if not np.all(np.isfinite(seg)):
+        raise ValueError("continuous aperture endpoints must be finite")
     if np.linalg.norm(seg[1] - seg[0]) == 0.0:
         raise ValueError("continuous aperture endpoints must be distinct")
     return ArrayGeometry(kind="continuous", segment=_readonly(seg))
@@ -102,6 +104,6 @@ def build_ula(n_elements: int, aperture: float, center=(0.0, 0.0, 0.0),
 def rayleigh_distance(aperture: float, wavelength: float) -> float:
     """Boundary distance 2 * aperture**2 / wavelength between the radiating
     near field and the far field."""
-    if aperture < 0:
-        raise ValueError(f"aperture must be non-negative, got {aperture}")
+    if not 0.0 <= aperture < np.inf:
+        raise ValueError(f"aperture must be non-negative and finite, got {aperture}")
     return 2.0 * aperture * aperture / _positive_finite(wavelength)

@@ -251,8 +251,8 @@ def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float,
     count, or the largest at or below ``max_nodes / 2`` if that is lower,
     and never below 16.  ``max_nodes`` must exceed 16 and is a hard cap: the
     last rung is clamped to it.  Non-convergence raises
-    :class:`ConvergenceError` with the last observed change and the largest
-    rung built attached.  The node count of the returned spectrum is ``shape[0]``.
+    :class:`ConvergenceError` whose message states the last observed change and
+    the largest rung built.  The node count of the returned spectrum is ``shape[0]``.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -278,5 +278,4 @@ def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float,
             return spec
     raise ConvergenceError(
         f"top-{_N_TRACK} eigenvalues still change by {last_change:.3e} "
-        f"(> tol {tol:.3e}) at {m} nodes",
-        nodes=m, last_change=last_change, tol=tol)
+        f"(> tol {tol:.3e}) at {m} nodes")

@@ -4,7 +4,9 @@ All functions accept a :class:`~nfdof.modes.SingularSpectrum` or a plain
 descending array of singular values.  SNR and power quantities are linear ratios with the noise
 power normalized to 1 unless stated otherwise.  Every metric reads the
 spectrum clipped once at the rank tolerance of ``dof``: singular values below
-it are round-off and count as zero.
+it are round-off and count as zero.  ``waterfill`` returns the per-mode
+powers; ``metrics_report`` computes every value it reports itself, edof3
+included, so a runner's CSV and its summary read one computation.
 
 Metric family
 -------------
@@ -21,32 +23,31 @@ edof3   derivative of water-filling capacity with respect to an octave power
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ActiveSetChangeError
 from .geometry import _positive_finite
-from .modes import RANK_TOL, SingularSpectrum, spectrum_values
+from .modes import RANK_TOL, SingularSpectrum
 
 LN2 = math.log(2.0)
 
 
 def _clipped(spectrum) -> np.ndarray:
-    """The singular values with every sigma_n below the rank tolerance,
-    :data:`~nfdof.modes.RANK_TOL` times the larger matrix dimension times
-    sigma_1, set to zero.
+    """The singular values of a SingularSpectrum or a nonempty 1D array, with
+    every sigma_n below the rank tolerance, :data:`~nfdof.modes.RANK_TOL`
+    times the larger matrix dimension times sigma_1, set to zero.
 
     The dimension comes from the spectrum's shape metadata when available,
     otherwise from the spectrum length.
     """
-    v = spectrum_values(spectrum)
+    is_spectrum = isinstance(spectrum, SingularSpectrum)
+    v = spectrum.values if is_spectrum else np.asarray(spectrum, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("spectrum must be a nonempty 1D array")
     if v[0] <= 0:
         raise ValueError("spectrum has no positive singular value")
-    if isinstance(spectrum, SingularSpectrum) and spectrum.shape is not None:
-        dim = max(spectrum.shape)
-    else:
-        dim = v.size
+    dim = max(spectrum.shape) if is_spectrum and spectrum.shape is not None else v.size
     return np.where(v >= RANK_TOL * dim * v[0], v, 0.0)
 
 
@@ -83,8 +84,8 @@ def edof1_limit_linear(l_t: float, l_r: float, wavelength: float,
     enforced).
     """
     for name, val in (("l_t", l_t), ("l_r", l_r), ("distance", distance)):
-        if val <= 0:
-            raise ValueError(f"{name} must be positive, got {val}")
+        if not 0.0 < val < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {val}")
     return l_t * l_r / (_positive_finite(wavelength) * distance)
 
 
@@ -98,28 +99,17 @@ def edof2(spectrum) -> float:
     return float(np.sum(p) ** 2 / np.sum(p * p))
 
 
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Water-filling result: per-mode powers and the common water level.
-    Powers align with the input spectrum order."""
-
-    powers: np.ndarray
-    water_level: float
-
-    @property
-    def n_active(self) -> int:
-        return int(np.count_nonzero(self.powers > 0))
-
-
-def waterfill(spectrum, budget: float, noise: float) -> PowerAllocation:
-    """Exact water-filling over mode gains g_k = sigma_k**2 / noise.
+def waterfill(spectrum, budget: float, noise: float) -> np.ndarray:
+    """Exact water-filling over mode gains g_k = sigma_k**2 / noise: the
+    per-mode powers, aligned with the spectrum order.
 
     Finds the largest active-mode count k whose water level
     mu = (budget + sum_{j<=k} 1/g_j) / k exceeds 1/g_k, then assigns
-    powers_j = mu - 1/g_j to active modes and zero elsewhere.  Modes with
-    zero gain are never active.  When only the strongest mode is active it
-    gets exactly ``budget``, also when the budget is too small to raise the
-    level above 1/g_1 in floating point.
+    powers_j = mu - 1/g_j to active modes and zero elsewhere, so
+    ``np.count_nonzero(powers)`` is k.  Modes with zero gain are never
+    active.  When only the strongest mode is active it gets exactly
+    ``budget``, also when the budget is too small to raise the level above
+    1/g_1 in floating point.
     """
     if budget <= 0:
         raise ValueError(f"power budget must be positive, got {budget}")
@@ -137,16 +127,12 @@ def waterfill(spectrum, budget: float, noise: float) -> PowerAllocation:
     powers = np.zeros_like(v)
     if fits.size and fits[-1] > 0:
         k_active = int(fits[-1]) + 1
-        mu = candidates[k_active - 1]
-        powers[:k_active] = mu - inv[:k_active]
+        powers[:k_active] = candidates[k_active - 1] - inv[:k_active]
     elif n_finite:
         # one active mode takes the whole budget exactly: mu - 1/g_1 with
         # mu = budget + 1/g_1 would cancel to eps * (1/g_1) / budget relative
-        mu = inv[0] + budget
         powers[0] = budget
-    else:
-        mu = 0.0
-    return PowerAllocation(powers=powers, water_level=mu)
+    return powers
 
 
 def capacity(spectrum, snr: float) -> float:
@@ -155,7 +141,7 @@ def capacity(spectrum, snr: float) -> float:
     if snr <= 0:
         raise ValueError(f"snr must be positive, got {snr}")
     v = _clipped(spectrum)
-    powers = waterfill(v, budget=snr, noise=1.0).powers
+    powers = waterfill(v, budget=snr, noise=1.0)
     # log1p keeps the low-SNR regime accurate where 1 + p*g rounds badly
     return float(np.sum(np.log1p(powers * (v * v))) / LN2)
 
@@ -172,8 +158,7 @@ def edof3_envelope(spectrum, snr: float) -> float:
     if snr <= 0:
         raise ValueError(f"snr must be positive, got {snr}")
     v = _clipped(spectrum)
-    alloc = waterfill(v, budget=snr, noise=1.0)
-    k = alloc.n_active
+    k = np.count_nonzero(waterfill(v, budget=snr, noise=1.0))
     gains = v[:k] ** 2
     inv_sum = float(np.sum(1.0 / gains))
     # snr / (snr + inv_sum) rounds to at most 1, so the value never exceeds k
@@ -195,13 +180,12 @@ def edof3(spectrum, snr: float, delta_step: float = 0.01) -> float:
         raise ValueError(f"delta_step must lie in (0, 0.05], got {delta_step}")
     v = _clipped(spectrum)
     lo, hi = snr * 2.0 ** -delta_step, snr * 2.0 ** delta_step
-    k_lo = waterfill(v, budget=lo, noise=1.0).n_active
-    k_hi = waterfill(v, budget=hi, noise=1.0).n_active
+    k_lo = np.count_nonzero(waterfill(v, budget=lo, noise=1.0))
+    k_hi = np.count_nonzero(waterfill(v, budget=hi, noise=1.0))
     if k_lo != k_hi:
         raise ActiveSetChangeError(
             f"active set changes across the stencil at snr={snr} "
-            f"({k_lo} vs {k_hi} active modes); shrink delta_step",
-            snr=snr, active_low=k_lo, active_high=k_hi)
+            f"({k_lo} vs {k_hi} active modes); shrink delta_step")
     c_lo = capacity(v, lo)
     c_hi = capacity(v, hi)
     # the slope of k active modes is below k, but the difference carries
@@ -230,25 +214,23 @@ def edof3_auto(spectrum, snr: float, delta_step: float = 0.01) -> float:
 
 
 def metrics_report(spectrum, snr_grid, config_echo: dict | None = None,
-                   dominance: float = 0.01, edof3_values=None) -> dict:
+                   dominance: float = 0.01, delta_step: float = 0.01) -> dict:
     """JSON-ready metric report:
 
     {dof, edof1, edof2, edof3_by_snr: [[snr, value]...], capacity_by_snr,
      config_echo}
 
-    ``edof3_values`` are the edof3 values already computed on ``snr_grid``
-    (for example with a non-default step); when None they come from
-    :func:`edof3_auto` with its default step.
+    ``edof3_by_snr`` holds :func:`edof3_auto` at each SNR of ``snr_grid``,
+    starting from ``delta_step``.
     """
     grid = np.asarray(snr_grid, dtype=float)
     v = _clipped(spectrum)
-    if edof3_values is None:
-        edof3_values = [edof3_auto(v, float(s)) for s in grid]
     return {
         "dof": dof(spectrum),
         "edof1": edof1(spectrum, dominance=dominance),
         "edof2": edof2(spectrum),
-        "edof3_by_snr": [[float(s), float(e)] for s, e in zip(grid, edof3_values)],
+        "edof3_by_snr": [[float(s), edof3_auto(v, float(s), delta_step=delta_step)]
+                         for s in grid],
         "capacity_by_snr": [[float(s), capacity(v, float(s))] for s in grid],
         "config_echo": config_echo if config_echo is not None else {},
     }

@@ -224,13 +224,3 @@ def toeplitz_matrix(column) -> np.ndarray:
     """Read-only H_ij = column[|i - j|]: the reversed n-windows of [column[:0:-1], column]."""
     full = np.concatenate([column[:0:-1], column])
     return np.lib.stride_tricks.sliding_window_view(full, len(column))[::-1]
-
-
-def spectrum_values(spectrum) -> np.ndarray:
-    """Coerce a SingularSpectrum or array-like to a descending value array."""
-    if isinstance(spectrum, SingularSpectrum):
-        return spectrum.values
-    v = np.asarray(spectrum, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("spectrum must be a nonempty 1D array")
-    return v

@@ -110,8 +110,8 @@ def random_spectrum(rng, max_modes=8, lo=0.05, hi=3.0):
 def waterfill_loop(values, budget, noise):
     """Reference water-filling as a per-mode loop over the candidate levels
     mu_k = (budget + sum_{j<=k} 1/g_j) / k, keeping the largest k with
-    mu_k > 1/g_k.  Returns (powers, water_level); activates nothing when
-    the budget is lost to rounding against 1/g_1."""
+    mu_k > 1/g_k.  Returns the powers; activates nothing when the budget
+    is lost to rounding against 1/g_1."""
     v = np.asarray(values, dtype=float)
     gains = v * v / noise
     with np.errstate(divide="ignore", over="ignore"):
@@ -131,7 +131,7 @@ def waterfill_loop(values, budget, noise):
         powers[0] = budget
     else:
         powers[:k_active] = mu - inv[:k_active]
-    return powers, mu
+    return powers
 
 
 def run_link_loop(h, config, chunk=8192):

@@ -162,10 +162,10 @@ def test_c07_waterfilling_oracle():
         s = random_spectrum(rng)
         budget = 10.0 ** rng.uniform(-1.5, 2.0)
         noise = 10.0 ** rng.uniform(-1.0, 1.0)
-        alloc = waterfill(s, budget, noise)
+        powers = waterfill(s, budget, noise)
         powers_bf, cap_bf = waterfill_bruteforce(s, budget, noise)
-        cap_got = float(np.sum(np.log2(1.0 + alloc.powers * s ** 2 / noise)))
-        worst_p = max(worst_p, float(np.max(np.abs(alloc.powers - powers_bf))))
+        cap_got = float(np.sum(np.log2(1.0 + powers * s ** 2 / noise)))
+        worst_p = max(worst_p, float(np.max(np.abs(powers - powers_bf))))
         worst_c = max(worst_c, abs(cap_got - cap_bf))
     ok = worst_p < 1e-9 and worst_c < 1e-9
     _criterion(7, "water-filling matches active-set enumeration",

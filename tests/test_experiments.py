@@ -376,8 +376,7 @@ class TestEdof3Experiment:
             dense = SingularSpectrum(np.linalg.svd(h, compute_uv=False), shape=h.shape)
             snrs = [snr for snr, _ in report["edof3_by_snr"]]
             step = cfg["metrics"]["delta_step"]
-            oracle = metrics_report(dense, snrs, dominance=0.01, edof3_values=[
-                edof3_auto(dense, snr, delta_step=step) for snr in snrs])
+            oracle = metrics_report(dense, snrs, dominance=0.01, delta_step=step)
             assert (report["dof"], report["edof1"]) == (oracle["dof"], oracle["edof1"])
             assert report["edof2"] == pytest.approx(oracle["edof2"], rel=1e-9)
             for key in ("edof3_by_snr", "capacity_by_snr"):

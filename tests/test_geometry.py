@@ -3,6 +3,8 @@ import pytest
 
 from nfdof.geometry import build_ula, continuous_aperture, rayleigh_distance
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
 
 class TestBuildUla:
     def test_two_element_endpoints(self):
@@ -77,6 +79,14 @@ class TestRayleighDistance:
         with pytest.raises(ValueError):
             rayleigh_distance(1.0, 0.0)
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_non_finite_argument_rejected(self, index, bad):
+        args = [1.37, 0.01]
+        args[index] = bad
+        with pytest.raises(ValueError, match="finite"):
+            rayleigh_distance(*args)
+
 
 class TestArrayConstruction:
     def test_continuous_aperture_length(self):
@@ -87,6 +97,14 @@ class TestArrayConstruction:
     def test_degenerate_segment_rejected(self):
         with pytest.raises(ValueError):
             continuous_aperture((1, 2, 3), (1, 2, 3))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("coordinate", range(6))
+    def test_non_finite_endpoint_rejected(self, coordinate, bad):
+        endpoints = np.array([[0.0, 0.0, -0.5], [0.0, 15.0, 0.5]])
+        endpoints.flat[coordinate] = bad
+        with pytest.raises(ValueError, match="finite"):
+            continuous_aperture(*endpoints)
 
     def test_elements_are_immutable(self):
         ula = build_ula(4, 1.0)

@@ -306,10 +306,10 @@ class TestConvergeSpectrum:
 
     def test_nonconvergence_raises(self):
         tx, rx = segment_pair(15.0)
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError, match="at 91 nodes") as err:
             converge_spectrum(tx, rx, WAVELENGTH, tol=1e-18, max_nodes=91)
-        assert err.value.nodes == 91
-        assert err.value.last_change > 1e-18
+        last_change = float(str(err.value).split("change by ")[1].split()[0])
+        assert last_change > 1e-18
 
     def test_ladder_starts_below_the_cliff_and_climbs_by_an_eighth_root_of_2(self, rung_calls):
         # 5 m segments at 20 m: path spread sqrt(20**2 + 5**2) - 20 = 61.6
@@ -335,9 +335,9 @@ class TestConvergeSpectrum:
     @pytest.mark.parametrize("cap", [17, 65, 100, 1000])
     def test_rungs_never_exceed_max_nodes(self, cap, rung_calls):
         tx, rx = segment_pair(15.0)
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError, match=f"at {cap} nodes"):
             converge_spectrum(tx, rx, WAVELENGTH, tol=1e-300, max_nodes=cap)
-        assert max(rung_calls) == rung_calls[-1] == cap == err.value.nodes
+        assert max(rung_calls) == rung_calls[-1] == cap
         assert rung_calls == sorted(set(rung_calls))
 
     def test_max_nodes_must_exceed_the_floor(self, rung_calls):

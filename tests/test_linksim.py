@@ -235,9 +235,9 @@ class TestRunLink:
         for snr_db in (0.0, 10.0, 20.0):
             snr = 10.0 ** (snr_db / 10.0)
             noise = spectrum[0] ** 2
-            alloc = waterfill(spectrum, budget=snr * noise, noise=noise)
-            k = alloc.n_active
-            cfg = TransmissionConfig(mode_powers=alloc.powers[:k],
+            powers = waterfill(spectrum, budget=snr * noise, noise=noise)
+            k = np.count_nonzero(powers)
+            cfg = TransmissionConfig(mode_powers=powers[:k],
                                      noise_power=noise, n_symbols=100_000, seed=7)
             report = run_link(h, cfg)
             throughput = float(np.sum(np.log2(1.0 + report.measured_mode_snr)))

@@ -68,6 +68,14 @@ class TestEdof1Limit:
         with pytest.raises(ValueError):
             edof1_limit_linear(1.37, 0.0, 0.01, 15.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", range(4))
+    def test_non_finite_argument_rejected(self, index, bad):
+        args = [1.37, 1.37, 0.01, 15.0]
+        args[index] = bad
+        with pytest.raises(ValueError, match="finite"):
+            edof1_limit_linear(*args)
+
 
 class TestEdof2:
     def test_equal_modes(self):
@@ -104,20 +112,21 @@ class TestEdof2:
 class TestWaterfill:
     def test_strong_mode_takes_all(self):
         # gains (1, 0.25), budget 1: second mode stays dry
-        alloc = waterfill(np.array([1.0, 0.5]), budget=1.0, noise=1.0)
-        assert np.allclose(alloc.powers, [1.0, 0.0], atol=1e-12)
+        powers = waterfill(np.array([1.0, 0.5]), budget=1.0, noise=1.0)
+        assert np.allclose(powers, [1.0, 0.0], atol=1e-12)
         assert capacity(np.array([1.0, 0.5]), 1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_two_active_modes(self):
         # gains (1, 0.5), budget 3 -> powers (2, 1)
         s = np.array([1.0, np.sqrt(0.5)])
-        alloc = waterfill(s, budget=3.0, noise=1.0)
-        assert np.allclose(alloc.powers, [2.0, 1.0], atol=1e-12)
+        powers = waterfill(s, budget=3.0, noise=1.0)
+        assert np.allclose(powers, [2.0, 1.0], atol=1e-12)
         assert capacity(s, 3.0) == pytest.approx(np.log2(3) + np.log2(1.5), rel=1e-12)
 
     def test_single_mode(self):
-        alloc = waterfill(np.array([2.0]), budget=5.0, noise=1.0)
-        assert alloc.powers[0] == pytest.approx(5.0, rel=1e-12)
+        powers = waterfill(np.array([2.0]), budget=5.0, noise=1.0)
+        assert isinstance(powers, np.ndarray)
+        assert powers[0] == pytest.approx(5.0, rel=1e-12)
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(11)
@@ -125,10 +134,10 @@ class TestWaterfill:
             s = random_spectrum(rng)
             budget = 10.0 ** rng.uniform(-1.5, 2.0)
             noise = 10.0 ** rng.uniform(-1.0, 1.0)
-            alloc = waterfill(s, budget, noise)
+            powers = waterfill(s, budget, noise)
             powers_bf, cap_bf = waterfill_bruteforce(s, budget, noise)
-            cap_got = float(np.sum(np.log2(1.0 + alloc.powers * s ** 2 / noise)))
-            assert np.max(np.abs(alloc.powers - powers_bf)) < 1e-9
+            cap_got = float(np.sum(np.log2(1.0 + powers * s ** 2 / noise)))
+            assert np.max(np.abs(powers - powers_bf)) < 1e-9
             assert abs(cap_got - cap_bf) < 1e-9
 
     def test_kkt_invariants(self):
@@ -137,18 +146,20 @@ class TestWaterfill:
             s = random_spectrum(rng)
             budget = 10.0 ** rng.uniform(-2.0, 3.0)
             noise = 10.0 ** rng.uniform(-1.0, 1.0)
-            alloc = waterfill(s, budget, noise)
+            powers = waterfill(s, budget, noise)
             gains = s ** 2 / noise
-            assert abs(alloc.powers.sum() - budget) < 1e-10 * budget
-            active = alloc.powers > 0
-            assert np.all(np.abs(alloc.powers[active] + 1.0 / gains[active]
-                                 - alloc.water_level) < 1e-9)
-            assert np.all(1.0 / gains[~active] >= alloc.water_level - 1e-12)
+            assert abs(powers.sum() - budget) < 1e-10 * budget
+            active = powers > 0
+            # the water level: p + 1/g is one value mu on the active set
+            levels = powers[active] + 1.0 / gains[active]
+            mu = levels[0]
+            assert np.all(np.abs(levels - mu) < 1e-9)
+            assert np.all(1.0 / gains[~active] >= mu - 1e-12)
 
     def test_zero_gain_modes_stay_dry(self):
-        alloc = waterfill(np.array([1.0, 0.0, 0.0]), budget=2.0, noise=1.0)
-        assert np.allclose(alloc.powers, [2.0, 0.0, 0.0])
-        assert alloc.n_active == 1
+        powers = waterfill(np.array([1.0, 0.0, 0.0]), budget=2.0, noise=1.0)
+        assert np.allclose(powers, [2.0, 0.0, 0.0])
+        assert np.count_nonzero(powers) == 1
 
     @settings(max_examples=400, deadline=None)
     @given(values=st.lists(st.one_of(st.just(0.0), st.just(1.0), st.just(0.5),
@@ -159,23 +170,22 @@ class TestWaterfill:
         s = np.sort(np.array(values))[::-1]
         if s[0] == 0.0:
             s[0] = 1.0
-        ref_powers, ref_mu = waterfill_loop(s, budget, noise)
-        alloc = waterfill(s, budget, noise)
+        ref_powers = waterfill_loop(s, budget, noise)
+        powers = waterfill(s, budget, noise)
         if np.any(ref_powers > 0):
-            assert alloc.powers.tobytes() == ref_powers.tobytes()
-            assert alloc.water_level == ref_mu
+            assert powers.tobytes() == ref_powers.tobytes()
         else:
             # the budget rounds away against 1/g_1: it all goes to mode 1
-            assert alloc.powers[0] == budget
-            assert not np.any(alloc.powers[1:])
-        assert alloc.n_active >= 1
+            assert powers[0] == budget
+            assert not np.any(powers[1:])
+        assert np.count_nonzero(powers) >= 1
 
     def test_tiny_budget_goes_to_strongest_mode(self):
-        alloc = waterfill(np.array([1.0]), budget=1e-17, noise=1.0)
-        assert alloc.powers.tolist() == [1e-17]
-        assert alloc.n_active == 1
-        alloc = waterfill(np.array([2.0, 1.0, 0.0]), budget=1e-20, noise=1.0)
-        assert alloc.powers.tolist() == [1e-20, 0.0, 0.0]
+        powers = waterfill(np.array([1.0]), budget=1e-17, noise=1.0)
+        assert powers.tolist() == [1e-17]
+        assert np.count_nonzero(powers) == 1
+        powers = waterfill(np.array([2.0, 1.0, 0.0]), budget=1e-20, noise=1.0)
+        assert powers.tolist() == [1e-20, 0.0, 0.0]
         assert 0.0 < capacity(np.array([1.0]), 1e-17) < 1e-16
 
     def test_degenerate_inputs_rejected(self):
@@ -317,6 +327,13 @@ class TestSummaries:
         assert report["config_echo"] == {"tag": "unit"}
         snrs = [row[0] for row in report["capacity_by_snr"]]
         assert snrs == [0.5, 1.0, 2.0]
+
+    def test_metrics_report_edof3_reads_its_step(self):
+        s = np.array([2.0, 1.5, 1.0, 0.5])
+        snrs = [0.1, 1.0, 10.0, 100.0]
+        coarse = metrics_report(s, snrs, delta_step=0.05)["edof3_by_snr"]
+        assert coarse == [[snr, edof3_auto(s, snr, delta_step=0.05)] for snr in snrs]
+        assert coarse != metrics_report(s, snrs)["edof3_by_snr"]
 
 
 class TestChannelComparisons:
