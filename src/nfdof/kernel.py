@@ -222,14 +222,16 @@ def _path_spread(tx_seg: np.ndarray, rx_seg: np.ndarray) -> float:
     return spread
 
 
-_N_TRACK = 20
-"Number of leading eigenvalues the ladder compares between rungs."
-
-
 _START = 0.70
 """Fraction of the quadrature cliff at or above which the ladder starts: 3 %
-under the lowest first agreeing rung, 0.722, of ``tools/ladder_sweep.py`` at the
-floor of 16; margins 6.8e-5 to the rung below the start, 1.8e-2 below that."""
+under the lowest first agreeing rung, 0.724, of ``tools/ladder_sweep.py`` at the
+floor of 16; margins 4.1e-3 to the rung below the start, 0.199 below that."""
+
+
+def _rung_change(lower: np.ndarray, upper: np.ndarray) -> float:
+    """The ladder's stop measure: the largest change of an eigenvalue of the lower
+    rung to the matching one of the upper rung, relative to the upper rung's largest."""
+    return float(np.max(np.abs(upper[:lower.size] - lower)) / upper[0])
 
 
 def _rung(k: int) -> int:
@@ -240,9 +242,9 @@ def _rung(k: int) -> int:
 
 def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float,
                       tol: float = 1e-6, max_nodes: int = 4096) -> SingularSpectrum:
-    """Raise the quadrature node count by 2**(1/8) per rung until the top 20
-    eigenvalues sigma_n**2 of two successive rungs agree to ``tol`` relative
-    to the largest.
+    """Raise the quadrature node count by 2**(1/8) per rung until every
+    eigenvalue sigma_n**2 of a rung agrees with the matching one of the next
+    to ``tol`` relative to the largest (:func:`_rung_change`).
 
     The rungs are ``round(16 * 2**(k/8))`` (16, 17, 19, 21, ..., 59, 64, 70,
     ...).  Convergence of the mapped Gauss-Legendre rules is a cliff just below
@@ -271,11 +273,9 @@ def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float,
         m = min(_rung(k), max_nodes)
         spec = cap_spectrum(build_kernel(tx, rx, wavelength, m))
         nxt = spec.values ** 2
-        n = min(_N_TRACK, lam.size, nxt.size)
-        last_change = float(np.max(np.abs(nxt[:n] - lam[:n])) / nxt[0])
+        last_change = _rung_change(lam, nxt)
         lam = nxt
         if last_change < tol:
             return spec
     raise ConvergenceError(
-        f"top-{_N_TRACK} eigenvalues still change by {last_change:.3e} "
-        f"(> tol {tol:.3e}) at {m} nodes")
+        f"eigenvalues still change by {last_change:.3e} (> tol {tol:.3e}) at {m} nodes")

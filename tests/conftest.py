@@ -325,7 +325,8 @@ def sqrt2_ladder(tx, rx, tol=1e-6):
     (``gauss_legendre_rule``, uncached) and the sqrt(2) grid round(64 * 2**(k/2)),
     started at the first rung at or above the cliff pi * (path spread) /
     lambda and climbed until the top 20 eigenvalues of two successive rungs
-    agree to ``tol``; the spectrum of the last rung.  For equal segments
+    agree to ``tol``, a stop rule of its own, apart from the ladder's; the
+    spectrum of the last rung.  For equal segments
     facing each other at d, as from :func:`segment_pair`, the path spread is
     hypot(d, aperture) - d."""
     d = float(np.linalg.norm(rx.center - tx.center))
@@ -353,7 +354,7 @@ def quarter_ladder(tx, rx, tol=1e-6):
     """The kernel ladder as it was before the map's alpha followed the node
     count: every rule mapped with alpha = 0.96, the 2**(1/4) grid
     round(64 * 2**(k/4)) and the start at 0.76 of the cliff, with a table of
-    rules of its own; the converged spectrum."""
+    rules of its own and the ladder's stop rule; the converged spectrum."""
     with mock.patch.multiple(nfdof.kernel, _map_alpha=lambda m: 0.96, _RULES={},
                              _rung=lambda k: round(64 * 2 ** (k / 4)), _START=0.76):
         return converge_spectrum(tx, rx, WAVELENGTH, tol=tol)

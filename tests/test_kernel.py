@@ -286,8 +286,8 @@ class TestConvergeSpectrum:
         m = spec.shape[0]
         assert m == rung_calls[-1] <= 512
         assert rung_calls == [16, 17]
-        # the ladder compares min(20, 16, 17) = 16 values
-        n = min(20, rung_calls[-2])
+        # the ladder compares all 16 values of the lower rung
+        n = rung_calls[-2]
         lam = spec.values[:n] ** 2
         below = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, rung_calls[-2])).values[:n] ** 2
         assert np.max(np.abs(lam - below)) / lam[0] < 1e-6
@@ -366,44 +366,37 @@ class TestConvergeSpectrum:
     # the floor of 16
     @pytest.mark.parametrize("aperture, d", [(5.0, 20.0), (5.0, 30.0), (5.0, 12.0),
                                              (1.37, 2.0), (1.37, 3.0), (2.0, 4.0), (2.0, 6.0)])
-    def test_starting_one_rung_lower_changes_no_result(self, aperture, d, rung_calls):
+    def test_starting_one_rung_lower_changes_no_result(self, aperture, d, rung_calls,
+                                                       monkeypatch):
         # the rung one 2**(1/8) step below the start, the largest below 0.70
-        # times the cliff, never agrees with the start, so a climb from it
-        # ends at the same rung with the same values
-        tol = 1e-6
+        # times the cliff, never agrees with the start, so the ladder started
+        # from it climbs through the same rungs to the same values
         tx, rx = segment_pair(d, aperture)
-        spec = converge_spectrum(tx, rx, WAVELENGTH, tol=tol)
+        spec = converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6)
+        rungs = list(rung_calls)
         rung = nfdof.kernel._rung
-        k = [rung(j) for j in range(40)].index(rung_calls[0])
+        k = [rung(j) for j in range(40)].index(rungs[0])
         cliff = np.pi * nfdof.kernel._path_spread(tx.segment, rx.segment) / WAVELENGTH
         assert 1 <= k and rung(k - 1) < nfdof.kernel._START * cliff <= rung(k)
-        # the old rule: climb from rung k - 1 until two rungs agree
-        climb = [cap_spectrum(build_kernel(tx, rx, WAVELENGTH, rung(k - 1)))]
-        while True:
-            nxt = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, rung(k - 1 + len(climb))))
-            lam, new = climb[-1].values[:20] ** 2, nxt.values[:20] ** 2
-            change = float(np.max(np.abs(new - lam)) / new[0])
-            climb.append(nxt)
-            if len(climb) == 2:
-                assert change >= tol
-            if change < tol:
-                break
-        assert climb[-1].shape == spec.shape == (rung_calls[-1],) * 2
-        assert np.array_equal(climb[-1].values, spec.values)
+        rung_calls.clear()
+        monkeypatch.setattr(nfdof.kernel, "_START", rung(k - 1) / cliff * (1 - 1e-9))
+        lower = converge_spectrum(tx, rx, WAVELENGTH, tol=1e-6)
+        assert rung_calls == [rung(k - 1)] + rungs
+        assert lower.shape == spec.shape == (rungs[-1],) * 2
+        assert np.array_equal(lower.values, spec.values)
 
     @settings(max_examples=60, deadline=None)
     @given(aperture=st.floats(0.1, 1.5), d=st.floats(10.0, 1000.0))
     def test_short_ladders_agree_with_a_fixed_256_node_reference(self, aperture, d):
-        # a ladder that stops below 35 nodes compares all min(20, m) values it
-        # returns only with the rung below; hold them to a fine rule instead
+        # a ladder that stops below 35 nodes compares the values it returns
+        # only with the rung below; hold every one of them to a fine rule instead
         tol = 1e-6
         tx, rx = segment_pair(d, aperture)
         spec = converge_spectrum(tx, rx, WAVELENGTH, tol=tol)
         m = spec.shape[0]
         assume(m < 35)
-        n = min(nfdof.kernel._N_TRACK, m)
-        lam = spec.values[:n] ** 2
-        ref = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, 256)).values[:n] ** 2
+        lam = spec.values ** 2
+        ref = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, 256)).values[:m] ** 2
         assert np.max(np.abs(lam - ref)) <= 10 * tol * ref[0]
 
     @pytest.mark.parametrize("d", [0.2, 1.0, 3.0, 50.0, 1e9])
@@ -421,6 +414,22 @@ class TestConvergeSpectrum:
         m = calls[0]
         assert 16 <= m <= max(16, cap / 2)
         assert m in {round(16 * 2 ** (k / 8)) for k in range(176)}
+
+    def test_a_change_past_the_top_20_values_keeps_the_ladder_climbing(self, monkeypatch):
+        # stub spectra of 30 values: the start rung's 25th eigenvalue is
+        # 10 * tol above that of every later rung, and the top 20 never move,
+        # so only the third rung agrees with the one below
+        tol = 1e-6
+        calls = []
+        lam = np.geomspace(1.0, 1e-3, 30)
+        monkeypatch.setattr(nfdof.kernel, "build_kernel",
+                            lambda tx, rx, carrier, m: calls.append(m) or (np.empty((m, 0)),))
+        monkeypatch.setattr(nfdof.kernel, "_block_values", lambda blocks: np.sqrt(
+            lam + (len(calls) == 1) * 10 * tol * (np.arange(30) == 24)))
+        tx, rx = segment_pair(50.0)
+        spec = converge_spectrum(tx, rx, WAVELENGTH, tol=tol)
+        assert calls == [16, 17, 19]
+        assert spec.shape == (19, 19)
 
 
 # (aperture, distance) pairs; 5 m at 3 m and 6 m need 2048-4096 nodes for
@@ -453,6 +462,7 @@ def test_converged_spectrum_meets_the_sum_rule(aperture, d):
 @settings(max_examples=8, deadline=None)
 @given(aperture=st.floats(1.37, 5.0), position=st.floats(0.0, 1.0))
 @example(aperture=5.0, position=0.0)
+@example(aperture=3.0, position=0.91796875)  # stopped at 38 nodes on the top 20 alone
 def test_mapped_ladder_matches_the_sqrt2_ladder(aperture, position):
     near = max(1.0, (aperture ** 2 - 2.5 ** 2) / 5.0)
     d = near * (50.0 / near) ** position
@@ -469,6 +479,9 @@ def test_mapped_ladder_matches_the_sqrt2_ladder(aperture, position):
 @given(aperture=st.floats(1.37, 5.0), position=st.floats(0.0, 1.0))
 @example(aperture=5.0, position=0.0)
 @example(aperture=5.0, position=np.log(8.0) / np.log(50.0))
+# both stopped at 41 nodes on the top 20 alone
+@example(aperture=3.078125, position=0.904296875)
+@example(aperture=3.21875, position=0.92578125)
 def test_mapped_ladder_matches_the_quarter_ladder(aperture, position):
     d = 50.0 ** position
     tx, rx = segment_pair(d, aperture)

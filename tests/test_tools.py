@@ -1,4 +1,5 @@
-"""The output comparison of ``tools/traffic_outputs.py``."""
+"""The output comparison of ``tools/traffic_outputs.py`` and the start
+check of ``tools/ladder_sweep.py``."""
 
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 sys.path.insert(0, str(TOOLS))
+import ladder_sweep  # noqa: E402
 from traffic_outputs import describe_move, moved_columns  # noqa: E402
 
 HEADER = "# experiment=spectrum\n# seed=0\nmode_index,sigma,sigma_over_sigma1\n"
@@ -43,3 +45,9 @@ def test_each_kind_of_move_is_none_where_it_did_not_happen():
     assert cell_only["sigma"] == (0.5, None)
     assert describe_move("sigma", *cell_only["sigma"]) == "sigma 0.5"
     assert moved_columns(path, spectrum_csv(ref), spectrum_csv(ref)) == {}
+
+
+def test_the_ladder_start_keeps_its_margins():
+    # the sweep exits 1 when the stop rule or the rules put a first agreeing
+    # rung under _START, or make the rung below the start agree with it
+    assert ladder_sweep.main() == 0

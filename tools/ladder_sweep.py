@@ -11,7 +11,8 @@ all at a 1 cm wavelength, it solves the kernel at every rung of
 ``nfdof.kernel._rung`` from 0.55 to 1.25 times the quadrature cliff
 pi * (path spread) / wavelength, never below the ladder floor and on to the
 first pair of rungs that agree, and prints, with the ladder's own stop rule
-(the top 20 eigenvalues, relative to the largest):
+(``nfdof.kernel._rung_change``: every eigenvalue of the lower rung against
+the matching one of the upper, relative to the largest):
 
 * the change between each pair of successive rungs;
 * per geometry, the first rung that agrees with the next to 1e-6, and
@@ -24,7 +25,8 @@ first pair of rungs that agree, and prints, with the ladder's own stop rule
   with the same values.  The second is the margin of the rungs below.
 
 Exits 1 when ``_START`` lies above the smallest ratio or a rung below the
-start agrees with it.
+start agrees with it.  ``tests/test_tools.py`` runs it, so tier-1 fails when
+a change to the rungs, the rules or the stop rule makes ``_START`` unsafe.
 
 Runs from this checkout's ``src/``; needs numpy only.  About 4 s on one
 core.
@@ -63,8 +65,6 @@ def traffic_geometries() -> list:
 
 def main() -> int:
     sys.path.insert(0, str(REPO / "src"))
-    import numpy as np
-
     from nfdof import kernel
     from nfdof.geometry import continuous_aperture
     from nfdof.spec import LADDER_FLOOR
@@ -85,9 +85,7 @@ def main() -> int:
             k += 1
             rungs.append(kernel._rung(k))
             lam.append(values(rungs[-1]))
-            a, b = lam[-2:]
-            n = min(kernel._N_TRACK, a.size, b.size)
-            changes.append(float(np.max(np.abs(b[:n] - a[:n])) / b[0]))
+            changes.append(kernel._rung_change(*lam[-2:]))
         start = next(m for m in rungs + [math.inf] if m >= kernel._START * cliff)
         print(f"{aperture:g} m at {d:g} m: cliff {cliff:.1f} nodes, start {start}")
         first, closest, edge = None, math.inf, None
