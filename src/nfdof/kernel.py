@@ -25,7 +25,6 @@ import numpy as np
 from .channel import spherical_wave_matrix
 from .errors import ConvergenceError, SingularGeometryError
 from .geometry import ArrayGeometry, _positive_finite
-from .metrics import edof1, edof2
 from .modes import SingularSpectrum, _block_values, fold_parity
 from .spec import LADDER_FLOOR
 
@@ -203,11 +202,6 @@ def cap_spectrum(blocks) -> SingularSpectrum:
     sigma_n**2 are the eigenvalues of the discretized kernel."""
     m = sum(len(b) for b in blocks)
     return SingularSpectrum(values=_block_values(blocks), shape=(m, m))
-
-
-# The benchmark probes these names in nfdof.experiments, so they stay as
-# aliases of the metrics every spectrum shares.
-cap_edof1, cap_edof2 = edof1, edof2
 
 
 def _path_spread(tx_seg: np.ndarray, rx_seg: np.ndarray) -> float:

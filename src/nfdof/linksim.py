@@ -15,7 +15,9 @@ its inverse (QPSK has unit power) and the error correlation
 returns W (H x + n), so a run works in the mode domain with
 W = U_K^H / (sqrt(p) sigma) and no chunk forms the N_r x n receive block;
 the draws are those of precoding each chunk, sending it through H and
-combining, up to the association of the products.
+combining, up to the association of the products.  Every mode power and
+the noise power are positive, and a run measures only predicted SNRs within
+``SNR_RANGE``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,16 @@ _CHUNK = 8192
 
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
+# measured/predicted SNR stays within 1e-4 of its value at SNR 1 up to a
+# predicted 1e25 (N = 16 at 15 m, 2 modes at equal SNR, 4000 symbols: 2.6e-5
+# at seed 1, 7.6e-5 at worst over seeds 1-10), then round-off bends it: 2.5e-4
+# off at 1e26, 5e-4 at 9e26, 3 % at 9e28.  Low SNRs are measured well until the
+# error Gram's diagonal, about n_symbols / SNR, nears the float64 maximum: outputs
+# stay finite down to 1e-304 at 4000 symbols and 1e-302 at spec.MAX_COUNT symbols
+# (the most a config may ask for), and turn to inf or nan one decade lower.
+# 1e-300 keeps a factor of 100 at MAX_COUNT.
+SNR_RANGE = (1e-300, 1e25)
+
 
 @dataclass(frozen=True)
 class TransmissionConfig:
@@ -47,10 +59,10 @@ class TransmissionConfig:
         p = np.asarray(self.mode_powers, dtype=float)
         if p.size < 1:
             raise ValueError("need at least one active mode")
-        if np.any(p < 0):
-            raise ValueError("mode powers must be non-negative")
-        if self.noise_power < 0:
-            raise ValueError("noise power must be non-negative")
+        if np.any(p <= 0):
+            raise ValueError("mode powers must be positive")
+        if self.noise_power <= 0:
+            raise ValueError("noise power must be positive")
         if self.n_symbols < 1:
             raise ValueError("n_symbols must be >= 1")
         object.__setattr__(self, "mode_powers", p)
@@ -60,11 +72,10 @@ class TransmissionConfig:
 class LinkReport:
     """Per-mode measurement summary of a simulated run.
 
-    ``predicted_mode_snr`` is +inf for a noiseless run, whose
-    ``measured_mode_snr`` = 1 / ``mode_mse`` reads round-off: large but finite
-    unless every estimate is exact.  ``error_correlation`` holds magnitudes of
-    the normalized error cross-correlation, so mode independence shows up as
-    a near-identity matrix.
+    ``predicted_mode_snr`` is p_k sigma_k**2 / N0, within ``SNR_RANGE``, and
+    ``measured_mode_snr`` is 1 / ``mode_mse``.  ``error_correlation`` holds
+    magnitudes of the normalized error cross-correlation, so mode
+    independence shows up as a near-identity matrix.
     """
 
     measured_mode_snr: np.ndarray
@@ -108,26 +119,24 @@ def transmit_awgn(h, x: np.ndarray, noise_power: float, rng, receive) -> np.ndar
     m = np.asarray(h)
     if m.shape[1] != x.shape[0]:
         raise ValueError(f"channel expects {m.shape[1]} transmit dims, got {x.shape[0]}")
-    if noise_power < 0:
-        raise ValueError("noise power must be non-negative")
+    if noise_power <= 0:
+        raise ValueError("noise power must be positive")
     w = np.asarray(receive)
     if w.ndim != 2 or w.shape[1] != m.shape[0]:
         raise ValueError(f"receive matrix must have {m.shape[0]} columns, "
                          f"got shape {w.shape}")
-    y = (w @ m) @ x
-    if noise_power > 0:
-        y = np.asarray(y, dtype=complex)
-        k = w.shape[0]
-        r = np.sqrt(noise_power / 2.0) * np.concatenate([w.real, w.imag])
-        buf = np.empty(m.shape[:1] + x.shape[1:])
-        rng.standard_normal(out=buf)
-        q = r @ buf  # W a, stacked as [Re; Im]
-        y.real += q[:k]
-        y.imag += q[k:]
-        rng.standard_normal(out=buf)
-        np.matmul(r, buf, out=q)  # W b, added as 1j W b
-        y.real -= q[k:]
-        y.imag += q[:k]
+    y = np.asarray((w @ m) @ x, dtype=complex)
+    k = w.shape[0]
+    r = np.sqrt(noise_power / 2.0) * np.concatenate([w.real, w.imag])
+    buf = np.empty(m.shape[:1] + x.shape[1:])
+    rng.standard_normal(out=buf)
+    q = r @ buf  # W a, stacked as [Re; Im]
+    y.real += q[:k]
+    y.imag += q[k:]
+    rng.standard_normal(out=buf)
+    np.matmul(r, buf, out=q)  # W b, added as 1j W b
+    y.real -= q[k:]
+    y.imag += q[:k]
     return y
 
 
@@ -166,15 +175,20 @@ def run_link(h, config: TransmissionConfig) -> LinkReport:
     The draws per chunk are the same as precoding the chunk, sending it
     through H and combining; ``mode_coupling`` and the leakage still read
     the physical H.
+
+    A predicted SNR outside ``SNR_RANGE``, which float64 estimates cannot
+    measure, raises FloatingPointError before any symbol is drawn.
     """
     modes = decompose(h)
     p = config.mode_powers
     k = p.size
-    if k > modes.n_modes:
-        raise ValueError(f"{k} active modes exceed the {modes.n_modes} available")
+    h_eff = np.asarray(h) @ precode(np.eye(k), modes, p)  # precode refuses too many streams
     sig = modes.singular_values[:k]
-    if np.any(p <= 0) or np.any(sig <= 0):
-        raise ValueError("active modes need positive power and positive gain")
+    predicted = p * sig ** 2 / config.noise_power
+    if not SNR_RANGE[0] <= predicted.min() <= predicted.max() <= SNR_RANGE[1]:
+        raise FloatingPointError(f"predicted per-mode SNRs {predicted.min():.3g} to "
+                                 f"{predicted.max():.3g} leave {list(SNR_RANGE)}, "
+                                 "the range link-sim measures")
 
     coupling = mode_coupling(h, modes, p)
     off = coupling - np.diag(np.diag(coupling))
@@ -182,7 +196,6 @@ def run_link(h, config: TransmissionConfig) -> LinkReport:
 
     gram = np.zeros((k, k), dtype=complex)
     total = config.n_symbols
-    h_eff = np.asarray(h) @ precode(np.eye(k), modes, p)
     receive = modes.left_vectors[:, :k].conj().T / (np.sqrt(p) * sig)[:, None]
     seeds = np.random.SeedSequence(config.seed).spawn((total + _CHUNK - 1) // _CHUNK)
     for i, chunk_seed in enumerate(seeds):
@@ -195,12 +208,9 @@ def run_link(h, config: TransmissionConfig) -> LinkReport:
 
     err_power = gram.real.diagonal()
     mse = err_power / total
-    with np.errstate(divide="ignore"):
-        measured = np.where(mse > 0, 1.0 / mse, np.inf)
-        predicted = (p * sig ** 2 / config.noise_power if config.noise_power > 0
-                     else np.full(k, np.inf))
+    measured = 1.0 / mse
     # the outer product of the roots: the one of the powers overflows near
-    # the low end of the SNR range the runner accepts
+    # the low end of SNR_RANGE
     denom = np.outer(np.sqrt(err_power), np.sqrt(err_power))
     corr = np.divide(np.abs(gram), denom, out=np.zeros((k, k)), where=denom > 0)
     return LinkReport(measured_mode_snr=measured, predicted_mode_snr=predicted,
@@ -209,8 +219,8 @@ def run_link(h, config: TransmissionConfig) -> LinkReport:
 
 
 def save_link_report(report: LinkReport, path) -> Path:
-    """Serialize a report to JSON.  A non-finite value, such as the +inf SNR
-    of a noiseless run, raises FloatingPointError and writes no file."""
+    """Serialize a report to JSON.  A non-finite value raises
+    FloatingPointError and writes no file."""
     path = Path(path)
     payload = {
         "n_symbols": report.n_symbols,

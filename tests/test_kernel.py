@@ -20,8 +20,9 @@ from conftest import (WAVELENGTH, cap_converged, cap_eigenvalues_direct, direct_
 from nfdof.errors import ConvergenceError, SingularGeometryError
 from nfdof.experiments import run_experiment
 from nfdof.geometry import continuous_aperture, rayleigh_distance
-from nfdof.kernel import (build_kernel, cap_edof1, cap_edof2, cap_spectrum,
-                          converge_spectrum, gauss_legendre_rule, gauss_legendre_segment)
+from nfdof.kernel import (build_kernel, cap_spectrum, converge_spectrum, gauss_legendre_rule,
+                          gauss_legendre_segment)
+from nfdof.metrics import cap_edof1, cap_edof2
 from nfdof.modes import SingularSpectrum
 from nfdof.spec import LADDER_FLOOR
 

@@ -6,9 +6,8 @@ from conftest import (cap_converged, nusw_spectrum, random_spectrum, ula_pair,
                       waterfill_bruteforce, waterfill_loop, WAVELENGTH)
 from nfdof.channel import farfield_planar_channel, frobenius_normalized, los_nusw_channel
 from nfdof.errors import ActiveSetChangeError
-from nfdof.kernel import cap_edof1
-from nfdof.metrics import (capacity, dof, edof1, edof1_limit_linear, edof2, edof3,
-                           edof3_auto, edof3_envelope, metrics_report, waterfill)
+from nfdof.metrics import (cap_edof1, capacity, dof, edof1, edof1_limit_linear, edof2,
+                           edof3, edof3_auto, edof3_envelope, metrics_report, waterfill)
 from nfdof.modes import decompose
 
 
