@@ -19,7 +19,7 @@ _EXPORTS = {
     "metrics": ("cap_edof1", "cap_edof2", "capacity", "dof", "edof1", "edof1_limit_linear",
                 "edof2", "edof3", "edof3_auto", "edof3_envelope", "metrics_report",
                 "waterfill"),
-    "modes": ("ModeDecomposition", "SingularSpectrum", "decompose"),
+    "modes": ("ModeDecomposition", "decompose"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

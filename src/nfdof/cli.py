@@ -7,13 +7,16 @@
 Outputs go to --out, the working directory by default.  Exit codes:
 0 success, 2 invalid config or arguments, 3 numerical failure or out of
 memory, 4 I/O failure.  ``validate`` and ``version`` run without importing
-numpy.
+numpy.  ``run`` sets one BLAS thread before it imports numpy: OpenBLAS rounds
+differently at different thread counts, and the outputs are byte-identical
+only at a fixed one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -27,6 +30,7 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 MAX_THREADS = 64  # each --threads worker is an operating-system thread
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _load_config(path: str) -> dict:
@@ -73,7 +77,8 @@ def main(argv=None) -> int:
             spec = validate_config(cfg)
             print(f"{args.config}: valid {spec.experiment} experiment")
             return EXIT_OK
-        # numpy loads here, on the run path only
+        # numpy loads here, on the run path only, with one BLAS thread
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
         from numpy.linalg import LinAlgError
         from .experiments import run_experiment
         numerical += (LinAlgError,)

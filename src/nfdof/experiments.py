@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-# the benchmark probes build_ula, los_*_channel, decompose, edof3_auto and
-# validate_config here by name
+# build_ula, los_nusw_channel, los_usw_channel, decompose and edof3_auto go unused
+# here: the benchmark probes them in this module by name
 from .channel import (facing_ula_column, frobenius_normalized, los_nusw_channel,  # noqa: F401
                       los_usw_channel)
 from .geometry import build_ula, continuous_aperture, rayleigh_distance  # noqa: F401
@@ -29,7 +29,7 @@ from .linksim import TransmissionConfig, run_link, save_link_report
 from .metrics import (cap_edof1, cap_edof2, dof, edof1, edof1_limit_linear, edof2,  # noqa: F401
                       edof3_auto, metrics_report, waterfill)
 from .modes import decompose, toeplitz_matrix, toeplitz_spectrum  # noqa: F401
-from .spec import MAX_COUNT, ExperimentSpec, Grid, _slug, validate_config  # noqa: F401
+from .spec import ExperimentSpec, Grid, _slug, validate_config
 
 
 _NON_FINITE = frozenset({"nan", "inf", "-inf"})  # float.__repr__ of NaN and infinities
@@ -180,7 +180,7 @@ def _run_spectrum(spec, prov, threads):
 
     def one(item):
         name, (n, a, d) = item
-        s = toeplitz_spectrum(_ula_column(spec, n, a, d)).values
+        s = toeplitz_spectrum(_ula_column(spec, n, a, d))
         rows = [[i, v, r] for i, v, r in zip(range(1, s.size + 1), s.tolist(),
                                              (s / s[0]).tolist())]
         return ResultTable(name=name, columns=["mode_index", "sigma", "sigma_over_sigma1"],
@@ -263,8 +263,8 @@ def _run_link_sim(spec, prov, threads):
     # scaling the column instead moves the round-off cross_mode_leakage the references hold
     h = frobenius_normalized(h) if spec.normalize else h
     s = toeplitz_spectrum(h[:, 0])
-    # the requested modes, clipped at the rank tolerance of the whole channel as dof is
-    powers = waterfill(replace(s, values=s.values[:spec.active_modes]),
+    # the requested modes that dof counts; the lower clip of the shorter prefix keeps them all
+    powers = waterfill(s[:min(spec.active_modes, dof(s))],
                        budget=10.0 ** (snr_db / 10.0), noise=1.0)
     # water-filling drops the weakest requested modes at this SNR
     powers = powers[powers > 0]

@@ -25,7 +25,7 @@ import numpy as np
 from .channel import spherical_wave_matrix
 from .errors import ConvergenceError, SingularGeometryError
 from .geometry import ArrayGeometry, _positive_finite
-from .modes import SingularSpectrum, _block_values, fold_parity
+from .modes import _block_values, fold_parity
 from .spec import LADDER_FLOOR
 
 _NEWTON_STEPS = 20
@@ -196,12 +196,11 @@ def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float, m_node
     return blocks
 
 
-def cap_spectrum(blocks) -> SingularSpectrum:
-    """Singular values sigma_n, as an (m, m) spectrum, of what
+def cap_spectrum(blocks) -> np.ndarray:
+    """The m singular values sigma_n, as a spectrum, of what
     :func:`build_kernel` returns: two parity blocks or one response.
     sigma_n**2 are the eigenvalues of the discretized kernel."""
-    m = sum(len(b) for b in blocks)
-    return SingularSpectrum(values=_block_values(blocks), shape=(m, m))
+    return _block_values(blocks)
 
 
 def _path_spread(tx_seg: np.ndarray, rx_seg: np.ndarray) -> float:
@@ -235,7 +234,7 @@ def _rung(k: int) -> int:
 
 
 def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float,
-                      tol: float = 1e-6, max_nodes: int = 4096) -> SingularSpectrum:
+                      tol: float = 1e-6, max_nodes: int = 4096) -> np.ndarray:
     """Raise the quadrature node count by 2**(1/8) per rung until every
     eigenvalue sigma_n**2 of a rung agrees with the matching one of the next
     to ``tol`` relative to the largest (:func:`_rung_change`).
@@ -248,7 +247,7 @@ def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float,
     and never below 16.  ``max_nodes`` must exceed 16 and is a hard cap: the
     last rung is clamped to it.  Non-convergence raises
     :class:`ConvergenceError` whose message states the last observed change and
-    the largest rung built.  The node count of the returned spectrum is ``shape[0]``.
+    the largest rung built.  The node count of the returned spectrum is ``len(spectrum)``.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -260,13 +259,13 @@ def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float,
     while _rung(k) < start and _rung(k + 1) <= max_nodes / 2:
         k += 1
     m = _rung(k)
-    lam = cap_spectrum(build_kernel(tx, rx, wavelength, m)).values ** 2
+    lam = cap_spectrum(build_kernel(tx, rx, wavelength, m)) ** 2
     last_change = np.inf
     while m < max_nodes:
         k += 1
         m = min(_rung(k), max_nodes)
         spec = cap_spectrum(build_kernel(tx, rx, wavelength, m))
-        nxt = spec.values ** 2
+        nxt = spec ** 2
         last_change = _rung_change(lam, nxt)
         lam = nxt
         if last_change < tol:

@@ -16,8 +16,8 @@ returns W (H x + n), so a run works in the mode domain with
 W = U_K^H / (sqrt(p) sigma) and no chunk forms the N_r x n receive block;
 the draws are those of precoding each chunk, sending it through H and
 combining, up to the association of the products.  Every mode power and
-the noise power are positive, and a run measures only predicted SNRs within
-``SNR_RANGE``.
+the noise power are positive and finite, and a run measures only predicted
+SNRs within ``SNR_RANGE``.
 """
 
 from __future__ import annotations
@@ -59,10 +59,10 @@ class TransmissionConfig:
         p = np.asarray(self.mode_powers, dtype=float)
         if p.size < 1:
             raise ValueError("need at least one active mode")
-        if np.any(p <= 0):
-            raise ValueError("mode powers must be positive")
-        if self.noise_power <= 0:
-            raise ValueError("noise power must be positive")
+        if not np.all((0.0 < p) & (p < np.inf)):
+            raise ValueError("mode powers must be positive and finite")
+        if not 0.0 < self.noise_power < np.inf:
+            raise ValueError("noise power must be positive and finite")
         if self.n_symbols < 1:
             raise ValueError("n_symbols must be >= 1")
         object.__setattr__(self, "mode_powers", p)
@@ -119,8 +119,8 @@ def transmit_awgn(h, x: np.ndarray, noise_power: float, rng, receive) -> np.ndar
     m = np.asarray(h)
     if m.shape[1] != x.shape[0]:
         raise ValueError(f"channel expects {m.shape[1]} transmit dims, got {x.shape[0]}")
-    if noise_power <= 0:
-        raise ValueError("noise power must be positive")
+    if not 0.0 < noise_power < np.inf:
+        raise ValueError("noise power must be positive and finite")
     w = np.asarray(receive)
     if w.ndim != 2 or w.shape[1] != m.shape[0]:
         raise ValueError(f"receive matrix must have {m.shape[0]} columns, "

@@ -1,12 +1,13 @@
 """DoF-family metrics, water-filling power allocation, and capacity.
 
-All functions accept a :class:`~nfdof.modes.SingularSpectrum` or a plain
-descending array of singular values.  SNR and power quantities are linear ratios with the noise
-power normalized to 1 unless stated otherwise.  Every metric reads the
-spectrum clipped once at the rank tolerance of ``dof``: singular values below
-it are round-off and count as zero.  ``waterfill`` returns the per-mode
-powers; ``metrics_report`` computes every value it reports itself, edof3
-included, so a runner's CSV and its summary read one computation.
+All functions take a spectrum, a nonempty descending 1D array of finite,
+non-negative singular values, and check it.  SNR and power quantities are
+linear ratios with the noise power normalized to 1 unless stated otherwise.
+Every metric reads the spectrum clipped once at the rank tolerance of ``dof``:
+singular values below it are round-off and count as zero.  ``waterfill``
+returns the per-mode powers; ``metrics_report`` computes every value it
+reports itself, edof3 included, so a runner's CSV and its summary read one
+computation.
 
 Metric family
 -------------
@@ -28,27 +29,27 @@ import numpy as np
 
 from .errors import ActiveSetChangeError
 from .geometry import _positive_finite
-from .modes import RANK_TOL, SingularSpectrum
+from .modes import RANK_TOL
 
 LN2 = math.log(2.0)
 
 
 def _clipped(spectrum) -> np.ndarray:
-    """The singular values of a SingularSpectrum or a nonempty 1D array, with
-    every sigma_n below the rank tolerance, :data:`~nfdof.modes.RANK_TOL`
-    times the larger matrix dimension times sigma_1, set to zero.
-
-    The dimension comes from the spectrum's shape metadata when available,
-    otherwise from the spectrum length.
-    """
-    is_spectrum = isinstance(spectrum, SingularSpectrum)
-    v = spectrum.values if is_spectrum else np.asarray(spectrum, dtype=float)
+    """The checked singular values of ``spectrum``, with every sigma_n below
+    the rank tolerance, :data:`~nfdof.modes.RANK_TOL` times their number
+    times sigma_1, set to zero."""
+    v = np.asarray(spectrum, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("spectrum must be a nonempty 1D array")
+    if not np.isfinite(v).all():
+        raise ValueError("singular values must be finite")
+    if v[-1] < 0:
+        raise ValueError("singular values must be non-negative")
+    if np.any(v[1:] > v[:-1]):
+        raise ValueError("singular values must be sorted in descending order")
     if v[0] <= 0:
         raise ValueError("spectrum has no positive singular value")
-    dim = max(spectrum.shape) if is_spectrum and spectrum.shape is not None else v.size
-    return np.where(v >= RANK_TOL * dim * v[0], v, 0.0)
+    return np.where(v >= RANK_TOL * v.size * v[0], v, 0.0)
 
 
 def dof(spectrum) -> int:
@@ -116,10 +117,10 @@ def waterfill(spectrum, budget: float, noise: float) -> np.ndarray:
     ``budget``, also when the budget is too small to raise the level above
     1/g_1 in floating point.
     """
-    if budget <= 0:
-        raise ValueError(f"power budget must be positive, got {budget}")
-    if noise <= 0:
-        raise ValueError(f"noise power must be positive, got {noise}")
+    if not 0.0 < budget < np.inf:
+        raise ValueError(f"power budget must be positive and finite, got {budget}")
+    if not 0.0 < noise < np.inf:
+        raise ValueError(f"noise power must be positive and finite, got {noise}")
     v = _clipped(spectrum)
     gains = v * v / noise
     # near-zero gains overflow to inf, which correctly keeps those modes dry
@@ -143,8 +144,8 @@ def waterfill(spectrum, budget: float, noise: float) -> np.ndarray:
 def capacity(spectrum, snr: float) -> float:
     """Channel capacity in bits/s/Hz with noise normalized to 1 and a total
     transmit power of ``snr`` split across modes by water-filling."""
-    if snr <= 0:
-        raise ValueError(f"snr must be positive, got {snr}")
+    if not 0.0 < snr < np.inf:
+        raise ValueError(f"snr must be positive and finite, got {snr}")
     v = _clipped(spectrum)
     powers = waterfill(v, budget=snr, noise=1.0)
     # log1p keeps the low-SNR regime accurate where 1 + p*g rounds badly
@@ -160,8 +161,8 @@ def edof3_envelope(spectrum, snr: float) -> float:
     budget, so this envelope expression is exact at every SNR, including
     active-set transition points.
     """
-    if snr <= 0:
-        raise ValueError(f"snr must be positive, got {snr}")
+    if not 0.0 < snr < np.inf:
+        raise ValueError(f"snr must be positive and finite, got {snr}")
     v = _clipped(spectrum)
     k = np.count_nonzero(waterfill(v, budget=snr, noise=1.0))
     gains = v[:k] ** 2
@@ -179,8 +180,8 @@ def edof3(spectrum, snr: float, delta_step: float = 0.01) -> float:
     different water-filling active sets; retry with a smaller ``delta_step``
     or fall back to :func:`edof3_envelope`.
     """
-    if snr <= 0:
-        raise ValueError(f"snr must be positive, got {snr}")
+    if not 0.0 < snr < np.inf:
+        raise ValueError(f"snr must be positive and finite, got {snr}")
     if not 0.0 < delta_step <= 0.05:
         raise ValueError(f"delta_step must lie in (0, 0.05], got {delta_step}")
     v = _clipped(spectrum)

@@ -1,5 +1,8 @@
 """SVD decomposition of a channel into orthogonal communication modes.
 
+A spectrum is a plain descending array of singular values: the
+``singular_values`` of :func:`decompose`, or what :func:`toeplitz_spectrum` returns.
+
 A square matrix M is centrosymmetric when J M J = M, J being the exchange
 matrix that reverses the index order.  The symmetric Toeplitz channel of two
 facing ULAs, and the weighted response of two mirror-placed facing apertures,
@@ -16,36 +19,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .geometry import _readonly
+
 _SQRT2 = np.sqrt(2.0)
 
 RANK_TOL = 1e-10
-"""Singular values below RANK_TOL times the larger matrix dimension times
+"""Singular values below RANK_TOL times the number of singular values times
 sigma_1 are round-off: every metric clips them to zero."""
-
-
-@dataclass(frozen=True)
-class SingularSpectrum:
-    """Non-increasing, non-negative singular values.
-
-    ``shape`` optionally records the (N_r, N_t) of the originating matrix so
-    rank tolerances can scale with the larger dimension.
-    """
-
-    values: np.ndarray
-    shape: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float, copy=True)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("spectrum must be a nonempty 1D array")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("singular values must be finite")
-        if np.any(v < 0):
-            raise ValueError("singular values must be non-negative")
-        if np.any(np.diff(v) > 0):
-            raise ValueError("singular values must be sorted in descending order")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -53,17 +33,12 @@ class ModeDecomposition:
     """SVD factors H = Psi diag(sigma) Phi^H truncated to min(N_r, N_t) modes.
 
     ``left_vectors`` (N_r x K) and ``right_vectors`` (N_t x K) have orthonormal
-    columns; ``singular_values`` is descending.
+    columns; ``singular_values``, descending, is the spectrum.
     """
 
     left_vectors: np.ndarray
     right_vectors: np.ndarray
     singular_values: np.ndarray
-
-    @property
-    def spectrum(self) -> SingularSpectrum:
-        shape = (self.left_vectors.shape[0], self.right_vectors.shape[0])
-        return SingularSpectrum(values=self.singular_values, shape=shape)
 
     @property
     def n_modes(self) -> int:
@@ -91,8 +66,10 @@ def fold_parity(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_values(blocks) -> np.ndarray:
-    """The singular values of all ``blocks``, by SVD, in descending order."""
-    return np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks]))[::-1]
+    """The singular values of all ``blocks``, by SVD, in descending order,
+    as a contiguous read-only array."""
+    return _readonly(np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False)
+                                             for b in blocks]))[::-1])
 
 
 def _require_solvable(m: np.ndarray):
@@ -193,8 +170,9 @@ def _half_phase_excursion(column: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.angle(column[1:] * column[:-1].conj())).sum())
 
 
-def toeplitz_spectrum(column) -> SingularSpectrum:
-    """The values-only spectrum of :func:`toeplitz_matrix` of ``column``.
+def toeplitz_spectrum(column) -> np.ndarray:
+    """The n singular values of :func:`toeplitz_matrix` of ``column``,
+    descending, contiguous and read-only.
 
     From k = max(16, ceil(:func:`_half_phase_excursion` / 2)) probes per
     parity block, :func:`_leading_values` runs on :func:`_parity_products`
@@ -215,9 +193,9 @@ def toeplitz_spectrum(column) -> SingularSpectrum:
     if leading is not None:
         values = np.zeros(n)
         values[:leading.size] = leading
-        return SingularSpectrum(values=values, shape=(n, n))
-    blocks = fold_parity(np.array(toeplitz_matrix(column)[:(n + 1) // 2]))
-    return SingularSpectrum(values=_block_values(blocks), shape=(n, n))
+        values.setflags(write=False)
+        return values
+    return _block_values(fold_parity(np.array(toeplitz_matrix(column)[:(n + 1) // 2])))
 
 
 def toeplitz_matrix(column) -> np.ndarray:

@@ -77,7 +77,7 @@ def nusw_modes(n, d, aperture=APERTURE):
 
 @lru_cache(maxsize=None)
 def nusw_spectrum(n, d, aperture=APERTURE):
-    return nusw_modes(n, d, aperture).spectrum
+    return nusw_modes(n, d, aperture).singular_values
 
 
 @lru_cache(maxsize=None)
@@ -348,10 +348,10 @@ def sqrt2_ladder(tx, rx, tol=1e-6):
         return mid + x[:, None] * half, w * np.linalg.norm(half)
 
     with mock.patch.object(nfdof.kernel, "gauss_legendre_segment", plain_segment):
-        lam = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, m)).values[:20] ** 2
+        lam = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, m))[:20] ** 2
         for m in rungs:
             spec = cap_spectrum(build_kernel(tx, rx, WAVELENGTH, m))
-            new = spec.values[:20] ** 2
+            new = spec[:20] ** 2
             if np.max(np.abs(new - lam)) / new[0] < tol:
                 return spec
             lam = new

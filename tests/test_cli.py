@@ -15,10 +15,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nfdof import __version__, experiments
-from nfdof.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, MAX_THREADS,
-                       build_parser, main)
-from nfdof.experiments import MAX_COUNT
-from nfdof.spec import LADDER_FLOOR
+from nfdof.cli import (BLAS_THREAD_VARS, EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
+                       MAX_THREADS, build_parser, main)
+from nfdof.spec import LADDER_FLOOR, MAX_COUNT
+
+
+def fresh_env(**extra):
+    """os.environ with this checkout's src/ first on PYTHONPATH, plus ``extra``."""
+    root = Path(__file__).resolve().parents[1]
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
 
 
 def write_config(path, cfg):
@@ -60,12 +66,9 @@ class TestCommands:
         with open(root / "pyproject.toml", "rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["nfdof"]
         module, attr = target.split(":")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
         code = f"import sys, {module}; sys.exit({module}.{attr}())"
         proc = subprocess.run([sys.executable, "-c", code, "version"],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=fresh_env())
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.strip() == __version__
 
@@ -81,12 +84,30 @@ class TestCommands:
                 "        seen.append((argv, cli.main(argv), 'numpy' in sys.modules))\n"
                 "print(json.dumps(seen))\n")
         argvs = [["validate", str(p)] for p in configs] + [["version"]]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=fresh_env())
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [[argv, EXIT_OK, False] for argv in argvs]
+
+    def test_run_pins_one_blas_thread_before_numpy_loads(self, tmp_path):
+        # the environment numpy's first import reads, in a fresh interpreter
+        code = ("import contextlib, io, json, os, sys\n"
+                "from nfdof import cli\n"
+                "seen = {}\n"
+                "class Watch:\n"
+                "    def find_spec(self, name, path=None, target=None):\n"
+                "        if name == 'numpy' and not seen:\n"
+                "            seen.update((v, os.environ.get(v)) for v in cli.BLAS_THREAD_VARS)\n"
+                "sys.meta_path.insert(0, Watch())\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+                "print(json.dumps([code, seen]))\n")
+        cfg_path = write_config(tmp_path / "cfg.json", spectrum_config())
+        env = fresh_env(**dict.fromkeys(BLAS_THREAD_VARS, "2"))
+        proc = subprocess.run([sys.executable, "-c", code, cfg_path, str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [EXIT_OK, dict.fromkeys(BLAS_THREAD_VARS, "1")]
 
     @pytest.mark.skipif(shutil.which("nfdof") is None,
                         reason="the nfdof executable is not on PATH")
@@ -294,6 +315,22 @@ class TestSeedAndThreads:
         assert main(["run", cfg_path, "--out", str(out)]) == EXIT_OK
         header = (out / "spectrum_n16_d15.csv").read_text().splitlines()
         assert f"# timestamp={stamp}" in header
+
+    def test_blas_threads_do_not_change_bytes(self, tmp_path):
+        # a 5 m aperture at 12 m: OpenBLAS rounds its 235- and 256-node
+        # solves differently at one and two threads
+        cfg = {"experiment": "cap-edof-vs-distance", "carrier": {"wavelength_m": 0.01},
+               "geometry": {"apertures_m": [5.0], "distances_m": [12.0]}}
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        outputs = []
+        for blas in ("1", "2"):
+            out = tmp_path / f"blas{blas}"
+            proc = subprocess.run([sys.executable, "-m", "nfdof.cli", "run", cfg_path,
+                                   "--out", str(out)], capture_output=True, text=True,
+                                  env=fresh_env(OPENBLAS_NUM_THREADS=blas))
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 2 and outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("threads", ["0", "-1", str(MAX_THREADS + 1), "1000000000", "two"])
     def test_threads_out_of_range_is_a_usage_error(self, threads, tmp_path, monkeypatch,

@@ -19,7 +19,7 @@ from nfdof.errors import ConfigError
 from nfdof.experiments import (ResultTable, _summary_text, config_hash, emit_plot_data,
                                run_experiment, validate_config)
 from nfdof.metrics import dof, edof3_auto, metrics_report
-from nfdof.modes import SingularSpectrum, decompose, toeplitz_matrix
+from nfdof.modes import decompose, toeplitz_matrix
 
 
 def spectrum_config(**overrides):
@@ -281,7 +281,7 @@ class TestSpectrumExperiment:
                 s = decompose(h).singular_values
                 expected[model] = list(s / s[0])
             else:  # normalized by default
-                s = decompose(frobenius_normalized(h)).spectrum
+                s = decompose(frobenius_normalized(h)).singular_values
                 expected[model] = [edof3_auto(s, snr) for snr in (1.0, 100.0)]
         got = [row[2] for row in tables[0].rows]
         assert experiment != "spectrum" or got[0] == 1.0
@@ -373,7 +373,7 @@ class TestEdof3Experiment:
         assert list(reports) == ["d15", "d50", "d150"]
         for d, report in zip((15.0, 50.0, 150.0), reports.values()):
             h = frobenius_normalized(nusw_channel(256, d))
-            dense = SingularSpectrum(np.linalg.svd(h, compute_uv=False), shape=h.shape)
+            dense = np.linalg.svd(h, compute_uv=False)
             snrs = [snr for snr, _ in report["edof3_by_snr"]]
             step = cfg["metrics"]["delta_step"]
             oracle = metrics_report(dense, snrs, dominance=0.01, delta_step=step)
@@ -449,8 +449,8 @@ class TestLinkSimExperiment:
         (table,) = run_experiment(cfg, out_dir=tmp_path)
         assert len(read_csv_rows(tmp_path / f"{table.name}.csv")) == 9
         s = decompose(frobenius_normalized(los_nusw_channel(*ula_pair(128, 150.0),
-                                                            WAVELENGTH))).spectrum
-        assert dof(s) == 9 and 1e-9 < s.values[9] / s.values[0] < 1.28e-8
+                                                            WAVELENGTH))).singular_values
+        assert dof(s) == 9 and 1e-9 < s[9] / s[0] < 1.28e-8
 
     def test_model_key_rejected(self):
         cfg = {

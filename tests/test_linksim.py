@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import nfdof.linksim
 from conftest import WAVELENGTH, nusw_channel, nusw_modes, run_link_loop
-from nfdof.experiments import MAX_COUNT
 from nfdof.linksim import (LinkReport, TransmissionConfig, combine, mode_coupling,
                            precode, qpsk_symbols, run_link, save_link_report,
                            transmit_awgn)
 from nfdof.metrics import capacity, waterfill
+from nfdof.spec import MAX_COUNT
 
 
 def small_link(n=32, d=15.0):
@@ -74,10 +74,11 @@ class TestTransmitAwgn:
             transmit_awgn(h, np.ones((31, 2), dtype=complex), 1.0,
                           np.random.default_rng(0), receive=np.eye(32))
 
-    def test_zero_noise_rejected(self):
+    @pytest.mark.parametrize("noise", [0.0, np.nan, np.inf])
+    def test_zero_noise_rejected(self, noise):
         h, modes = small_link()
-        with pytest.raises(ValueError, match="noise power must be positive"):
-            transmit_awgn(h, np.ones((32, 2), dtype=complex), 0.0,
+        with pytest.raises(ValueError, match="noise power must be positive and finite"):
+            transmit_awgn(h, np.ones((32, 2), dtype=complex), noise,
                           np.random.default_rng(0), receive=np.eye(32))
 
     @pytest.mark.parametrize("unit", [1j, 0.0], ids=["complex", "real"])
@@ -337,16 +338,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="at least one active mode"):
             TransmissionConfig(mode_powers=[], noise_power=1.0, n_symbols=10, seed=0)
 
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            TransmissionConfig(mode_powers=[-1.0], noise_power=1.0,
+    @pytest.mark.parametrize("power", [-1.0, np.nan, np.inf])
+    def test_negative_power_rejected(self, power):
+        with pytest.raises(ValueError, match="mode powers must be positive and finite"):
+            TransmissionConfig(mode_powers=[power], noise_power=1.0,
                                n_symbols=10, seed=0)
 
     def test_zero_power_rejected(self):
-        with pytest.raises(ValueError, match="mode powers must be positive"):
+        with pytest.raises(ValueError, match="mode powers must be positive and finite"):
             TransmissionConfig(mode_powers=[1.0, 0.0], noise_power=1.0,
                                n_symbols=10, seed=0)
 
-    def test_zero_noise_rejected(self):
-        with pytest.raises(ValueError, match="noise power must be positive"):
-            TransmissionConfig(mode_powers=[1.0], noise_power=0.0, n_symbols=10, seed=0)
+    @pytest.mark.parametrize("noise", [0.0, -1.0, np.nan, np.inf])
+    def test_zero_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise power must be positive and finite"):
+            TransmissionConfig(mode_powers=[1.0], noise_power=noise, n_symbols=10, seed=0)

@@ -13,7 +13,7 @@ from nfdof.modes import decompose
 
 def planar_spectrum(n=12, d=40.0):
     tx, rx = ula_pair(n, d)
-    return decompose(farfield_planar_channel(tx, rx, WAVELENGTH)).spectrum
+    return decompose(farfield_planar_channel(tx, rx, WAVELENGTH)).singular_values
 
 
 class TestDof:
@@ -26,7 +26,7 @@ class TestDof:
     def test_iid_full_rank(self):
         rng = np.random.default_rng(2)
         h = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))) / np.sqrt(2.0)
-        assert dof(decompose(h).spectrum) == 8
+        assert dof(decompose(h).singular_values) == 8
 
     def test_zero_leading_rejected(self):
         with pytest.raises(ValueError):
@@ -187,9 +187,15 @@ class TestWaterfill:
         assert powers.tolist() == [1e-20, 0.0, 0.0]
         assert 0.0 < capacity(np.array([1.0]), 1e-17) < 1e-16
 
-    def test_degenerate_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            waterfill(np.array([1.0]), budget=0.0, noise=1.0)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_degenerate_inputs_rejected(self, bad):
+        with pytest.raises(ValueError, match="budget must be positive and finite"):
+            waterfill(np.array([1.0]), budget=bad, noise=1.0)
+        with pytest.raises(ValueError, match="noise power must be positive and finite"):
+            waterfill(np.array([1.0]), budget=1.0, noise=bad)
+        for metric in (capacity, edof3, edof3_envelope):
+            with pytest.raises(ValueError, match="snr must be positive and finite"):
+                metric(np.array([1.0]), bad)
         with pytest.raises(ValueError):
             waterfill(np.array([0.0]), budget=1.0, noise=1.0)
 
@@ -205,7 +211,7 @@ class TestCapacity:
 
     def test_rank_one_any_policy(self):
         s = planar_spectrum()
-        expected = np.log2(1.0 + 7.0 * s.values[0] ** 2)
+        expected = np.log2(1.0 + 7.0 * s[0] ** 2)
         assert capacity(s, 7.0) == pytest.approx(expected, rel=1e-12)
 
     def test_waterfilling_beats_equal(self):
@@ -263,7 +269,8 @@ class TestEdof3:
         # bit/s/Hz, whose central difference carries about C * eps / delta_step
         # of round-off and read 1.0000000000005116 before the clamp
         tx, rx = ula_pair(16, 1e9)
-        s = decompose(frobenius_normalized(los_nusw_channel(tx, rx, WAVELENGTH))).spectrum
+        h = frobenius_normalized(los_nusw_channel(tx, rx, WAVELENGTH))
+        s = decompose(h).singular_values
         assert dof(s) == 1
         assert edof3(s, 1e40) == 1.0
         assert edof3_auto(s, 1e40) == 1.0
@@ -339,8 +346,8 @@ class TestChannelComparisons:
     def test_near_field_beats_far_field(self):
         near = frobenius_normalized(los_nusw_channel(*ula_pair(256, 15.0), WAVELENGTH))
         far = frobenius_normalized(los_nusw_channel(*ula_pair(256, 300.0), WAVELENGTH))
-        sn = decompose(near).spectrum
-        sf = decompose(far).spectrum
+        sn = decompose(near).singular_values
+        sf = decompose(far).singular_values
         snr = 100.0
         assert dof(sn) > dof(sf)
         assert edof1(sn) > edof1(sf)
@@ -349,7 +356,7 @@ class TestChannelComparisons:
 
     def test_edof3_can_exceed_edof1_and_edof2(self):
         s = decompose(frobenius_normalized(
-            los_nusw_channel(*ula_pair(256, 15.0), WAVELENGTH))).spectrum
+            los_nusw_channel(*ula_pair(256, 15.0), WAVELENGTH))).singular_values
         e1, e2 = edof1(s), edof2(s)
         exceeded = any(edof3_envelope(s, 10.0 ** (db / 10.0)) > max(e1, e2)
                        for db in range(0, 41, 5))

@@ -13,9 +13,9 @@ from nfdof.errors import SingularGeometryError
 from nfdof.geometry import build_ula
 from nfdof.kernel import _path_spread
 from nfdof.metrics import dof, edof1, edof2
-from nfdof.modes import (ModeDecomposition, SingularSpectrum, _half_phase_excursion,
-                         _leading_values, _parity_products, _probe_transform, decompose,
-                         toeplitz_matrix, toeplitz_spectrum)
+from nfdof.modes import (ModeDecomposition, _half_phase_excursion, _leading_values,
+                         _parity_products, _probe_transform, decompose, toeplitz_matrix,
+                         toeplitz_spectrum)
 
 
 def svd_values(m):
@@ -46,7 +46,7 @@ class TestDecompose:
         assert md.singular_values[1] < 1e-12 * md.singular_values[0]
 
     def test_plateau_then_decay(self):
-        s = nusw_spectrum(256, 15.0).values
+        s = nusw_spectrum(256, 15.0)
         assert s[19] / s[0] < 1e-3
         # plateau: the first ten modes stay within 1% of the strongest
         assert s[9] / s[0] > 0.99
@@ -69,7 +69,6 @@ class TestDecompose:
     def test_mode_count(self):
         md = decompose(np.ones((3, 7)))
         assert md.n_modes == 3
-        assert md.spectrum.shape == (3, 7)
 
     @pytest.mark.parametrize("shape", [(6, 9), (9, 6), (256, 256), (275, 275)])
     def test_values_only_matches_full_svd(self, shape):
@@ -80,12 +79,11 @@ class TestDecompose:
             h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         full = decompose(h)
         assert isinstance(full, ModeDecomposition)
-        values = SingularSpectrum(parity_split_values(h), shape=h.shape)
-        assert values.shape == full.spectrum.shape == shape
-        assert values.values.shape == full.singular_values.shape
-        assert np.max(np.abs(values.values - full.singular_values)) \
+        values = parity_split_values(h)
+        assert values.shape == full.singular_values.shape
+        assert np.max(np.abs(values - full.singular_values)) \
             <= 1e-13 * full.singular_values[0]
-        assert dof(values) == dof(full.spectrum)
+        assert dof(values) == dof(full.singular_values)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="all-zero"):
@@ -260,17 +258,17 @@ class TestRankRevealing:
     @example(n=201, seed=0, rank=40, tail=1e-6, centro=True, estimate=1.0)
     def test_same_metrics_as_the_full_solve(self, n, seed, rank, tail, centro, estimate):
         m = ranked_matrix(seed, n, rank, tail, centro)
-        full = SingularSpectrum(parity_split_values(m), shape=m.shape)
+        full = parity_split_values(m)
         # from n = 192 every draw enters the finder; n // 6 is the widest k it lets in
         estimate = n // 6 if estimate == "n/6" else estimate
-        fast = SingularSpectrum(finder_values(m, estimate), shape=m.shape)
-        assert fast.values.shape == (n,)
+        fast = finder_values(m, estimate)
+        assert fast.shape == (n,)
         assert dof(fast) == dof(full)
         for dominance in (0.01, 0.5):
             assert edof1(fast, dominance=dominance) == edof1(full, dominance=dominance)
         # the values every metric reads agree; the rest are round-off
         k = dof(full)
-        assert np.max(np.abs(fast.values[:k] - full.values[:k])) <= 1e-13 * full.values[0]
+        assert np.max(np.abs(fast[:k] - full[:k])) <= 1e-13 * full[0]
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(192, 320), seed=st.integers(0, 2**32 - 4),
@@ -294,15 +292,14 @@ class TestRankRevealing:
         else:
             column = facing_ula_column("nusw", n, APERTURE, distance, WAVELENGTH)
             m = gathered(column)
-            fast = toeplitz_spectrum(column).values
-        full = SingularSpectrum(parity_split_values(m), shape=m.shape)
-        fast = SingularSpectrum(fast, shape=m.shape)
-        assert fast.values.shape == (n,)
+            fast = toeplitz_spectrum(column)
+        full = parity_split_values(m)
+        assert fast.shape == (n,)
         assert dof(fast) == dof(full)
         for dominance in (0.01, 0.5):
             assert edof1(fast, dominance=dominance) == edof1(full, dominance=dominance)
         k = dof(full)
-        assert np.max(np.abs(fast.values[:k] - full.values[:k])) <= 1e-13 * full.values[0]
+        assert np.max(np.abs(fast[:k] - full[:k])) <= 1e-13 * full[0]
         assert edof2(fast) == pytest.approx(edof2(full), rel=1e-12)
 
     @pytest.mark.parametrize("n, d, finder", [(191, 15.0, False), (192, 15.0, True),
@@ -317,7 +314,7 @@ class TestRankRevealing:
         m = gathered(column)
         assert parity_blocks(m) is not None
         dense = parity_split_values(m)
-        values = toeplitz_spectrum(column).values
+        values = toeplitz_spectrum(column)
         if finder:
             # the finder leaves values out
             assert calls == [(kind, parity, 16) for parity in ("even", "odd")
@@ -359,7 +356,7 @@ class TestRankRevealing:
         calls = []
         self.counting_products(monkeypatch, calls)
         column = facing_ula_column("nusw", 256, 0.5, 1.0, WAVELENGTH)
-        values = toeplitz_spectrum(column).values
+        values = toeplitz_spectrum(column)
         assert [c for c in calls if c[0] == "product"] == [("product", "even", 19),
                                                            ("product", "odd", 19)]
         assert np.array_equal(values, parity_split_values(gathered(column)))
@@ -425,26 +422,26 @@ class TestRankRevealing:
     def test_cold_and_warm_tables_give_the_same_bytes(self):
         column = facing_ula_column("nusw", 1024, APERTURE, 50.0, WAVELENGTH)
         _probe_transform.cache_clear()
-        cold = toeplitz_spectrum(column).values.tobytes()
+        cold = toeplitz_spectrum(column).tobytes()
         assert _probe_transform.cache_info().currsize == 2
-        assert toeplitz_spectrum(column).values.tobytes() == cold
+        assert toeplitz_spectrum(column).tobytes() == cold
 
     def test_values_left_out_read_zero(self):
         column = facing_ula_column("nusw", 1024, APERTURE, 150.0, WAVELENGTH)
-        values = toeplitz_spectrum(column).values
+        values = toeplitz_spectrum(column)
         assert values.shape == (1024,)
         assert np.count_nonzero(values) < 1024 and values[-1] == 0.0
         assert np.array_equal(values, np.sort(values)[::-1])
-        assert np.array_equal(values, toeplitz_spectrum(column).values)
+        assert np.array_equal(values, toeplitz_spectrum(column))
 
     def test_facing_ulas(self):
         # 1024 elements at 15 m: the column's estimate is 19.6
         h = nusw_channel(1024, 15.0)
-        full = SingularSpectrum(parity_split_values(h), shape=h.shape)
+        full = parity_split_values(h)
         fast = toeplitz_spectrum(facing_ula_column("nusw", 1024, APERTURE, 15.0, WAVELENGTH))
         assert dof(fast) == dof(full) == 25
-        assert np.count_nonzero(fast.values) < 1024 // 4
-        assert np.max(np.abs(fast.values[:25] - full.values[:25])) <= 1e-13 * full.values[0]
+        assert np.count_nonzero(fast) < 1024 // 4
+        assert np.max(np.abs(fast[:25] - full[:25])) <= 1e-13 * full[0]
 
 
 class TestToeplitzSpectrum:
@@ -479,19 +476,18 @@ class TestToeplitzSpectrum:
         fast = toeplitz_spectrum(column)
         # the brute-force SVD up to 600 elements; the parity split beyond
         exact = svd_values(h) if n <= 600 else parity_split_values(h)
-        full = SingularSpectrum(exact, shape=h.shape)
-        assert fast.shape == full.shape == (n, n)
-        assert dof(fast) == dof(full)
+        assert fast.shape == exact.shape == (n,)
+        assert dof(fast) == dof(exact)
         for dominance in (0.01, 0.5):
-            assert edof1(fast, dominance=dominance) == edof1(full, dominance=dominance)
+            assert edof1(fast, dominance=dominance) == edof1(exact, dominance=dominance)
         # the values above the clip agree; where the finder runs it
         # writes 0.0 for values below its stop, 1e-13 * n * sigma_1.  Both
         # builds round each phase to about eps * 2 pi d / lambda, which puts
         # a noise floor under the spectrum that can lie above the stop, far
         # below the clip: 6e-11 sigma_1 at 1e4 m and n = 387, where the stop
         # is 3.9e-11 sigma_1
-        gap = np.abs(fast.values - exact)
-        assert np.max(gap[:dof(full)]) <= 1e-13 * exact[0]
+        gap = np.abs(fast - exact)
+        assert np.max(gap[:dof(exact)]) <= 1e-13 * exact[0]
         floor = np.finfo(float).eps * 2 * np.pi * np.hypot(d, APERTURE) / WAVELENGTH
         assert np.max(gap) <= 1e-13 * n * exact[0] + floor * np.linalg.norm(h)
 
@@ -517,7 +513,7 @@ class TestToeplitzSpectrum:
         # k >= 32 probes, so 6 k > n below 192 elements and every column
         # takes the dense solve: the top rows folded with no entry compared
         column = random_matrix(seed, (n,))
-        values = toeplitz_spectrum(column).values
+        values = toeplitz_spectrum(column)
         assert np.array_equal(values, parity_split_values(toeplitz_matrix(column)))
 
     def test_toeplitz_matrix_reads_the_column_at_the_index_gap(self):
@@ -575,17 +571,24 @@ class TestToeplitzSpectrum:
             toeplitz_spectrum(np.ones((2, 2)))
 
 
-class TestSingularSpectrum:
-    def test_descending_enforced(self):
+class TestSpectrum:
+    """A spectrum is a plain array: the metrics check the values they are
+    given, and the solvers return theirs read-only."""
+
+    def test_metrics_reject_ascending_values(self):
         with pytest.raises(ValueError, match="descending"):
-            SingularSpectrum(values=np.array([1.0, 2.0]))
+            dof(np.array([1.0, 2.0]))
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            SingularSpectrum(values=np.array([1.0, -0.1]))
+    @pytest.mark.parametrize("values, message", [([1.0, -0.1], "non-negative"),
+                                                 ([1.0, np.nan], "finite"),
+                                                 ([np.inf, 1.0], "finite")])
+    def test_metrics_reject_negative_and_non_finite_values(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            dof(np.array(values))
 
-    def test_values_read_only(self):
-        s = SingularSpectrum(values=np.array([2.0, 1.0]))
+    @pytest.mark.parametrize("n", [64, 1024], ids=["dense", "finder"])
+    def test_solver_results_read_only(self, n):
+        s = toeplitz_spectrum(facing_ula_column("nusw", n, APERTURE, 50.0, WAVELENGTH))
+        assert s.flags.c_contiguous and not s.flags.writeable
         with pytest.raises(ValueError):
-            s.values[0] = 5.0
-        assert s.values.size == 2
+            s[0] = 5.0

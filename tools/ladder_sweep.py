@@ -70,7 +70,7 @@ def main() -> int:
     from nfdof.spec import LADDER_FLOOR
 
     def values(m):
-        return kernel.cap_spectrum(kernel.build_kernel(tx, rx, WAVELENGTH, m)).values ** 2
+        return kernel.cap_spectrum(kernel.build_kernel(tx, rx, WAVELENGTH, m)) ** 2
 
     ratios, below, edges = [], [], []
     for aperture, d in NEAR_FIELD + traffic_geometries():
