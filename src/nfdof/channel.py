@@ -9,8 +9,9 @@ planar        far-field plane wave, rank-1 outer product by construction
 
 Rows index receive elements, columns index transmit elements.  The phase sign
 convention exp(-1j*2*pi*d/lambda) is fixed so written outputs are stable.
-Every builder but the shared assembly returns a read-only complex ndarray:
-N_r x N_t, or one column.
+Every builder returns a read-only complex ndarray, N_r x N_t or one column.
+The shared assembly, :func:`spherical_wave_matrix`, returns writable phases and
+distances; each builder multiplies its own amplitude into the phases in place.
 """
 
 from __future__ import annotations
@@ -21,26 +22,23 @@ from .errors import SingularGeometryError
 from .geometry import ArrayGeometry, _positive_finite
 
 
-def _wave(h: np.ndarray, d: np.ndarray, wavelength: float, amplitude):
-    """Write a(d) * exp(-1j*2*pi*d/lambda) into ``h`` over the distances
-    ``d``, which ``amplitude(h, d)`` may overwrite.  A wavelength that is not
-    positive and finite raises ValueError."""
-    _positive_finite(wavelength)
-    np.exp(np.divide(np.multiply(-2j * np.pi, d, out=h), wavelength, out=h), out=h)
-    amplitude(h, d)
+def _phases(d: np.ndarray, wavelength: float) -> np.ndarray:
+    """The writable phases exp(-1j*2*pi*d/lambda) over the distances ``d``.
+    A wavelength that is not positive and finite raises ValueError."""
+    _positive_finite(wavelength, "wavelength")
+    h = np.multiply(-2j * np.pi, d)
+    return np.exp(np.divide(h, wavelength, out=h), out=h)
 
 
-def spherical_wave_matrix(rx_pts: np.ndarray, tx_pts: np.ndarray, wavelength: float,
-                          amplitude) -> np.ndarray:
-    """The writable N_r x N_t matrix a(d) * exp(-1j*2*pi*d/lambda) over the
+def spherical_wave_matrix(rx_pts: np.ndarray, tx_pts: np.ndarray, wavelength: float):
+    """The writable N_r x N_t phases exp(-1j*2*pi*d/lambda) and the
     distances d_ij = |r_i - t_j| between receive points ``rx_pts`` (N_r, 3)
-    and transmit points ``tx_pts`` (N_t, 3).
+    and transmit points ``tx_pts`` (N_t, 3), as ``(h, d)``.
 
-    ``amplitude(h, d)`` multiplies a(d) in place into ``h``, the result
-    holding its phases, and may overwrite ``d``, the distances.  Every row
-    is computed for the points given; a caller that needs only some rows
+    Each builder multiplies its own amplitude into ``h`` in place.  Every
+    row is computed for the points given; a caller that needs only some rows
     passes only their points.  The squared distances are summed one
-    coordinate at a time, so the build holds at most the result and one
+    coordinate at a time, so the build holds at most the phases and one
     float per entry.  A zero distance raises :class:`SingularGeometryError`.
     """
     d = np.zeros((rx_pts.shape[0], tx_pts.shape[0]))
@@ -50,9 +48,7 @@ def spherical_wave_matrix(rx_pts: np.ndarray, tx_pts: np.ndarray, wavelength: fl
     del part
     if not np.sqrt(d, out=d).all():
         raise SingularGeometryError("transmit and receive points coincide (d = 0)")
-    h = np.empty(d.shape, dtype=complex)
-    _wave(h, d, wavelength, amplitude)
-    return h
+    return _phases(d, wavelength), d
 
 
 def _discrete_pair(tx: ArrayGeometry, rx: ArrayGeometry):
@@ -68,29 +64,25 @@ def _center_distance(tx: ArrayGeometry, rx: ArrayGeometry) -> float:
     return d_ref
 
 
-def _amplitude(model: str, wavelength: float, center_distance):
-    """The in-place ``amplitude(h, d)`` of ``model``: lambda / (4*pi*d) per
-    entry for nusw, and for usw one lambda / (4*pi*d_ref) with d_ref from
-    the callable ``center_distance``."""
+def _amplitude(h, d, model: str, wavelength: float, center_distance) -> np.ndarray:
+    """Multiply the ``model`` amplitude into the phases ``h`` over the
+    distances ``d`` in place, mark ``h`` read-only and return it: for nusw
+    lambda / (4*pi*d) per entry, which overwrites ``d``, and for usw one
+    lambda / (4*pi*d_ref), d_ref from the callable ``center_distance``."""
     if model == "nusw":
-        def amplitude(h, d):
-            h *= np.divide(wavelength, np.multiply(4.0 * np.pi, d, out=d), out=d)
+        h *= np.divide(wavelength, np.multiply(4.0 * np.pi, d, out=d), out=d)
     elif model == "usw":
-        amp = wavelength / (4.0 * np.pi * center_distance())
-
-        def amplitude(h, d):
-            np.multiply(h, amp, out=h)
+        np.multiply(h, wavelength / (4.0 * np.pi * center_distance()), out=h)
     else:
         raise ValueError(f"unknown channel model {model!r}")
-    return amplitude
+    h.setflags(write=False)
+    return h
 
 
 def _los(model: str, tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float) -> np.ndarray:
     tx_pts, rx_pts = _discrete_pair(tx, rx)
-    h = spherical_wave_matrix(rx_pts, tx_pts, wavelength,
-                              _amplitude(model, wavelength, lambda: _center_distance(tx, rx)))
-    h.setflags(write=False)
-    return h
+    return _amplitude(*spherical_wave_matrix(rx_pts, tx_pts, wavelength), model, wavelength,
+                      lambda: _center_distance(tx, rx))
 
 
 def los_nusw_channel(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float) -> np.ndarray:
@@ -120,18 +112,16 @@ def facing_ula_column(model: str, n: int, aperture: float, distance: float,
     Only these n entries are computed.  They differ from those the matrix
     builders compute from ``build_ula`` coordinates by the rounding of the
     distances, about 1e-12 relative at 15 m.  A zero distance raises
-    :class:`SingularGeometryError`.
+    :class:`SingularGeometryError`, a non-finite aperture or distance ValueError.
     """
-    if n < 2 or not aperture > 0:
-        raise ValueError(f"need n >= 2 elements and a positive aperture, got {n}, {aperture}")
+    if n < 2 or not 0.0 < aperture < np.inf or not np.isfinite(distance):
+        raise ValueError(f"need n >= 2 elements, a positive, finite aperture and a finite "
+                         f"distance, got {n}, {aperture}, {distance}")
     d = np.square(np.arange(n) * (aperture / (n - 1)))
     d += distance * distance
     if not np.sqrt(d, out=d).all():
         raise SingularGeometryError("transmit and receive points coincide (d = 0)")
-    f = np.empty(n, dtype=complex)
-    _wave(f, d, wavelength, _amplitude(model, wavelength, lambda: abs(distance)))
-    f.setflags(write=False)
-    return f
+    return _amplitude(_phases(d, wavelength), d, model, wavelength, lambda: abs(distance))
 
 
 def farfield_planar_channel(tx: ArrayGeometry, rx: ArrayGeometry,
@@ -149,7 +139,7 @@ def farfield_planar_channel(tx: ArrayGeometry, rx: ArrayGeometry,
     tx_pts, rx_pts = _discrete_pair(tx, rx)
     c_t, c_r = tx.center, rx.center
     d_ref = _center_distance(tx, rx)
-    lam = _positive_finite(wavelength)
+    lam = _positive_finite(wavelength, "wavelength")
     u = (c_r - c_t) / d_ref
     rx_phase = np.exp(-2j * np.pi * ((rx_pts - c_r) @ u) / lam)
     tx_phase = np.exp(+2j * np.pi * ((tx_pts - c_t) @ u) / lam)

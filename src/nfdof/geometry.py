@@ -15,10 +15,12 @@ UNIT_TOL = 1e-12
 "Largest accepted deviation of an array axis from unit norm."
 
 
-def _positive_finite(wavelength: float) -> float:
-    if not 0.0 < wavelength < np.inf:
-        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
-    return wavelength
+def _positive_finite(value: float, name: str) -> float:
+    """``value``, or ValueError naming ``name`` when it is not positive and
+    finite (NaN included)."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -106,4 +108,4 @@ def rayleigh_distance(aperture: float, wavelength: float) -> float:
     near field and the far field."""
     if not 0.0 <= aperture < np.inf:
         raise ValueError(f"aperture must be non-negative and finite, got {aperture}")
-    return 2.0 * aperture * aperture / _positive_finite(wavelength)
+    return 2.0 * aperture * aperture / _positive_finite(wavelength, "wavelength")

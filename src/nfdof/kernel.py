@@ -166,12 +166,13 @@ def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float, m_node
     G_ij = g(r_i, s_j) on Gauss-Legendre rules of ``m_nodes`` points on both
     segments, read-only, for :func:`cap_spectrum`.
 
-    The assembly is :func:`~nfdof.channel.spherical_wave_matrix`: when the
-    nodes are exact mirror images (:func:`_mirror_points`), H is exactly
-    centrosymmetric, and only its top ``(m_nodes + 1) // 2`` rows are
-    assembled, then folded in place into its even and odd parity blocks
-    (:func:`~nfdof.modes.fold_parity`), returned as ``(even, odd)``, so no
-    m x m array is formed; else as ``(H,)``.
+    :func:`~nfdof.channel.spherical_wave_matrix` gives the phases and
+    distances; 1 / (4*pi*d) and the weight roots are multiplied in place, and
+    the distances are freed before the fold.  When the nodes are exact mirror
+    images (:func:`_mirror_points`), H is exactly centrosymmetric, and only
+    its top ``(m_nodes + 1) // 2`` rows are assembled, then folded in place
+    into its even and odd parity blocks (:func:`~nfdof.modes.fold_parity`),
+    returned as ``(even, odd)``, so no m x m array is formed; else as ``(H,)``.
     """
     if m_nodes < 8:
         raise ValueError(f"m_nodes must be >= 8, got {m_nodes}")
@@ -181,15 +182,12 @@ def build_kernel(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float, m_node
         raise SingularGeometryError("transmit and receive segments overlap")
     s_nodes, s_weights = gauss_legendre_segment(tx_seg[0], tx_seg[1], m_nodes)
     r_nodes, r_weights = gauss_legendre_segment(rx_seg[0], rx_seg[1], m_nodes)
-    r_root, s_root = np.sqrt(r_weights), np.sqrt(s_weights)
-
-    def amplitude(h, d):
-        h /= np.multiply(4.0 * np.pi, d, out=d)
-        h *= r_root[:len(h), None]
-        h *= s_root
-
     rows = (m_nodes + 1) // 2 if _mirror_points(r_nodes, s_nodes) else m_nodes
-    h = spherical_wave_matrix(r_nodes[:rows], s_nodes, wavelength, amplitude)
+    h, d = spherical_wave_matrix(r_nodes[:rows], s_nodes, wavelength)
+    h /= np.multiply(4.0 * np.pi, d, out=d)
+    del d
+    h *= np.sqrt(r_weights[:rows])[:, None]
+    h *= np.sqrt(s_weights)
     blocks = fold_parity(h) if rows < m_nodes else (h,)
     for b in blocks:
         b.setflags(write=False)
@@ -254,7 +252,7 @@ def converge_spectrum(tx: ArrayGeometry, rx: ArrayGeometry, wavelength: float,
     if not max_nodes > LADDER_FLOOR:
         raise ValueError(f"max_nodes must exceed {LADDER_FLOOR}, got {max_nodes}")
     spread = _path_spread(_require_continuous(tx, "tx"), _require_continuous(rx, "rx"))
-    start = _START * math.pi * spread / _positive_finite(wavelength)
+    start = _START * math.pi * spread / _positive_finite(wavelength, "wavelength")
     k = 0
     while _rung(k) < start and _rung(k + 1) <= max_nodes / 2:
         k += 1

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import _positive_finite
 from .modes import ModeDecomposition, decompose
 
 _CHUNK = 8192
@@ -61,8 +62,7 @@ class TransmissionConfig:
             raise ValueError("need at least one active mode")
         if not np.all((0.0 < p) & (p < np.inf)):
             raise ValueError("mode powers must be positive and finite")
-        if not 0.0 < self.noise_power < np.inf:
-            raise ValueError("noise power must be positive and finite")
+        _positive_finite(self.noise_power, "noise power")
         if self.n_symbols < 1:
             raise ValueError("n_symbols must be >= 1")
         object.__setattr__(self, "mode_powers", p)
@@ -119,8 +119,7 @@ def transmit_awgn(h, x: np.ndarray, noise_power: float, rng, receive) -> np.ndar
     m = np.asarray(h)
     if m.shape[1] != x.shape[0]:
         raise ValueError(f"channel expects {m.shape[1]} transmit dims, got {x.shape[0]}")
-    if not 0.0 < noise_power < np.inf:
-        raise ValueError("noise power must be positive and finite")
+    _positive_finite(noise_power, "noise power")
     w = np.asarray(receive)
     if w.ndim != 2 or w.shape[1] != m.shape[0]:
         raise ValueError(f"receive matrix must have {m.shape[0]} columns, "

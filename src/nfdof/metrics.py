@@ -85,9 +85,8 @@ def edof1_limit_linear(l_t: float, l_r: float, wavelength: float,
     enforced).
     """
     for name, val in (("l_t", l_t), ("l_r", l_r), ("distance", distance)):
-        if not 0.0 < val < np.inf:
-            raise ValueError(f"{name} must be positive and finite, got {val}")
-    return l_t * l_r / (_positive_finite(wavelength) * distance)
+        _positive_finite(val, name)
+    return l_t * l_r / (_positive_finite(wavelength, "wavelength") * distance)
 
 
 def edof2(spectrum) -> float:
@@ -117,10 +116,8 @@ def waterfill(spectrum, budget: float, noise: float) -> np.ndarray:
     ``budget``, also when the budget is too small to raise the level above
     1/g_1 in floating point.
     """
-    if not 0.0 < budget < np.inf:
-        raise ValueError(f"power budget must be positive and finite, got {budget}")
-    if not 0.0 < noise < np.inf:
-        raise ValueError(f"noise power must be positive and finite, got {noise}")
+    _positive_finite(budget, "power budget")
+    _positive_finite(noise, "noise power")
     v = _clipped(spectrum)
     gains = v * v / noise
     # near-zero gains overflow to inf, which correctly keeps those modes dry
@@ -144,8 +141,7 @@ def waterfill(spectrum, budget: float, noise: float) -> np.ndarray:
 def capacity(spectrum, snr: float) -> float:
     """Channel capacity in bits/s/Hz with noise normalized to 1 and a total
     transmit power of ``snr`` split across modes by water-filling."""
-    if not 0.0 < snr < np.inf:
-        raise ValueError(f"snr must be positive and finite, got {snr}")
+    _positive_finite(snr, "snr")
     v = _clipped(spectrum)
     powers = waterfill(v, budget=snr, noise=1.0)
     # log1p keeps the low-SNR regime accurate where 1 + p*g rounds badly
@@ -161,8 +157,7 @@ def edof3_envelope(spectrum, snr: float) -> float:
     budget, so this envelope expression is exact at every SNR, including
     active-set transition points.
     """
-    if not 0.0 < snr < np.inf:
-        raise ValueError(f"snr must be positive and finite, got {snr}")
+    _positive_finite(snr, "snr")
     v = _clipped(spectrum)
     k = np.count_nonzero(waterfill(v, budget=snr, noise=1.0))
     gains = v[:k] ** 2
@@ -180,8 +175,7 @@ def edof3(spectrum, snr: float, delta_step: float = 0.01) -> float:
     different water-filling active sets; retry with a smaller ``delta_step``
     or fall back to :func:`edof3_envelope`.
     """
-    if not 0.0 < snr < np.inf:
-        raise ValueError(f"snr must be positive and finite, got {snr}")
+    _positive_finite(snr, "snr")
     if not 0.0 < delta_step <= 0.05:
         raise ValueError(f"delta_step must lie in (0, 0.05], got {delta_step}")
     v = _clipped(spectrum)

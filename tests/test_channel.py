@@ -96,6 +96,18 @@ class TestUsw:
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
         assert diffs[-1] < 1e-7
 
+    def test_coincident_points_are_reported_before_coincident_centers(self):
+        # the usw amplitude reads the centre distance after the assembly, so
+        # a coincident element pair wins over coincident centres
+        tx = build_ula(3, 1.0)
+        with pytest.raises(SingularGeometryError, match=r"points coincide \(d = 0\)"):
+            los_usw_channel(tx, tx, WAVELENGTH)
+        # crossed ULAs with an even count share a centre but no element
+        tx, rx = build_ula(4, 1.0), build_ula(4, 1.0, axis=(1.0, 0.0, 0.0))
+        with pytest.raises(SingularGeometryError, match="array centers coincide"):
+            los_usw_channel(tx, rx, WAVELENGTH)
+        assert np.all(np.isfinite(los_nusw_channel(tx, rx, WAVELENGTH)))
+
 
 class TestPlanar:
     def test_rank_one(self):

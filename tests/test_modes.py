@@ -561,6 +561,11 @@ class TestToeplitzSpectrum:
         for n, aperture in ((1, APERTURE), (8, 0.0)):
             with pytest.raises(ValueError, match="n >= 2"):
                 facing_ula_column("nusw", n, aperture, 15.0, WAVELENGTH)
+        # a non-finite aperture or distance once gave an all-NaN column
+        for aperture, d in ((np.inf, 15.0), (np.nan, 15.0), (APERTURE, np.nan),
+                            (APERTURE, np.inf), (APERTURE, -np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                facing_ula_column("usw", 8, aperture, d, WAVELENGTH)
         column = np.array(facing_ula_column("nusw", 8, APERTURE, 15.0, WAVELENGTH))
         column[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
