@@ -22,12 +22,8 @@ from .errors import SingularGeometryError
 from .geometry import ArrayGeometry, _positive_finite
 
 
-def _phases(d: np.ndarray, wavelength: float) -> np.ndarray:
-    """The writable phases exp(-1j*2*pi*d/lambda) over the distances ``d``.
-    A wavelength that is not positive and finite raises ValueError."""
-    _positive_finite(wavelength, "wavelength")
-    h = np.multiply(-2j * np.pi, d)
-    return np.exp(np.divide(h, wavelength, out=h), out=h)
+def _overflow(kind, flag):
+    raise ValueError("distances must be finite: a squared distance overflows")
 
 
 def spherical_wave_matrix(rx_pts: np.ndarray, tx_pts: np.ndarray, wavelength: float):
@@ -35,20 +31,26 @@ def spherical_wave_matrix(rx_pts: np.ndarray, tx_pts: np.ndarray, wavelength: fl
     distances d_ij = |r_i - t_j| between receive points ``rx_pts`` (N_r, 3)
     and transmit points ``tx_pts`` (N_t, 3), as ``(h, d)``.
 
-    Each builder multiplies its own amplitude into ``h`` in place.  Every
-    row is computed for the points given; a caller that needs only some rows
-    passes only their points.  The squared distances are summed one
-    coordinate at a time, so the build holds at most the phases and one
-    float per entry.  A zero distance raises :class:`SingularGeometryError`.
+    Every row is computed for the points given; a caller that needs only
+    some rows passes only their points.  The squared distances are summed
+    one coordinate at a time, so the build holds at most the phases and one
+    float per entry.  A zero distance raises :class:`SingularGeometryError`;
+    a distance that is not finite (a coordinate that is not, or a square
+    past the float range) or a bad wavelength raises ValueError.
     """
+    if not (np.isfinite(rx_pts).all() and np.isfinite(tx_pts).all()):
+        raise ValueError("point coordinates must be finite")
     d = np.zeros((rx_pts.shape[0], tx_pts.shape[0]))
     part = np.empty_like(d)
-    for a, b in zip(rx_pts.T, tx_pts.T):
-        d += np.square(np.subtract.outer(a, b, out=part), out=part)
+    with np.errstate(over="call", call=_overflow):
+        for a, b in zip(rx_pts.T, tx_pts.T):
+            d += np.square(np.subtract.outer(a, b, out=part), out=part)
     del part
     if not np.sqrt(d, out=d).all():
         raise SingularGeometryError("transmit and receive points coincide (d = 0)")
-    return _phases(d, wavelength), d
+    _positive_finite(wavelength, "wavelength")
+    h = np.multiply(-2j * np.pi, d)
+    return np.exp(np.divide(h, wavelength, out=h), out=h), d
 
 
 def _discrete_pair(tx: ArrayGeometry, rx: ArrayGeometry):
@@ -109,19 +111,19 @@ def facing_ula_column(model: str, n: int, aperture: float, distance: float,
     each other ``distance`` apart: H_ij = f[|i - j|], symmetric Toeplitz,
     with f[k] at d_k = sqrt(distance**2 + (k * aperture / (n - 1))**2).
 
-    Only these n entries are computed.  They differ from those the matrix
-    builders compute from ``build_ula`` coordinates by the rounding of the
-    distances, about 1e-12 relative at 15 m.  A zero distance raises
+    Only these n entries are computed, by :func:`spherical_wave_matrix`
+    from one receive point.  They differ from those the matrix builders
+    compute from ``build_ula`` coordinates by the rounding of the distances,
+    about 1e-12 relative at 15 m.  A zero distance raises
     :class:`SingularGeometryError`, a non-finite aperture or distance ValueError.
     """
     if n < 2 or not 0.0 < aperture < np.inf or not np.isfinite(distance):
         raise ValueError(f"need n >= 2 elements, a positive, finite aperture and a finite "
                          f"distance, got {n}, {aperture}, {distance}")
-    d = np.square(np.arange(n) * (aperture / (n - 1)))
-    d += distance * distance
-    if not np.sqrt(d, out=d).all():
-        raise SingularGeometryError("transmit and receive points coincide (d = 0)")
-    return _amplitude(_phases(d, wavelength), d, model, wavelength, lambda: abs(distance))
+    tx_pts = np.zeros((n, 3))
+    tx_pts[:, 2] = np.arange(n) * (aperture / (n - 1))
+    h, d = spherical_wave_matrix(np.array([[0.0, distance, 0.0]]), tx_pts, wavelength)
+    return _amplitude(h[0], d[0], model, wavelength, lambda: abs(distance))
 
 
 def farfield_planar_channel(tx: ArrayGeometry, rx: ArrayGeometry,

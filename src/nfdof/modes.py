@@ -95,72 +95,76 @@ _FINDER_STOP = RANK_TOL / 1000
 rank tolerance."""
 
 
-def _leading_values(blocks, n: int, k: int) -> np.ndarray | None:
-    """The leading singular values, descending, of an n x n operator, the
-    direct sum of ``blocks``, down to the first of each below
-    :data:`_FINDER_STOP` * n * sigma_1: per block, Q from the QR of
-    ``sketch(k)``, the block times k Gaussian probes, then the SVD of
-    ``adjoint(Q)`` (Halko, Martinsson & Tropp, SIAM Rev. 53(2), 2011, Alg.
-    4.1, with no power iteration: the spectra it serves fall by orders of
-    magnitude per index past their knee, so one product captures the range,
-    ibid., sections 4.5 and 10.2).  k doubles until every block's smallest
-    value passes the stop; None once 6 k len(blocks) > n, on entry or after
-    a doubling, where the dense solve is faster."""
-    while 6 * len(blocks) * k <= n:
-        found = [np.linalg.svd(adjoint(np.linalg.qr(sketch(k))[0]), compute_uv=False)
-                 for sketch, adjoint in blocks]
+def _leading_values(sketch, adjoint, n: int, k: int) -> np.ndarray | None:
+    """The n singular values, descending and read-only, of an n x n operator,
+    a direct sum of blocks, read as 0.0 past the first of each block below
+    :data:`_FINDER_STOP` * n * sigma_1.  ``sketch(k)`` gives each block
+    times its share of k Gaussian probe columns and ``adjoint(qs)`` each
+    block's adjoint times the Q of its sketch's QR; an SVD follows (Halko,
+    Martinsson & Tropp, SIAM Rev. 53(2), 2011, Alg. 4.1, with no power
+    iteration: past their knee the spectra it serves fall by orders of
+    magnitude per index, so one product captures the range, ibid., sections
+    4.5 and 10.2).  k doubles until every block passes the stop; None once
+    6 k > n, where the dense solve is faster."""
+    while 6 * k <= n:
+        found = [np.linalg.svd(b, compute_uv=False)
+                 for b in adjoint([np.linalg.qr(s)[0] for s in sketch(k)])]
         top = max(s[0] for s in found)
         if all(s[-1] < _FINDER_STOP * n * top for s in found):
-            return np.sort(np.concatenate(found))[::-1]
+            values = np.sort(np.concatenate(found))[::-1]
+            return _readonly(np.pad(values, (0, n - values.size)))
         k *= 2
     return None
 
 
-@lru_cache(maxsize=2)
-def _probe_transform(n: int, k: int, sign: int) -> np.ndarray:
-    """The read-only FFT to length 2n of k probes w + sign J w of parity
-    ``sign`` (1 even, -1 odd), w being complex Gaussian and J the exchange,
+@lru_cache(maxsize=1)
+def _probe_transform(n: int, k: int) -> np.ndarray:
+    """The read-only FFT to length 2n of k complex Gaussian n-vectors w,
     the same on every call, as the rows of a (k, 2n) block: 32 n k bytes.
-    The sketch keeps the latest of each parity where 2^15 <= 2 n k <= 2^18,
-    1 to 8 MiB for both: kept smaller ones raised the shipped configs' peak
-    memory by more than their size, and larger ones would hold too much."""
+    The sketch keeps the latest where 2^14 <= n k <= 2^17, 0.5 to 4 MiB:
+    kept smaller ones raised the shipped configs' peak memory by more than
+    their size, and larger ones would hold too much."""
     rng = np.random.default_rng(0)
     w = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
-    f = np.fft.fft(w + sign * w[:, ::-1], 2 * n)
+    f = np.fft.fft(w, 2 * n)
     f.setflags(write=False)
     return f
 
 
-def _parity_products(column: np.ndarray) -> list:
-    """``(sketch, adjoint)`` of the even, then the odd :func:`fold_parity`
-    block of H_ij = column[|i - j|], of size n, on (m, k) views for a block of
-    size m: H times x's n-vector of the block's parity, the top m entries of
-    ifft(fft(c) * fft(., 2n)) for the circulant c = [column, 0, column[:0:-1]]
-    of size 2n, on the rows of (k, 2n) blocks, its odd-n middle one divided by
-    sqrt(2).  A block is symmetric as H is: its adjoint is conj(block conj(.))."""
+def _parity_products(column: np.ndarray) -> tuple:
+    """``(sketch, adjoint)`` of the even and odd :func:`fold_parity` blocks,
+    of sizes m = n - n // 2 and p = n // 2, of H_ij = column[|i - j|], one
+    transform serving both.  y = H x is the top n of ifft(fft(c) * fft(x,
+    2n)), c = [column, 0, column[:0:-1]]; H commutes with the exchange J, so
+    the even part is the top m of y + Jy, the odd-n middle row divided by
+    sqrt(2), and the odd part the top p of y - Jy.  ``sketch(k)`` applies H
+    to k // 2 Gaussian probes w, ``adjoint((q_even, q_odd))`` to v = [x_e +
+    x_o, sqrt(2) x_mid, J (x_e - x_o)], x = conj(q.T), halving the parts:
+    a block is symmetric as H is, so its adjoint is conj(block conj(.))."""
     n, p = column.size, column.size // 2
+    m = n - p
     eig = np.fft.fft(np.concatenate([column, [0.0], column[:0:-1]]))
 
-    def products(sign, m):
-        def block(spectra):
-            rows = np.fft.ifft(spectra * eig)[:, :m]
-            rows[:, p:] /= _SQRT2
-            return rows
+    def parts(y):
+        np.fft.ifft(y, out=y)
+        even = y[:, :m] + y[:, p:n][:, ::-1]
+        even[:, p:] /= _SQRT2
+        return even.T, (y[:, :p] - y[:, m:n][:, ::-1]).T
 
-        def sketch(k):
-            kept = 1 << 15 <= 2 * n * k <= 1 << 18
-            probes = (_probe_transform if kept else _probe_transform.__wrapped__)(n, k, sign)
-            return block(probes).T
+    def sketch(k):
+        kept = 1 << 14 <= n * (k // 2) <= 1 << 17
+        return parts((_probe_transform if kept else _probe_transform.__wrapped__)(n, k // 2) * eig)
 
-        def adjoint(y):
-            u = np.zeros((y.shape[1], n), dtype=complex)
-            u[:, :m] = np.conj(y.T)
-            u[:, p:m] /= _SQRT2
-            return block(np.fft.fft(u + sign * u[:, ::-1], 2 * n)).conj().T
+    def adjoint(qs):
+        even, odd = qs
+        v = np.zeros((odd.shape[1], 2 * n), dtype=complex)
+        np.add(even[:p].T, odd.T, out=v[:, :p])
+        np.multiply(even[p:].T, _SQRT2, out=v[:, p:m])
+        np.subtract(even[:p].T, odd.T, out=v[:, m:n][:, ::-1])
+        np.conjugate(v, out=v)
+        return [0.5 * b.conj() for b in parts(np.multiply(np.fft.fft(v, out=v), eig, out=v))]
 
-        return sketch, adjoint
-
-    return [products(1, n - p), products(-1, p)]
+    return sketch, adjoint
 
 
 def _half_phase_excursion(column: np.ndarray) -> float:
@@ -172,30 +176,24 @@ def _half_phase_excursion(column: np.ndarray) -> float:
 
 def toeplitz_spectrum(column) -> np.ndarray:
     """The n singular values of :func:`toeplitz_matrix` of ``column``,
-    descending, contiguous and read-only.
-
-    From k = max(16, ceil(:func:`_half_phase_excursion` / 2)) probes per
-    parity block, :func:`_leading_values` runs on :func:`_parity_products`
-    in O(n k) memory while 6 (2 k) <= n, near which the dense solve stops
-    being faster; its doubling covers a low estimate, and the values it
-    leaves out are round-off by the rank tolerance of every metric and read
-    0.0.  Where it returns None, the top ``(n + 1) // 2`` rows gathered from
-    the column are folded into the parity blocks (:func:`fold_parity`) and
-    solved by SVD.
+    descending, contiguous and read-only: :func:`_leading_values` on
+    :func:`_parity_products`, in O(n k) memory, from k = 2 max(16,
+    ceil(:func:`_half_phase_excursion` / 2)) probe columns, half per parity
+    block; the values it leaves out are round-off by the rank tolerance of
+    every metric.  Where it returns None, the top ``(n + 1) // 2`` rows
+    gathered from the column are folded into the parity blocks
+    (:func:`fold_parity`) and solved by SVD.
     """
     column = np.asarray(column, dtype=complex)
     if column.ndim != 1 or column.size < 2:
         raise ValueError(f"expected a column of at least 2 entries, got shape {column.shape}")
     _require_solvable(column)
     n = column.size
-    k = max(16, math.ceil(_half_phase_excursion(column) / 2))
-    leading = _leading_values(_parity_products(column), n, k)
-    if leading is not None:
-        values = np.zeros(n)
-        values[:leading.size] = leading
-        values.setflags(write=False)
-        return values
-    return _block_values(fold_parity(np.array(toeplitz_matrix(column)[:(n + 1) // 2])))
+    k = 2 * max(16, math.ceil(_half_phase_excursion(column) / 2))
+    values = _leading_values(*_parity_products(column), n, k)
+    if values is None:
+        values = _block_values(fold_parity(np.array(toeplitz_matrix(column)[:(n + 1) // 2])))
+    return values
 
 
 def toeplitz_matrix(column) -> np.ndarray:

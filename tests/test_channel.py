@@ -60,10 +60,18 @@ class TestNusw:
         bwd = los_nusw_channel(rx, tx, WAVELENGTH)
         assert np.max(np.abs(fwd - bwd.T)) < 1e-12 * np.max(np.abs(fwd))
 
-    def test_coincident_elements_rejected(self):
+    def test_coincident_and_unbounded_elements_rejected(self):
         tx = build_ula(2, 1.0)
         with pytest.raises(SingularGeometryError):
             los_nusw_channel(tx, tx, WAVELENGTH)
+        # a squared distance past the float range, or a coordinate that is
+        # not finite, once gave an all-NaN channel
+        far = build_ula(2, 1.0, center=(0.0, 1e160, 0.0))
+        unbounded = ArrayGeometry(kind="discrete", elements=np.array([[0.0, np.inf, 0.0]]))
+        for rx in (far, unbounded):
+            for build in BUILDERS.values():
+                with pytest.raises(ValueError, match="finite"):
+                    build(tx, rx, WAVELENGTH)
 
 
 class TestUsw:

@@ -187,19 +187,19 @@ class TestSpectrumExperiment:
 
     def test_finder_outputs_are_byte_identical(self, tmp_path, monkeypatch):
         # 1024 elements: the column's estimate is 19.6 at 15 m and 2.0 at
-        # 150 m, so 16 probes per parity block, and 6 * 32 <= N: each point
-        # runs the finder once, on the two parity blocks of the Toeplitz operator
+        # 150 m, so 2 * 16 probe columns, and 6 * 32 <= N: each point runs the
+        # finder once, on the two parity blocks of the Toeplitz operator
         calls = []
         finder = nfdof.modes._leading_values
         monkeypatch.setattr(nfdof.modes, "_leading_values",
-                            lambda blocks, n, k: calls.append((len(blocks), n, k))
-                            or finder(blocks, n, k))
+                            lambda sketch, adjoint, n, k: calls.append((n, k))
+                            or finder(sketch, adjoint, n, k))
         cfg = spectrum_config(geometry={"aperture_m": 1.37, "n_elements": [1024],
                                         "distances_m": [15.0, 150.0]})
         runs = (("r1_t1", 1), ("r2_t1", 1), ("r3_t4", 4))
         for label, threads in runs:
             run_experiment(cfg, out_dir=tmp_path / label, threads=threads)
-        assert calls == [(2, 1024, 16)] * (2 * len(runs))
+        assert calls == [(1024, 32)] * (2 * len(runs))
         for name in ("spectrum_n1024_d15.csv", "spectrum_n1024_d150.csv",
                      "spectrum_summary.json"):
             first = (tmp_path / "r1_t1" / name).read_bytes()
@@ -210,9 +210,9 @@ class TestSpectrumExperiment:
         assert rows[-1][1:] == [0.0, 0.0] and rows[25][1] > 0.0
 
     def test_cold_and_warm_probe_tables_give_the_same_bytes(self, tmp_path):
-        # 16 probes per parity block at both sizes: the table keeps n = 1024's
-        # two transforms, which the threads of a cold run compute
-        # concurrently, and n = 512's are drawn afresh on every call
+        # 16 probes at both sizes: the table keeps n = 1024's transform, which
+        # the threads of a cold run compute concurrently, and n = 512's is
+        # drawn afresh on every call
         cfg = spectrum_config(geometry={"aperture_m": 1.37, "n_elements": [512, 1024],
                                         "distances_m": [15.0, 150.0]})
         runs = (("cold_t1", 1), ("warm_t1", 1), ("cold_t4", 4), ("warm_t4", 4))
@@ -236,8 +236,8 @@ class TestSpectrumExperiment:
         calls = []
         finder = nfdof.modes._leading_values
 
-        def recording(blocks, n, k):
-            found = finder(blocks, n, k)
+        def recording(sketch, adjoint, n, k):
+            found = finder(sketch, adjoint, n, k)
             if found is not None:
                 calls.append(k)
             return found
@@ -250,9 +250,10 @@ class TestSpectrumExperiment:
         assert all(row[1] > 0.0 for row in tables[0].rows)
 
     def test_peak_memory_of_one_solve(self, tmp_path):
-        # the finder holds the channel's one column and a few (2N, 16)
-        # blocks of FFT products per parity block, about 0.22 x the channel with the written
-        # tables; any build of half the channel's rows would hold 0.5 x
+        # the finder holds the channel's one column and a few (16, 2N)
+        # blocks of FFT products for both parity blocks, about 0.09 x the
+        # channel with the written tables; any build of half the channel's
+        # rows would hold 0.5 x
         n = 1024
         cfg = spectrum_config(geometry={"aperture_m": 1.37, "n_elements": [n],
                                         "distances_m": [15.0]})

@@ -568,7 +568,7 @@ def test_every_shipped_ladder_takes_the_half_row_build(path, tmp_path, monkeypat
     # every kernel assembly builds half its rows, every facing-ULA channel
     # is gathered from its column with no assembly, and every dense
     # values-only solve is of two parity blocks; the spectra of facing-ULA
-    # points with N >= 6 (2 k) (k = 16 per parity block for 1.37 m at 15-150
+    # points with N >= 6 k (k = 2 * 16 probe columns for 1.37 m at 15-150
     # m: N = 256, 275 and 1024) run the finder on the parity blocks of the
     # Toeplitz operator, and fold no matrix
     splits, operators = [], []
@@ -579,8 +579,8 @@ def test_every_shipped_ladder_takes_the_half_row_build(path, tmp_path, monkeypat
         splits.append(len(blocks) == 2)
         return original(blocks)
 
-    def operator_finder(blocks, n, k):
-        found = finder(blocks, n, k)
+    def operator_finder(sketch, adjoint, n, k):
+        found = finder(sketch, adjoint, n, k)
         if found is not None:
             operators.append(n)
         return found

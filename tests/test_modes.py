@@ -208,29 +208,23 @@ def finder_values(m, estimate):
     passes it."""
     n = m.shape[0]
     k = max(32, math.ceil(estimate))
-    found = _leading_values([(lambda k: m @ probes(n, k), lambda y: m.conj().T @ y)], n, k)
-    return padded(found, n) if found is not None else svd_values(m)
+    found = _leading_values(lambda k: [m @ probes(n, k)], lambda qs: [m.conj().T @ qs[0]], n, k)
+    return found if found is not None else svd_values(m)
 
 
 def block_finder_values(m, estimate):
     """The range finder on the two parity blocks of the dense centrosymmetric
-    ``m`` through their matrix products, from k = max(16, ceil(estimate / 2))
-    probes per block, as ``toeplitz_spectrum`` runs it, padded with 0.0 to the
-    size of ``m``; every value by SVD where 6 (2 k) > n, or a doubling passes
-    it."""
+    ``m`` through their matrix products, from 2 max(16, ceil(estimate / 2))
+    probe columns, half per block, as ``toeplitz_spectrum`` runs it, padded
+    with 0.0 to the size of ``m``; every value by SVD where 6 k > n, or a
+    doubling passes it."""
     n = m.shape[0]
-    k = max(16, math.ceil(estimate / 2))
-    products = [(lambda k, b=b, sign=sign: b @ parity_probes(n, k, sign),
-                 lambda y, b=b: b.conj().T @ y)
-                for b, sign in zip(parity_blocks(m), (1, -1))]
-    found = _leading_values(products, n, k)
-    return padded(found, n) if found is not None else parity_split_values(m)
-
-
-def padded(values, n):
-    out = np.zeros(n)
-    out[:values.size] = values
-    return out
+    k = 2 * max(16, math.ceil(estimate / 2))
+    blocks = parity_blocks(m)
+    found = _leading_values(
+        lambda k: [b @ parity_probes(n, k // 2, sign) for b, sign in zip(blocks, (1, -1))],
+        lambda qs: [b.conj().T @ q for b, q in zip(blocks, qs)], n, k)
+    return found if found is not None else parity_split_values(m)
 
 
 def spread_estimate(d, aperture=APERTURE):
@@ -287,7 +281,7 @@ class TestRankRevealing:
         # toeplitz_spectrum, with N of both parities
         if distance is None:
             m = ranked_matrix(seed, n, rank, tail, centro=True)
-            # n // 6 is the widest total k that enters, n // 12 per block
+            # n // 6 is the widest k that enters, n // 12 per block
             fast = block_finder_values(m, n // 6 if estimate == "n/6" else estimate)
         else:
             column = facing_ula_column("nusw", n, APERTURE, distance, WAVELENGTH)
@@ -305,9 +299,9 @@ class TestRankRevealing:
     @pytest.mark.parametrize("n, d, finder", [(191, 15.0, False), (192, 15.0, True),
                                               (400, 3.0, False)])
     def test_the_finder_runs_from_six_times_its_probes(self, n, d, finder, monkeypatch):
-        # the column's estimate is 19.6 at 15 m, so 16 probes per parity
-        # block and the finder runs from n = 6 * 32 = 192; it is 93.6 at 3 m,
-        # so 47 per block wait for n = 564.  Below that no block product is formed
+        # the column's estimate is 19.6 at 15 m, so 2 * 16 probe columns and
+        # the finder runs from n = 6 * 32 = 192; it is 93.6 at 3 m, so
+        # 2 * 47 wait for n = 564.  Below that no block product is formed
         calls = []
         self.counting_products(monkeypatch, calls)
         column = facing_ula_column("nusw", n, APERTURE, d, WAVELENGTH)
@@ -317,8 +311,7 @@ class TestRankRevealing:
         values = toeplitz_spectrum(column)
         if finder:
             # the finder leaves values out
-            assert calls == [(kind, parity, 16) for parity in ("even", "odd")
-                             for kind in ("product", "adjoint")]
+            assert calls == [("sketch", 32), ("adjoint", (16, 16))]
             assert values[-1] == 0.0 and not np.array_equal(values, dense)
         else:
             assert calls == []
@@ -326,15 +319,15 @@ class TestRankRevealing:
 
     @staticmethod
     def counting_products(monkeypatch, calls):
-        """Record each ``sketch(k)`` as ("product", parity, k) and each
-        ``adjoint(y)`` as ("adjoint", parity, y.shape[1])."""
+        """Record each ``sketch(k)`` as ("sketch", k) and each ``adjoint(qs)``
+        as ("adjoint", the column counts of qs)."""
         products = nfdof.modes._parity_products
 
         def counting(column):
-            return [(lambda k, s=sketch, b=parity: calls.append(("product", b, k)) or s(k),
-                     lambda y, a=adjoint, b=parity: calls.append(("adjoint", b, y.shape[1]))
-                     or a(y))
-                    for (sketch, adjoint), parity in zip(products(column), ("even", "odd"))]
+            sketch, adjoint = products(column)
+            return (lambda k: calls.append(("sketch", k)) or sketch(k),
+                    lambda qs: calls.append(("adjoint", tuple(q.shape[1] for q in qs)))
+                    or adjoint(qs))
 
         monkeypatch.setattr(nfdof.modes, "_parity_products", counting)
 
@@ -346,8 +339,7 @@ class TestRankRevealing:
         calls = []
         self.counting_products(monkeypatch, calls)
         toeplitz_spectrum(facing_ula_column("nusw", 1024, aperture, d, WAVELENGTH))
-        assert calls == [(kind, parity, k) for k in widths for parity in ("even", "odd")
-                         for kind in ("product", "adjoint")]
+        assert calls == [c for k in widths for c in (("sketch", 2 * k), ("adjoint", (k, k)))]
 
     def test_a_doubling_past_six_times_its_probes_takes_the_dense_solve(self, monkeypatch):
         # 256 elements of 0.5 m at 1 m: the estimate is 37.1, so 19 probes
@@ -357,73 +349,105 @@ class TestRankRevealing:
         self.counting_products(monkeypatch, calls)
         column = facing_ula_column("nusw", 256, 0.5, 1.0, WAVELENGTH)
         values = toeplitz_spectrum(column)
-        assert [c for c in calls if c[0] == "product"] == [("product", "even", 19),
-                                                           ("product", "odd", 19)]
+        assert [c for c in calls if c[0] == "sketch"] == [("sketch", 38)]
         assert np.array_equal(values, parity_split_values(gathered(column)))
+
+    @staticmethod
+    def assert_products_match(column, k, adjoint_inputs):
+        """The sketch of 2 k columns, against the dense fold_parity blocks
+        times w + Jw and w - Jw, and the adjoint of what
+        ``adjoint_inputs(sketches, blocks)`` gives, against their conjugate
+        transposes times it, to 1e-13 of the largest entry."""
+        n = column.size
+        blocks = parity_blocks(gathered(column))
+        assert [b.shape[0] for b in blocks] == [n - n // 2, n // 2]
+        sketch, adjoint = _parity_products(column)
+        sketches = sketch(2 * k)
+        ys = adjoint_inputs(sketches, blocks)
+        dense = [b @ parity_probes(n, k, sign) for b, sign in zip(blocks, (1, -1))]
+        dense += [b.conj().T @ y for b, y in zip(blocks, ys)]
+        for fast, oracle in zip([*sketches, *adjoint(ys)], dense, strict=True):
+            assert fast.shape == oracle.shape
+            assert np.max(np.abs(fast - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("n", [7, 8, 255, 256, 275])
     @pytest.mark.parametrize("k", [1, 3, 16])
     def test_block_products_match_the_folded_blocks(self, n, k):
         # the blocks of fold_parity on the gathered top rows, with the odd-n
-        # middle row and column of the even block scaled by sqrt(2)
+        # middle row and column of the even block scaled by sqrt(2), one
+        # transform serving both; the adjoint of random blocks as wide as
+        # the sketches, which may be wider than a block
         rng = np.random.default_rng(n + k)
         for column in (facing_ula_column("nusw", n, APERTURE, 3.0, WAVELENGTH),
                        rng.standard_normal(n) + 1j * rng.standard_normal(n)):
-            blocks = parity_blocks(gathered(column))
-            assert [b.shape[0] for b in blocks] == [n - n // 2, n // 2]
-            for block, (sketch, adjoint), sign in zip(blocks, _parity_products(column),
-                                                      (1, -1)):
-                m = block.shape[0]
-                y = random_matrix(n * k + m, (m, k))
-                for fast, dense in ((sketch(k), block @ parity_probes(n, k, sign)),
-                                    (adjoint(y), block.conj().T @ y)):
-                    assert fast.shape == (m, k)
-                    np.testing.assert_allclose(fast, dense, rtol=1e-12,
-                                               atol=1e-12 * np.max(np.abs(dense)))
+            self.assert_products_match(column, k, lambda sketches, blocks: [
+                random_matrix(n * k + b.shape[0], (b.shape[0], k)) for b in blocks])
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(24, 600), k=st.integers(1, 12), random_column=st.booleans())
+    # the odd-n middle row and column of the even block, scaled by sqrt(2)
+    @example(n=275, k=16, random_column=False)
+    def test_one_transform_serves_both_blocks(self, n, k, random_column):
+        # odd and even n: the adjoint of the Q of each sketch's QR, as the
+        # finder forms it
+        rng = np.random.default_rng(n + k)
+        column = (rng.standard_normal(n) + 1j * rng.standard_normal(n) if random_column
+                  else facing_ula_column("nusw", n, APERTURE, 3.0, WAVELENGTH))
+        self.assert_products_match(column, k, lambda sketches, blocks: [
+            np.linalg.qr(s)[0] for s in sketches])
+
+    def test_one_spectrum_makes_four_transforms(self, monkeypatch):
+        # 1024 elements at 15 m with the probe table kept: the circulant's
+        # eigenvalues, the sketch's ifft, and the adjoint's fft and ifft, for
+        # both parity blocks together (7 when each block had its own)
+        column = facing_ula_column("nusw", 1024, APERTURE, 15.0, WAVELENGTH)
+        toeplitz_spectrum(column)
+        calls = []
+        for name in ("fft", "ifft"):
+            transform = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *args, name=name, transform=transform,
+                                **kwargs: calls.append(name) or transform(*args, **kwargs))
+        toeplitz_spectrum(column)
+        assert calls == ["fft", "ifft", "fft", "ifft"]
 
     def test_probe_transform_is_read_only_and_reused(self):
         column = facing_ula_column("nusw", 1024, APERTURE, 15.0, WAVELENGTH)
         _probe_transform.cache_clear()
         toeplitz_spectrum(column)
-        assert _probe_transform.cache_info()[:2] == (0, 2)  # hits, misses
-        table = _probe_transform(1024, 16, 1)
+        assert _probe_transform.cache_info()[:2] == (0, 1)  # hits, misses
+        table = _probe_transform(1024, 16)
         assert not table.flags.writeable
-        w = probes(1024, 16).T
-        assert np.array_equal(table, np.fft.fft(w + w[:, ::-1], 2048))
+        assert np.array_equal(table, np.fft.fft(probes(1024, 16).T, 2048))
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.0
         toeplitz_spectrum(column)
-        assert _probe_transform.cache_info()[:2] == (3, 2)
-        assert _probe_transform(1024, 16, 1) is table
-        # only the latest transform of each parity is kept
-        for sketch, _ in _parity_products(np.ones(2048, dtype=complex)):
-            sketch(16)
-        assert _probe_transform.cache_info().currsize == 2
-        assert _probe_transform(1024, 16, 1) is not table
+        assert _probe_transform.cache_info()[:2] == (2, 1)
+        assert _probe_transform(1024, 16) is table
+        # only the latest transform is kept
+        _parity_products(np.ones(2048, dtype=complex))[0](32)
+        assert _probe_transform.cache_info().currsize == 1
+        assert _probe_transform(1024, 16) is not table
 
     @pytest.mark.parametrize("n, k, kept", [(256, 16, False), (512, 31, False),
                                             (512, 32, True), (8192, 16, True),
                                             (8192, 17, False), (16384, 16, False)])
-    def test_one_pair_of_transforms_of_1_to_8_mib_is_kept(self, n, k, kept):
-        # kept where 2 n k, counted over both blocks, is 2^15 to 2^18
-        products = _parity_products(np.ones(n, dtype=complex))
+    def test_one_transform_of_half_to_4_mib_is_kept(self, n, k, kept):
+        # kept where n k, k probes serving both blocks, is 2^14 to 2^17
+        sketch, _ = _parity_products(np.ones(n, dtype=complex))
         _probe_transform.cache_clear()
-        for sketch, _ in products:
-            sketch(k)
-        assert _probe_transform.cache_info().currsize == 2 * kept
-        for sketch, _ in products:
-            sketch(k)
-        assert _probe_transform.cache_info().hits == 2 * kept
+        sketch(2 * k)
+        assert _probe_transform.cache_info().currsize == kept
+        sketch(2 * k)
+        assert _probe_transform.cache_info().hits == kept
         if kept:
-            size = sum(_probe_transform(n, k, sign).nbytes for sign in (1, -1))
-            assert 1 << 20 <= size <= 1 << 23
+            assert 1 << 19 <= _probe_transform(n, k).nbytes <= 1 << 22
         _probe_transform.cache_clear()
 
     def test_cold_and_warm_tables_give_the_same_bytes(self):
         column = facing_ula_column("nusw", 1024, APERTURE, 50.0, WAVELENGTH)
         _probe_transform.cache_clear()
         cold = toeplitz_spectrum(column).tobytes()
-        assert _probe_transform.cache_info().currsize == 2
+        assert _probe_transform.cache_info().currsize == 1
         assert toeplitz_spectrum(column).tobytes() == cold
 
     def test_values_left_out_read_zero(self):
@@ -561,9 +585,11 @@ class TestToeplitzSpectrum:
         for n, aperture in ((1, APERTURE), (8, 0.0)):
             with pytest.raises(ValueError, match="n >= 2"):
                 facing_ula_column("nusw", n, aperture, 15.0, WAVELENGTH)
-        # a non-finite aperture or distance once gave an all-NaN column
+        # a non-finite aperture or distance, or a squared distance past the
+        # float range, once gave an all-NaN column
         for aperture, d in ((np.inf, 15.0), (np.nan, 15.0), (APERTURE, np.nan),
-                            (APERTURE, np.inf), (APERTURE, -np.inf)):
+                            (APERTURE, np.inf), (APERTURE, -np.inf), (APERTURE, 1e160),
+                            (1e200, 15.0)):
             with pytest.raises(ValueError, match="finite"):
                 facing_ula_column("usw", 8, aperture, d, WAVELENGTH)
         column = np.array(facing_ula_column("nusw", 8, APERTURE, 15.0, WAVELENGTH))
