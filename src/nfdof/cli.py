@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="path to the experiment JSON document")
     run.add_argument("--out", default=".", help="output directory (default: .)")
     run.add_argument("--threads", type=int, default=1,
-                     help=f"worker threads for grid evaluation, 1 to {MAX_THREADS}"
+                     help=f"worker threads, one table each, 1 to {MAX_THREADS}"
                           " (output-invariant)")
 
     val = sub.add_parser("validate", help="validate a config without running it")

@@ -1,10 +1,11 @@
 """Config-driven experiment runner with plot-ready CSV output.
 
-Runners read the spec of :mod:`nfdof.spec`, grids expanded.  Given the same
-config, seed included, outputs are byte-identical across runs and thread
-counts: grid points are pure functions collected in grid order, floats are
-serialized canonically, and the provenance timestamp comes from
-SOURCE_DATE_EPOCH (fixed epoch when unset), not the wall clock.
+A config is a list of tables, named and keyed by :mod:`nfdof.spec`; a new experiment
+is one parser there and one rows function here, which computes a table from its key
+and the spec, grids expanded.  Given the same config, seed included, outputs are
+byte-identical across runs and thread counts: tables are pure functions collected in
+table order, floats are serialized canonically, and the provenance timestamp comes
+from SOURCE_DATE_EPOCH (fixed epoch when unset), not the wall clock.
 """
 
 from __future__ import annotations
@@ -175,90 +176,54 @@ def _converge(spec: ExperimentSpec, aperture: float, distance: float):
     return converge_spectrum(tx, rx, spec.wavelength, tol=spec.tol, max_nodes=spec.max_nodes)
 
 
-def _run_spectrum(spec, prov, threads):
-    cases = [(n, a, d) for n, a in spec.sizes for d in spec.distances]
+def _spectrum_rows(spec, prov, key):
+    n, a, d = key
+    s = toeplitz_spectrum(_ula_column(spec, n, a, d))
+    return [[i, v, r] for i, v, r in zip(range(1, s.size + 1), s.tolist(),
+                                         (s / s[0]).tolist())], {}
 
-    def one(item):
-        name, (n, a, d) = item
+
+def _edof_vs_n_rows(spec, prov, d):
+    rows = []
+    for n, a in spec.sizes:
         s = toeplitz_spectrum(_ula_column(spec, n, a, d))
-        rows = [[i, v, r] for i, v, r in zip(range(1, s.size + 1), s.tolist(),
-                                             (s / s[0]).tolist())]
-        return ResultTable(name=name, columns=["mode_index", "sigma", "sigma_over_sigma1"],
-                           rows=rows, provenance=prov)
-
-    return _map_ordered(one, list(zip(spec.names, cases)), threads), {}
+        rows.append([n, a, dof(s), edof1(s, dominance=spec.dominance),
+                     edof1_limit_linear(a, a, spec.wavelength, d), edof2(s)])
+    return rows, {}
 
 
-def _run_edof_vs_n(spec, prov, threads):
-    def one(item):
-        name, d = item
-        rows = []
-        for n, a in spec.sizes:
-            s = toeplitz_spectrum(_ula_column(spec, n, a, d))
-            rows.append([n, a, dof(s),
-                         edof1(s, dominance=spec.dominance),
-                         edof1_limit_linear(a, a, spec.wavelength, d), edof2(s)])
-        return ResultTable(name=name,
-                           columns=["n_elements", "aperture_m", "dof", "edof1",
-                                    "edof1_limit", "edof2"],
-                           rows=rows, provenance=prov)
-
-    return _map_ordered(one, list(zip(spec.names, spec.distances)), threads), {}
+def _edof2_vs_n_rows(spec, prov, d):
+    cap_ref = {a: cap_edof2(_converge(spec, a, d))
+               for a in dict.fromkeys(a for _, a in spec.sizes)}
+    rows = []
+    for n, a in spec.sizes:
+        s = toeplitz_spectrum(_ula_column(spec, n, a, d))
+        rows.append([n, a, edof2(s), cap_ref[a]])
+    return rows, {}
 
 
-def _run_edof2_vs_n(spec, prov, threads):
-    def one(item):
-        name, d = item
-        cap_ref = {a: cap_edof2(_converge(spec, a, d))
-                   for a in dict.fromkeys(a for _, a in spec.sizes)}
-        rows = []
-        for n, a in spec.sizes:
-            s = toeplitz_spectrum(_ula_column(spec, n, a, d))
-            rows.append([n, a, edof2(s), cap_ref[a]])
-        return ResultTable(name=name,
-                           columns=["n_elements", "aperture_m", "edof2_spd", "edof2_cap"],
-                           rows=rows, provenance=prov)
-
-    return _map_ordered(one, list(zip(spec.names, spec.distances)), threads), {}
-
-
-def _run_edof3_vs_snr(spec, prov, threads):
+def _edof3_vs_snr_rows(spec, prov, d):
     ((n, a),) = spec.sizes
-    snrs = [10.0 ** (db / 10.0) for db in spec.snr_db]
-
-    def one(item):
-        name, d = item
-        s = toeplitz_spectrum(_ula_column(spec, n, a, d, spec.normalize))
-        echo = {"distance_m": d, "n_elements": n, "aperture_m": a,
-                "normalize": spec.normalize, "config_hash": prov["config_hash"]}
-        report = metrics_report(s, snrs, config_echo=echo, dominance=spec.dominance,
-                                delta_step=spec.delta_step)
-        rows = [[db, *pair] for db, pair in zip(spec.snr_db, report["edof3_by_snr"])]
-        return (ResultTable(name=name, columns=["snr_db", "snr", "edof3"],
-                            rows=rows, provenance=prov), f"d{_slug(d)}", report)
-
-    results = _map_ordered(one, list(zip(spec.names, spec.distances)), threads)
-    return [r[0] for r in results], {"metric_reports": {r[1]: r[2] for r in results}}
+    s = toeplitz_spectrum(_ula_column(spec, n, a, d, spec.normalize))
+    echo = {"distance_m": d, "n_elements": n, "aperture_m": a,
+            "normalize": spec.normalize, "config_hash": prov["config_hash"]}
+    report = metrics_report(s, [10.0 ** (db / 10.0) for db in spec.snr_db], config_echo=echo,
+                            dominance=spec.dominance, delta_step=spec.delta_step)
+    rows = [[db, *pair] for db, pair in zip(spec.snr_db, report["edof3_by_snr"])]
+    return rows, {"metric_reports": {f"d{_slug(d)}": report}}
 
 
-def _run_cap_edof_vs_distance(spec, prov, threads):
-    def one(item):
-        name, aperture = item
-        rd = rayleigh_distance(aperture, spec.wavelength)
-        rows = []
-        for d in spec.distances:
-            s = _converge(spec, aperture, d)
-            rows.append([d, cap_edof1(s, dominance=spec.dominance), cap_edof2(s), rd])
-        return ResultTable(name=name,
-                           columns=["distance_m", "cap_edof1", "cap_edof2",
-                                    "rayleigh_distance_m"],
-                           rows=rows, provenance=prov)
-
-    return _map_ordered(one, list(zip(spec.names, spec.apertures)), threads), {}
+def _cap_edof_vs_distance_rows(spec, prov, aperture):
+    rd = rayleigh_distance(aperture, spec.wavelength)
+    rows = []
+    for d in spec.distances:
+        s = _converge(spec, aperture, d)
+        rows.append([d, cap_edof1(s, dominance=spec.dominance), cap_edof2(s), rd])
+    return rows, {}
 
 
-def _run_link_sim(spec, prov, threads):
-    ((n, a),), (d,), (snr_db,) = spec.sizes, spec.distances, spec.snr_db
+def _link_sim_rows(spec, prov, d):
+    ((n, a),), (snr_db,) = spec.sizes, spec.snr_db
     h = toeplitz_matrix(_ula_column(spec, n, a, d))
     # scaling the column instead moves the round-off cross_mode_leakage the references hold
     h = frobenius_normalized(h) if spec.normalize else h
@@ -268,28 +233,25 @@ def _run_link_sim(spec, prov, threads):
                        budget=10.0 ** (snr_db / 10.0), noise=1.0)
     # water-filling drops the weakest requested modes at this SNR
     powers = powers[powers > 0]
-    k = powers.size
     config = TransmissionConfig(mode_powers=powers, noise_power=1.0,
                                 n_symbols=spec.n_symbols, seed=spec.seed)
     report = run_link(h, config)
-    rows = [[m + 1, float(powers[m]), float(report.predicted_mode_snr[m]),
-             float(report.measured_mode_snr[m]), float(report.mode_mse[m])]
-            for m in range(k)]
-    table = ResultTable(name=spec.names[0],
-                        columns=["mode", "power", "predicted_snr", "measured_snr", "mse"],
-                        rows=rows, provenance=prov)
-    return [table], {"link_report": "link_report.json",
-                     "cross_mode_leakage": report.cross_mode_leakage, "report": report}
+    rows = np.column_stack([np.arange(1, powers.size + 1), powers, report.predicted_mode_snr,
+                            report.measured_mode_snr, report.mode_mse]).tolist()
+    return rows, {"link_report": "link_report.json",
+                  "cross_mode_leakage": report.cross_mode_leakage, "report": report}
 
 
-# experiment name: run(spec, prov, threads) -> (tables, extra)
+# experiment name: (columns, rows); rows(spec, prov, key) -> (rows, extra) of one table
 EXPERIMENTS = {
-    "spectrum": _run_spectrum,
-    "edof-vs-n": _run_edof_vs_n,
-    "edof2-vs-n": _run_edof2_vs_n,
-    "edof3-vs-snr": _run_edof3_vs_snr,
-    "cap-edof-vs-distance": _run_cap_edof_vs_distance,
-    "link-sim": _run_link_sim,
+    "spectrum": (("mode_index", "sigma", "sigma_over_sigma1"), _spectrum_rows),
+    "edof-vs-n": (("n_elements", "aperture_m", "dof", "edof1", "edof1_limit", "edof2"),
+                  _edof_vs_n_rows),
+    "edof2-vs-n": (("n_elements", "aperture_m", "edof2_spd", "edof2_cap"), _edof2_vs_n_rows),
+    "edof3-vs-snr": (("snr_db", "snr", "edof3"), _edof3_vs_snr_rows),
+    "cap-edof-vs-distance": (("distance_m", "cap_edof1", "cap_edof2", "rayleigh_distance_m"),
+                             _cap_edof_vs_distance_rows),
+    "link-sim": (("mode", "power", "predicted_snr", "measured_snr", "mse"), _link_sim_rows),
 }
 
 
@@ -306,7 +268,7 @@ def run_experiment(cfg: dict, out_dir=".", threads: int = 1) -> list:
     summary under ``out_dir``.  Returns the result tables.  A NaN or infinite
     output value raises FloatingPointError before any file is written.
 
-    ``threads`` parallelizes grid points without changing any output byte.
+    ``threads`` computes tables in parallel without changing any output byte.
     """
     spec = validate_config(cfg)
     spec = replace(spec, **{key: _expanded(value) for key, value in vars(spec).items()
@@ -314,7 +276,15 @@ def run_experiment(cfg: dict, out_dir=".", threads: int = 1) -> list:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     prov = _provenance(cfg, spec)
-    tables, extra = EXPERIMENTS[spec.experiment](spec, prov, threads)
+    columns, rows = EXPERIMENTS[spec.experiment]
+    results = _map_ordered(lambda key: rows(spec, prov, key),
+                           [key for _, key in spec.tables], threads)
+    tables = [ResultTable(name=name, columns=list(columns), rows=table_rows, provenance=prov)
+              for (name, _), (table_rows, _) in zip(spec.tables, results)]
+    extra = {}
+    for _, more in results:  # a dict value gathers the entries of every table
+        for key, value in more.items():
+            extra[key] = {**extra.get(key, {}), **value} if isinstance(value, dict) else value
     report = extra.pop("report", None)
     summary = {"experiment": spec.experiment, "provenance": prov, "config_echo": cfg,
                "tables": tables, **extra}

@@ -31,6 +31,7 @@ from .spec import LADDER_FLOOR
 _NEWTON_STEPS = 20
 "Cap on the Newton steps for the Gauss-Legendre roots; 3-4 suffice up to m = 4096."
 _MAP_NODES = 64  # the node count whose mapped rule has alpha 0.96; not the ladder floor
+_SPREAD_LIMIT = math.sqrt(np.finfo(float).max / 3.0)  # per coordinate: 3 squares stay finite
 
 
 def _legendre(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +117,11 @@ def gauss_legendre_segment(start, end, m: int):
 
 
 def _segment_min_distance(p1, q1, p2, q2) -> float:
-    """Minimum distance between segments [p1, q1] and [p2, q2]."""
+    """Minimum distance between segments [p1, q1] and [p2, q2], whose square must be finite."""
+    # on Python floats, an overflowing difference reads inf without a warning
+    spread = max(max(c) - min(c) for c in zip(p1.tolist(), q1.tolist(), p2.tolist(), q2.tolist()))
+    if not spread <= _SPREAD_LIMIT:
+        raise ValueError(f"distances must be finite when squared: points {spread:g} m apart")
     d1 = q1 - p1
     d2 = q2 - p2
     r = p1 - p2
@@ -208,8 +213,9 @@ def _path_spread(tx_seg: np.ndarray, rx_seg: np.ndarray) -> float:
     spread = 0.0
     for ends, other in ((tx_seg, rx_seg), (rx_seg, tx_seg)):
         for p in ends:
+            near = _segment_min_distance(p, p, other[0], other[1])  # checks the distances first
             far = max(float(np.linalg.norm(p - q)) for q in other)
-            spread = max(spread, far - _segment_min_distance(p, p, other[0], other[1]))
+            spread = max(spread, far - near)
     return spread
 
 

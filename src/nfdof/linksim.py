@@ -195,7 +195,7 @@ def run_link(h, config: TransmissionConfig) -> LinkReport:
 
     gram = np.zeros((k, k), dtype=complex)
     total = config.n_symbols
-    receive = modes.left_vectors[:, :k].conj().T / (np.sqrt(p) * sig)[:, None]
+    receive = combine(np.eye(np.shape(h)[0]), modes, p)
     seeds = np.random.SeedSequence(config.seed).spawn((total + _CHUNK - 1) // _CHUNK)
     for i, chunk_seed in enumerate(seeds):
         rng = np.random.default_rng(chunk_seed)

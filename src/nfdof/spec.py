@@ -31,8 +31,8 @@ class Grid:
 class ExperimentSpec:
     """Every value a runner reads, parsed and range-checked from one config.
 
-    ``names`` lists the output tables in the order the runner writes them;
-    ``timestamp`` is the provenance time read from SOURCE_DATE_EPOCH.
+    ``tables`` lists the output tables as ``(name, key)`` pairs, in the order they are
+    written; ``timestamp`` is the provenance time read from SOURCE_DATE_EPOCH.
     Fields an experiment does not use keep their defaults, which are also
     the defaults of the optional config keys of the same name.
     """
@@ -40,13 +40,12 @@ class ExperimentSpec:
     experiment: str
     wavelength: float
     seed: int
-    names: tuple
+    tables: tuple
     timestamp: str
     model: str = "nusw"
     normalize: bool = True
     sizes: tuple = ()  # (n_elements, aperture_m) pairs
     distances: tuple | Grid = ()
-    apertures: tuple = ()
     snr_db: tuple | Grid = ()
     delta_step: float = 0.01
     dominance: float = 0.01
@@ -219,8 +218,8 @@ def _ula_sweep(cfg: dict, geo: dict, extra: set) -> dict:
 
 def _parse_spectrum(cfg: dict, geo: dict) -> dict:
     out = _ula_sweep(cfg, geo, set())
-    return {**out, "names": tuple(f"spectrum_n{n}_d{_slug(d)}" for n, _ in out["sizes"]
-                                  for d in out["distances"])}
+    return {**out, "tables": tuple((f"spectrum_n{n}_d{_slug(d)}", (n, a, d))
+                                   for n, a in out["sizes"] for d in out["distances"])}
 
 
 def _parse_edof3_vs_snr(cfg: dict, geo: dict) -> dict:
@@ -237,11 +236,10 @@ def _parse_cap_edof_vs_distance(cfg: dict, geo: dict) -> dict:
     _check_keys(cfg, _TOP_KEYS | {"kernel", "metrics"}, _TOP_REQUIRED, "config")
     _check_keys(geo, {"apertures_m", "distances_m"}, {"apertures_m", "distances_m"},
                 "geometry")
-    out = {"apertures": _number_list(geo, "apertures_m", "geometry", **_LENGTH),
-           "distances": _grid(geo, "distances_m", "geometry", **_LENGTH),
-           **_kernel(cfg), **_metrics(cfg, {"dominance"})}
-    out["names"] = tuple(f"cap_edof_vs_distance_a{_slug(a)}" for a in out["apertures"])
-    return out
+    apertures = _number_list(geo, "apertures_m", "geometry", **_LENGTH)
+    return {"tables": tuple((f"cap_edof_vs_distance_a{_slug(a)}", a) for a in apertures),
+            "distances": _grid(geo, "distances_m", "geometry", **_LENGTH),
+            **_kernel(cfg), **_metrics(cfg, {"dominance"})}
 
 
 def _parse_link_sim(cfg: dict, geo: dict) -> dict:
@@ -255,16 +253,16 @@ def _parse_link_sim(cfg: dict, geo: dict) -> dict:
     sizes = _ula_sizes(geo, sweep=False)
     n = sizes[0][0]
     d = _number(geo["distance_m"], "geometry.distance_m", **_LENGTH)
-    return {"sizes": sizes, "distances": (d,), **_array_options(cfg),
+    return {"sizes": sizes, **_array_options(cfg),
             # an n-element pair has n channel modes
             **_given(link, "link", active_modes={"integer": True, "minimum": 1, "maximum": n},
                      n_symbols={"integer": True, "minimum": 1, "maximum": MAX_COUNT}),
             "snr_db": (_number(link["snr_db"], "link.snr_db", **_SNR_DB_LIMIT),),
-            "names": (f"link_sim_n{n}_d{_slug(d)}",)}
+            "tables": ((f"link_sim_n{n}_d{_slug(d)}", d),)}
 
 
-# experiment name: parse(cfg, geometry) -> spec fields; without "names",
-# one table per distance named <experiment>_d<distance>
+# experiment name: parse(cfg, geometry) -> spec fields; without "tables",
+# one table per distance, named <experiment>_d<distance> and keyed by it
 PARSERS = {
     "spectrum": _parse_spectrum,
     "edof-vs-n": partial(_ula_sweep, extra={"metrics"}),
@@ -288,13 +286,14 @@ def validate_config(cfg) -> ExperimentSpec:
     if not isinstance(kind, str) or kind not in PARSERS:
         raise ConfigError(f"unknown experiment {kind!r}, expected one of {tuple(PARSERS)}")
     fields = PARSERS[kind](cfg, _object(cfg, "geometry"))
-    if "names" not in fields:
-        fields["names"] = tuple(f"{kind.replace('-', '_')}_d{_slug(d)}"
-                                for d in fields["distances"])
+    if "tables" not in fields:
+        fields["tables"] = tuple((f"{kind.replace('-', '_')}_d{_slug(d)}", d)
+                                 for d in fields["distances"])
     spec = ExperimentSpec(experiment=kind, wavelength=_parse_wavelength(cfg),
                           seed=_number(cfg.get("seed", 0), "seed", integer=True, minimum=0),
                           timestamp=_timestamp(), **fields)
-    shared = sorted({name for name in spec.names if spec.names.count(name) > 1})
+    names = [name for name, _ in spec.tables]
+    shared = sorted({name for name in names if names.count(name) > 1})
     if shared:
         raise ConfigError(f"grid points that format alike would share output table(s) {shared}")
     return spec

@@ -49,7 +49,7 @@ class TestValidation:
         assert (spec.experiment, spec.seed, spec.model) == ("spectrum", 1, "nusw")
         assert spec.wavelength == 0.01
         assert spec.sizes == ((32, 1.37),) and spec.distances == (15.0,)
-        assert spec.names == ("spectrum_n32_d15",)
+        assert spec.tables == (("spectrum_n32_d15", (32, 1.37, 15.0)),)
         assert (spec.dominance, spec.delta_step) == (0.01, 0.01)
         assert (spec.tol, spec.max_nodes) == (1e-6, 4096)
 
@@ -142,11 +142,11 @@ class TestGridExpansion:
         spec = validate_config(cfg)
         seen = []
 
-        def record(spec, prov, threads):
+        def record(spec, prov, key):
             seen.append(spec)
-            return [], {}
+            return [[0.0]], {}
 
-        with mock.patch.dict(nfdof.experiments.EXPERIMENTS, {kind: record}):
+        with mock.patch.dict(nfdof.experiments.EXPERIMENTS, {kind: (("x",), record)}):
             with tempfile.TemporaryDirectory() as out:
                 run_experiment(cfg, out_dir=out)
         field = "distances" if kind == "cap-edof-vs-distance" else "snr_db"
@@ -161,6 +161,37 @@ class TestGridExpansion:
         # validate checks only the endpoints: every value between them obeys their rule
         for i, value in enumerate(got):
             nfdof.spec._number(value, f"value {i}", **rule)
+
+
+# one small config of each experiment, with at least two tables where it has more than one
+CONTRACT_CONFIGS = {
+    "spectrum": {"geometry": {"aperture_m": 0.3, "n_elements": [8, 16],
+                              "distances_m": [15.0, 40.0]}},
+    "edof-vs-n": {"geometry": {"aperture_m": 0.3, "n_elements": [8, 16],
+                               "distances_m": [15.0, 40.0]}},
+    "edof2-vs-n": {"geometry": {"aperture_m": 0.2, "n_elements": [8],
+                                "distances_m": [10.0, 30.0]}},
+    "edof3-vs-snr": {"geometry": {"aperture_m": 0.3, "n_elements": 8,
+                                  "distances_m": [15.0, 40.0]},
+                     "metrics": {"snr_db": [0.0, 10.0]}},
+    "cap-edof-vs-distance": {"geometry": {"apertures_m": [0.2, 0.3],
+                                          "distances_m": {"start": 10.0, "stop": 50.0,
+                                                          "count": 3}}},
+    "link-sim": {"geometry": {"aperture_m": 0.3, "n_elements": 8, "distance_m": 15.0},
+                 "link": {"active_modes": 2, "snr_db": 20.0, "n_symbols": 100}},
+}
+
+
+class TestTableContract:
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("kind", list(CONTRACT_CONFIGS))
+    def test_run_writes_the_tables_of_the_spec_in_order(self, kind, threads, tmp_path):
+        cfg = {"experiment": kind, "carrier": {"wavelength_m": 0.01}, "seed": 1,
+               **CONTRACT_CONFIGS[kind]}
+        names = [name for name, _ in validate_config(cfg).tables]
+        tables = run_experiment(cfg, out_dir=tmp_path, threads=threads)
+        assert [t.name for t in tables] == names
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(f"{n}.csv" for n in names)
 
 
 class TestSpectrumExperiment:
@@ -646,15 +677,15 @@ class TestRender:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_cell_fails_the_run_without_file(self, value, tmp_path, monkeypatch):
-        run = nfdof.experiments.EXPERIMENTS["spectrum"]
+        columns, run = nfdof.experiments.EXPERIMENTS["spectrum"]
 
-        def poisoned(spec, prov, threads):
-            tables, extra = run(spec, prov, threads)
-            rows = [list(row) for row in tables[-1].rows]
-            rows[-1][-1] = value
-            return tables[:-1] + [dataclasses.replace(tables[-1], rows=rows)], extra
+        def poisoned(spec, prov, key):
+            rows, extra = run(spec, prov, key)
+            if key == spec.tables[-1][1]:
+                rows[-1][-1] = value
+            return rows, extra
 
-        monkeypatch.setitem(nfdof.experiments.EXPERIMENTS, "spectrum", poisoned)
+        monkeypatch.setitem(nfdof.experiments.EXPERIMENTS, "spectrum", (columns, poisoned))
         cfg = spectrum_config()
         cfg["geometry"]["distances_m"] = [15.0, 50.0]
         with pytest.raises(FloatingPointError, match="non-finite"):

@@ -196,6 +196,20 @@ class TestBuildKernel:
         with pytest.raises(SingularGeometryError):
             build_kernel(tx, crossing, WAVELENGTH, 16)
 
+    # segments from about 1e154 m apart have squared distances past float64's range, and
+    # ones at -1e308 and 1e308 a coordinate difference past it; both fail before any overflow
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("far", [(0.0, 1e154, 0.0), (0.0, 1e160, 0.0), (0.0, 1e300, 0.0),
+                                     (1e308, 0.0, 0.0)])
+    def test_distances_with_an_infinite_square_rejected_without_warning(self, far):
+        x, y, _ = far
+        tx = continuous_aperture((-x, 0.0, -1.0), (-x, 0.0, 1.0))
+        rx = continuous_aperture((x, y, -1.0), (x, y, 1.0))
+        with pytest.raises(ValueError, match="distances must be finite"):
+            build_kernel(tx, rx, WAVELENGTH, 16)
+        with pytest.raises(ValueError, match="distances must be finite"):
+            converge_spectrum(tx, rx, WAVELENGTH)
+
 
 class TestCapSpectrum:
     def test_far_geometry_single_mode(self):

@@ -59,7 +59,7 @@ def traffic_geometries() -> list:
         return _expanded(values) if isinstance(values, Grid) else values
 
     cap, growing = spec("cap_edof_vs_distance.json"), spec("edof2_vs_n_growing.json")
-    return ([(a, d) for a in cap.apertures for d in grid(cap.distances)]
+    return ([(a, d) for _, a in cap.tables for d in grid(cap.distances)]
             + [(a, d) for _, a in growing.sizes for d in grid(growing.distances)])
 
 
